@@ -7,7 +7,6 @@ floating point anywhere in the core.
 
 from .arctan import (
     DEFAULT_SAMPLE_POINTS,
-    CoefficientRow,
     arctan_derivative_closed,
     arctan_derivative_expanded,
     arctan_derivative_oracle,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_SAMPLE_POINTS",
-    "CoefficientRow",
     "arctan_derivative_closed",
     "arctan_derivative_expanded",
     "arctan_derivative_oracle",

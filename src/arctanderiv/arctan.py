@@ -13,7 +13,6 @@ All routes take n = the derivative order of arctan itself (n >= 1).
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from .combinatorics import binomial, factorial
@@ -23,7 +22,6 @@ from .reports import CheckReport
 
 __all__ = [
     "DEFAULT_SAMPLE_POINTS",
-    "CoefficientRow",
     "q_polynomial",
     "arctan_derivative_closed",
     "expansion_coefficient",
@@ -82,31 +80,24 @@ def expansion_coefficient(m: int, n: int) -> Fraction:
 
     Always evaluated as this literal sum; its closed form is exactly what the
     identity sweeps verify, so using it here would make those checks circular.
+    The integer numerator over 4^(n//2) is built by Horner's scheme in 4,
+    term k = m first.
     """
     if n < 0 or m < 0 or m > n // 2:
         raise ValueError("expansion_coefficient requires 0 <= m <= n//2")
-    total = Fraction(0)
-    for k in range(m, n // 2 + 1):
-        total += Fraction((-1) ** k * binomial(k, m) * binomial(n - k, k), 4**k)
-    return total
+    last = n // 2
+    numerator = 0
+    for k in range(m, last + 1):
+        term = binomial(k, m) * binomial(n - k, k)
+        numerator = (numerator << 2) + (-term if k & 1 else term)
+    return Fraction(numerator, 4**last)
 
 
-@dataclasses.dataclass(frozen=True)
-class CoefficientRow:
+def expansion_coefficients(n: int) -> tuple[Fraction, ...]:
     """All expansion coefficients (m = 0..n//2) for one expansion order n."""
-
-    n: int
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.n // 2 + 1:
-            raise ValueError("coefficient row must have n//2 + 1 entries")
-
-
-def expansion_coefficients(n: int) -> CoefficientRow:
     if n < 0:
         raise ValueError("expansion_coefficients requires n >= 0")
-    return CoefficientRow(n, tuple(expansion_coefficient(m, n) for m in range(n // 2 + 1)))
+    return tuple(expansion_coefficient(m, n) for m in range(n // 2 + 1))
 
 
 def arctan_derivative_expanded(n: int) -> ArctanRational:
@@ -118,9 +109,8 @@ def arctan_derivative_expanded(n: int) -> ArctanRational:
     """
     _require_order(n)
     p = n - 1
-    row = expansion_coefficients(p)
-    coeffs = [Fraction(0)] * (p + 1)
-    for m, value in enumerate(row.values):
+    coeffs = [0] * (p + 1)
+    for m, value in enumerate(expansion_coefficients(p)):
         coeffs[p - 2 * m] = value
     prefactor = factorial(p) * 2**p * (-1) ** p
     return ArctanRational(prefactor * Polynomial(coeffs), p + 1)

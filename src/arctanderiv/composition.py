@@ -15,6 +15,7 @@ underlying functions are represented.  Contents:
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from .combinatorics import factorial
@@ -68,7 +69,7 @@ class DerivativeJet:
     values: tuple[Fraction, ...]
 
     def __init__(self, point: Scalar, values) -> None:
-        rendered = tuple(Fraction(v) for v in values)
+        rendered = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if not rendered:
             raise ValueError("a jet needs at least the order-0 value")
         object.__setattr__(self, "point", Fraction(point))
@@ -143,6 +144,11 @@ def square_chain_rule(n: int, x: Scalar, f_jet: DerivativeJet) -> Fraction:
 
         sum_{k=0}^{n//2} n!/(k!(n-2k)!) * (2x)^(n-2k) * f^(n-k)(a + x^2).
 
+    The sum is accumulated in integers: with x = p/q and L the lcm of the
+    denominators of the jet values it uses, every term is an integer over
+    L q^n, and only the final quotient is a Fraction.  The weight is updated
+    from term to term, w_(k+1) = w_k (n-2k)(n-2k-1)/(k+1), which is exact.
+
     The jet is trusted to be anchored at the intended inner value; only its
     order is validated.
     """
@@ -150,12 +156,24 @@ def square_chain_rule(n: int, x: Scalar, f_jet: DerivativeJet) -> Fraction:
         raise ValueError("derivative order must be >= 0")
     if f_jet.order < n:
         raise ValueError(f"square_chain_rule needs a jet of order >= {n}")
-    two_x = 2 * Fraction(x)
-    total = Fraction(0)
-    for k in range(n // 2 + 1):
-        weight = factorial(n) // (factorial(k) * factorial(n - 2 * k))
-        total += weight * two_x ** (n - 2 * k) * f_jet.values[n - k]
-    return total
+    x = Fraction(x)
+    two_p, q = 2 * x.numerator, x.denominator
+    half = n // 2
+    used = f_jet.values[n - half : n + 1]
+    common = math.lcm(*(v.denominator for v in used))
+    # Horner's scheme in (2p)^2 over k ascending; term k carries w_k q^(2k).
+    p_step, q_step = two_p * two_p, q * q
+    total = 0
+    weight = 1
+    q_power = 1
+    for k in range(half + 1):
+        value = f_jet.values[n - k]
+        total = total * p_step + weight * q_power * value.numerator * (common // value.denominator)
+        weight = weight * (n - 2 * k) * (n - 2 * k - 1) // (k + 1)
+        q_power *= q_step
+    if n & 1:
+        total *= two_p
+    return Fraction(total, common * q**n)
 
 
 def square_chain_coefficients(n: int) -> list[int]:

@@ -44,10 +44,12 @@ def _require_half_range(n: int, m: int) -> None:
 def alternating_binomial_sum(n: int, m: int) -> Fraction:
     """sum_{i=m}^{n//2} (-1)^i 4^(-i) C(i, m) C(n-i, i), evaluated literally.
 
-    Accumulated as integers over the common denominator 4^(n//2); this is a
-    deliberately different evaluation strategy from the term-by-term rational
-    accumulation in :func:`arctanderiv.arctan.expansion_coefficient`, so the
-    equality test between the two modules can catch transcription drift.
+    Accumulated as integers over the common denominator 4^(n//2), each term
+    scaled by its own explicit power 4^(n//2 - i).
+    :func:`arctanderiv.arctan.expansion_coefficient` computes the same sum
+    over the same denominator but is written separately (Horner's scheme in
+    4, its own index names), so the equality test between the two modules can
+    catch transcription drift in either one.
     """
     _require_half_range(n, m)
     top = n // 2

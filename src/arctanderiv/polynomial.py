@@ -1,6 +1,10 @@
 """Dense univariate polynomials over exact rationals, and the rational-function
 form P(x) / (1+x^2)^k in which every arctan derivative lives.
 
+Coefficients are stored as ``int`` wherever they are integral and as
+``Fraction`` otherwise, so integer polynomials (every arctan numerator) are
+computed entirely in integer arithmetic.
+
 Both classes are immutable values: arithmetic returns new objects, equality is
 structural, and instances can be shared freely between threads.
 """
@@ -20,16 +24,19 @@ __all__ = ["Polynomial", "ArctanRational", "ONE_PLUS_X2"]
 class Polynomial:
     """Coefficients in ascending powers; the zero polynomial is the empty tuple.
 
+    Integral coefficients, including integral ``Fraction`` inputs, are stored
+    as ``int``; the rest as ``Fraction``.
+
     >>> str(Polynomial((-1, 0, 3)))
     '3*x^2 - 1'
     >>> Polynomial((1, 0, 1)) * Polynomial((1, 0, 1))
     Polynomial((1, 0, 2, 0, 1))
     """
 
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[Scalar, ...]
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is int else _exact(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -43,7 +50,7 @@ class Polynomial:
         return not self.coefficients
 
     @property
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         if self.is_zero():
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coefficients[-1]
@@ -72,12 +79,12 @@ class Polynomial:
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             return Polynomial(c * other for c in self.coefficients)
-        prod = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
+        prod = [0] * (len(self.coefficients) + len(other.coefficients))
         for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                prod[i + j] += a * b
+            if a:
+                for j, b in enumerate(other.coefficients, i):
+                    if b:
+                        prod[j] += a * b
         return Polynomial(prod)
 
     __rmul__ = __mul__
@@ -95,19 +102,25 @@ class Polynomial:
         return result
 
     def __divmod__(self, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Quotient and remainder over the rational field (always exact)."""
+        """Quotient and remainder over the rational field (always exact).
+
+        Dividing by a monic divisor takes no coefficient division, so integer
+        polynomials stay in integer arithmetic.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(len(self.coefficients) - len(divisor.coefficients) + 1, 0)
+        quotient = [0] * max(len(self.coefficients) - len(divisor.coefficients) + 1, 0)
         rest = list(self.coefficients)
         lead = divisor.leading_coefficient
         dlen = len(divisor.coefficients)
         while len(rest) >= dlen:
-            factor = rest[-1] / lead
+            # Fraction(...) keeps int / int from producing a float.
+            factor = rest[-1] if lead == 1 else Fraction(rest[-1]) / lead
             shift = len(rest) - dlen
             quotient[shift] = factor
-            for i, c in enumerate(divisor.coefficients):
-                rest[shift + i] -= factor * c
+            for i, c in enumerate(divisor.coefficients, shift):
+                if c:
+                    rest[i] -= factor * c
             while rest and rest[-1] == 0:
                 rest.pop()
         return Polynomial(quotient), Polynomial(rest)
@@ -116,11 +129,23 @@ class Polynomial:
         return Polynomial(i * c for i, c in enumerate(self.coefficients) if i)
 
     def evaluate(self, x: Scalar) -> Fraction:
-        """Exact value at a rational point, by Horner's scheme."""
+        """Exact value at a rational point x = p/q: q^deg P(p/q), computed
+        without division, over q^deg as one Fraction."""
+        if self.is_zero():
+            return Fraction(0)
         x = Fraction(x)
-        value = Fraction(0)
-        for c in reversed(self.coefficients):
-            value = value * x + c
+        q = x.denominator
+        return Fraction(self._homogeneous(x.numerator, q), q**self.degree)
+
+    def _homogeneous(self, p: int, q: int) -> Scalar:
+        """q^deg * P(p/q) = sum c_i p^i q^(deg-i), by Horner's scheme in p
+        with the matching power of q folded into each coefficient."""
+        coeffs = self.coefficients
+        value = coeffs[-1]
+        q_power = 1
+        for c in reversed(coeffs[:-1]):
+            q_power *= q
+            value = value * p + c * q_power if c else value * p
         return value
 
     def compose(self, inner: Polynomial) -> Polynomial:
@@ -157,6 +182,13 @@ class Polynomial:
             else:
                 parts.append(f" + {body}" if c > 0 else f" - {body}")
         return "".join(parts)
+
+
+def _exact(value) -> Scalar:
+    """value as an exact rational: an int when integral, else a Fraction."""
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _as_poly(value: Polynomial | Scalar) -> Polynomial:
@@ -200,9 +232,23 @@ class ArctanRational:
         return ArctanRational(top, k + 1)
 
     def evaluate(self, x: Scalar) -> Fraction:
-        """Exact value at a rational point; 1+x^2 >= 1 so never a pole."""
+        """Exact value at a rational point; 1+x^2 >= 1 so never a pole.
+
+        At x = p/q the value is (q^deg P(p/q)) q^(2k-deg) / (p^2+q^2)^k,
+        formed as one Fraction.
+        """
+        poly, k = self.numerator, self.exponent
+        if poly.is_zero():
+            return Fraction(0)
         x = Fraction(x)
-        return self.numerator.evaluate(x) / (1 + x * x) ** self.exponent
+        p, q = x.numerator, x.denominator
+        top, bottom = poly._homogeneous(p, q), (p * p + q * q) ** k
+        shift = 2 * k - poly.degree
+        if shift >= 0:
+            top *= q**shift
+        else:
+            bottom *= q**-shift
+        return Fraction(top, bottom)
 
     def __add__(self, other: ArctanRational) -> ArctanRational:
         k = max(self.exponent, other.exponent)

@@ -4,7 +4,6 @@ import pytest
 
 from arctanderiv import (
     ArctanRational,
-    CoefficientRow,
     Polynomial,
     arctan_derivative_closed,
     arctan_derivative_expanded,
@@ -74,11 +73,17 @@ def test_expansion_coefficient_range_check():
 
 def test_expansion_coefficient_row():
     row = expansion_coefficients(4)
-    assert row.n == 4
-    assert len(row.values) == 3
-    assert row.values[1] == Fraction(-5, 8)
-    with pytest.raises(ValueError):
-        CoefficientRow(4, (Fraction(1),))
+    assert len(row) == 3
+    assert row[1] == Fraction(-5, 8)
+
+
+def test_symbolic_routes_have_integer_numerators():
+    oracle = arctan_derivative_oracle(1)
+    for n in range(1, 41):
+        if n > 1:
+            oracle = oracle.derivative()
+        for route in (arctan_derivative_closed(n), arctan_derivative_expanded(n), oracle):
+            assert all(type(c) is int for c in route.numerator.coefficients)
 
 
 def test_expanded_form_small_cases():

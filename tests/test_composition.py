@@ -154,6 +154,12 @@ def test_square_chain_rule_parity():
         assert square_chain_rule(n, -x, jet) == sign * square_chain_rule(n, x, jet)
 
 
+def _square_inner_jet(inner, x0, n):
+    # Jet of g(x) = a + x^2 at x0, with a chosen so that g(x0) = inner.
+    g_values = [inner, 2 * x0, Fraction(2)] + [Fraction(0)] * max(n - 2, 0)
+    return DerivativeJet(x0, g_values[: n + 1])
+
+
 def test_square_chain_rule_agrees_with_generic_composition():
     # f = reciprocal, g = a + x^2: the collapsed sum and the full partition
     # sum must agree exactly.
@@ -161,8 +167,15 @@ def test_square_chain_rule_agrees_with_generic_composition():
         inner = a + x0 * x0
         for n in range(0, 16):
             f_jet = DerivativeJet.of_reciprocal(inner, n)
-            g_values = [inner, 2 * x0, Fraction(2)] + [Fraction(0)] * max(n - 2, 0)
-            g_jet = DerivativeJet(x0, g_values[: n + 1])
+            g_jet = _square_inner_jet(inner, x0, n)
+            assert faa_di_bruno(n, f_jet, g_jet) == square_chain_rule(n, x0, f_jet)
+    # Arbitrary jets with mixed denominators, at zero, a negative point and a
+    # point of large height.
+    rng = random.Random(17)
+    for x0 in (Fraction(0), Fraction(-3, 4), Fraction(355, 113)):
+        for n in range(0, 11):
+            f_jet = _random_jet(rng, n)
+            g_jet = _square_inner_jet(f_jet.point, x0, n)
             assert faa_di_bruno(n, f_jet, g_jet) == square_chain_rule(n, x0, f_jet)
 
 

@@ -80,6 +80,26 @@ def test_divmod_roundtrip(p, d):
     assert rest.is_zero() or rest.degree < d.degree
 
 
+def test_divmod_by_non_monic_divisor_is_exact():
+    # Neither quotient nor remainder may pass through int / int division.
+    quotient, rest = divmod(Polynomial((1, 0, 0, 1)), Polynomial((1, 2)))
+    assert quotient == Polynomial((Fraction(1, 8), Fraction(-1, 4), Fraction(1, 2)))
+    assert rest == Polynomial((Fraction(7, 8),))
+    quotient, rest = divmod(Polynomial((1, 0, 0, 1)), Polynomial((1, 3)))
+    assert quotient == Polynomial((Fraction(1, 27), Fraction(-1, 9), Fraction(1, 3)))
+    assert rest == Polynomial((Fraction(26, 27),))
+    for c in quotient.coefficients + rest.coefficients:
+        assert type(c) in (int, Fraction)
+
+
+def test_integral_coefficients_are_ints():
+    p = Polynomial((Fraction(4, 2), Fraction(1, 3), 0, Fraction(-6, 3)))
+    assert p.coefficients == (2, Fraction(1, 3), 0, -2)
+    assert [type(c) for c in p.coefficients] == [int, Fraction, int, int]
+    assert (p * 3).coefficients == (6, 1, 0, -6)
+    assert type((p * 3).coefficients[1]) is int
+
+
 @given(small_polys, rationals)
 def test_derivative_matches_difference_quotient(p, x):
     assert p.derivative().evaluate(x) == difference_quotient_derivative(p, Fraction(x))
@@ -93,6 +113,23 @@ def test_arctan_rational_canonicalization():
     # Canonicalizing a canonical value is the identity.
     again = ArctanRational(base.numerator, base.exponent)
     assert again == base
+
+
+def _divisible_by_one_plus_x2(p):
+    # 1+x^2 | P exactly when P(i) = 0: both alternating sums vanish.
+    even = sum((-1) ** j * c for j, c in enumerate(p.coefficients[0::2]))
+    odd = sum((-1) ** j * c for j, c in enumerate(p.coefficients[1::2]))
+    return even == 0 and odd == 0
+
+
+@given(small_polys, st.integers(0, 3), st.integers(0, 4))
+def test_canonical_form_is_minimal(p, j, k):
+    inflated = p * ONE_PLUS_X2**j
+    r = ArctanRational(inflated, k)
+    assert 0 <= r.exponent <= k
+    assert r.numerator * ONE_PLUS_X2 ** (k - r.exponent) == inflated
+    if r.exponent > 0:
+        assert not _divisible_by_one_plus_x2(r.numerator)
 
 
 def test_arctan_rational_zero_normalizes_to_exponent_zero():
