@@ -16,7 +16,7 @@ from .arctan import (
     expansion_coefficients,
     q_polynomial,
 )
-from .combinatorics import binomial, factorial, pochhammer, set_binomial_cache_limit
+from .combinatorics import binomial, pochhammer, set_binomial_cache_limit
 from .composition import (
     DerivativeJet,
     MultiplicityVector,
@@ -55,7 +55,6 @@ __all__ = [
     "expansion_coefficients",
     "q_polynomial",
     "binomial",
-    "factorial",
     "pochhammer",
     "set_binomial_cache_limit",
     "DerivativeJet",

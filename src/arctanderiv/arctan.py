@@ -13,9 +13,10 @@ All routes take n = the derivative order of arctan itself (n >= 1).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .combinatorics import binomial, factorial
+from .combinatorics import binomial
 from .composition import DerivativeJet, square_chain_rule
 from .polynomial import ArctanRational, Polynomial, Scalar
 from .reports import CheckReport
@@ -69,7 +70,7 @@ def q_polynomial(n: int) -> Polynomial:
 def arctan_derivative_closed(n: int) -> ArctanRational:
     """arctan^(n) as (n-1)! q_{n-1}(x) / (1+x^2)^n, n >= 1."""
     _require_order(n)
-    return ArctanRational(factorial(n - 1) * q_polynomial(n - 1), n)
+    return ArctanRational(math.factorial(n - 1) * q_polynomial(n - 1), n)
 
 
 def expansion_coefficient(m: int, n: int) -> Fraction:
@@ -112,7 +113,7 @@ def arctan_derivative_expanded(n: int) -> ArctanRational:
     coeffs = [0] * (p + 1)
     for m, value in enumerate(expansion_coefficients(p)):
         coeffs[p - 2 * m] = value
-    prefactor = factorial(p) * 2**p * (-1) ** p
+    prefactor = math.factorial(p) * 2**p * (-1) ** p
     return ArctanRational(prefactor * Polynomial(coeffs), p + 1)
 
 

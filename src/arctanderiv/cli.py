@@ -157,6 +157,9 @@ def _emit_report(report: CheckReport, fmt: str) -> int:
         for failure in report.failures:
             detail = " ".join(f"{k}={v}" for k, v in failure.items())
             print(f"  MISMATCH {detail}")
+        hidden = report.mismatches - len(report.failures)
+        if hidden:
+            print(f"  ... {hidden} more mismatches not shown")
     elif fmt == "json":
         _print_json(report.to_dict())
     else:
@@ -167,7 +170,7 @@ def _emit_report(report: CheckReport, fmt: str) -> int:
                     report.check,
                     report.parameters.get("n_max", ""),
                     report.cases,
-                    len(report.failures),
+                    report.mismatches,
                     report.passed,
                 )
             ],

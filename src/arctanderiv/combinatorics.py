@@ -1,4 +1,4 @@
-"""Exact combinatorial scalars: factorials, binomials, rising factorials.
+"""Exact combinatorial scalars: binomials and rising factorials.
 
 Everything operates on Python ints (arbitrary precision) and
 ``fractions.Fraction``, so results are exact at any size.  All functions are
@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["factorial", "binomial", "pochhammer", "set_binomial_cache_limit"]
+__all__ = ["binomial", "binomial_row", "pochhammer", "set_binomial_cache_limit"]
 
 _cache_limit = 1024
 
@@ -37,9 +37,17 @@ def set_binomial_cache_limit(limit: int) -> None:
     _binomial_row.cache_clear()
 
 
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    return math.factorial(n)
+def binomial_row(n: int) -> tuple[int, ...]:
+    """Row n of Pascal's triangle, (C(n, 0), ..., C(n, n)).
+
+    Rows for n <= the cache limit come from the row cache; larger rows are
+    built afresh on every call.
+    """
+    if n < 0:
+        raise ValueError("binomial requires n >= 0")
+    if n <= _cache_limit:
+        return _binomial_row(n)
+    return _binomial_row.__wrapped__(n)
 
 
 def binomial(n: int, k: int) -> int:
@@ -58,12 +66,13 @@ def binomial(n: int, k: int) -> int:
 
 
 def pochhammer(q: Fraction | int, k: int) -> Fraction:
-    """Rising factorial q (q+1) ... (q+k-1); the empty product (k=0) is 1."""
+    """Rising factorial q (q+1) ... (q+k-1); the empty product (k=0) is 1.
+
+    With q = p/d the product is prod_{j<k} (p + j d) over d^k, multiplied
+    out in integers and reduced once.
+    """
     if k < 0:
         raise ValueError("pochhammer requires k >= 0")
-    value = Fraction(1)
-    term = Fraction(q)
-    for _ in range(k):
-        value *= term
-        term += 1
-    return value
+    q = Fraction(q)
+    p, d = q.numerator, q.denominator
+    return Fraction(math.prod(range(p, p + k * d, d)), d**k)

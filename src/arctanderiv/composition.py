@@ -18,7 +18,6 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .combinatorics import factorial
 from .polynomial import Polynomial, Scalar
 
 __all__ = [
@@ -120,7 +119,7 @@ def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction
         raise ValueError("the f jet must be taken at the value of g")
     if n == 0:
         return f_jet.values[0]
-    n_fact = factorial(n)
+    n_fact = math.factorial(n)
     total = Fraction(0)
     for vec in multiplicity_vectors(n):
         denominator = 1
@@ -130,7 +129,7 @@ def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction
             if li == 0:
                 continue
             order += li
-            denominator *= factorial(li) * factorial(i) ** li
+            denominator *= math.factorial(li) * math.factorial(i) ** li
             inner *= g_jet.values[i] ** li
         total += Fraction(n_fact, denominator) * f_jet.values[order] * inner
     return total

@@ -5,14 +5,25 @@ Every check here is an exact-equality sweep over big rationals.  The Gamma
 function never appears: the hypergeometric series is only ever evaluated where
 it terminates, so the classical Gamma-ratio closed form is exercised purely
 through its combinatorial consequence, never numerically.
+
+The three sums (the alternating sum, the weighted sum and the terminating
+series) accumulate an integer numerator over one common denominator and build
+a single ``Fraction`` at the end, so no gcd runs inside a sum.  The binomials
+of the literal sums are read from Pascal rows (``binomial`` /
+``binomial_row``) and never derived from the previous term by a ratio: the
+ratio C(n-i-1, i+1) / C(n-i, i) is the term ratio of the 2F1 series, so a
+literal sum built from it would make the 2F1 check compare the series with
+itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
+from operator import itemgetter, mul
 
-from .combinatorics import binomial, factorial, pochhammer
+from .combinatorics import binomial, binomial_row, pochhammer
 from .polynomial import Scalar
 from .reports import CheckReport
 
@@ -41,22 +52,39 @@ def _require_half_range(n: int, m: int) -> None:
         raise ValueError("requires 0 <= m <= n//2")
 
 
+def _alternating_weights(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Pascal rows 0..n//2 and the integer weights
+    w_i = (-1)^i 4^(n//2 - i) C(n-i, i), i = 0..n//2, of the literal sum."""
+    top = n // 2
+    rows = [binomial_row(i) for i in range(top + 1)]
+    weights = []
+    for i in range(top + 1):
+        weight = binomial(n - i, i) << 2 * (top - i)
+        weights.append(-weight if i & 1 else weight)
+    return rows, weights
+
+
+def _alternating_numerator(
+    rows: list[tuple[int, ...]], weights: list[int], m: int
+) -> int:
+    """sum_{i=m}^{n//2} C(i, m) w_i, the literal sum times 4^(n//2)."""
+    return sum(map(mul, map(itemgetter(m), rows[m:]), weights[m:]))
+
+
 def alternating_binomial_sum(n: int, m: int) -> Fraction:
     """sum_{i=m}^{n//2} (-1)^i 4^(-i) C(i, m) C(n-i, i), evaluated literally.
 
-    Accumulated as integers over the common denominator 4^(n//2), each term
-    scaled by its own explicit power 4^(n//2 - i).
+    Accumulated as integers over the common denominator 4^(n//2): term i is
+    C(i, m) times the weight (-1)^i 4^(n//2 - i) C(n-i, i), with every
+    binomial read from a Pascal row.  O(n) per call; the identity sweep
+    builds the weights once per n and reuses them for every m.
     :func:`arctanderiv.arctan.expansion_coefficient` computes the same sum
     over the same denominator but is written separately (Horner's scheme in
     4, its own index names), so the equality test between the two modules can
     catch transcription drift in either one.
     """
     _require_half_range(n, m)
-    top = n // 2
-    numerator = 0
-    for i in range(m, top + 1):
-        numerator += (-1) ** i * 4 ** (top - i) * binomial(i, m) * binomial(n - i, i)
-    return Fraction(numerator, 4**top)
+    return Fraction(_alternating_numerator(*_alternating_weights(n), m), 4 ** (n // 2))
 
 
 def alternating_binomial_closed_form(n: int, m: int) -> Fraction:
@@ -66,26 +94,37 @@ def alternating_binomial_closed_form(n: int, m: int) -> Fraction:
 
 
 def check_binomial_identity(n_max: int) -> CheckReport:
-    """Literal sum == closed form for every n <= n_max, 0 <= m <= n//2."""
+    """Literal sum == closed form for every n <= n_max, 0 <= m <= n//2.
+
+    The literal sums go through the same two helpers as
+    :func:`alternating_binomial_sum`, with the weights built once per n.
+    """
     report = CheckReport("check-identity", {"n_max": n_max})
     for n in range(n_max + 1):
+        rows, weights = _alternating_weights(n)
+        denominator = 4 ** (n // 2)
         for m in range(n // 2 + 1):
-            lhs = alternating_binomial_sum(n, m)
+            lhs = Fraction(_alternating_numerator(rows, weights, m), denominator)
             rhs = alternating_binomial_closed_form(n, m)
             report.count_case(lhs == rhs, n=n, m=m, lhs=lhs, rhs=rhs)
     return report
 
 
 def weighted_binomial_sum(n: int) -> Fraction:
-    """sum_{i=0}^{n} (-1)^i C(2n+1-i, i) / (4^i (n+1-i)), evaluated literally."""
+    """sum_{i=0}^{n} (-1)^i C(2n+1-i, i) / (4^i (n+1-i)), evaluated literally.
+
+    Accumulated as integers over the common denominator 4^n lcm(1..n+1):
+    term i is scaled by 4^(n-i) lcm(1..n+1) / (n+1-i), with C(2n+1-i, i)
+    read from a Pascal row.
+    """
     if n < 0:
         raise ValueError("requires n >= 0")
-    total = Fraction(0)
+    lcm = math.lcm(*range(1, n + 2))
+    numerator = 0
     for i in range(n + 1):
-        total += Fraction(
-            (-1) ** i * binomial(2 * n + 1 - i, i), 4**i * (n + 1 - i)
-        )
-    return total
+        term = binomial(2 * n + 1 - i, i) * (lcm // (n + 1 - i)) << 2 * (n - i)
+        numerator += -term if i & 1 else term
+    return Fraction(numerator, lcm << 2 * n)
 
 
 def weighted_binomial_closed_form(n: int) -> Fraction:
@@ -156,26 +195,40 @@ def terminating_2f1(params: HypergeometricParams, max_terms: int = 10**6) -> Fra
     """Exact finite value of sum_k (a)_k (b)_k / ((c)_k k!) at argument 1.
 
     The sum runs k = 0..K with K the truncation index.  Term k = 0 is 1 and
-    is produced before any division, so c is never touched when K = 0.  Each
-    later step divides by c + k after proving it nonzero; a vanishing factor
-    there is a genuine division by zero and raises.  If neither upper
-    parameter truncates the series within max_terms the series is not finite
-    and no value exists.
+    needs no division, so c is never touched when K = 0.  Every factor c + k
+    with k < K is checked before the sum starts; a vanishing one is a genuine
+    division by zero and raises.  If neither upper parameter truncates the
+    series within max_terms the series is not finite and no value exists.
+
+    The series is evaluated by backward Horner,
+    1 + r_0 (1 + r_1 (... (1 + r_{K-1}))) with term ratio
+    r_k = (a+k)(b+k) / ((c+k)(k+1)), in integers built from the numerators
+    and denominators of a, b and c, and reduced by one gcd at the end.  It
+    holds for any rational a, b and c.
     """
     last = truncation_index(params)
     if last is None or last >= max_terms:
         raise NonTerminatingSeriesError(
             f"no upper parameter truncates the series within {max_terms} terms"
         )
-    term = Fraction(1)
-    total = Fraction(1)
-    for k in range(last):
-        lower = params.c + k
-        if lower == 0:
-            raise ZeroDivisionError(f"lower-parameter factor c + {k} vanishes before truncation")
-        term = term * (params.a + k) * (params.b + k) / (lower * (k + 1))
-        total += term
-    return total
+    c = params.c
+    if c <= 0 and c.denominator == 1 and -c < last:
+        raise ZeroDivisionError(
+            f"lower-parameter factor c + {-c.numerator} vanishes before truncation"
+        )
+    a_num, a_den = params.a.numerator, params.a.denominator
+    b_num, b_den = params.b.numerator, params.b.denominator
+    c_num, c_den = c.numerator, c.denominator
+    # r_k = (a_num + k a_den)(b_num + k b_den) c_den
+    #       / ((c_num + k c_den)(k + 1) a_den b_den)
+    upper_den = a_den * b_den
+    numerator = denominator = 1
+    for k in reversed(range(last)):
+        up = (a_num + k * a_den) * (b_num + k * b_den) * c_den
+        down = (c_num + k * c_den) * (k + 1) * upper_den
+        numerator = numerator * up + denominator * down
+        denominator *= down
+    return Fraction(numerator, denominator)
 
 
 def _hypergeometric_case(n: int, m: int, report: CheckReport) -> None:
@@ -197,7 +250,7 @@ def _hypergeometric_case(n: int, m: int, report: CheckReport) -> None:
         index=index,
         expected=expected_index,
     )
-    prefactor = Fraction((-1) ** m, factorial(m) * 4**m) * pochhammer(n - 2 * m + 1, m)
+    prefactor = Fraction((-1) ** m, math.factorial(m) * 4**m) * pochhammer(n - 2 * m + 1, m)
     series_value = terminating_2f1(params) * prefactor
     literal = alternating_binomial_sum(n, m)
     report.count_case(

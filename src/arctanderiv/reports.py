@@ -5,50 +5,62 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-__all__ = ["CheckReport"]
+__all__ = ["CheckReport", "FAILURES_KEPT"]
 
 _JSON_SAFE = (bool, int, str, type(None))
+
+FAILURES_KEPT = 20
+"""How many failure contexts a report keeps; later mismatches are only counted."""
 
 
 @dataclasses.dataclass
 class CheckReport:
-    """Outcome of one sweep: parameters, case count, and failure contexts.
+    """Outcome of one sweep: parameters, case and mismatch counts, and the
+    contexts of the first FAILURES_KEPT mismatches.
 
     Failure contexts are flat dicts of JSON-safe values (exact rationals are
-    rendered as "p/q" strings), so a report serializes as-is.
+    rendered as "p/q" strings), so a report serializes as-is.  Memory stays
+    bounded when every case fails, because later mismatches are counted
+    without being rendered.
     """
 
     check: str
     parameters: dict[str, Any]
     cases: int = 0
+    mismatches: int = 0
     failures: list[dict[str, Any]] = dataclasses.field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.mismatches
 
     def count_case(self, ok: bool, **context: Any) -> None:
-        """Record one checked case; on failure keep its rendered context."""
+        """Record one checked case; keep the rendered context of the first
+        FAILURES_KEPT mismatches."""
         self.cases += 1
         if not ok:
-            self.failures.append(
-                {k: (v if isinstance(v, _JSON_SAFE) else str(v)) for k, v in context.items()}
-            )
+            self.mismatches += 1
+            if len(self.failures) < FAILURES_KEPT:
+                self.failures.append(
+                    {k: (v if isinstance(v, _JSON_SAFE) else str(v)) for k, v in context.items()}
+                )
 
     def merge(self, other: CheckReport) -> None:
         self.cases += other.cases
-        self.failures.extend(other.failures)
+        self.mismatches += other.mismatches
+        self.failures.extend(other.failures[: FAILURES_KEPT - len(self.failures)])
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "check": self.check,
             **self.parameters,
             "cases": self.cases,
+            "mismatches": self.mismatches,
             "failures": self.failures,
             "passed": self.passed,
         }
 
     def summary(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in self.parameters.items())
-        status = "PASS" if self.passed else f"FAIL ({len(self.failures)} mismatches)"
+        status = "PASS" if self.passed else f"FAIL ({self.mismatches} mismatches)"
         return f"{self.check}: {params} cases={self.cases} {status}"

@@ -7,6 +7,7 @@ agreement between the two is evidence, not tautology.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from arctanderiv.polynomial import Polynomial
 
@@ -80,3 +81,38 @@ def nth_derivative_value(p: Polynomial, n: int, x: Fraction) -> Fraction:
     for _ in range(n):
         current = current.derivative()
     return current.evaluate(x)
+
+
+def alternating_sum_literal(n: int, m: int) -> Fraction:
+    """sum_{i=m}^{n//2} (-1)^i 4^(-i) C(i, m) C(n-i, i), term by term in
+    Fraction arithmetic with math.comb binomials."""
+    return sum(
+        (Fraction((-1) ** i * comb(i, m) * comb(n - i, i), 4**i) for i in range(m, n // 2 + 1)),
+        Fraction(0),
+    )
+
+
+def weighted_sum_literal(n: int) -> Fraction:
+    """sum_{i=0}^{n} (-1)^i C(2n+1-i, i) / (4^i (n+1-i)), term by term in
+    Fraction arithmetic with math.comb binomials."""
+    return sum(
+        (Fraction((-1) ** i * comb(2 * n + 1 - i, i), 4**i * (n + 1 - i)) for i in range(n + 1)),
+        Fraction(0),
+    )
+
+
+def forward_2f1(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
+    """sum_k (a)_k (b)_k / ((c)_k k!) at argument 1, summed forward in
+    Fraction arithmetic, each term from the previous one by the term ratio.
+
+    The sum stops at the first k where a + k or b + k vanishes, so a or b
+    must be a nonpositive integer.  A vanishing c + k before that point
+    raises ZeroDivisionError.
+    """
+    term = total = Fraction(1)
+    k = 0
+    while (a + k) * (b + k) != 0:
+        term = term * (a + k) * (b + k) / ((c + k) * (k + 1))
+        total += term
+        k += 1
+    return total

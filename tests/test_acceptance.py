@@ -6,6 +6,7 @@ is exact equality; the two long sweeps also pin their wall-clock budgets.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -23,7 +24,6 @@ from arctanderiv import (
     check_weighted_identity,
     crosscheck,
     faa_di_bruno,
-    factorial,
     identities,
     multiplicity_vectors,
     q_polynomial,
@@ -97,7 +97,7 @@ def test_criterion_6_coefficient_recurrence():
     for n in range(1, 101):
         coeffs = square_chain_coefficients(n)
         for k, c in enumerate(coeffs):
-            ok = ok and c == factorial(n) // (factorial(k) * factorial(n - 2 * k))
+            ok = ok and c == math.factorial(n) // (math.factorial(k) * math.factorial(n - 2 * k))
     _verdict("6 coefficient recurrence n<=100", ok)
     assert ok
 
@@ -158,7 +158,7 @@ def test_criterion_8_structural_properties():
             symmetry_ok = symmetry_ok and arctan_derivative_pointwise(n, -x) == sign * arctan_derivative_pointwise(n, x)
     maclaurin_ok = True
     for j in range(21):
-        maclaurin_ok = maclaurin_ok and arctan_derivative_pointwise(2 * j + 1, 0) == (-1) ** j * factorial(2 * j)
+        maclaurin_ok = maclaurin_ok and arctan_derivative_pointwise(2 * j + 1, 0) == (-1) ** j * math.factorial(2 * j)
         if j >= 1:
             maclaurin_ok = maclaurin_ok and arctan_derivative_pointwise(2 * j, 0) == 0
     ok = q_ok and symmetry_ok and maclaurin_ok

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from arctanderiv import (
     crosscheck,
     expansion_coefficient,
     expansion_coefficients,
-    factorial,
     q_polynomial,
 )
 
@@ -108,7 +108,7 @@ def test_maclaurin_values_at_zero():
     # arctan(x) = sum (-1)^j x^(2j+1)/(2j+1): the odd derivatives at 0 are
     # (-1)^j (2j)!, the even ones vanish.
     for j in range(21):
-        assert arctan_derivative_pointwise(2 * j + 1, 0) == (-1) ** j * factorial(2 * j)
+        assert arctan_derivative_pointwise(2 * j + 1, 0) == (-1) ** j * math.factorial(2 * j)
         if j >= 1:
             assert arctan_derivative_pointwise(2 * j, 0) == 0
 

@@ -152,6 +152,31 @@ def test_mutated_check_exits_one(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_mismatch_report_is_bounded(capsys, monkeypatch):
+    # Every case fails: only the first 20 contexts are kept, all are counted.
+    monkeypatch.setattr(
+        identities,
+        "alternating_binomial_closed_form",
+        lambda n, m: Fraction(1, 3),
+    )
+    code, out, _ = run_cli(capsys, "check-identity", "60")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "check-identity: n_max=60 cases=961 FAIL (961 mismatches)"
+    assert sum(line.startswith("  MISMATCH ") for line in lines) == 20
+    assert lines[-1] == "  ... 941 more mismatches not shown"
+    assert len(lines) == 22
+    code, out, _ = run_cli(capsys, "check-identity", "60", "--format=json")
+    assert code == 1
+    document = json.loads(out)
+    assert document["mismatches"] == 961
+    assert len(document["failures"]) == 20
+    assert document["passed"] is False
+    code, out, _ = run_cli(capsys, "check-identity", "60", "--format=csv")
+    assert code == 1
+    assert out.splitlines()[1] == "check-identity,60,961,961,False"
+
+
 def test_malformed_arguments_exit_two(capsys):
     assert run_cli(capsys, "qpoly", "not-a-number")[0] == 2
     assert run_cli(capsys, "qpoly", "-3")[0] == 2

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arctanderiv import binomial, factorial, pochhammer, set_binomial_cache_limit
+from arctanderiv import binomial, pochhammer, set_binomial_cache_limit
+from arctanderiv.combinatorics import binomial_row
 from oracles import pascal_triangle
 
 
 def test_factorial_small_values():
-    assert factorial(0) == 1
-    assert factorial(1) == 1
+    assert math.factorial(0) == 1
+    assert math.factorial(1) == 1
     product = 1
     for i in range(1, 11):
         product *= i
-    assert factorial(10) == product == 3628800
+    assert math.factorial(10) == product == 3628800
 
 
 def test_binomial_against_pascal_oracle():
@@ -36,6 +37,8 @@ def test_binomial_out_of_range_is_zero():
 def test_binomial_rejects_negative_n():
     with pytest.raises(ValueError):
         binomial(-1, 0)
+    with pytest.raises(ValueError):
+        binomial_row(-1)
 
 
 def test_pascal_recurrence_up_to_200():
@@ -50,6 +53,8 @@ def test_binomial_beyond_cache_limit():
     try:
         assert binomial(20, 10) == 184756
         assert binomial(200, 100) == math.comb(200, 100)
+        for n in (8, 9, 30):
+            assert binomial_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
     finally:
         set_binomial_cache_limit(1024)
 
@@ -68,7 +73,7 @@ def test_pochhammer_examples():
 def test_pochhammer_vs_factorial_for_naturals():
     for q in range(1, 31):
         for k in range(16):
-            assert pochhammer(q, k) == Fraction(factorial(q + k - 1), factorial(q - 1))
+            assert pochhammer(q, k) == Fraction(math.factorial(q + k - 1), math.factorial(q - 1))
 
 
 @given(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from arctanderiv import (
     DerivativeJet,
     Polynomial,
     faa_di_bruno,
-    factorial,
     multiplicity_vectors,
     square_chain_coefficients,
     square_chain_rule,
@@ -57,7 +57,7 @@ def test_reciprocal_jet_values():
     y0 = Fraction(3, 2)
     jet = DerivativeJet.of_reciprocal(y0, 6)
     for k in range(7):
-        assert jet.values[k] == Fraction(factorial(k) * (-1) ** k, 1) / y0 ** (k + 1)
+        assert jet.values[k] == Fraction(math.factorial(k) * (-1) ** k, 1) / y0 ** (k + 1)
 
 
 def test_reciprocal_jet_rejects_zero():
@@ -190,7 +190,7 @@ def test_coefficient_recurrence_matches_closed_form():
         coeffs = square_chain_coefficients(n)
         assert len(coeffs) == n // 2 + 1
         for k, c in enumerate(coeffs):
-            assert c == factorial(n) // (factorial(k) * factorial(n - 2 * k))
+            assert c == math.factorial(n) // (math.factorial(k) * math.factorial(n - 2 * k))
 
 
 def test_coefficient_recurrence_rejects_zero():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arctanderiv import (
     HypergeometricParams,
@@ -17,12 +19,19 @@ from arctanderiv import (
     weighted_binomial_closed_form,
     weighted_binomial_sum,
 )
+from oracles import alternating_sum_literal, forward_2f1, weighted_sum_literal
 
 
 def test_alternating_sum_values():
     assert alternating_binomial_sum(0, 0) == 1
     assert alternating_binomial_sum(2, 0) == Fraction(3, 4)
     assert alternating_binomial_sum(4, 1) == Fraction(-5, 8)
+
+
+def test_alternating_sum_matches_literal_oracle():
+    for n in range(151):
+        for m in range(n // 2 + 1):
+            assert alternating_binomial_sum(n, m) == alternating_sum_literal(n, m)
 
 
 def test_closed_form_values():
@@ -62,6 +71,11 @@ def test_weighted_sum_values():
     assert weighted_binomial_sum(0) == 1
     assert weighted_binomial_sum(1) == 0
     assert weighted_binomial_sum(2) == Fraction(1, 48)
+
+
+def test_weighted_sum_matches_literal_oracle():
+    for n in range(301):
+        assert weighted_binomial_sum(n) == weighted_sum_literal(n)
 
 
 def test_weighted_closed_form_values():
@@ -108,6 +122,28 @@ def test_non_terminating_series_raises():
 def test_vanishing_lower_parameter_raises():
     with pytest.raises(ZeroDivisionError):
         terminating_2f1(HypergeometricParams(-5, Fraction(1, 2), -3))
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except (ZeroDivisionError, NonTerminatingSeriesError) as exc:
+        return type(exc)
+
+
+_small_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 5))
+
+
+@given(
+    truncating=st.integers(-30, 0),
+    other=_small_rationals,
+    c=st.one_of(_small_rationals, st.integers(-30, -1)),
+    swap=st.booleans(),
+)
+def test_terminating_series_matches_forward_sum(truncating, other, c, swap):
+    a, b = (other, truncating) if swap else (truncating, other)
+    params = HypergeometricParams(a, b, c)
+    assert _outcome(terminating_2f1, params) == _outcome(forward_2f1, params.a, params.b, params.c)
 
 
 def test_hypergeometric_form_cases():

@@ -1,0 +1,40 @@
+from arctanderiv import CheckReport
+from arctanderiv.reports import FAILURES_KEPT
+
+
+def test_failure_contexts_are_bounded():
+    report = CheckReport("sweep", {"n_max": 3})
+    for i in range(50):
+        report.count_case(i % 2 == 0, i=i)
+    assert report.cases == 50
+    assert report.mismatches == 25
+    assert [f["i"] for f in report.failures] == list(range(1, 2 * FAILURES_KEPT, 2))
+    assert not report.passed
+    assert report.summary() == "sweep: n_max=3 cases=50 FAIL (25 mismatches)"
+    assert report.to_dict()["mismatches"] == 25
+
+
+def test_merge_keeps_the_bound():
+    first = CheckReport("sweep", {})
+    second = CheckReport("sweep", {})
+    for i in range(15):
+        first.count_case(False, i=i)
+        second.count_case(False, i=15 + i)
+    second.count_case(True)
+    first.merge(second)
+    assert first.cases == 31
+    assert first.mismatches == 30
+    assert [f["i"] for f in first.failures] == list(range(FAILURES_KEPT))
+
+
+def test_passing_report_has_no_mismatches():
+    report = CheckReport("sweep", {})
+    report.count_case(True)
+    assert report.passed
+    assert report.to_dict() == {
+        "check": "sweep",
+        "cases": 1,
+        "mismatches": 0,
+        "failures": [],
+        "passed": True,
+    }
