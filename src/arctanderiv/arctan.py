@@ -73,6 +73,21 @@ def arctan_derivative_closed(n: int) -> ArctanRational:
     return ArctanRational(math.factorial(n - 1) * q_polynomial(n - 1), n)
 
 
+def _expansion_diagonal(n: int) -> list[int]:
+    """The anti-diagonal C(n-k, k), k = 0..n//2, of one expansion order n."""
+    return [binomial(n - k, k) for k in range(n // 2 + 1)]
+
+
+def _expansion_numerator(diagonal: list[int], m: int) -> int:
+    """4^(n//2) times the literal sum of expansion_coefficient(m, n), from
+    the order's anti-diagonal, by Horner's scheme in 4 (term k = m first)."""
+    numerator = 0
+    for k in range(m, len(diagonal)):
+        term = binomial(k, m) * diagonal[k]
+        numerator = (numerator << 2) + (-term if k & 1 else term)
+    return numerator
+
+
 def expansion_coefficient(m: int, n: int) -> Fraction:
     """Coefficient of x^(n-2m) in the expanded form of arctan^(n+1), before
     the common prefactor n! 2^n (-1)^n / (1+x^2)^(n+1):
@@ -82,23 +97,29 @@ def expansion_coefficient(m: int, n: int) -> Fraction:
     Always evaluated as this literal sum; its closed form is exactly what the
     identity sweeps verify, so using it here would make those checks circular.
     The integer numerator over 4^(n//2) is built by Horner's scheme in 4,
-    term k = m first.
+    term k = m first, through the same helpers as
+    :func:`expansion_coefficients`.
     """
     if n < 0 or m < 0 or m > n // 2:
         raise ValueError("expansion_coefficient requires 0 <= m <= n//2")
-    last = n // 2
-    numerator = 0
-    for k in range(m, last + 1):
-        term = binomial(k, m) * binomial(n - k, k)
-        numerator = (numerator << 2) + (-term if k & 1 else term)
-    return Fraction(numerator, 4**last)
+    return Fraction(_expansion_numerator(_expansion_diagonal(n), m), 4 ** (n // 2))
 
 
 def expansion_coefficients(n: int) -> tuple[Fraction, ...]:
-    """All expansion coefficients (m = 0..n//2) for one expansion order n."""
+    """All expansion coefficients (m = 0..n//2) for one expansion order n.
+
+    The anti-diagonal C(n-k, k) does not depend on m, so it is read once per
+    order.  Each coefficient is its own literal Horner sum, through the
+    numerator helper :func:`expansion_coefficient` uses, so the values equal
+    those of single calls.
+    """
     if n < 0:
         raise ValueError("expansion_coefficients requires n >= 0")
-    return tuple(expansion_coefficient(m, n) for m in range(n // 2 + 1))
+    diagonal = _expansion_diagonal(n)
+    denominator = 4 ** (n // 2)
+    return tuple(
+        Fraction(_expansion_numerator(diagonal, m), denominator) for m in range(n // 2 + 1)
+    )
 
 
 def arctan_derivative_expanded(n: int) -> ArctanRational:
@@ -146,6 +167,12 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     structurally (same canonical numerator and exponent); the jet route must
     match the oracle's value at every sample point.  Results are keyed by n,
     so the report does not depend on evaluation order.
+
+    The jet route is :func:`arctan_derivative_pointwise` with the reciprocal
+    jet built once per sample point, at order n_max - 1, before the n loop.
+    This is exact: a shorter reciprocal jet is a prefix of a longer one, and
+    :func:`square_chain_rule` reads only the values up to order n - 1, so
+    each n gets the value a jet of exactly that order gives.
     """
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
@@ -153,6 +180,7 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     report = CheckReport(
         "crosscheck", {"n_max": n_max, "points": [str(p) for p in points]}
     )
+    jets = [DerivativeJet.of_reciprocal(1 + x * x, n_max - 1) for x in points]
     oracle = ArctanRational(Polynomial((1,)), 1)
     for n in range(1, n_max + 1):
         if n > 1:
@@ -165,8 +193,8 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
         report.count_case(
             expanded == oracle, n=n, pair="expanded vs oracle", expanded=expanded, oracle=oracle
         )
-        for x in points:
-            pointwise = arctan_derivative_pointwise(n, x)
+        for x, jet in zip(points, jets):
+            pointwise = square_chain_rule(n - 1, x, jet)
             expected = oracle.evaluate(x)
             report.count_case(
                 pointwise == expected,

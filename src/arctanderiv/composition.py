@@ -91,7 +91,11 @@ class DerivativeJet:
 
     @classmethod
     def of_reciprocal(cls, point: Scalar, order: int) -> DerivativeJet:
-        """Jet of y -> 1/y: the k-th derivative at y0 is k! (-1)^k / y0^(k+1)."""
+        """Jet of y -> 1/y: the k-th derivative at y0 is k! (-1)^k / y0^(k+1).
+
+        Each value depends on k and y0 only, so the order-k jet is the first
+        k+1 values of any longer one.
+        """
         y0 = Fraction(point)
         if y0 == 0:
             raise ZeroDivisionError("reciprocal jet undefined at 0")

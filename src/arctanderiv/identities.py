@@ -76,8 +76,8 @@ def alternating_binomial_sum(n: int, m: int) -> Fraction:
 
     Accumulated as integers over the common denominator 4^(n//2): term i is
     C(i, m) times the weight (-1)^i 4^(n//2 - i) C(n-i, i), with every
-    binomial read from a Pascal row.  O(n) per call; the identity sweep
-    builds the weights once per n and reuses them for every m.
+    binomial read from a Pascal row.  O(n) per call; the identity and
+    2F1 sweeps build the weights once per n and reuse them for every m.
     :func:`arctanderiv.arctan.expansion_coefficient` computes the same sum
     over the same denominator but is written separately (Horner's scheme in
     4, its own index names), so the equality test between the two modules can
@@ -231,7 +231,14 @@ def terminating_2f1(params: HypergeometricParams, max_terms: int = 10**6) -> Fra
     return Fraction(numerator, denominator)
 
 
-def _hypergeometric_case(n: int, m: int, report: CheckReport) -> None:
+def _hypergeometric_case(
+    n: int,
+    m: int,
+    report: CheckReport,
+    rows: list[tuple[int, ...]],
+    weights: list[int],
+) -> None:
+    # rows and weights are _alternating_weights(n), for the literal side.
     # Series form of the literal sum: 2F1(m - n/2, m - n/2 + 1/2; m - n; 1)
     # times (-1)^m / (m! 4^m) * (n - 2m + 1)_m.  Exactly one upper parameter
     # is a nonpositive integer (which one depends on the parity of n), so the
@@ -252,7 +259,7 @@ def _hypergeometric_case(n: int, m: int, report: CheckReport) -> None:
     )
     prefactor = Fraction((-1) ** m, math.factorial(m) * 4**m) * pochhammer(n - 2 * m + 1, m)
     series_value = terminating_2f1(params) * prefactor
-    literal = alternating_binomial_sum(n, m)
+    literal = Fraction(_alternating_numerator(rows, weights, m), 4 ** (n // 2))
     report.count_case(
         series_value == literal,
         n=n,
@@ -274,14 +281,16 @@ def check_hypergeometric_form(n: int, m: int) -> CheckReport:
     """
     _require_half_range(n, m)
     report = CheckReport("check-2f1", {"n": n, "m": m})
-    _hypergeometric_case(n, m, report)
+    _hypergeometric_case(n, m, report, *_alternating_weights(n))
     return report
 
 
 def check_hypergeometric_sweep(n_max: int) -> CheckReport:
-    """check_hypergeometric_form over every n <= n_max and valid m."""
+    """check_hypergeometric_form over every n <= n_max and valid m, with the
+    literal side's Pascal rows and weights built once per n."""
     report = CheckReport("check-2f1", {"n_max": n_max})
     for n in range(n_max + 1):
+        rows, weights = _alternating_weights(n)
         for m in range(n // 2 + 1):
-            _hypergeometric_case(n, m, report)
+            _hypergeometric_case(n, m, report, rows, weights)
     return report

@@ -6,6 +6,7 @@ import pytest
 from arctanderiv import (
     ArctanRational,
     Polynomial,
+    arctan,
     arctan_derivative_closed,
     arctan_derivative_expanded,
     arctan_derivative_oracle,
@@ -15,6 +16,7 @@ from arctanderiv import (
     expansion_coefficients,
     q_polynomial,
 )
+from oracles import alternating_sum_literal
 
 
 def test_q_polynomial_small_cases():
@@ -75,6 +77,13 @@ def test_expansion_coefficient_row():
     row = expansion_coefficients(4)
     assert len(row) == 3
     assert row[1] == Fraction(-5, 8)
+
+
+def test_expansion_coefficients_batch_matches_single_calls_and_oracle():
+    for n in range(200):
+        row = expansion_coefficients(n)
+        assert row == tuple(expansion_coefficient(m, n) for m in range(n // 2 + 1))
+        assert row == tuple(alternating_sum_literal(n, m) for m in range(n // 2 + 1))
 
 
 def test_symbolic_routes_have_integer_numerators():
@@ -138,6 +147,25 @@ def test_crosscheck_mixed_points():
 def test_crosscheck_wide_sweep_single_point():
     report = crosscheck(50, (Fraction(2, 3),))
     assert report.passed
+
+
+def test_crosscheck_reports_a_wrong_jet_value(monkeypatch):
+    # The jet route must be compared with the oracle, not with itself: one
+    # wrong (n, point) value must be the first failure, with that n and point.
+    points = (Fraction(1, 3), Fraction(-47, 53), Fraction(3, 4))
+    bad_n, bad_point = 9, Fraction(-47, 53)
+    square_chain_rule = arctan.square_chain_rule
+
+    def wrong_once(order, x, jet):
+        value = square_chain_rule(order, x, jet)
+        return value + 1 if (order + 1, x) == (bad_n, bad_point) else value
+
+    monkeypatch.setattr(arctan, "square_chain_rule", wrong_once)
+    report = crosscheck(12, points)
+    assert report.mismatches == 1
+    first = report.failures[0]
+    assert (first["n"], first["point"]) == (bad_n, str(bad_point))
+    assert first["pair"] == "pointwise vs oracle"
 
 
 def test_crosscheck_requires_positive_bound():

@@ -179,6 +179,21 @@ def test_square_chain_rule_agrees_with_generic_composition():
             assert faa_di_bruno(n, f_jet, g_jet) == square_chain_rule(n, x0, f_jet)
 
 
+def test_square_chain_rule_reads_a_prefix_of_longer_jets():
+    # crosscheck evaluates every order from one reciprocal jet per point, so
+    # a jet of order N > n must give the exact-order result.
+    rng = random.Random(29)
+    for x in (Fraction(0), Fraction(1, 2), Fraction(-47, 53), Fraction(355, 113)):
+        long_reciprocal = DerivativeJet.of_reciprocal(1 + x * x, 41)
+        long_random = _random_jet(rng, 41)
+        for n in range(41):
+            exact = DerivativeJet.of_reciprocal(1 + x * x, n)
+            assert long_reciprocal.values[: n + 1] == exact.values
+            assert square_chain_rule(n, x, long_reciprocal) == square_chain_rule(n, x, exact)
+            prefix = DerivativeJet(long_random.point, long_random.values[: n + 1])
+            assert square_chain_rule(n, x, long_random) == square_chain_rule(n, x, prefix)
+
+
 def test_coefficient_recurrence_small_cases():
     assert square_chain_coefficients(1) == [1]
     assert square_chain_coefficients(2) == [1, 2]
