@@ -2,8 +2,9 @@
 verification sweeps, and a timing table.
 
 Exit codes: 0 when everything succeeds (checks all pass), 1 when a
-verification sweep finds a mismatch, 2 for usage or argument-parse errors.
-Results go to stdout, diagnostics to stderr.
+verification sweep finds a mismatch, 2 for usage or argument-parse errors,
+3 when the command raised an unexpected exception (reported on one stderr
+line, without a traceback).  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -284,6 +285,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 is reserved for a mathematical mismatch.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

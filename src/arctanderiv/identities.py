@@ -9,19 +9,25 @@ through its combinatorial consequence, never numerically.
 The three sums (the alternating sum, the weighted sum and the terminating
 series) accumulate an integer numerator over one common denominator and build
 a single ``Fraction`` at the end, so no gcd runs inside a sum.  The binomials
-of the literal sums are read from Pascal rows (``binomial`` /
-``binomial_row``) and never derived from the previous term by a ratio: the
-ratio C(n-i-1, i+1) / C(n-i, i) is the term ratio of the 2F1 series, so a
-literal sum built from it would make the 2F1 check compare the series with
-itself.
+of the literal sums come from Pascal's triangle and are never derived from
+the previous term by a ratio: the ratio C(n-i-1, i+1) / C(n-i, i) is the
+term ratio of the 2F1 series, so a literal sum built from it would make the
+2F1 check compare the series with itself.  Single calls read them from
+``binomial`` / ``binomial_row``.  The sweeps read C(i, m) from the Pascal
+rows 0..n//2 (``binomial_row``) and C(n-i, i) and C(2n+1-i, i) from the
+Pascal anti-diagonals, each built from the two before it by addition only;
+the binomial-identity sweep reads its closed form from Pascal rows grown by
+addition, and decides each case by integer equality of the two numerators.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
+from typing import Iterator, Sequence
 
 from .combinatorics import binomial, binomial_row, pochhammer
 from .polynomial import Scalar
@@ -52,16 +58,56 @@ def _require_half_range(n: int, m: int) -> None:
         raise ValueError("requires 0 <= m <= n//2")
 
 
-def _alternating_weights(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Pascal rows 0..n//2 and the integer weights
-    w_i = (-1)^i 4^(n//2 - i) C(n-i, i), i = 0..n//2, of the literal sum."""
+def _antidiagonals() -> Iterator[tuple[int, ...]]:
+    """The Pascal anti-diagonals D_N = (C(N-i, i))_{i <= N//2} for N = 0, 1, 2, ...
+
+    Each one comes from the two before it by Pascal's rule,
+    C(N-i, i) = C(N-1-i, i) + C(N-1-i, i-1), that is
+    D_N[i] = D_{N-1}[i] + D_{N-2}[i-1]: additions only, no term ratio and no
+    whole rows, and only two diagonals are held at a time.
+    """
+    older: tuple[int, ...] = ()  # D_{-1}
+    newer: tuple[int, ...] = (1,)  # D_0
+    for n in itertools.count(1):
+        yield newer
+        # For even n, D_{n-1} lacks its last entry, C(n/2 - 1, n/2) = 0.
+        padded = newer if n & 1 else newer + (0,)
+        older, newer = newer, tuple(map(add, padded, (0,) + older))
+
+
+def _alternating_weights(n: int, diagonal: Sequence[int]) -> list[int]:
+    """The integer weights w_i = (-1)^i 4^(n//2 - i) C(n-i, i), i = 0..n//2,
+    of the literal sum, from the anti-diagonal D_n."""
     top = n // 2
-    rows = [binomial_row(i) for i in range(top + 1)]
     weights = []
     for i in range(top + 1):
-        weight = binomial(n - i, i) << 2 * (top - i)
+        weight = diagonal[i] << 2 * (top - i)
         weights.append(-weight if i & 1 else weight)
-    return rows, weights
+    return weights
+
+
+def _alternating_table(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Pascal rows 0..n//2 and the weights of one literal sum, with every
+    binomial read from ``binomial_row`` / ``binomial``."""
+    top = n // 2
+    rows = [binomial_row(i) for i in range(top + 1)]
+    return rows, _alternating_weights(n, [binomial(n - i, i) for i in range(top + 1)])
+
+
+def _sweep_tables(
+    n_max: int,
+) -> Iterator[tuple[int, list[tuple[int, ...]], list[int]]]:
+    """(n, rows, weights) for n = 0..n_max: the Pascal rows 0..n//2 from
+    ``binomial_row`` and the weights from the anti-diagonal D_n.
+
+    ``rows`` is one list, extended in place as n grows, so a consumer reads
+    it before asking for the next n.
+    """
+    rows: list[tuple[int, ...]] = []
+    for n, diagonal in zip(range(n_max + 1), _antidiagonals()):
+        if not n & 1:
+            rows.append(binomial_row(n // 2))
+        yield n, rows, _alternating_weights(n, diagonal)
 
 
 def _alternating_numerator(
@@ -76,55 +122,103 @@ def alternating_binomial_sum(n: int, m: int) -> Fraction:
 
     Accumulated as integers over the common denominator 4^(n//2): term i is
     C(i, m) times the weight (-1)^i 4^(n//2 - i) C(n-i, i), with every
-    binomial read from a Pascal row.  O(n) per call; the identity and
-    2F1 sweeps build the weights once per n and reuse them for every m.
+    binomial read from ``binomial_row`` / ``binomial``.  O(n) per call; the
+    sweeps run the same two helpers with the weights built once per n from
+    the anti-diagonals.
     :func:`arctanderiv.arctan.expansion_coefficient` computes the same sum
     over the same denominator but is written separately (Horner's scheme in
     4, its own index names), so the equality test between the two modules can
     catch transcription drift in either one.
     """
     _require_half_range(n, m)
-    return Fraction(_alternating_numerator(*_alternating_weights(n), m), 4 ** (n // 2))
+    return Fraction(_alternating_numerator(*_alternating_table(n), m), 4 ** (n // 2))
+
+
+def _pascal_rows() -> Iterator[tuple[int, ...]]:
+    """The rows (C(N, k))_{k <= N} of Pascal's triangle for N = 0, 1, 2, ...,
+    each from the one before by addition."""
+    row: tuple[int, ...] = (1,)
+    while True:
+        yield row
+        row = tuple(map(add, row + (0,), (0,) + row))
+
+
+def _closed_form_numerator(row: Sequence[int], m: int) -> int:
+    """(-1)^m C(n+1, 2m+1) read from row n+1 of Pascal's triangle: the
+    closed form times 2^n."""
+    value = row[2 * m + 1]
+    return -value if m & 1 else value
 
 
 def alternating_binomial_closed_form(n: int, m: int) -> Fraction:
     """(-1)^m 2^(-n) C(n+1, 2m+1)."""
     _require_half_range(n, m)
-    return Fraction((-1) ** m * binomial(n + 1, 2 * m + 1), 2**n)
+    return Fraction(_closed_form_numerator(binomial_row(n + 1), m), 1 << n)
 
 
 def check_binomial_identity(n_max: int) -> CheckReport:
     """Literal sum == closed form for every n <= n_max, 0 <= m <= n//2.
 
-    The literal sums go through the same two helpers as
-    :func:`alternating_binomial_sum`, with the weights built once per n.
+    The literal sums go through the same numerator helper as
+    :func:`alternating_binomial_sum`, with the weights built once per n; the
+    closed form reads row n+1 of Pascal's triangle, grown by addition.
+    Since 2^n = 4^(n//2) 2^(n&1), a case holds exactly when the literal
+    numerator over 4^(n//2), shifted left by n&1, equals the closed form's
+    numerator over 2^n; both sides become a ``Fraction`` only in the context
+    of a mismatch.
     """
     report = CheckReport("check-identity", {"n_max": n_max})
-    for n in range(n_max + 1):
-        rows, weights = _alternating_weights(n)
-        denominator = 4 ** (n // 2)
+    closed_rows = itertools.islice(_pascal_rows(), 1, None)
+    for (n, rows, weights), closed_row in zip(_sweep_tables(n_max), closed_rows):
+        shift = n & 1
         for m in range(n // 2 + 1):
-            lhs = Fraction(_alternating_numerator(rows, weights, m), denominator)
-            rhs = alternating_binomial_closed_form(n, m)
-            report.count_case(lhs == rhs, n=n, m=m, lhs=lhs, rhs=rhs)
+            numerator = _alternating_numerator(rows, weights, m)
+            closed = _closed_form_numerator(closed_row, m)
+            if numerator << shift == closed:
+                report.count_case(True)
+            else:
+                report.count_case(
+                    False,
+                    n=n,
+                    m=m,
+                    lhs=Fraction(numerator, 4 ** (n // 2)),
+                    rhs=Fraction(closed, 1 << n),
+                )
     return report
+
+
+def _weighted_numerator(n: int, diagonal: Sequence[int], lcm: int) -> int:
+    """The weighted sum times 4^n lcm, from the anti-diagonal D_{2n+1} and
+    lcm = lcm(1..n+1): term i is (-1)^i C(2n+1-i, i) scaled by
+    4^(n-i) lcm / (n+1-i)."""
+    numerator = 0
+    for i in range(n + 1):
+        term = diagonal[i] * (lcm // (n + 1 - i)) << 2 * (n - i)
+        numerator += -term if i & 1 else term
+    return numerator
 
 
 def weighted_binomial_sum(n: int) -> Fraction:
     """sum_{i=0}^{n} (-1)^i C(2n+1-i, i) / (4^i (n+1-i)), evaluated literally.
 
-    Accumulated as integers over the common denominator 4^n lcm(1..n+1):
-    term i is scaled by 4^(n-i) lcm(1..n+1) / (n+1-i), with C(2n+1-i, i)
-    read from a Pascal row.
+    Accumulated as integers over the common denominator 4^n lcm(1..n+1),
+    with C(2n+1-i, i) read from ``binomial``.
     """
     if n < 0:
         raise ValueError("requires n >= 0")
     lcm = math.lcm(*range(1, n + 2))
-    numerator = 0
-    for i in range(n + 1):
-        term = binomial(2 * n + 1 - i, i) * (lcm // (n + 1 - i)) << 2 * (n - i)
-        numerator += -term if i & 1 else term
-    return Fraction(numerator, lcm << 2 * n)
+    diagonal = [binomial(2 * n + 1 - i, i) for i in range(n + 1)]
+    return Fraction(_weighted_numerator(n, diagonal, lcm), lcm << 2 * n)
+
+
+def _weighted_sums(n_max: int) -> Iterator[Fraction]:
+    """weighted_binomial_sum(n) for n = 0..n_max, from the odd anti-diagonals
+    D_{2n+1}, with lcm(1..n+1) grown by one factor per n."""
+    lcm = 1
+    odd_diagonals = itertools.islice(_antidiagonals(), 1, None, 2)
+    for n, diagonal in zip(range(n_max + 1), odd_diagonals):
+        lcm = math.lcm(lcm, n + 1)
+        yield Fraction(_weighted_numerator(n, diagonal, lcm), lcm << 2 * n)
 
 
 def weighted_binomial_closed_form(n: int) -> Fraction:
@@ -142,24 +236,26 @@ def check_weighted_identity(n_max: int) -> CheckReport:
 
     With S_j = alternating_binomial_sum(2j, 0), the derivation rests on
     S_{j+1} - S_j/4 = 2/4^(j+1); that recurrence is swept for j <= n_max//2
-    so the two halves of the argument are checked together.
+    so the two halves of the argument are checked together.  The S_j go
+    through the literal-sum helpers, with the weights from the even
+    anti-diagonals.
     """
     report = CheckReport("check-corollary", {"n_max": n_max})
-    for n in range(n_max + 1):
-        lhs = weighted_binomial_sum(n)
+    for n, lhs in enumerate(_weighted_sums(n_max)):
         rhs = weighted_binomial_closed_form(n)
         report.count_case(lhs == rhs, n=n, lhs=lhs, rhs=rhs)
-    prefix = alternating_binomial_sum(0, 0)
-    for j in range(n_max // 2 + 1):
-        following = alternating_binomial_sum(2 * (j + 1), 0)
-        difference = following - prefix / 4
-        expected = Fraction(2, 4 ** (j + 1))
-        report.count_case(
-            difference == expected,
-            recurrence_j=j,
-            difference=difference,
-            expected=expected,
-        )
+    even_tables = itertools.islice(_sweep_tables(2 * (n_max // 2 + 1)), 0, None, 2)
+    for j, (_, rows, weights) in enumerate(even_tables):
+        following = Fraction(_alternating_numerator(rows, weights, 0), 4**j)
+        if j:
+            difference = following - prefix / 4
+            expected = Fraction(2, 4**j)
+            report.count_case(
+                difference == expected,
+                recurrence_j=j - 1,
+                difference=difference,
+                expected=expected,
+            )
         prefix = following
     return report
 
@@ -238,7 +334,7 @@ def _hypergeometric_case(
     rows: list[tuple[int, ...]],
     weights: list[int],
 ) -> None:
-    # rows and weights are _alternating_weights(n), for the literal side.
+    # rows and weights are the literal side's tables for n (_alternating_table).
     # Series form of the literal sum: 2F1(m - n/2, m - n/2 + 1/2; m - n; 1)
     # times (-1)^m / (m! 4^m) * (n - 2m + 1)_m.  Exactly one upper parameter
     # is a nonpositive integer (which one depends on the parity of n), so the
@@ -281,16 +377,16 @@ def check_hypergeometric_form(n: int, m: int) -> CheckReport:
     """
     _require_half_range(n, m)
     report = CheckReport("check-2f1", {"n": n, "m": m})
-    _hypergeometric_case(n, m, report, *_alternating_weights(n))
+    _hypergeometric_case(n, m, report, *_alternating_table(n))
     return report
 
 
 def check_hypergeometric_sweep(n_max: int) -> CheckReport:
     """check_hypergeometric_form over every n <= n_max and valid m, with the
-    literal side's Pascal rows and weights built once per n."""
+    literal side's Pascal rows and weights built once per n, the weights from
+    the anti-diagonals."""
     report = CheckReport("check-2f1", {"n_max": n_max})
-    for n in range(n_max + 1):
-        rows, weights = _alternating_weights(n)
+    for n, rows, weights in _sweep_tables(n_max):
         for m in range(n // 2 + 1):
             _hypergeometric_case(n, m, report, rows, weights)
     return report

@@ -1,7 +1,10 @@
 import json
 import re
+import sys
 from fractions import Fraction
+from math import comb
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -139,11 +142,9 @@ def test_check_commands_pass(capsys):
 
 def test_mutated_check_exits_one(capsys, monkeypatch):
     # Force a mathematical mismatch to prove failures surface as exit code 1.
-    monkeypatch.setattr(
-        identities,
-        "alternating_binomial_closed_form",
-        lambda n, m: Fraction(1, 3),
-    )
+    # The sweep decides each case by the closed form's integer numerator; a
+    # numerator of 0 is wrong for every (n, m).
+    monkeypatch.setattr(identities, "_closed_form_numerator", lambda row, m: 0)
     code, out, _ = run_cli(capsys, "check-identity", "6")
     assert code == 1
     assert "FAIL" in out
@@ -154,11 +155,9 @@ def test_mutated_check_exits_one(capsys, monkeypatch):
 
 def test_mismatch_report_is_bounded(capsys, monkeypatch):
     # Every case fails: only the first 20 contexts are kept, all are counted.
-    monkeypatch.setattr(
-        identities,
-        "alternating_binomial_closed_form",
-        lambda n, m: Fraction(1, 3),
-    )
+    # The sweep decides each case by the closed form's integer numerator; a
+    # numerator of 0 is wrong for every (n, m).
+    monkeypatch.setattr(identities, "_closed_form_numerator", lambda row, m: 0)
     code, out, _ = run_cli(capsys, "check-identity", "60")
     assert code == 1
     lines = out.splitlines()
@@ -175,6 +174,71 @@ def test_mismatch_report_is_bounded(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check-identity", "60", "--format=csv")
     assert code == 1
     assert out.splitlines()[1] == "check-identity,60,961,961,False"
+
+
+def test_identity_mismatch_context_has_both_exact_values(capsys, monkeypatch):
+    # The literal numerator is off by one at (n, m) = (37, 5) only.
+    wrong_n, wrong_m = 37, 5
+    current = []
+    weights_of = identities._alternating_weights
+    numerator_of = identities._alternating_numerator
+
+    def recording_weights(n, diagonal):
+        current[:] = [n]
+        return weights_of(n, diagonal)
+
+    def wrong_numerator(rows, weights, m):
+        return numerator_of(rows, weights, m) + (current == [wrong_n] and m == wrong_m)
+
+    monkeypatch.setattr(identities, "_alternating_weights", recording_weights)
+    monkeypatch.setattr(identities, "_alternating_numerator", wrong_numerator)
+    true = Fraction((-1) ** wrong_m * comb(wrong_n + 1, 2 * wrong_m + 1), 2**wrong_n)
+    wrong = true + Fraction(1, 4 ** (wrong_n // 2))
+    context = {"n": wrong_n, "m": wrong_m, "lhs": str(wrong), "rhs": str(true)}
+
+    report = identities.check_binomial_identity(60)
+    assert report.cases == 961
+    assert report.mismatches == 1
+    assert report.failures == [context]
+
+    code, out, _ = run_cli(capsys, "check-identity", "60")
+    assert code == 1
+    assert out.splitlines() == [
+        "check-identity: n_max=60 cases=961 FAIL (1 mismatches)",
+        f"  MISMATCH n=37 m=5 lhs={wrong} rhs={true}",
+    ]
+    code, out, _ = run_cli(capsys, "check-identity", "60", "--format=json")
+    assert code == 1
+    assert json.loads(out)["failures"] == [context]
+    code, out, _ = run_cli(capsys, "check-identity", "60", "--format=csv")
+    assert code == 1
+    assert out.splitlines()[1] == "check-identity,60,961,1,False"
+
+
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    def broken(n_max):
+        raise RuntimeError("sweep broke")
+
+    monkeypatch.setattr(identities, "check_weighted_identity", broken)
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run_cli(capsys, "check-corollary", "5", f"--format={fmt}")
+        assert code == 3
+        assert out == ""
+        assert err == "error: RuntimeError: sweep broke\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
+)
+def test_digit_limit_failure_exits_three(capsys):
+    if sys.get_int_max_str_digits() == 0:
+        pytest.skip("the int->str digit limit is lifted")
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run_cli(capsys, "derive", "1600", "--x=1/3", f"--format={fmt}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ValueError: ")
+        assert err.count("\n") == 1
 
 
 def test_malformed_arguments_exit_two(capsys):

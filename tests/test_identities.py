@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,13 @@ from arctanderiv import (
     check_hypergeometric_sweep,
     check_weighted_identity,
     expansion_coefficient,
+    identities,
     terminating_2f1,
     truncation_index,
     weighted_binomial_closed_form,
     weighted_binomial_sum,
 )
+from arctanderiv.combinatorics import _binomial_row
 from oracles import alternating_sum_literal, forward_2f1, weighted_sum_literal
 
 
@@ -168,3 +171,34 @@ def test_hypergeometric_sweep():
     assert report.passed
     # Two cases (index pin + value) per (n, m) pair.
     assert report.cases == 2 * sum(n // 2 + 1 for n in range(21))
+
+
+def test_antidiagonals_match_math_comb_past_the_row_cache_limit():
+    # 1200 is past the row cache's default limit of 1024.
+    for top, diagonal in zip(range(1201), identities._antidiagonals()):
+        assert list(diagonal) == [math.comb(top - i, i) for i in range(top // 2 + 1)]
+
+
+def test_sweep_values_match_single_calls_and_oracles():
+    for n, rows, weights in identities._sweep_tables(300):
+        for m in range(n // 2 + 1):
+            value = Fraction(identities._alternating_numerator(rows, weights, m), 4 ** (n // 2))
+            assert value == alternating_binomial_sum(n, m)
+            if m in (0, n // 4, n // 2):
+                assert value == alternating_sum_literal(n, m)
+    for n, value in enumerate(identities._weighted_sums(300)):
+        assert value == weighted_binomial_sum(n) == weighted_sum_literal(n)
+    assert n == 300
+
+
+@pytest.mark.parametrize(
+    "sweep, n_max",
+    [(check_binomial_identity, 400), (check_weighted_identity, 560), (check_hypergeometric_sweep, 120)],
+)
+def test_sweeps_cache_only_the_rows_they_read(sweep, n_max):
+    # C(i, m) comes from rows 0..n_max//2 (+1 for the recurrence); every
+    # other binomial of a sweep comes from anti-diagonals or rows grown by
+    # addition, outside the row cache.
+    _binomial_row.cache_clear()
+    assert sweep(n_max).passed
+    assert _binomial_row.cache_info().currsize <= n_max // 2 + 2
