@@ -16,7 +16,7 @@ from .arctan import (
     expansion_coefficients,
     q_polynomial,
 )
-from .combinatorics import binomial, pochhammer, set_binomial_cache_limit
+from .combinatorics import binomial, pochhammer
 from .composition import (
     DerivativeJet,
     MultiplicityVector,
@@ -56,7 +56,6 @@ __all__ = [
     "q_polynomial",
     "binomial",
     "pochhammer",
-    "set_binomial_cache_limit",
     "DerivativeJet",
     "MultiplicityVector",
     "faa_di_bruno",

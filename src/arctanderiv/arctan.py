@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .combinatorics import binomial
 from .composition import DerivativeJet, square_chain_rule
@@ -56,14 +57,19 @@ def q_polynomial(n: int) -> Polynomial:
                  C(n+1, k+1) (-1)^(k/2) x^(n-k).
 
     Only even k contribute, so q_n has parity (-1)^n; the k = 0 term makes the
-    leading coefficient (-1)^n (n+1).
+    leading coefficient (-1)^n (n+1).  Row n+1 of Pascal's triangle is built
+    in place by row[j] = row[j-1] (n+2-j) / j, exact at every step, which
+    costs far less than one ``math.comb`` call per entry.
     """
     if n < 0:
         raise ValueError("q_polynomial requires n >= 0")
+    row = [1] * (n + 2)
+    for j in range(1, n + 2):
+        row[j] = row[j - 1] * (n + 2 - j) // j
     sign = (-1) ** n
     coeffs = [0] * (n + 1)
     for k in range(0, n + 1, 2):
-        coeffs[n - k] = sign * binomial(n + 1, k + 1) * (-1) ** (k // 2)
+        coeffs[n - k] = sign * row[k + 1] * (-1) ** (k // 2)
     return Polynomial(coeffs)
 
 
@@ -97,8 +103,8 @@ def expansion_coefficient(m: int, n: int) -> Fraction:
     Always evaluated as this literal sum; its closed form is exactly what the
     identity sweeps verify, so using it here would make those checks circular.
     The integer numerator over 4^(n//2) is built by Horner's scheme in 4,
-    term k = m first, through the same helpers as
-    :func:`expansion_coefficients`.
+    term k = m first, O(n) per call, so it is an independent witness for the
+    values of :func:`expansion_coefficients`.
     """
     if n < 0 or m < 0 or m > n // 2:
         raise ValueError("expansion_coefficient requires 0 <= m <= n//2")
@@ -108,18 +114,23 @@ def expansion_coefficient(m: int, n: int) -> Fraction:
 def expansion_coefficients(n: int) -> tuple[Fraction, ...]:
     """All expansion coefficients (m = 0..n//2) for one expansion order n.
 
-    The anti-diagonal C(n-k, k) does not depend on m, so it is read once per
-    order.  Each coefficient is its own literal Horner sum, through the
-    numerator helper :func:`expansion_coefficient` uses, so the values equal
-    those of single calls.
+    With v_k = (-1)^k 4^(n//2 - k) C(n-k, k), the numerator of coefficient m
+    over 4^(n//2) is sum_k C(k, m) v_k, the coefficient of s^m in V(1 + s),
+    where V(s) = sum_k v_k s^k.  V(1 + s) is built by Horner's scheme in
+    1 + s, k = n//2 first: each step is (1 + s) T + v_k = (v_k + s T) + T,
+    Pascal's rule by additions, so no C(k, m) is read.  The anti-diagonal
+    C(n-k, k) is read once per order.
     """
     if n < 0:
         raise ValueError("expansion_coefficients requires n >= 0")
     diagonal = _expansion_diagonal(n)
-    denominator = 4 ** (n // 2)
-    return tuple(
-        Fraction(_expansion_numerator(diagonal, m), denominator) for m in range(n // 2 + 1)
-    )
+    top = n // 2
+    shifted: list[int] = []
+    for k in range(top, -1, -1):
+        v = diagonal[k] << 2 * (top - k)
+        shifted = list(map(add, [-v if k & 1 else v, *shifted], [*shifted, 0]))
+    denominator = 4**top
+    return tuple(Fraction(numerator, denominator) for numerator in shifted)
 
 
 def arctan_derivative_expanded(n: int) -> ArctanRational:

@@ -13,11 +13,13 @@ of the literal sums come from Pascal's triangle and are never derived from
 the previous term by a ratio: the ratio C(n-i-1, i+1) / C(n-i, i) is the
 term ratio of the 2F1 series, so a literal sum built from it would make the
 2F1 check compare the series with itself.  Single calls read them from
-``binomial`` / ``binomial_row``.  The sweeps read C(i, m) from the Pascal
-rows 0..n//2 (``binomial_row``) and C(n-i, i) and C(2n+1-i, i) from the
-Pascal anti-diagonals, each built from the two before it by addition only;
-the binomial-identity sweep reads its closed form from Pascal rows grown by
-addition, and decides each case by integer equality of the two numerators.
+``binomial``, one O(n) literal sum per call.  The sweeps read C(n-i, i) and
+C(2n+1-i, i) from the Pascal anti-diagonals, each built from the two before
+it by addition only, and read no C(i, m) at all: the numerators of every m
+of one n are the coefficients of a Taylor shift by 1, computed by additions
+(Pascal's rule).  The binomial-identity sweep reads its closed form from
+Pascal rows grown by addition, and decides each case by integer equality of
+the two numerators.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import add
 from typing import Iterator, Sequence
 
-from .combinatorics import binomial, binomial_row, pochhammer
+from .combinatorics import binomial, pochhammer
 from .polynomial import Scalar
 from .reports import CheckReport
 
@@ -86,35 +88,33 @@ def _alternating_weights(n: int, diagonal: Sequence[int]) -> list[int]:
     return weights
 
 
-def _alternating_table(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Pascal rows 0..n//2 and the weights of one literal sum, with every
-    binomial read from ``binomial_row`` / ``binomial``."""
+def _alternating_numerator(n: int, m: int) -> int:
+    """sum_{i=m}^{n//2} C(i, m) w_i, the literal sum times 4^(n//2), with
+    every binomial read from ``binomial``: O(n) per call."""
     top = n // 2
-    rows = [binomial_row(i) for i in range(top + 1)]
-    return rows, _alternating_weights(n, [binomial(n - i, i) for i in range(top + 1)])
+    weights = _alternating_weights(n, [binomial(n - i, i) for i in range(top + 1)])
+    return sum(binomial(i, m) * weights[i] for i in range(m, top + 1))
 
 
-def _sweep_tables(
-    n_max: int,
-) -> Iterator[tuple[int, list[tuple[int, ...]], list[int]]]:
-    """(n, rows, weights) for n = 0..n_max: the Pascal rows 0..n//2 from
-    ``binomial_row`` and the weights from the anti-diagonal D_n.
+def _alternating_numerators(weights: Sequence[int]) -> list[int]:
+    """sum_i C(i, m) w_i for every m = 0..len(weights)-1: the coefficients
+    of W(1 + t), where W(t) = sum_i w_i t^i.
 
-    ``rows`` is one list, extended in place as n grows, so a consumer reads
-    it before asking for the next n.
+    W(1 + t) is built by Horner's scheme in 1 + t, highest weight first.
+    Each step multiplies by 1 + t through Pascal's rule, additions only, so
+    no C(i, m) and no term ratio is ever read.
     """
-    rows: list[tuple[int, ...]] = []
+    poly = [weights[-1]]
+    for w in reversed(weights[:-1]):
+        poly = [w + poly[0], *map(add, poly[1:], poly[:-1]), poly[-1]]
+    return poly
+
+
+def _sweep_numerators(n_max: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, [sum_i C(i, m) w_i for m = 0..n//2]) for n = 0..n_max, with the
+    weights from the anti-diagonal D_n."""
     for n, diagonal in zip(range(n_max + 1), _antidiagonals()):
-        if not n & 1:
-            rows.append(binomial_row(n // 2))
-        yield n, rows, _alternating_weights(n, diagonal)
-
-
-def _alternating_numerator(
-    rows: list[tuple[int, ...]], weights: list[int], m: int
-) -> int:
-    """sum_{i=m}^{n//2} C(i, m) w_i, the literal sum times 4^(n//2)."""
-    return sum(map(mul, map(itemgetter(m), rows[m:]), weights[m:]))
+        yield n, _alternating_numerators(_alternating_weights(n, diagonal))
 
 
 def alternating_binomial_sum(n: int, m: int) -> Fraction:
@@ -122,16 +122,17 @@ def alternating_binomial_sum(n: int, m: int) -> Fraction:
 
     Accumulated as integers over the common denominator 4^(n//2): term i is
     C(i, m) times the weight (-1)^i 4^(n//2 - i) C(n-i, i), with every
-    binomial read from ``binomial_row`` / ``binomial``.  O(n) per call; the
-    sweeps run the same two helpers with the weights built once per n from
-    the anti-diagonals.
+    binomial read from ``binomial``.  O(n) per call.  The sweeps build the
+    same weights once per n from the anti-diagonals and take the numerators
+    of every m at once from a Taylor shift, so this sum is an independent
+    witness for their values.
     :func:`arctanderiv.arctan.expansion_coefficient` computes the same sum
     over the same denominator but is written separately (Horner's scheme in
     4, its own index names), so the equality test between the two modules can
     catch transcription drift in either one.
     """
     _require_half_range(n, m)
-    return Fraction(_alternating_numerator(*_alternating_table(n), m), 4 ** (n // 2))
+    return Fraction(_alternating_numerator(n, m), 4 ** (n // 2))
 
 
 def _pascal_rows() -> Iterator[tuple[int, ...]]:
@@ -153,15 +154,15 @@ def _closed_form_numerator(row: Sequence[int], m: int) -> int:
 def alternating_binomial_closed_form(n: int, m: int) -> Fraction:
     """(-1)^m 2^(-n) C(n+1, 2m+1)."""
     _require_half_range(n, m)
-    return Fraction(_closed_form_numerator(binomial_row(n + 1), m), 1 << n)
+    return Fraction((-1) ** m * binomial(n + 1, 2 * m + 1), 1 << n)
 
 
 def check_binomial_identity(n_max: int) -> CheckReport:
     """Literal sum == closed form for every n <= n_max, 0 <= m <= n//2.
 
-    The literal sums go through the same numerator helper as
-    :func:`alternating_binomial_sum`, with the weights built once per n; the
-    closed form reads row n+1 of Pascal's triangle, grown by addition.
+    The literal sums of one n come at once from the Taylor shift of its
+    weights; the closed form reads row n+1 of Pascal's triangle, grown by
+    addition.
     Since 2^n = 4^(n//2) 2^(n&1), a case holds exactly when the literal
     numerator over 4^(n//2), shifted left by n&1, equals the closed form's
     numerator over 2^n; both sides become a ``Fraction`` only in the context
@@ -169,10 +170,9 @@ def check_binomial_identity(n_max: int) -> CheckReport:
     """
     report = CheckReport("check-identity", {"n_max": n_max})
     closed_rows = itertools.islice(_pascal_rows(), 1, None)
-    for (n, rows, weights), closed_row in zip(_sweep_tables(n_max), closed_rows):
+    for (n, numerators), closed_row in zip(_sweep_numerators(n_max), closed_rows):
         shift = n & 1
-        for m in range(n // 2 + 1):
-            numerator = _alternating_numerator(rows, weights, m)
+        for m, numerator in enumerate(numerators):
             closed = _closed_form_numerator(closed_row, m)
             if numerator << shift == closed:
                 report.count_case(True)
@@ -236,17 +236,17 @@ def check_weighted_identity(n_max: int) -> CheckReport:
 
     With S_j = alternating_binomial_sum(2j, 0), the derivation rests on
     S_{j+1} - S_j/4 = 2/4^(j+1); that recurrence is swept for j <= n_max//2
-    so the two halves of the argument are checked together.  The S_j go
-    through the literal-sum helpers, with the weights from the even
-    anti-diagonals.
+    so the two halves of the argument are checked together.  Only m = 0 is
+    needed there, where every C(i, 0) is 1, so S_j is the sum of the weights
+    of the even anti-diagonal D_{2j}.
     """
     report = CheckReport("check-corollary", {"n_max": n_max})
     for n, lhs in enumerate(_weighted_sums(n_max)):
         rhs = weighted_binomial_closed_form(n)
         report.count_case(lhs == rhs, n=n, lhs=lhs, rhs=rhs)
-    even_tables = itertools.islice(_sweep_tables(2 * (n_max // 2 + 1)), 0, None, 2)
-    for j, (_, rows, weights) in enumerate(even_tables):
-        following = Fraction(_alternating_numerator(rows, weights, 0), 4**j)
+    even_diagonals = itertools.islice(_antidiagonals(), 0, 2 * (n_max // 2 + 1) + 1, 2)
+    for j, diagonal in enumerate(even_diagonals):
+        following = Fraction(sum(_alternating_weights(2 * j, diagonal)), 4**j)
         if j:
             difference = following - prefix / 4
             expected = Fraction(2, 4**j)
@@ -331,10 +331,9 @@ def _hypergeometric_case(
     n: int,
     m: int,
     report: CheckReport,
-    rows: list[tuple[int, ...]],
-    weights: list[int],
+    numerator: int,
 ) -> None:
-    # rows and weights are the literal side's tables for n (_alternating_table).
+    # numerator is the literal sum times 4^(n//2).
     # Series form of the literal sum: 2F1(m - n/2, m - n/2 + 1/2; m - n; 1)
     # times (-1)^m / (m! 4^m) * (n - 2m + 1)_m.  Exactly one upper parameter
     # is a nonpositive integer (which one depends on the parity of n), so the
@@ -355,7 +354,7 @@ def _hypergeometric_case(
     )
     prefactor = Fraction((-1) ** m, math.factorial(m) * 4**m) * pochhammer(n - 2 * m + 1, m)
     series_value = terminating_2f1(params) * prefactor
-    literal = Fraction(_alternating_numerator(rows, weights, m), 4 ** (n // 2))
+    literal = Fraction(numerator, 4 ** (n // 2))
     report.count_case(
         series_value == literal,
         n=n,
@@ -377,16 +376,16 @@ def check_hypergeometric_form(n: int, m: int) -> CheckReport:
     """
     _require_half_range(n, m)
     report = CheckReport("check-2f1", {"n": n, "m": m})
-    _hypergeometric_case(n, m, report, *_alternating_table(n))
+    _hypergeometric_case(n, m, report, _alternating_numerator(n, m))
     return report
 
 
 def check_hypergeometric_sweep(n_max: int) -> CheckReport:
     """check_hypergeometric_form over every n <= n_max and valid m, with the
-    literal side's Pascal rows and weights built once per n, the weights from
-    the anti-diagonals."""
+    literal sums of one n taken at once from the Taylor shift of its
+    weights."""
     report = CheckReport("check-2f1", {"n_max": n_max})
-    for n, rows, weights in _sweep_tables(n_max):
-        for m in range(n // 2 + 1):
-            _hypergeometric_case(n, m, report, rows, weights)
+    for n, numerators in _sweep_numerators(n_max):
+        for m, numerator in enumerate(numerators):
+            _hypergeometric_case(n, m, report, numerator)
     return report

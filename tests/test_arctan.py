@@ -86,6 +86,16 @@ def test_expansion_coefficients_batch_matches_single_calls_and_oracle():
         assert row == tuple(alternating_sum_literal(n, m) for m in range(n // 2 + 1))
 
 
+def test_expansion_coefficients_past_1024():
+    # Past n = 1024, where the batch once switched from cached rows to
+    # math.comb.
+    for n in (1024, 1025, 1201):
+        row = expansion_coefficients(n)
+        assert len(row) == n // 2 + 1
+        for m in (0, n // 4, n // 2):
+            assert row[m] == expansion_coefficient(m, n) == alternating_sum_literal(n, m)
+
+
 def test_symbolic_routes_have_integer_numerators():
     oracle = arctan_derivative_oracle(1)
     for n in range(1, 41):

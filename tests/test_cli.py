@@ -181,17 +181,20 @@ def test_identity_mismatch_context_has_both_exact_values(capsys, monkeypatch):
     wrong_n, wrong_m = 37, 5
     current = []
     weights_of = identities._alternating_weights
-    numerator_of = identities._alternating_numerator
+    numerators_of = identities._alternating_numerators
 
     def recording_weights(n, diagonal):
         current[:] = [n]
         return weights_of(n, diagonal)
 
-    def wrong_numerator(rows, weights, m):
-        return numerator_of(rows, weights, m) + (current == [wrong_n] and m == wrong_m)
+    def wrong_numerators(weights):
+        numerators = numerators_of(weights)
+        if current == [wrong_n]:
+            numerators[wrong_m] += 1
+        return numerators
 
     monkeypatch.setattr(identities, "_alternating_weights", recording_weights)
-    monkeypatch.setattr(identities, "_alternating_numerator", wrong_numerator)
+    monkeypatch.setattr(identities, "_alternating_numerators", wrong_numerators)
     true = Fraction((-1) ** wrong_m * comb(wrong_n + 1, 2 * wrong_m + 1), 2**wrong_n)
     wrong = true + Fraction(1, 4 ** (wrong_n // 2))
     context = {"n": wrong_n, "m": wrong_m, "lhs": str(wrong), "rhs": str(true)}

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arctanderiv import binomial, pochhammer, set_binomial_cache_limit
-from arctanderiv.combinatorics import binomial_row
+from arctanderiv import binomial, pochhammer
 from oracles import pascal_triangle
 
 
@@ -37,8 +36,6 @@ def test_binomial_out_of_range_is_zero():
 def test_binomial_rejects_negative_n():
     with pytest.raises(ValueError):
         binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial_row(-1)
 
 
 def test_pascal_recurrence_up_to_200():
@@ -49,14 +46,14 @@ def test_pascal_recurrence_up_to_200():
 
 
 def test_binomial_beyond_cache_limit():
-    set_binomial_cache_limit(8)
-    try:
-        assert binomial(20, 10) == 184756
-        assert binomial(200, 100) == math.comb(200, 100)
-        for n in (8, 9, 30):
-            assert binomial_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
-    finally:
-        set_binomial_cache_limit(1024)
+    assert binomial(20, 10) == 184756
+    assert binomial(200, 100) == math.comb(200, 100)
+    # Past n = 1024, where binomial once switched from cached rows to math.comb.
+    for n in (1025, 1201, 2000):
+        assert [binomial(n, k) for k in range(n + 1)] == [math.comb(n, k) for k in range(n + 1)]
+        for k in (-1, -n, n + 1, 2 * n):
+            assert binomial(n, k) == 0
+    assert binomial(1025, 512) == binomial(1024, 511) + binomial(1024, 512)
 
 
 def test_pochhammer_empty_product():

@@ -21,7 +21,6 @@ from arctanderiv import (
     weighted_binomial_closed_form,
     weighted_binomial_sum,
 )
-from arctanderiv.combinatorics import _binomial_row
 from oracles import alternating_sum_literal, forward_2f1, weighted_sum_literal
 
 
@@ -173,16 +172,16 @@ def test_hypergeometric_sweep():
     assert report.cases == 2 * sum(n // 2 + 1 for n in range(21))
 
 
-def test_antidiagonals_match_math_comb_past_the_row_cache_limit():
-    # 1200 is past the row cache's default limit of 1024.
+def test_antidiagonals_match_math_comb():
     for top, diagonal in zip(range(1201), identities._antidiagonals()):
         assert list(diagonal) == [math.comb(top - i, i) for i in range(top // 2 + 1)]
 
 
 def test_sweep_values_match_single_calls_and_oracles():
-    for n, rows, weights in identities._sweep_tables(300):
-        for m in range(n // 2 + 1):
-            value = Fraction(identities._alternating_numerator(rows, weights, m), 4 ** (n // 2))
+    for n, numerators in identities._sweep_numerators(300):
+        assert len(numerators) == n // 2 + 1
+        for m, numerator in enumerate(numerators):
+            value = Fraction(numerator, 4 ** (n // 2))
             assert value == alternating_binomial_sum(n, m)
             if m in (0, n // 4, n // 2):
                 assert value == alternating_sum_literal(n, m)
@@ -191,14 +190,23 @@ def test_sweep_values_match_single_calls_and_oracles():
     assert n == 300
 
 
-@pytest.mark.parametrize(
-    "sweep, n_max",
-    [(check_binomial_identity, 400), (check_weighted_identity, 560), (check_hypergeometric_sweep, 120)],
-)
-def test_sweeps_cache_only_the_rows_they_read(sweep, n_max):
-    # C(i, m) comes from rows 0..n_max//2 (+1 for the recurrence); every
-    # other binomial of a sweep comes from anti-diagonals or rows grown by
-    # addition, outside the row cache.
-    _binomial_row.cache_clear()
-    assert sweep(n_max).passed
-    assert _binomial_row.cache_info().currsize <= n_max // 2 + 2
+@given(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40))
+def test_taylor_shift_matches_literal_binomial_sums(weights):
+    numerators = identities._alternating_numerators(weights)
+    assert len(numerators) == len(weights)
+    for m, numerator in enumerate(numerators):
+        assert numerator == sum(math.comb(i, m) * w for i, w in enumerate(weights))
+
+
+def test_taylor_shift_past_1024():
+    # Past n = 1024, where the batch sums once switched from cached rows to
+    # math.comb.
+    n = 1201
+    weights = identities._alternating_weights(n, [math.comb(n - i, i) for i in range(n // 2 + 1)])
+    numerators = identities._alternating_numerators(weights)
+    assert len(numerators) == n // 2 + 1
+    for m, numerator in enumerate(numerators):
+        value = Fraction(numerator, 4 ** (n // 2))
+        assert value == alternating_binomial_closed_form(n, m)
+        if m in (0, n // 4, n // 2):
+            assert value == alternating_binomial_sum(n, m) == alternating_sum_literal(n, m)
