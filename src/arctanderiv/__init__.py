@@ -26,7 +26,6 @@ from .composition import (
     square_chain_rule,
 )
 from .identities import (
-    HypergeometricParams,
     NonTerminatingSeriesError,
     alternating_binomial_closed_form,
     alternating_binomial_sum,
@@ -62,7 +61,6 @@ __all__ = [
     "multiplicity_vectors",
     "square_chain_coefficients",
     "square_chain_rule",
-    "HypergeometricParams",
     "NonTerminatingSeriesError",
     "alternating_binomial_closed_form",
     "alternating_binomial_sum",

@@ -1,6 +1,11 @@
 """Command-line surface: polynomial queries, derivatives by any route, exact
 verification sweeps, and a timing table.
 
+Every result is printed by one emitter, ``_emit``, as text, a json document
+or a csv table.  The four sweeps (``check-identity``, ``check-corollary``,
+``check-2f1`` and ``crosscheck``) share one command, ``cmd_check``, which runs
+the check function its subparser stored.
+
 Exit codes: 0 when everything succeeds (checks all pass), 1 when a
 verification sweep finds a mismatch, 2 for usage or argument-parse errors,
 3 when the command raised an unexpected exception (reported on one stderr
@@ -17,11 +22,10 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import arctan, identities
 from .polynomial import ArctanRational, Polynomial
-from .reports import CheckReport
 
 __all__ = ["main", "build_parser"]
 
@@ -64,43 +68,57 @@ def _positive(text: str) -> int:
     return value
 
 
-def _poly_terms(poly: Polynomial) -> list[dict[str, int]]:
+TERM_HEADER = ("power", "numerator", "denominator")
+
+
+def _terms(poly: Polynomial) -> list[tuple[int, int, int]]:
     # Ascending power order, nonzero coefficients only.
     return [
-        {"power": power, "numerator": c.numerator, "denominator": c.denominator}
+        (power, c.numerator, c.denominator)
         for power, c in enumerate(poly.coefficients)
         if c != 0
     ]
 
 
-def _print_json(document: dict) -> None:
-    print(json.dumps(document, indent=2))
+def _term_dicts(terms: list[tuple[int, int, int]]) -> list[dict[str, int]]:
+    return [dict(zip(TERM_HEADER, term)) for term in terms]
 
 
-def _print_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
+def _emit(
+    fmt: str,
+    text: object,
+    document: Callable[[], dict] | None,
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+) -> None:
+    """Print one result as text, as a json document or as a csv table.
 
-
-def _emit_polynomial(poly: Polynomial, fmt: str, document: dict) -> None:
+    Only the requested format's payload is rendered: ``print`` converts
+    ``text`` to a string, ``document`` is called and ``rows`` is iterated
+    only for their own format, so a large value is converted once.
+    """
     if fmt == "text":
-        print(poly)
+        print(text)
     elif fmt == "json":
-        document["terms"] = _poly_terms(poly)
-        _print_json(document)
+        print(json.dumps(document(), indent=2))
     else:
-        rows = [
-            (term["power"], term["numerator"], term["denominator"])
-            for term in _poly_terms(poly)
-        ]
-        _print_csv(("power", "numerator", "denominator"), rows)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        sys.stdout.write(buffer.getvalue())
 
 
 def cmd_qpoly(args: argparse.Namespace) -> int:
-    _emit_polynomial(arctan.q_polynomial(args.n), args.format, {"n": args.n})
+    poly = arctan.q_polynomial(args.n)
+    terms = _terms(poly)
+    _emit(
+        args.format,
+        poly,
+        lambda: {"n": args.n, "terms": _term_dicts(terms)},
+        TERM_HEADER,
+        terms,
+    )
     return 0
 
 
@@ -111,110 +129,78 @@ SYMBOLIC_METHODS: dict[str, Callable[[int], ArctanRational]] = {
 }
 
 
-def _emit_value(args: argparse.Namespace, value: Fraction) -> None:
-    if args.format == "text":
-        print(value)
-    elif args.format == "json":
-        _print_json(
-            {"n": args.n, "method": args.method, "x": str(args.x), "value": str(value)}
-        )
-    else:
-        _print_csv(("n", "method", "x", "value"), [(args.n, args.method, args.x, value)])
-
-
 def cmd_derive(args: argparse.Namespace) -> int:
     if args.method == "fdb":
         if args.x is None:
             raise _UsageError("--method=fdb evaluates pointwise and needs --x")
-        _emit_value(args, arctan.arctan_derivative_pointwise(args.n, args.x))
-        return 0
-    result = SYMBOLIC_METHODS[args.method](args.n)
-    if args.x is not None:
-        _emit_value(args, result.evaluate(args.x))
-        return 0
-    if args.format == "text":
-        print(result)
-    elif args.format == "json":
-        _print_json(
-            {
-                "n": args.n,
-                "method": args.method,
-                "numerator": _poly_terms(result.numerator),
-                "denominator_exponent": result.exponent,
-            }
-        )
+        value = arctan.arctan_derivative_pointwise(args.n, args.x)
     else:
-        rows = [
-            (term["power"], term["numerator"], term["denominator"], result.exponent)
-            for term in _poly_terms(result.numerator)
-        ]
-        _print_csv(("power", "numerator", "denominator", "denominator_exponent"), rows)
+        result = SYMBOLIC_METHODS[args.method](args.n)
+        if args.x is None:
+            terms = _terms(result.numerator)
+            _emit(
+                args.format,
+                result,
+                lambda: {
+                    "n": args.n,
+                    "method": args.method,
+                    "numerator": _term_dicts(terms),
+                    "denominator_exponent": result.exponent,
+                },
+                (*TERM_HEADER, "denominator_exponent"),
+                ((*term, result.exponent) for term in terms),
+            )
+            return 0
+        value = result.evaluate(args.x)
+    _emit(
+        args.format,
+        value,
+        lambda: {"n": args.n, "method": args.method, "x": str(args.x), "value": str(value)},
+        ("n", "method", "x", "value"),
+        [(args.n, args.method, args.x, value)],
+    )
     return 0
 
 
-def _emit_report(report: CheckReport, fmt: str) -> int:
-    if fmt == "text":
-        print(report.summary())
-        for failure in report.failures:
-            detail = " ".join(f"{k}={v}" for k, v in failure.items())
-            print(f"  MISMATCH {detail}")
-        hidden = report.mismatches - len(report.failures)
-        if hidden:
-            print(f"  ... {hidden} more mismatches not shown")
-    elif fmt == "json":
-        _print_json(report.to_dict())
-    else:
-        _print_csv(
-            ("check", "n_max", "cases", "failures", "passed"),
-            [
-                (
-                    report.check,
-                    report.parameters.get("n_max", ""),
-                    report.cases,
-                    report.mismatches,
-                    report.passed,
-                )
-            ],
-        )
+def cmd_check(args: argparse.Namespace) -> int:
+    """Run the sweep the subcommand stored in ``args.check``; exit 1 on a
+    mismatch."""
+    points = (args.points,) if "points" in args else ()
+    report = args.check(args.n_max, *points)
+    lines = [report.summary()]
+    for failure in report.failures:
+        lines.append("  MISMATCH " + " ".join(f"{k}={v}" for k, v in failure.items()))
+    hidden = report.mismatches - len(report.failures)
+    if hidden:
+        lines.append(f"  ... {hidden} more mismatches not shown")
+    _emit(
+        args.format,
+        "\n".join(lines),
+        report.to_dict,
+        ("check", "n_max", "cases", "failures", "passed"),
+        [(report.check, args.n_max, report.cases, report.mismatches, report.passed)],
+    )
     return 0 if report.passed else 1
-
-
-def cmd_check_identity(args: argparse.Namespace) -> int:
-    return _emit_report(identities.check_binomial_identity(args.n_max), args.format)
-
-
-def cmd_check_corollary(args: argparse.Namespace) -> int:
-    return _emit_report(identities.check_weighted_identity(args.n_max), args.format)
-
-
-def cmd_check_2f1(args: argparse.Namespace) -> int:
-    return _emit_report(identities.check_hypergeometric_sweep(args.n_max), args.format)
-
-
-def cmd_crosscheck(args: argparse.Namespace) -> int:
-    return _emit_report(arctan.crosscheck(args.n_max, args.points), args.format)
 
 
 BENCH_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 BENCH_POINT = Fraction(1, 2)
 
 
-def _bench_methods() -> dict[str, Callable[[int], object]]:
-    methods: dict[str, Callable[[int], object]] = dict(SYMBOLIC_METHODS)
-    methods["fdb"] = lambda n: arctan.arctan_derivative_pointwise(n, BENCH_POINT)
-    return methods
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
+    methods = {
+        **SYMBOLIC_METHODS,
+        "fdb": lambda n: arctan.arctan_derivative_pointwise(n, BENCH_POINT),
+    }
     rows = []
     buckets = [n for n in BENCH_BUCKETS if n <= args.n_max]
-    for name, method in _bench_methods().items():
+    for name, method in methods.items():
         for n in buckets:
             start = time.perf_counter()
             method(n)
             elapsed = time.perf_counter() - start
             rows.append((name, n, int(elapsed * 1_000_000)))
-    _print_csv(("method", "n", "micros"), rows)
+    _emit("csv", None, None, ("method", "n", "micros"), rows)
     return 0
 
 
@@ -244,20 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("check-identity", help="alternating binomial sum vs closed form")
-    p.add_argument("n_max", type=_natural, nargs="?", default=200)
-    add_format(p)
-    p.set_defaults(func=cmd_check_identity)
-
-    p = sub.add_parser("check-corollary", help="weighted binomial sum vs parity closed form")
-    p.add_argument("n_max", type=_natural, nargs="?", default=200)
-    add_format(p)
-    p.set_defaults(func=cmd_check_corollary)
-
-    p = sub.add_parser("check-2f1", help="literal sums vs terminating hypergeometric form")
-    p.add_argument("n_max", type=_natural, nargs="?", default=60)
-    add_format(p)
-    p.set_defaults(func=cmd_check_2f1)
+    # The check functions are read here, when the parser is built, so that a
+    # rebinding of the module attribute before main() runs takes effect.
+    for name, help_text, default, check in (
+        ("check-identity", "alternating binomial sum vs closed form", 200,
+         identities.check_binomial_identity),
+        ("check-corollary", "weighted binomial sum vs parity closed form", 200,
+         identities.check_weighted_identity),
+        ("check-2f1", "literal sums vs terminating hypergeometric form", 60,
+         identities.check_hypergeometric_sweep),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("n_max", type=_natural, nargs="?", default=default)
+        add_format(p)
+        p.set_defaults(func=cmd_check, check=check)
 
     p = sub.add_parser("crosscheck", help="all four derivative routes against each other")
     p.add_argument("n_max", type=_positive, nargs="?", default=50)
@@ -268,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rational sample points",
     )
     add_format(p)
-    p.set_defaults(func=cmd_crosscheck)
+    p.set_defaults(func=cmd_check, check=arctan.crosscheck)
 
     p = sub.add_parser("bench", help="wall-clock timing table (csv) per method and n")
     p.add_argument("n_max", type=_natural, nargs="?", default=100)

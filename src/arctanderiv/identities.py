@@ -24,7 +24,6 @@ the two numerators.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -43,7 +42,6 @@ __all__ = [
     "weighted_binomial_sum",
     "weighted_binomial_closed_form",
     "check_weighted_identity",
-    "HypergeometricParams",
     "truncation_index",
     "terminating_2f1",
     "check_hypergeometric_form",
@@ -260,21 +258,12 @@ def check_weighted_identity(n_max: int) -> CheckReport:
     return report
 
 
-@dataclasses.dataclass(init=False, frozen=True)
-class HypergeometricParams:
-    """Upper parameters a, b and lower parameter c of a 2F1 series at z = 1."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def __init__(self, a: Scalar, b: Scalar, c: Scalar) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
+MAX_TERMS = 10**6
+"""A series whose truncation index reaches this bound is treated as not
+terminating."""
 
 
-def truncation_index(params: HypergeometricParams) -> int | None:
+def truncation_index(a: Scalar, b: Scalar) -> int | None:
     """Index of the last nonzero series term, or None when nothing truncates.
 
     The rising factorial (q)_k first vanishes at k = 1 - q for a nonpositive
@@ -282,19 +271,19 @@ def truncation_index(params: HypergeometricParams) -> int | None:
     reach zero.
     """
     candidates = [
-        -int(p) for p in (params.a, params.b) if p <= 0 and p.denominator == 1
+        -int(p) for p in (a, b) if p <= 0 and p.denominator == 1
     ]
     return min(candidates) if candidates else None
 
 
-def terminating_2f1(params: HypergeometricParams, max_terms: int = 10**6) -> Fraction:
+def terminating_2f1(a: Scalar, b: Scalar, c: Scalar) -> Fraction:
     """Exact finite value of sum_k (a)_k (b)_k / ((c)_k k!) at argument 1.
 
     The sum runs k = 0..K with K the truncation index.  Term k = 0 is 1 and
     needs no division, so c is never touched when K = 0.  Every factor c + k
     with k < K is checked before the sum starts; a vanishing one is a genuine
     division by zero and raises.  If neither upper parameter truncates the
-    series within max_terms the series is not finite and no value exists.
+    series within MAX_TERMS terms the series is not finite and no value exists.
 
     The series is evaluated by backward Horner,
     1 + r_0 (1 + r_1 (... (1 + r_{K-1}))) with term ratio
@@ -302,18 +291,17 @@ def terminating_2f1(params: HypergeometricParams, max_terms: int = 10**6) -> Fra
     and denominators of a, b and c, and reduced by one gcd at the end.  It
     holds for any rational a, b and c.
     """
-    last = truncation_index(params)
-    if last is None or last >= max_terms:
+    last = truncation_index(a, b)
+    if last is None or last >= MAX_TERMS:
         raise NonTerminatingSeriesError(
-            f"no upper parameter truncates the series within {max_terms} terms"
+            f"no upper parameter truncates the series within {MAX_TERMS} terms"
         )
-    c = params.c
     if c <= 0 and c.denominator == 1 and -c < last:
         raise ZeroDivisionError(
             f"lower-parameter factor c + {-c.numerator} vanishes before truncation"
         )
-    a_num, a_den = params.a.numerator, params.a.denominator
-    b_num, b_den = params.b.numerator, params.b.denominator
+    a_num, a_den = a.numerator, a.denominator
+    b_num, b_den = b.numerator, b.denominator
     c_num, c_den = c.numerator, c.denominator
     # r_k = (a_num + k a_den)(b_num + k b_den) c_den
     #       / ((c_num + k c_den)(k + 1) a_den b_den)
@@ -339,11 +327,9 @@ def _hypergeometric_case(
     # is a nonpositive integer (which one depends on the parity of n), so the
     # series terminates after the term of index n//2 - m: the same number of
     # terms as the literal sum.
-    params = HypergeometricParams(
-        Fraction(2 * m - n, 2), Fraction(2 * m - n + 1, 2), m - n
-    )
+    a, b = Fraction(2 * m - n, 2), Fraction(2 * m - n + 1, 2)
     expected_index = n // 2 - m
-    index = truncation_index(params)
+    index = truncation_index(a, b)
     report.count_case(
         index == expected_index,
         n=n,
@@ -353,7 +339,7 @@ def _hypergeometric_case(
         expected=expected_index,
     )
     prefactor = Fraction((-1) ** m, math.factorial(m) * 4**m) * pochhammer(n - 2 * m + 1, m)
-    series_value = terminating_2f1(params) * prefactor
+    series_value = terminating_2f1(a, b, m - n) * prefactor
     literal = Fraction(numerator, 4 ** (n // 2))
     report.count_case(
         series_value == literal,

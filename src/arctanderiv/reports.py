@@ -45,11 +45,6 @@ class CheckReport:
                     {k: (v if isinstance(v, _JSON_SAFE) else str(v)) for k, v in context.items()}
                 )
 
-    def merge(self, other: CheckReport) -> None:
-        self.cases += other.cases
-        self.mismatches += other.mismatches
-        self.failures.extend(other.failures[: FAILURES_KEPT - len(self.failures)])
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "check": self.check,

@@ -95,6 +95,20 @@ def test_derive_csv(capsys):
     )
 
 
+@pytest.mark.parametrize("method", ["fdb", "prop12"])
+def test_derive_value_json_and_csv(capsys, method):
+    value = arctan_derivative_closed(7).evaluate(Fraction(-47, 53))
+    argv = ("derive", "7", f"--method={method}", "--x=-47/53")
+    code, out, _ = run_cli(capsys, *argv, "--format=json")
+    assert code == 0
+    document = json.loads(out)
+    assert document == {"n": 7, "method": method, "x": "-47/53", "value": str(value)}
+    assert json.dumps(document, indent=2) == out.rstrip("\n")
+    code, out, _ = run_cli(capsys, *argv, "--format=csv")
+    assert code == 0
+    assert out == f"n,method,x,value\n7,{method},-47/53,{value}\n"
+
+
 def test_derive_usage_errors(capsys):
     code, _, err = run_cli(capsys, "derive", "3", "--method=fdb")
     assert code == 2
@@ -132,6 +146,42 @@ def test_check_identity_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "check,n_max,cases,failures,passed"
     assert lines[1] == "check-identity,10,36,0,True"
+
+
+@pytest.mark.parametrize(
+    "command, row",
+    [
+        ("check-identity", "check-identity,200,10201,0,True"),
+        ("check-corollary", "check-corollary,200,302,0,True"),
+        ("check-2f1", "check-2f1,60,1922,0,True"),
+        ("crosscheck", "crosscheck,50,400,0,True"),
+    ],
+)
+def test_check_default_n_max_csv(capsys, command, row):
+    code, out, _ = run_cli(capsys, command, "--format=csv")
+    assert code == 0
+    assert out == f"check,n_max,cases,failures,passed\n{row}\n"
+
+
+def test_crosscheck_json_and_csv(capsys):
+    argv = ("crosscheck", "8", "--points=0,1/2")
+    code, out, _ = run_cli(capsys, *argv, "--format=json")
+    assert code == 0
+    document = json.loads(out)
+    # Two structural cases per n plus one per point.
+    assert document == {
+        "check": "crosscheck",
+        "n_max": 8,
+        "points": ["0", "1/2"],
+        "cases": 32,
+        "mismatches": 0,
+        "failures": [],
+        "passed": True,
+    }
+    assert json.dumps(document, indent=2) == out.rstrip("\n")
+    code, out, _ = run_cli(capsys, *argv, "--format=csv")
+    assert code == 0
+    assert out == "check,n_max,cases,failures,passed\ncrosscheck,8,32,0,True\n"
 
 
 def test_check_commands_pass(capsys):
@@ -267,6 +317,13 @@ def test_bench_rows(capsys):
     assert [r[0] for r in rows] == ["closed"] * 4 + ["prop12"] * 4 + ["oracle"] * 4 + ["fdb"] * 4
     assert [r[1] for r in rows] == ["1", "2", "5", "10"] * 4
     assert all(int(r[2]) >= 0 for r in rows)
+
+
+def test_bench_default_n_max(capsys):
+    code, out, _ = run_cli(capsys, "bench")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[1] for r in rows] == ["1", "2", "5", "10", "20", "50", "100"] * 4
 
 
 @given(st.fractions(max_denominator=10**6))

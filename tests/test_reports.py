@@ -14,19 +14,6 @@ def test_failure_contexts_are_bounded():
     assert report.to_dict()["mismatches"] == 25
 
 
-def test_merge_keeps_the_bound():
-    first = CheckReport("sweep", {})
-    second = CheckReport("sweep", {})
-    for i in range(15):
-        first.count_case(False, i=i)
-        second.count_case(False, i=15 + i)
-    second.count_case(True)
-    first.merge(second)
-    assert first.cases == 31
-    assert first.mismatches == 30
-    assert [f["i"] for f in first.failures] == list(range(FAILURES_KEPT))
-
-
 def test_passing_report_has_no_mismatches():
     report = CheckReport("sweep", {})
     report.count_case(True)
