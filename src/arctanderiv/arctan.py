@@ -111,26 +111,32 @@ def expansion_coefficient(m: int, n: int) -> Fraction:
     return Fraction(_expansion_numerator(_expansion_diagonal(n), m), 4 ** (n // 2))
 
 
-def expansion_coefficients(n: int) -> tuple[Fraction, ...]:
-    """All expansion coefficients (m = 0..n//2) for one expansion order n.
+def _expansion_numerators(n: int) -> list[int]:
+    """4^(n//2) times every expansion coefficient (m = 0..n//2) of order n.
 
     With v_k = (-1)^k 4^(n//2 - k) C(n-k, k), the numerator of coefficient m
-    over 4^(n//2) is sum_k C(k, m) v_k, the coefficient of s^m in V(1 + s),
-    where V(s) = sum_k v_k s^k.  V(1 + s) is built by Horner's scheme in
-    1 + s, k = n//2 first: each step is (1 + s) T + v_k = (v_k + s T) + T,
-    Pascal's rule by additions, so no C(k, m) is read.  The anti-diagonal
-    C(n-k, k) is read once per order.
+    is sum_k C(k, m) v_k, the coefficient of s^m in V(1 + s), where
+    V(s) = sum_k v_k s^k.  V(1 + s) is built by Horner's scheme in 1 + s,
+    k = n//2 first: each step is (1 + s) T + v_k = (v_k + s T) + T, Pascal's
+    rule by additions, so no C(k, m) is read.  The anti-diagonal C(n-k, k)
+    is read once per order.
     """
-    if n < 0:
-        raise ValueError("expansion_coefficients requires n >= 0")
     diagonal = _expansion_diagonal(n)
     top = n // 2
     shifted: list[int] = []
     for k in range(top, -1, -1):
         v = diagonal[k] << 2 * (top - k)
         shifted = list(map(add, [-v if k & 1 else v, *shifted], [*shifted, 0]))
-    denominator = 4**top
-    return tuple(Fraction(numerator, denominator) for numerator in shifted)
+    return shifted
+
+
+def expansion_coefficients(n: int) -> tuple[Fraction, ...]:
+    """All expansion coefficients (m = 0..n//2) for one expansion order n,
+    the numerators of :func:`_expansion_numerators` over 4^(n//2)."""
+    if n < 0:
+        raise ValueError("expansion_coefficients requires n >= 0")
+    denominator = 4 ** (n // 2)
+    return tuple(Fraction(numerator, denominator) for numerator in _expansion_numerators(n))
 
 
 def arctan_derivative_expanded(n: int) -> ArctanRational:
@@ -138,15 +144,17 @@ def arctan_derivative_expanded(n: int) -> ArctanRational:
 
         p! 2^p (-1)^p / (1+x^2)^(p+1) * sum_m c_m x^(p-2m),   p = n - 1,
 
-    with c_m = expansion_coefficient(m, p).
+    with c_m = expansion_coefficient(m, p) = N_m / 4^(p//2).  Since
+    2^p / 4^(p//2) = 2^(p&1), each coefficient is the integer
+    (-1)^p p! 2^(p&1) N_m, so no Fraction is built.
     """
     _require_order(n)
     p = n - 1
+    prefactor = (-1) ** p * (math.factorial(p) << (p & 1))
     coeffs = [0] * (p + 1)
-    for m, value in enumerate(expansion_coefficients(p)):
-        coeffs[p - 2 * m] = value
-    prefactor = math.factorial(p) * 2**p * (-1) ** p
-    return ArctanRational(prefactor * Polynomial(coeffs), p + 1)
+    for m, numerator in enumerate(_expansion_numerators(p)):
+        coeffs[p - 2 * m] = prefactor * numerator
+    return ArctanRational(Polynomial(coeffs), n)
 
 
 def arctan_derivative_pointwise(n: int, x: Scalar) -> Fraction:

@@ -3,7 +3,9 @@ form P(x) / (1+x^2)^k in which every arctan derivative lives.
 
 Coefficients are stored as ``int`` wherever they are integral and as
 ``Fraction`` otherwise, so integer polynomials (every arctan numerator) are
-computed entirely in integer arithmetic.
+computed entirely in integer arithmetic.  There is no general polynomial
+division: the only divisor ever needed is 1+x^2, which ``ArctanRational``
+detects by P(i) = 0 and removes by synthetic division, with additions only.
 
 Both classes are immutable values: arithmetic returns new objects, equality is
 structural, and instances can be shared freely between threads.
@@ -31,6 +33,8 @@ class Polynomial:
     '3*x^2 - 1'
     >>> Polynomial((1, 0, 1)) * Polynomial((1, 0, 1))
     Polynomial((1, 0, 2, 0, 1))
+    >>> Polynomial((5,))
+    Polynomial((5,))
     """
 
     coefficients: tuple[Scalar, ...]
@@ -73,9 +77,6 @@ class Polynomial:
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other: Scalar) -> Polynomial:
-        return _as_poly(other) + (-self)
-
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             return Polynomial(c * other for c in self.coefficients)
@@ -100,30 +101,6 @@ class Polynomial:
             base = base * base
             exponent >>= 1
         return result
-
-    def __divmod__(self, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Quotient and remainder over the rational field (always exact).
-
-        Dividing by a monic divisor takes no coefficient division, so integer
-        polynomials stay in integer arithmetic.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quotient = [0] * max(len(self.coefficients) - len(divisor.coefficients) + 1, 0)
-        rest = list(self.coefficients)
-        lead = divisor.leading_coefficient
-        dlen = len(divisor.coefficients)
-        while len(rest) >= dlen:
-            # Fraction(...) keeps int / int from producing a float.
-            factor = rest[-1] if lead == 1 else Fraction(rest[-1]) / lead
-            shift = len(rest) - dlen
-            quotient[shift] = factor
-            for i, c in enumerate(divisor.coefficients, shift):
-                if c:
-                    rest[i] -= factor * c
-            while rest and rest[-1] == 0:
-                rest.pop()
-        return Polynomial(quotient), Polynomial(rest)
 
     def derivative(self) -> Polynomial:
         return Polynomial(i * c for i, c in enumerate(self.coefficients) if i)
@@ -156,11 +133,7 @@ class Polynomial:
         return result
 
     def __repr__(self) -> str:
-        rendered = ", ".join(
-            str(c) if c.denominator == 1 else f"Fraction({c.numerator}, {c.denominator})"
-            for c in self.coefficients
-        )
-        return f"Polynomial(({rendered}))"
+        return f"Polynomial({self.coefficients!r})"
 
     def __str__(self) -> str:
         """Deterministic text form: descending powers, exact coefficients."""
@@ -207,6 +180,16 @@ class ArctanRational:
     Construction divides out every exact (1+x^2) factor of the numerator, so
     mathematically equal values always compare equal field by field.
     Exponent 0 is a plain polynomial.
+
+    Over the rationals 1+x^2 divides P exactly when P(i) = 0, that is, when
+    c_0 - c_2 + c_4 - ... and c_1 - c_3 + c_5 - ... both vanish.  Only then
+    is a factor removed, by synthetic division top down,
+    q_j = p_(j+2) - q_(j+2); otherwise the given numerator is kept as is.
+    No arctan route ever hits a factor: its numerator at x = i is
+    (-1)^(n-1) (n-1)! (2i)^(n-1), never 0.
+
+    >>> ArctanRational(Polynomial((0, -2, 0, -2)), 3)
+    ArctanRational(numerator=Polynomial((0, -2)), exponent=2)
     """
 
     numerator: Polynomial
@@ -217,10 +200,13 @@ class ArctanRational:
             raise ValueError("exponent must be >= 0")
         poly = _as_poly(numerator)
         while exponent > 0:
-            quotient, rest = divmod(poly, ONE_PLUS_X2)
-            if not rest.is_zero():
+            c = poly.coefficients
+            if sum(c[0::4]) != sum(c[2::4]) or sum(c[1::4]) != sum(c[3::4]):
                 break
-            poly = quotient
+            quotient = list(c[2:])
+            for j in range(len(quotient) - 3, -1, -1):
+                quotient[j] -= quotient[j + 2]
+            poly = Polynomial(quotient)
             exponent -= 1
         object.__setattr__(self, "numerator", poly)
         object.__setattr__(self, "exponent", exponent)

@@ -56,6 +56,10 @@ class CheckReport:
         }
 
     def summary(self) -> str:
-        params = " ".join(f"{k}={v}" for k, v in self.parameters.items())
+        """One line; list parameters are comma-joined, as the CLI takes them."""
+        params = " ".join(
+            f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
+            for k, v in self.parameters.items()
+        )
         status = "PASS" if self.passed else f"FAIL ({self.mismatches} mismatches)"
         return f"{self.check}: {params} cases={self.cases} {status}"

@@ -54,16 +54,14 @@ def set_partition_count(n: int) -> int:
 def difference_quotient_derivative(p: Polynomial, x: Fraction) -> Fraction:
     """p'(x) through the symbolic difference quotient (p(x+h) - p(x)) / h.
 
-    h stays a polynomial variable: the numerator is divided by h exactly and
-    the constant term of the quotient is the h -> 0 limit.  Never touches
-    Polynomial.derivative.
+    h stays a polynomial variable.  Dividing by h shifts every coefficient
+    down one power, so the constant term must vanish and the h^1 coefficient
+    is the h -> 0 limit of the quotient.  Never touches Polynomial.derivative.
     """
     in_h = p.compose(Polynomial((x, 1)))
-    numerator = in_h - Polynomial((p.evaluate(x),))
-    quotient, rest = divmod(numerator, Polynomial((0, 1)))
-    assert rest.is_zero()
-    coeffs = quotient.coefficients
-    return coeffs[0] if coeffs else Fraction(0)
+    coeffs = (in_h - Polynomial((p.evaluate(x),))).coefficients + (0, 0)
+    assert coeffs[0] == 0
+    return Fraction(coeffs[1])
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:

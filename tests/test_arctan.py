@@ -105,6 +105,56 @@ def test_symbolic_routes_have_integer_numerators():
             assert all(type(c) is int for c in route.numerator.coefficients)
 
 
+def _gaussian_times(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _value_at_i(poly):
+    """P(i) as a pair (re, im), by Horner's scheme in Gaussian integers."""
+    re, im = 0, 0
+    for c in reversed(poly.coefficients):
+        re, im = c - im, re  # (re + im i) i + c
+    return re, im
+
+
+def _route_numerator_at_i(n):
+    """(-1)^(n-1) (n-1)! (2i)^(n-1), the numerator of arctan^(n) at x = i."""
+    power = (1, 0)
+    for _ in range(n - 1):
+        power = _gaussian_times(power, (0, 2))
+    scale = (-1) ** (n - 1) * math.factorial(n - 1)
+    return (scale * power[0], scale * power[1])
+
+
+def test_route_numerators_keep_every_factor_of_one_plus_x2():
+    # P(i) != 0, so 1+x^2 never divides a route numerator: canonical form
+    # never lowers the exponent below n on route traffic.
+    oracle = arctan_derivative_oracle(1)
+    for n in range(1, 201):
+        if 1 < n <= 40:
+            oracle = oracle.derivative()
+        routes = [arctan_derivative_closed(n), arctan_derivative_expanded(n)]
+        if n <= 40:
+            routes.append(oracle)
+        expected = _route_numerator_at_i(n)
+        for route in routes:
+            assert route.exponent == n
+            assert _value_at_i(route.numerator) == expected
+
+
+def test_symbolic_routes_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    atan = sympy.atan(x)
+    for n in range(1, 31):
+        top, bottom = sympy.fraction(sympy.together(sympy.diff(atan, x, n)))
+        top, bottom = sympy.Poly(top, x), sympy.Poly(bottom, x)
+        for route in (arctan_derivative_closed(n), arctan_derivative_expanded(n)):
+            numerator = sympy.Poly(list(reversed(route.numerator.coefficients)), x)
+            denominator = sympy.Poly(x**2 + 1, x) ** route.exponent
+            assert numerator * bottom == top * denominator
+
+
 def test_expanded_form_small_cases():
     assert arctan_derivative_expanded(1) == ArctanRational(Polynomial((1,)), 1)
     assert arctan_derivative_expanded(2) == ArctanRational(Polynomial((0, -2)), 2)

@@ -184,6 +184,12 @@ def test_crosscheck_json_and_csv(capsys):
     assert out == "check,n_max,cases,failures,passed\ncrosscheck,8,32,0,True\n"
 
 
+def test_crosscheck_text_renders_points_in_cli_syntax(capsys):
+    code, out, _ = run_cli(capsys, "crosscheck", "8", "--points=0,1/2")
+    assert code == 0
+    assert out == "crosscheck: n_max=8 points=0,1/2 cases=32 PASS\n"
+
+
 def test_check_commands_pass(capsys):
     assert run_cli(capsys, "check-corollary", "60")[0] == 0
     assert run_cli(capsys, "check-2f1", "25")[0] == 0

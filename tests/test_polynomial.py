@@ -1,10 +1,11 @@
+import doctest
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arctanderiv import ONE_PLUS_X2, ArctanRational, Polynomial
+from arctanderiv import ONE_PLUS_X2, ArctanRational, Polynomial, polynomial
 from oracles import difference_quotient_derivative
 
 rationals = st.fractions(
@@ -69,27 +70,18 @@ def test_text_rendering():
     assert str(Polynomial((Fraction(-1, 4), 0, Fraction(3, 4)))) == "3/4*x^2 - 1/4"
 
 
-@given(small_polys, small_polys)
-def test_divmod_roundtrip(p, d):
-    if d.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            divmod(p, d)
-        return
-    quotient, rest = divmod(p, d)
-    assert quotient * d + rest == p
-    assert rest.is_zero() or rest.degree < d.degree
+@given(small_polys, st.integers(0, 3))
+def test_repr_round_trips(p, k):
+    names = {"Polynomial": Polynomial, "ArctanRational": ArctanRational, "Fraction": Fraction}
+    assert eval(repr(p), names) == p
+    r = ArctanRational(p, k)
+    assert eval(repr(r), names) == r
 
 
-def test_divmod_by_non_monic_divisor_is_exact():
-    # Neither quotient nor remainder may pass through int / int division.
-    quotient, rest = divmod(Polynomial((1, 0, 0, 1)), Polynomial((1, 2)))
-    assert quotient == Polynomial((Fraction(1, 8), Fraction(-1, 4), Fraction(1, 2)))
-    assert rest == Polynomial((Fraction(7, 8),))
-    quotient, rest = divmod(Polynomial((1, 0, 0, 1)), Polynomial((1, 3)))
-    assert quotient == Polynomial((Fraction(1, 27), Fraction(-1, 9), Fraction(1, 3)))
-    assert rest == Polynomial((Fraction(26, 27),))
-    for c in quotient.coefficients + rest.coefficients:
-        assert type(c) in (int, Fraction)
+def test_module_doctests():
+    results = doctest.testmod(polynomial)
+    assert results.attempted >= 1
+    assert results.failed == 0
 
 
 def test_integral_coefficients_are_ints():
