@@ -15,9 +15,7 @@ line, without a traceback).  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import re
 import sys
 import time
@@ -100,8 +98,10 @@ def _emit(
     if fmt == "text":
         print(text)
     elif fmt == "json":
+        import json
         print(json.dumps(document(), indent=2))
     else:
+        import csv
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
@@ -163,10 +163,14 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    """Run the sweep the subcommand stored in ``args.check``; exit 1 on a
-    mismatch."""
+    """Run the sweep the subcommand stored in ``args.check``, with its cost on
+    stderr so that stdout repeats exactly; exit 1 on a mismatch."""
     points = (args.points,) if "points" in args else ()
+    start = time.perf_counter()
     report = args.check(args.n_max, *points)
+    elapsed = time.perf_counter() - start
+    rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else "inf"
+    print(f"{report.check}: elapsed_s={elapsed:.3f} cases_per_s={rate}", file=sys.stderr)
     lines = [report.summary()]
     for failure in report.failures:
         lines.append("  MISMATCH " + " ".join(f"{k}={v}" for k, v in failure.items()))

@@ -8,12 +8,13 @@ division: the only divisor ever needed is 1+x^2, which ``ArctanRational``
 detects by P(i) = 0 and removes by synthetic division, with additions only.
 
 Both classes are immutable values: arithmetic returns new objects, equality is
-structural, and instances can be shared freely between threads.
+structural, and instances can be shared freely between threads.  ``__init__``
+fills the ``__slots__`` once; ``__setattr__`` and ``__delattr__`` raise, so
+copies and pickles rebuild a value through ``__init__`` (``__reduce__``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -22,7 +23,10 @@ Scalar = Union[int, Fraction]
 __all__ = ["Polynomial", "ArctanRational", "ONE_PLUS_X2"]
 
 
-@dataclasses.dataclass(init=False, frozen=True)
+def _immutable(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class Polynomial:
     """Coefficients in ascending powers; the zero polynomial is the empty tuple.
 
@@ -37,6 +41,8 @@ class Polynomial:
     Polynomial((5,))
     """
 
+    __slots__ = ("coefficients",)
+    __setattr__ = __delattr__ = _immutable
     coefficients: tuple[Scalar, ...]
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
@@ -44,6 +50,17 @@ class Polynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
+
+    def __reduce__(self):
+        return self.__class__, (self.coefficients,)
 
     @property
     def degree(self) -> int:
@@ -173,7 +190,6 @@ def _as_poly(value: Polynomial | Scalar) -> Polynomial:
 ONE_PLUS_X2 = Polynomial((1, 0, 1))
 
 
-@dataclasses.dataclass(init=False, frozen=True)
 class ArctanRational:
     """P(x) / (1+x^2)^k, stored with the smallest possible exponent k.
 
@@ -192,6 +208,8 @@ class ArctanRational:
     ArctanRational(numerator=Polynomial((0, -2)), exponent=2)
     """
 
+    __slots__ = ("numerator", "exponent")
+    __setattr__ = __delattr__ = _immutable
     numerator: Polynomial
     exponent: int
 
@@ -210,6 +228,20 @@ class ArctanRational:
             exponent -= 1
         object.__setattr__(self, "numerator", poly)
         object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.numerator == other.numerator and self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash((self.numerator, self.exponent))
+
+    def __reduce__(self):
+        return self.__class__, (self.numerator, self.exponent)
+
+    def __repr__(self) -> str:
+        return f"ArctanRational(numerator={self.numerator!r}, exponent={self.exponent!r})"
 
     def derivative(self) -> ArctanRational:
         """Quotient rule: (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1), re-canonicalized."""

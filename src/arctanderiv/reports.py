@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any
 
 __all__ = ["CheckReport", "FAILURES_KEPT"]
@@ -13,7 +12,6 @@ FAILURES_KEPT = 20
 """How many failure contexts a report keeps; later mismatches are only counted."""
 
 
-@dataclasses.dataclass
 class CheckReport:
     """Outcome of one sweep: parameters, case and mismatch counts, and the
     contexts of the first FAILURES_KEPT mismatches.
@@ -24,11 +22,11 @@ class CheckReport:
     without being rendered.
     """
 
-    check: str
-    parameters: dict[str, Any]
-    cases: int = 0
-    mismatches: int = 0
-    failures: list[dict[str, Any]] = dataclasses.field(default_factory=list)
+    def __init__(self, check: str, parameters: dict[str, Any]) -> None:
+        self.check = check
+        self.parameters = parameters
+        self.cases = self.mismatches = 0
+        self.failures: list[dict[str, Any]] = []
 
     @property
     def passed(self) -> bool:

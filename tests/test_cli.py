@@ -1,15 +1,19 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import arctanderiv
 from arctanderiv import arctan_derivative_closed, identities
-from arctanderiv.cli import main
+from arctanderiv.cli import FORMATS, main
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +276,39 @@ def test_identity_mismatch_context_has_both_exact_values(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check-identity", "60", "--format=csv")
     assert code == 1
     assert out.splitlines()[1] == "check-identity,60,961,1,False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-identity", "12"),
+        ("check-corollary", "12"),
+        ("check-2f1", "6"),
+        ("crosscheck", "6", "--points=0,1/2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_check_reports_its_cost_on_stderr(capsys, argv):
+    for fmt in FORMATS:
+        code, out, err = run_cli(capsys, *argv, f"--format={fmt}")
+        assert code == 0
+        assert re.fullmatch(rf"{argv[0]}: elapsed_s=\d+\.\d{{3}} cases_per_s=(\d+|inf)\n", err)
+        assert "elapsed" not in out
+
+
+def test_start_up_imports_no_dataclasses_and_no_output_format():
+    # -S keeps site-packages from importing anything before the package does.
+    probe = (
+        "import sys, arctanderiv\n"
+        "from arctanderiv import cli\n"
+        "cli.build_parser()\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', 'csv') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(arctanderiv.__file__).parent.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == []
 
 
 def test_unexpected_exception_exits_three(capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -58,6 +60,31 @@ def test_reciprocal_jet_values():
     jet = DerivativeJet.of_reciprocal(y0, 6)
     for k in range(7):
         assert jet.values[k] == Fraction(math.factorial(k) * (-1) ** k, 1) / y0 ** (k + 1)
+
+
+def test_jets_are_values():
+    a = DerivativeJet.of_reciprocal(Fraction(5, 4), 2)
+    b = DerivativeJet(Fraction(10, 8), (Fraction(4, 5), Fraction(-16, 25), Fraction(128, 125)))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, DerivativeJet.of_reciprocal(Fraction(5, 4), 2)}) == 1
+    assert a != DerivativeJet.of_reciprocal(Fraction(5, 4), 3)
+    assert a != DerivativeJet(Fraction(5, 4), a.values[:2] + (0,))
+    assert a != DerivativeJet(Fraction(5, 3), a.values)
+    assert a != (a.point, a.values)
+    for field in ("point", "values"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a.point == Fraction(5, 4) and a.order == 2
+    assert pickle.loads(pickle.dumps(a)) == copy.copy(a) == copy.deepcopy(a) == a
+    assert repr(a) == (
+        "DerivativeJet(point=Fraction(5, 4), "
+        "values=(Fraction(4, 5), Fraction(-16, 25), Fraction(128, 125)))"
+    )
+    assert repr(DerivativeJet(0, (1,))) == (
+        "DerivativeJet(point=Fraction(0, 1), values=(Fraction(1, 1),))"
+    )
 
 
 def test_reciprocal_jet_rejects_zero():

@@ -1,4 +1,6 @@
+import copy
 import doctest
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -169,3 +171,37 @@ def test_rational_function_rendering():
     assert str(ArctanRational(Polynomial((0, -2)), 2)) == "(-2*x) / (1+x^2)^2"
     assert str(ArctanRational(Polynomial((1,)), 1)) == "(1) / (1+x^2)^1"
     assert str(ArctanRational(Polynomial((3,)), 0)) == "3"
+
+
+def test_polynomials_are_values():
+    a, b = Polynomial((1, 0, 3)), Polynomial([1, Fraction(0), Fraction(6, 2), 0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Polynomial((1, 0, 3))}) == 1
+    assert a != Polynomial((1, 0, 4))
+    assert Polynomial((1,)) != (1,)
+    with pytest.raises(AttributeError):
+        a.coefficients = (2,)
+    with pytest.raises(AttributeError):
+        del a.coefficients
+    assert a.coefficients == (1, 0, 3)
+    assert pickle.loads(pickle.dumps(a)) == copy.copy(a) == copy.deepcopy(a) == a
+    assert repr(Polynomial((Fraction(1, 2), 0, -3))) == "Polynomial((Fraction(1, 2), 0, -3))"
+
+
+def test_rational_functions_are_values():
+    a = ArctanRational(Polynomial((0, -2)), 2)
+    b = ArctanRational(Polynomial((0, -2, 0, -2)), 3)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, ArctanRational(Polynomial((0, -2)), 2)}) == 1
+    assert a != ArctanRational(Polynomial((0, -2)), 1)
+    assert ArctanRational(Polynomial((1,)), 1) != Polynomial((1,))
+    assert ArctanRational(Polynomial((1,)), 0) != Polynomial((1,))
+    for field in ("numerator", "exponent"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert (a.numerator, a.exponent) == (Polynomial((0, -2)), 2)
+    assert pickle.loads(pickle.dumps(a)) == copy.copy(a) == copy.deepcopy(a) == a
+    assert repr(a) == "ArctanRational(numerator=Polynomial((0, -2)), exponent=2)"
+    assert repr(ArctanRational(1)) == "ArctanRational(numerator=Polynomial((1,)), exponent=0)"
