@@ -29,7 +29,7 @@ __all__ = ["main", "build_parser"]
 
 FORMATS = ("text", "json", "csv")
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 def _rational(text: str) -> Fraction:
@@ -51,6 +51,8 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 def _natural(text: str) -> int:
     try:
+        if not text.isascii() or "_" in text:  # int() would take both
+            raise ValueError
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None

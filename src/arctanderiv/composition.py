@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polynomial import Polynomial, Scalar, _immutable
+from .polynomial import Polynomial, Scalar, _Value
 
 __all__ = [
     "MultiplicityVector",
@@ -59,11 +59,10 @@ def multiplicity_vectors(n: int) -> list[MultiplicityVector]:
     return out
 
 
-class DerivativeJet:
+class DerivativeJet(_Value):
     """Derivative values (f(point), f'(point), ..., f^(order)(point))."""
 
     __slots__ = ("point", "values")
-    __setattr__ = __delattr__ = _immutable
     point: Fraction
     values: tuple[Fraction, ...]
 
@@ -73,20 +72,6 @@ class DerivativeJet:
             raise ValueError("a jet needs at least the order-0 value")
         object.__setattr__(self, "point", Fraction(point))
         object.__setattr__(self, "values", rendered)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.point == other.point and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.point, self.values))
-
-    def __reduce__(self):
-        return self.__class__, (self.point, self.values)
-
-    def __repr__(self) -> str:
-        return f"DerivativeJet(point={self.point!r}, values={self.values!r})"
 
     @property
     def order(self) -> int:

@@ -6,11 +6,6 @@ Coefficients are stored as ``int`` wherever they are integral and as
 computed entirely in integer arithmetic.  There is no general polynomial
 division: the only divisor ever needed is 1+x^2, which ``ArctanRational``
 detects by P(i) = 0 and removes by synthetic division, with additions only.
-
-Both classes are immutable values: arithmetic returns new objects, equality is
-structural, and instances can be shared freely between threads.  ``__init__``
-fills the ``__slots__`` once; ``__setattr__`` and ``__delattr__`` raise, so
-copies and pickles rebuild a value through ``__init__`` (``__reduce__``).
 """
 
 from __future__ import annotations
@@ -27,7 +22,41 @@ def _immutable(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
 
-class Polynomial:
+class _Value:
+    """Base of the immutable value classes: arithmetic returns new objects,
+    equality is structural, and instances can be shared freely between
+    threads.
+
+    A subclass names its fields in ``__slots__`` and its ``__init__`` fills
+    them once through ``object.__setattr__``; ``__setattr__`` and
+    ``__delattr__`` raise, so copies and pickles rebuild a value through
+    ``__init__`` (``__reduce__``).  Only an instance of the same class can
+    be equal, field by field.
+    """
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _immutable
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Polynomial(_Value):
     """Coefficients in ascending powers; the zero polynomial is the empty tuple.
 
     Integral coefficients, including integral ``Fraction`` inputs, are stored
@@ -42,7 +71,6 @@ class Polynomial:
     """
 
     __slots__ = ("coefficients",)
-    __setattr__ = __delattr__ = _immutable
     coefficients: tuple[Scalar, ...]
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
@@ -50,17 +78,6 @@ class Polynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
-    def __reduce__(self):
-        return self.__class__, (self.coefficients,)
 
     @property
     def degree(self) -> int:
@@ -190,7 +207,7 @@ def _as_poly(value: Polynomial | Scalar) -> Polynomial:
 ONE_PLUS_X2 = Polynomial((1, 0, 1))
 
 
-class ArctanRational:
+class ArctanRational(_Value):
     """P(x) / (1+x^2)^k, stored with the smallest possible exponent k.
 
     Construction divides out every exact (1+x^2) factor of the numerator, so
@@ -209,7 +226,6 @@ class ArctanRational:
     """
 
     __slots__ = ("numerator", "exponent")
-    __setattr__ = __delattr__ = _immutable
     numerator: Polynomial
     exponent: int
 
@@ -228,20 +244,6 @@ class ArctanRational:
             exponent -= 1
         object.__setattr__(self, "numerator", poly)
         object.__setattr__(self, "exponent", exponent)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.numerator == other.numerator and self.exponent == other.exponent
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.exponent))
-
-    def __reduce__(self):
-        return self.__class__, (self.numerator, self.exponent)
-
-    def __repr__(self) -> str:
-        return f"ArctanRational(numerator={self.numerator!r}, exponent={self.exponent!r})"
 
     def derivative(self) -> ArctanRational:
         """Quotient rule: (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1), re-canonicalized."""
@@ -273,12 +275,6 @@ class ArctanRational:
         left = self.numerator * ONE_PLUS_X2 ** (k - self.exponent)
         right = other.numerator * ONE_PLUS_X2 ** (k - other.exponent)
         return ArctanRational(left + right, k)
-
-    def __neg__(self) -> ArctanRational:
-        return ArctanRational(-self.numerator, self.exponent)
-
-    def __sub__(self, other: ArctanRational) -> ArctanRational:
-        return self + (-other)
 
     def __str__(self) -> str:
         if self.exponent == 0:

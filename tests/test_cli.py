@@ -343,6 +343,9 @@ def test_malformed_arguments_exit_two(capsys):
     assert run_cli(capsys, "crosscheck", "0")[0] == 2
     assert run_cli(capsys, "crosscheck", "5", "--points=1,,")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
+    assert run_cli(capsys, "derive", "3", "--x=\u0661/\u0662")[0] == 2
+    assert run_cli(capsys, "qpoly", "1_0")[0] == 2
+    assert run_cli(capsys, "qpoly", "\u0663")[0] == 2
 
 
 def test_bench_empty_table(capsys):

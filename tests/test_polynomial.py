@@ -1,13 +1,16 @@
 import copy
 import doctest
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arctanderiv import ONE_PLUS_X2, ArctanRational, Polynomial, polynomial
+import arctanderiv
+from arctanderiv import ONE_PLUS_X2, ArctanRational, Polynomial
 from oracles import difference_quotient_derivative
 
 rationals = st.fractions(
@@ -81,9 +84,14 @@ def test_repr_round_trips(p, k):
 
 
 def test_module_doctests():
-    results = doctest.testmod(polynomial)
-    assert results.attempted >= 1
-    assert results.failed == 0
+    # Every package module, so that a docstring example anywhere is run.
+    attempted = 0
+    for info in pkgutil.iter_modules(arctanderiv.__path__):
+        module = importlib.import_module(f"arctanderiv.{info.name}")
+        results = doctest.testmod(module)
+        assert results.failed == 0, info.name
+        attempted += results.attempted
+    assert attempted >= 1
 
 
 def test_integral_coefficients_are_ints():
