@@ -29,7 +29,12 @@ __all__ = ["main", "build_parser"]
 
 FORMATS = ("text", "json", "csv")
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+# One ASCII integer syntax for every numeric argument; int() and Fraction()
+# alone would also take surrounding whitespace, underscores and non-ASCII
+# digits.
+_INTEGER = r"[+-]?[0-9]+"
+_INTEGER_RE = re.compile(_INTEGER + r"\Z")
+_RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?\Z")
 
 
 def _rational(text: str) -> Fraction:
@@ -50,12 +55,9 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _natural(text: str) -> int:
-    try:
-        if not text.isascii() or "_" in text:  # int() would take both
-            raise ValueError
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not _INTEGER_RE.match(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -191,6 +193,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 BENCH_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 BENCH_POINT = Fraction(1, 2)
+BENCH_HEADER = ("method", "n", "micros")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -206,7 +209,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             method(n)
             elapsed = time.perf_counter() - start
             rows.append((name, n, int(elapsed * 1_000_000)))
-    _emit("csv", None, None, ("method", "n", "micros"), rows)
+    _emit(
+        args.format,
+        "\n".join(f"{name} n={n} micros={micros}" for name, n, micros in rows),
+        lambda: {"n_max": args.n_max, "rows": [dict(zip(BENCH_HEADER, row)) for row in rows]},
+        BENCH_HEADER,
+        rows,
+    )
     return 0
 
 
@@ -262,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_check, check=arctan.crosscheck)
 
-    p = sub.add_parser("bench", help="wall-clock timing table (csv) per method and n")
+    p = sub.add_parser("bench", help="wall-clock timing table per method and n")
     p.add_argument("n_max", type=_natural, nargs="?", default=100)
+    add_format(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -60,22 +60,79 @@ def multiplicity_vectors(n: int) -> list[MultiplicityVector]:
 
 
 class DerivativeJet(_Value):
-    """Derivative values (f(point), f'(point), ..., f^(order)(point))."""
+    """Derivative values (f(point), f'(point), ..., f^(order)(point)).
 
-    __slots__ = ("point", "values")
+    A jet is stored as integer numerators N_k and one rational ratio r,
+
+        f^(k)(point) = N_k * r^(k+1),
+
+    so the chain rules can work in ``int`` throughout; ``values`` rebuilds
+    the Fractions.  The stored form is not unique (N_k t^(k+1) with r/t
+    stores the same values), so equality and hash compare the point and the
+    values, not the stored fields.
+
+    >>> DerivativeJet.of_reciprocal(Fraction(-5, 4), 2)
+    DerivativeJet(point=Fraction(-5, 4), numerators=(1, -1, 2), ratio=Fraction(-4, 5))
+    >>> DerivativeJet(1, (Fraction(1, 2), Fraction(-1, 3))).numerators
+    (3, -12)
+    """
+
+    __slots__ = ("point", "numerators", "ratio")
     point: Fraction
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    ratio: Fraction
 
     def __init__(self, point: Scalar, values) -> None:
-        rendered = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-        if not rendered:
+        """Store the values over L, the lcm of their denominators: r = 1/L
+        and N_k = v_k L^(k+1)."""
+        values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+        if not values:
             raise ValueError("a jet needs at least the order-0 value")
-        object.__setattr__(self, "point", Fraction(point))
-        object.__setattr__(self, "values", rendered)
+        common = math.lcm(*(v.denominator for v in values))
+        numerators = []
+        power = common
+        for v in values:
+            numerators.append(v.numerator * (power // v.denominator))
+            power *= common
+        self._fill(Fraction(point), tuple(numerators), Fraction(1, common))
+
+    def _fill(self, point: Fraction, numerators: tuple[int, ...], ratio: Fraction) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "ratio", ratio)
+
+    @classmethod
+    def _stored(cls, point: Fraction, numerators: tuple[int, ...], ratio: Fraction) -> DerivativeJet:
+        """A jet from its stored form, as given; pickles and copies use it."""
+        jet = object.__new__(cls)
+        jet._fill(point, numerators, ratio)
+        return jet
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        c, d = self.ratio.numerator, self.ratio.denominator
+        c_power, d_power = c, d
+        values = []
+        for numerator in self.numerators:
+            values.append(Fraction(numerator * c_power, d_power))
+            c_power *= c
+            d_power *= d
+        return tuple(values)
 
     @property
     def order(self) -> int:
-        return len(self.values) - 1
+        return len(self.numerators) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.point == other.point and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.point, self.values))
+
+    def __reduce__(self):
+        return self._stored, self._fields()
 
     @classmethod
     def of_polynomial(cls, poly: Polynomial, point: Scalar, order: int) -> DerivativeJet:
@@ -90,18 +147,19 @@ class DerivativeJet(_Value):
 
     @classmethod
     def of_reciprocal(cls, point: Scalar, order: int) -> DerivativeJet:
-        """Jet of y -> 1/y: the k-th derivative at y0 is k! (-1)^k / y0^(k+1).
+        """Jet of y -> 1/y: the k-th derivative at y0 is k! (-1)^k / y0^(k+1),
+        stored as N_k = (-1)^k k! and r = 1/y0.
 
-        Each value depends on k and y0 only, so the order-k jet is the first
-        k+1 values of any longer one.
+        N_k depends on k only and r on y0 only, so the order-k jet is the
+        first k+1 values of any longer one.
         """
         y0 = Fraction(point)
         if y0 == 0:
             raise ZeroDivisionError("reciprocal jet undefined at 0")
-        values = [1 / y0]
+        numerators = [1]
         for k in range(1, order + 1):
-            values.append(values[-1] * (-k) / y0)
-        return cls(y0, values)
+            numerators.append(numerators[-1] * -k)
+        return cls._stored(y0, tuple(numerators), 1 / y0)
 
 
 def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction:
@@ -118,10 +176,11 @@ def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction
         raise ValueError("derivative order must be >= 0")
     if f_jet.order < n or g_jet.order < n:
         raise ValueError(f"faa_di_bruno needs jets of order >= {n}")
-    if f_jet.point != g_jet.values[0]:
+    f_values, g_values = f_jet.values, g_jet.values
+    if f_jet.point != g_values[0]:
         raise ValueError("the f jet must be taken at the value of g")
     if n == 0:
-        return f_jet.values[0]
+        return f_values[0]
     n_fact = math.factorial(n)
     total = Fraction(0)
     for vec in multiplicity_vectors(n):
@@ -133,8 +192,8 @@ def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction
                 continue
             order += li
             denominator *= math.factorial(li) * math.factorial(i) ** li
-            inner *= g_jet.values[i] ** li
-        total += Fraction(n_fact, denominator) * f_jet.values[order] * inner
+            inner *= g_values[i] ** li
+        total += Fraction(n_fact, denominator) * f_values[order] * inner
     return total
 
 
@@ -144,12 +203,17 @@ def square_chain_rule(n: int, x: Scalar, f_jet: DerivativeJet) -> Fraction:
     Because the inner function has vanishing derivatives beyond order two, the
     generic composition sum collapses to
 
-        sum_{k=0}^{n//2} n!/(k!(n-2k)!) * (2x)^(n-2k) * f^(n-k)(a + x^2).
+        sum_{k=0}^{n//2} w_k (2x)^(n-2k) f^(n-k)(a + x^2),  w_k = n!/(k!(n-2k)!).
 
-    The sum is accumulated in integers: with x = p/q and L the lcm of the
-    denominators of the jet values it uses, every term is an integer over
-    L q^n, and only the final quotient is a Fraction.  The weight is updated
-    from term to term, w_(k+1) = w_k (n-2k)(n-2k-1)/(k+1), which is exact.
+    With x = p/q, h = n//2, the jet's stored form f^(j) = N_j (c/d)^(j+1) and
+    n - 2k = (n&1) + 2(h-k), the sum times d^(n+1) q^n is
+
+        (2p)^(n&1) c^(n-h+1) sum_{k=0}^{h} w_k N_(n-k) (4p^2 c)^(h-k) (q^2 d)^k,
+
+    a sum of products of integers, so it is accumulated in ``int`` by
+    Horner's scheme in 4p^2 c, and the only Fraction built is the result
+    over d^(n+1) q^n.  The weight is updated from term to term,
+    w_(k+1) = w_k (n-2k)(n-2k-1)/(k+1), which is exact.
 
     The jet is trusted to be anchored at the intended inner value; only its
     order is validated.
@@ -159,23 +223,22 @@ def square_chain_rule(n: int, x: Scalar, f_jet: DerivativeJet) -> Fraction:
     if f_jet.order < n:
         raise ValueError(f"square_chain_rule needs a jet of order >= {n}")
     x = Fraction(x)
-    two_p, q = 2 * x.numerator, x.denominator
+    p, q = x.numerator, x.denominator
+    c, d = f_jet.ratio.numerator, f_jet.ratio.denominator
+    numerators = f_jet.numerators
     half = n // 2
-    used = f_jet.values[n - half : n + 1]
-    common = math.lcm(*(v.denominator for v in used))
-    # Horner's scheme in (2p)^2 over k ascending; term k carries w_k q^(2k).
-    p_step, q_step = two_p * two_p, q * q
+    p_step, q_step = 4 * p * p * c, q * q * d
     total = 0
     weight = 1
     q_power = 1
     for k in range(half + 1):
-        value = f_jet.values[n - k]
-        total = total * p_step + weight * q_power * value.numerator * (common // value.denominator)
+        total = total * p_step + weight * numerators[n - k] * q_power
         weight = weight * (n - 2 * k) * (n - 2 * k - 1) // (k + 1)
         q_power *= q_step
+    total *= c ** (n - half + 1)
     if n & 1:
-        total *= two_p
-    return Fraction(total, common * q**n)
+        total *= 2 * p
+    return Fraction(total, d ** (n + 1) * q**n)
 
 
 def square_chain_coefficients(n: int) -> list[int]:

@@ -7,7 +7,7 @@ agreement between the two is evidence, not tautology.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from arctanderiv.polynomial import Polynomial
 
@@ -62,6 +62,31 @@ def difference_quotient_derivative(p: Polynomial, x: Fraction) -> Fraction:
     coeffs = (in_h - Polynomial((p.evaluate(x),))).coefficients + (0, 0)
     assert coeffs[0] == 0
     return Fraction(coeffs[1])
+
+
+def gaussian_derivative_value(n: int, x: Fraction) -> Fraction:
+    """arctan^(n)(x) from Gaussian integers, for n >= 1.
+
+    1/(1+x^2) = Im(1/(x-i)) gives arctan^(n)(x) =
+    (-1)^(n-1) (n-1)! Im((x+i)^n) / (1+x^2)^n.  At x = p/q that is
+    (-1)^(n-1) (n-1)! Im((p+iq)^n) q^n / (p^2+q^2)^n, with (p+iq)^n taken by
+    binary powering on (real, imaginary) integer pairs: no jets, no
+    binomials and no polynomials.
+    """
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+
+    def times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    power, base, exponent = (1, 0), (p, q), n
+    while exponent:
+        if exponent & 1:
+            power = times(power, base)
+        base = times(base, base)
+        exponent >>= 1
+    sign = -1 if (n - 1) & 1 else 1
+    return Fraction(sign * factorial(n - 1) * power[1] * q**n, (p * p + q * q) ** n)
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:

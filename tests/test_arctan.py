@@ -16,7 +16,7 @@ from arctanderiv import (
     expansion_coefficients,
     q_polynomial,
 )
-from oracles import alternating_sum_literal
+from oracles import alternating_sum_literal, gaussian_derivative_value
 
 
 def test_q_polynomial_small_cases():
@@ -165,6 +165,14 @@ def test_pointwise_small_cases():
     assert arctan_derivative_pointwise(1, 0) == 1
     assert arctan_derivative_pointwise(3, 0) == -2
     assert arctan_derivative_pointwise(2, 1) == Fraction(-1, 2)
+
+
+def test_pointwise_matches_gaussian_integer_oracle():
+    # Past crosscheck's sizes and at large height, against a route that
+    # shares no code with the jets.
+    for x in (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(-47, 53), Fraction(355, 113)):
+        for n in (*range(1, 41), 257, 1000):
+            assert arctan_derivative_pointwise(n, x) == gaussian_derivative_value(n, x), (n, x)
 
 
 def test_oracle_small_cases():

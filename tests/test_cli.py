@@ -346,30 +346,63 @@ def test_malformed_arguments_exit_two(capsys):
     assert run_cli(capsys, "derive", "3", "--x=\u0661/\u0662")[0] == 2
     assert run_cli(capsys, "qpoly", "1_0")[0] == 2
     assert run_cli(capsys, "qpoly", "\u0663")[0] == 2
+    # One integer syntax, [+-]?[0-9]+, for integers and for the integer part
+    # of rationals: surrounding whitespace is a usage error in both.
+    assert run_cli(capsys, "qpoly", " 3")[0] == 2
+    assert run_cli(capsys, "derive", "3 ")[0] == 2
+    assert run_cli(capsys, "check-identity", " 4")[0] == 2
+    assert run_cli(capsys, "derive", "3", "--x= 1/2")[0] == 2
+    assert run_cli(capsys, "qpoly", "+3")[0] == 0
 
 
 def test_bench_empty_table(capsys):
-    code, out, _ = run_cli(capsys, "bench", "0")
+    code, out, _ = run_cli(capsys, "bench", "0", "--format=csv")
     assert code == 0
     assert out == "method,n,micros\n"
 
 
+BENCH_METHODS = ["closed"] * 4 + ["prop12"] * 4 + ["oracle"] * 4 + ["fdb"] * 4
+
+
 def test_bench_rows(capsys):
-    code, out, _ = run_cli(capsys, "bench", "10")
+    code, out, _ = run_cli(capsys, "bench", "10", "--format=csv")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "method,n,micros"
     rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == ["closed"] * 4 + ["prop12"] * 4 + ["oracle"] * 4 + ["fdb"] * 4
+    assert [r[0] for r in rows] == BENCH_METHODS
     assert [r[1] for r in rows] == ["1", "2", "5", "10"] * 4
     assert all(int(r[2]) >= 0 for r in rows)
 
 
 def test_bench_default_n_max(capsys):
-    code, out, _ = run_cli(capsys, "bench")
+    code, out, _ = run_cli(capsys, "bench", "--format=csv")
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [r[1] for r in rows] == ["1", "2", "5", "10", "20", "50", "100"] * 4
+
+
+def test_bench_json(capsys):
+    code, out, _ = run_cli(capsys, "bench", "10", "--format=json")
+    assert code == 0
+    document = json.loads(out)
+    assert document["n_max"] == 10
+    rows = document["rows"]
+    assert [row["method"] for row in rows] == BENCH_METHODS
+    assert [row["n"] for row in rows] == [1, 2, 5, 10] * 4
+    assert all(type(row["micros"]) is int and row["micros"] >= 0 for row in rows)
+    assert all(set(row) == {"method", "n", "micros"} for row in rows)
+    code, out, _ = run_cli(capsys, "bench", "0", "--format=json")
+    assert json.loads(out) == {"n_max": 0, "rows": []}
+
+
+def test_bench_text(capsys):
+    code, out, _ = run_cli(capsys, "bench", "10")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 16
+    for line, method, n in zip(lines, BENCH_METHODS, [1, 2, 5, 10] * 4):
+        assert re.fullmatch(rf"{method} n={n} micros=\d+", line)
 
 
 @given(st.fractions(max_denominator=10**6))

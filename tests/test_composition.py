@@ -79,12 +79,34 @@ def test_jets_are_values():
     assert a.point == Fraction(5, 4) and a.order == 2
     assert pickle.loads(pickle.dumps(a)) == copy.copy(a) == copy.deepcopy(a) == a
     assert repr(a) == (
-        "DerivativeJet(point=Fraction(5, 4), "
-        "values=(Fraction(4, 5), Fraction(-16, 25), Fraction(128, 125)))"
+        "DerivativeJet(point=Fraction(5, 4), numerators=(1, -1, 2), ratio=Fraction(4, 5))"
     )
     assert repr(DerivativeJet(0, (1,))) == (
-        "DerivativeJet(point=Fraction(0, 1), values=(Fraction(1, 1),))"
+        "DerivativeJet(point=Fraction(0, 1), numerators=(1,), ratio=Fraction(1, 1))"
     )
+
+
+def test_reciprocal_jet_at_a_negative_point():
+    # r = 1/y0 is negative here: its sign sits in the ratio's numerator.
+    y0 = Fraction(-5, 4)
+    jet = DerivativeJet.of_reciprocal(y0, 8)
+    assert jet.ratio == Fraction(-4, 5)
+    values = [Fraction(math.factorial(k) * (-1) ** k) / y0 ** (k + 1) for k in range(9)]
+    generic = DerivativeJet(y0, values)
+    assert jet.values == generic.values == tuple(values)
+    assert jet == generic and hash(jet) == hash(generic)
+    for x0 in (Fraction(1, 2), Fraction(-3, 2)):
+        for n in range(9):
+            g_jet = _square_inner_jet(y0, x0, n)
+            expected = faa_di_bruno(n, jet, g_jet)
+            assert square_chain_rule(n, x0, jet) == expected
+            assert square_chain_rule(n, x0, generic) == expected
+
+
+def test_jet_copies_keep_the_stored_form():
+    jet = DerivativeJet.of_reciprocal(Fraction(-5, 4), 3)
+    for copied in (pickle.loads(pickle.dumps(jet)), copy.copy(jet), copy.deepcopy(jet)):
+        assert (copied.numerators, copied.ratio) == (jet.numerators, jet.ratio)
 
 
 def test_reciprocal_jet_rejects_zero():
