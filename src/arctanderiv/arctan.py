@@ -74,9 +74,10 @@ def q_polynomial(n: int) -> Polynomial:
 
 
 def arctan_derivative_closed(n: int) -> ArctanRational:
-    """arctan^(n) as (n-1)! q_{n-1}(x) / (1+x^2)^n, n >= 1."""
+    """arctan^(n) as (n-1)! q_{n-1}(x) / (1+x^2)^n, n >= 1, with (n-1)!
+    passed as the scale, never multiplied into q_{n-1}."""
     _require_order(n)
-    return ArctanRational(math.factorial(n - 1) * q_polynomial(n - 1), n)
+    return ArctanRational(q_polynomial(n - 1), n, scale=math.factorial(n - 1))
 
 
 def _expansion_diagonal(n: int) -> list[int]:
@@ -145,16 +146,17 @@ def arctan_derivative_expanded(n: int) -> ArctanRational:
         p! 2^p (-1)^p / (1+x^2)^(p+1) * sum_m c_m x^(p-2m),   p = n - 1,
 
     with c_m = expansion_coefficient(m, p) = N_m / 4^(p//2).  Since
-    2^p / 4^(p//2) = 2^(p&1), each coefficient is the integer
-    (-1)^p p! 2^(p&1) N_m, so no Fraction is built.
+    2^p / 4^(p//2) = 2^(p&1), the numerator is the integer prefactor
+    (-1)^p p! 2^(p&1), passed as the scale, times sum_m N_m x^(p-2m), so no
+    Fraction is built and the prefactor is never multiplied in.
     """
     _require_order(n)
     p = n - 1
-    prefactor = (-1) ** p * (math.factorial(p) << (p & 1))
     coeffs = [0] * (p + 1)
     for m, numerator in enumerate(_expansion_numerators(p)):
-        coeffs[p - 2 * m] = prefactor * numerator
-    return ArctanRational(Polynomial(coeffs), n)
+        coeffs[p - 2 * m] = numerator
+    prefactor = (-1) ** p * (math.factorial(p) << (p & 1))
+    return ArctanRational(Polynomial(coeffs), n, scale=prefactor)
 
 
 def arctan_derivative_pointwise(n: int, x: Scalar) -> Fraction:
@@ -171,7 +173,8 @@ def arctan_derivative_pointwise(n: int, x: Scalar) -> Fraction:
 
 
 def arctan_derivative_oracle(n: int) -> ArctanRational:
-    """Brute force: differentiate 1/(1+x^2) through n-1 quotient-rule steps."""
+    """Brute force: differentiate 1/(1+x^2) through n-1 quotient-rule steps,
+    each on the primitive part P, with the content moved into the scale."""
     _require_order(n)
     value = ArctanRational(Polynomial((1,)), 1)
     for _ in range(n - 1):
@@ -183,7 +186,7 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     """Exact agreement of all four routes for every n <= n_max.
 
     The closed and expanded forms must equal the quotient-rule oracle
-    structurally (same canonical numerator and exponent); the jet route must
+    structurally (same primitive part, exponent and scale); the jet route must
     match the oracle's value at every sample point.  Results are keyed by n,
     so the report does not depend on evaluation order.
 

@@ -2,7 +2,8 @@
 verification sweeps, and a timing table.
 
 Every result is printed by one emitter, ``_emit``, as text, a json document
-or a csv table.  The four sweeps (``check-identity``, ``check-corollary``,
+or a csv table, streamed to stdout term by term, with every number rendered
+at any size by ``exact_str`` (no int -> str digit limit).  The four sweeps (``check-identity``, ``check-corollary``,
 ``check-2f1`` and ``crosscheck``) share one command, ``cmd_check``, which runs
 the check function its subparser stored.
 
@@ -15,15 +16,14 @@ line, without a traceback).  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import re
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import arctan, identities
-from .polynomial import ArctanRational, Polynomial
+from .polynomial import ArctanRational, exact_str
 
 __all__ = ["main", "build_parser"]
 
@@ -73,55 +73,80 @@ def _positive(text: str) -> int:
 TERM_HEADER = ("power", "numerator", "denominator")
 
 
-def _terms(poly: Polynomial) -> list[tuple[int, int, int]]:
-    # Ascending power order, nonzero coefficients only.
-    return [
-        (power, c.numerator, c.denominator)
-        for power, c in enumerate(poly.coefficients)
-        if c != 0
-    ]
+class _Number(str):
+    """The text of an integer, written to json as a number."""
 
 
-def _term_dicts(terms: list[tuple[int, int, int]]) -> list[dict[str, int]]:
-    return [dict(zip(TERM_HEADER, term)) for term in terms]
+def _term_dicts(terms: Iterable[tuple[int, str, str]]) -> Iterator[dict[str, object]]:
+    for power, numerator, denominator in terms:
+        yield {"power": power, "numerator": _Number(numerator), "denominator": _Number(denominator)}
+
+
+def _json(value: object, indent: str, quote: Callable[[object], str]) -> Iterator[str]:
+    """json.dumps(value, indent=2) in pieces, for dicts, lists and iterators
+    of them, strings, ints, ``_Number`` texts, bools and None.  Ints are
+    rendered by ``exact_str``, so they have no digit limit, and an iterator
+    is written as a list while it is consumed."""
+    if isinstance(value, _Number):
+        yield value
+    elif type(value) is int:
+        yield exact_str(value)
+    elif isinstance(value, (dict, list, Iterator)):
+        if isinstance(value, dict):
+            opening, closing = "{", "}"
+            items = ((quote(key) + ": ", item) for key, item in value.items())
+        else:
+            opening, closing = "[", "]"
+            items = (("", item) for item in value)
+        inner = indent + "  "
+        before = opening
+        for prefix, item in items:
+            yield f"{before}\n{inner}{prefix}"
+            yield from _json(item, inner, quote)
+            before = ","
+        yield opening + closing if before == opening else f"\n{indent}{closing}"
+    else:
+        yield quote(value)
 
 
 def _emit(
     fmt: str,
-    text: object,
+    text: Iterable[str],
     document: Callable[[], dict] | None,
     header: Sequence[str],
     rows: Iterable[Sequence[object]],
 ) -> None:
-    """Print one result as text, as a json document or as a csv table.
+    """Print one result as text, as a json document or as a csv table,
+    streamed to stdout piece by piece, term by term or row by row.
 
-    Only the requested format's payload is rendered: ``print`` converts
-    ``text`` to a string, ``document`` is called and ``rows`` is iterated
-    only for their own format, so a large value is converted once.
+    Only the requested format's payload is rendered: the text pieces are
+    written, ``document`` is called and ``rows`` is iterated only for their
+    own format, so a large value is converted once and never held whole as
+    one output string.
     """
-    if fmt == "text":
-        print(text)
-    elif fmt == "json":
-        import json
-        print(json.dumps(document(), indent=2))
-    else:
+    if fmt == "csv":
         import csv
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        sys.stdout.write(buffer.getvalue())
+        return
+    if fmt == "json":
+        import json
+        text = _json(document(), "", json.dumps)
+    write = sys.stdout.write
+    for piece in text:
+        write(piece)
+    write("\n")
 
 
 def cmd_qpoly(args: argparse.Namespace) -> int:
     poly = arctan.q_polynomial(args.n)
-    terms = _terms(poly)
     _emit(
         args.format,
-        poly,
-        lambda: {"n": args.n, "terms": _term_dicts(terms)},
+        poly.text(),
+        lambda: {"n": args.n, "terms": _term_dicts(poly.terms())},
         TERM_HEADER,
-        terms,
+        poly.terms(),
     )
     return 0
 
@@ -141,27 +166,27 @@ def cmd_derive(args: argparse.Namespace) -> int:
     else:
         result = SYMBOLIC_METHODS[args.method](args.n)
         if args.x is None:
-            terms = _terms(result.numerator)
             _emit(
                 args.format,
-                result,
+                result.text(),
                 lambda: {
                     "n": args.n,
                     "method": args.method,
-                    "numerator": _term_dicts(terms),
+                    "numerator": _term_dicts(result.terms()),
                     "denominator_exponent": result.exponent,
                 },
                 (*TERM_HEADER, "denominator_exponent"),
-                ((*term, result.exponent) for term in terms),
+                ((*term, result.exponent) for term in result.terms()),
             )
             return 0
         value = result.evaluate(args.x)
+    x, value = exact_str(args.x), exact_str(value)
     _emit(
         args.format,
-        value,
-        lambda: {"n": args.n, "method": args.method, "x": str(args.x), "value": str(value)},
+        (value,),
+        lambda: {"n": args.n, "method": args.method, "x": x, "value": value},
         ("n", "method", "x", "value"),
-        [(args.n, args.method, args.x, value)],
+        [(args.n, args.method, x, value)],
     )
     return 0
 
@@ -183,7 +208,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         lines.append(f"  ... {hidden} more mismatches not shown")
     _emit(
         args.format,
-        "\n".join(lines),
+        ("\n".join(lines),),
         report.to_dict,
         ("check", "n_max", "cases", "failures", "passed"),
         [(report.check, args.n_max, report.cases, report.mismatches, report.passed)],
@@ -211,7 +236,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             rows.append((name, n, int(elapsed * 1_000_000)))
     _emit(
         args.format,
-        "\n".join(f"{name} n={n} micros={micros}" for name, n, micros in rows),
+        ("\n".join(f"{name} n={n} micros={micros}" for name, n, micros in rows),),
         lambda: {"n_max": args.n_max, "rows": [dict(zip(BENCH_HEADER, row)) for row in rows]},
         BENCH_HEADER,
         rows,

@@ -1,5 +1,6 @@
-"""Dense univariate polynomials over exact rationals, and the rational-function
-form P(x) / (1+x^2)^k in which every arctan derivative lives.
+"""Dense univariate polynomials over exact rationals, the rational-function
+form scale * P(x) / (1+x^2)^k in which every arctan derivative lives, and the
+exact text form of their numbers at any size.
 
 Coefficients are stored as ``int`` wherever they are integral and as
 ``Fraction`` otherwise, so integer polynomials (every arctan numerator) are
@@ -10,12 +11,67 @@ detects by P(i) = 0 and removes by synthetic division, with additions only.
 
 from __future__ import annotations
 
+import functools
+import math
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
+Term = tuple[int, str, str]
 
-__all__ = ["Polynomial", "ArctanRational", "ONE_PLUS_X2"]
+__all__ = ["Polynomial", "ArctanRational", "ONE_PLUS_X2", "exact_str"]
+
+# Exact decimal arithmetic on integers: no rounding at any size (Inexact
+# traps if one ever would).
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+# str() and Decimal() of an int cost time quadratic in its length, and from
+# Python 3.11 str() refuses more than sys.get_int_max_str_digits() digits
+# (4300 by default, never below 640 when set).  An int of at most this many
+# bits (617 digits) is converted directly; a longer one is split in binary.
+_DIRECT_BITS = 2048
+
+
+@functools.lru_cache(maxsize=None)
+def _two_power(j: int) -> Decimal:
+    """2^(2^j) as an exact Decimal, by repeated squaring."""
+    if not j:
+        return Decimal(2)
+    root = _two_power(j - 1)
+    return _EXACT.multiply(root, root)
+
+
+def _decimal(n: int) -> Decimal:
+    """n as an exact Decimal, in time below quadratic in its length.
+
+    Above _DIRECT_BITS bits, n = hi 2^w + lo with w = 2^j the largest power
+    of two below the bit length of n, 0 <= lo < 2^w and hi = n >> w (a floor,
+    so the sign stays with hi); both halves are converted the same way and
+    joined by one exact multiply-add with the cached 2^w.
+    """
+    bits = n.bit_length()
+    if bits <= _DIRECT_BITS:
+        return Decimal(n)
+    j = (bits - 1).bit_length() - 1
+    hi = n >> (1 << j)
+    lo = n - (hi << (1 << j))
+    return _EXACT.add(_EXACT.multiply(_decimal(hi), _two_power(j)), _decimal(lo))
+
+
+def exact_str(value: Scalar) -> str:
+    """str(value) for an int or a Fraction of any size, with no int -> str
+    digit limit and no call to sys.set_int_max_str_digits.
+
+    >>> exact_str(Fraction(-3, 4)), exact_str(7)
+    ('-3/4', '7')
+    >>> exact_str(-(10**5000)) == "-1" + "0" * 5000
+    True
+    """
+    if value.denominator != 1:
+        return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
+    n = value.numerator
+    return str(n) if n.bit_length() <= _DIRECT_BITS else str(_decimal(n))
 
 
 def _immutable(self, name, *value):
@@ -169,26 +225,53 @@ class Polynomial(_Value):
     def __repr__(self) -> str:
         return f"Polynomial({self.coefficients!r})"
 
-    def __str__(self) -> str:
-        """Deterministic text form: descending powers, exact coefficients."""
-        if self.is_zero():
-            return "0"
-        parts: list[str] = []
-        for power in range(self.degree, -1, -1):
-            c = self.coefficients[power]
-            if c == 0:
+    def _terms(self, scale: Scalar, powers: Iterable[int]) -> Iterator[Term]:
+        """(power, numerator, denominator) as text for each nonzero
+        coefficient of scale * self, in the order of powers.
+
+        An int scale is converted to Decimal once, and each int coefficient
+        is printed as the exact Decimal product, so the product is never
+        formed as an int and never converted by the quadratic int -> str.
+        """
+        coefficients = self.coefficients
+        factor = _decimal(scale) if type(scale) is int and scale != 1 else None
+        for power in powers:
+            c = coefficients[power]
+            if not (c and scale):
                 continue
-            magnitude = abs(c)
-            if power == 0:
-                body = str(magnitude)
+            if factor is not None and type(c) is int:
+                yield power, str(_EXACT.multiply(factor, _decimal(c))), "1"
             else:
+                value = scale * c
+                yield power, exact_str(value.numerator), exact_str(value.denominator)
+
+    def terms(self, scale: Scalar = 1) -> Iterator[Term]:
+        """(power, numerator, denominator) as text for each nonzero
+        coefficient of scale * self, in ascending powers."""
+        return self._terms(scale, range(len(self.coefficients)))
+
+    def text(self, scale: Scalar = 1) -> Iterator[str]:
+        """The text form of scale * self, one piece per term: descending
+        powers, exact coefficients.  Joined, the pieces are ``str``."""
+        first = True
+        for power, numerator, denominator in self._terms(scale, range(self.degree, -1, -1)):
+            negative = numerator[0] == "-"
+            magnitude = numerator[negative:]
+            if denominator != "1":
+                magnitude = f"{magnitude}/{denominator}"
+            if power:
                 variable = "x" if power == 1 else f"x^{power}"
-                body = variable if magnitude == 1 else f"{magnitude}*{variable}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                magnitude = variable if magnitude == "1" else f"{magnitude}*{variable}"
+            if first:
+                yield f"-{magnitude}" if negative else magnitude
             else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+                yield f" - {magnitude}" if negative else f" + {magnitude}"
+            first = False
+        if first:
+            yield "0"
+
+    def __str__(self) -> str:
+        return "".join(self.text())
 
 
 def _exact(value) -> Scalar:
@@ -208,56 +291,90 @@ ONE_PLUS_X2 = Polynomial((1, 0, 1))
 
 
 class ArctanRational(_Value):
-    """P(x) / (1+x^2)^k, stored with the smallest possible exponent k.
+    """scale * P(x) / (1+x^2)^k, stored in the one canonical form:
 
-    Construction divides out every exact (1+x^2) factor of the numerator, so
-    mathematically equal values always compare equal field by field.
-    Exponent 0 is a plain polynomial.
+    * P is a primitive integer polynomial (the gcd of its coefficients is 1)
+      with a positive leading coefficient;
+    * scale carries the content and the sign: an int, or a Fraction when the
+      given numerator has non-integral coefficients;
+    * k is the smallest possible exponent;
+    * zero is P = 0, k = 0 and scale = 0.
+
+    ``ArctanRational(p, k, scale)`` is scale * p / (1+x^2)^k for any
+    polynomial or scalar p (the parameters are named after the stored
+    fields, so that the repr is a constructor call): construction takes one
+    gcd over p's coefficients and moves that content into ``scale``, so a
+    route can pass a factor it knows, such as (n-1)!, as ``scale`` and never
+    multiply it in.  The form
+    is unique, so mathematically equal values compare equal field by field.
+    Exponent 0 is a plain polynomial.  ``numerator`` is the full numerator
+    scale * P, built on each read.
 
     Over the rationals 1+x^2 divides P exactly when P(i) = 0, that is, when
     c_0 - c_2 + c_4 - ... and c_1 - c_3 + c_5 - ... both vanish.  Only then
     is a factor removed, by synthetic division top down,
-    q_j = p_(j+2) - q_(j+2); otherwise the given numerator is kept as is.
+    q_j = p_(j+2) - q_(j+2), which keeps P primitive (Gauss's lemma).
     No arctan route ever hits a factor: its numerator at x = i is
     (-1)^(n-1) (n-1)! (2i)^(n-1), never 0.
 
     >>> ArctanRational(Polynomial((0, -2, 0, -2)), 3)
-    ArctanRational(numerator=Polynomial((0, -2)), exponent=2)
+    ArctanRational(primitive=Polynomial((0, 1)), exponent=2, scale=-2)
     """
 
-    __slots__ = ("numerator", "exponent")
-    numerator: Polynomial
+    __slots__ = ("primitive", "exponent", "scale")
+    primitive: Polynomial
     exponent: int
+    scale: Scalar
 
-    def __init__(self, numerator: Polynomial | Scalar, exponent: int = 0):
+    def __init__(self, primitive: Polynomial | Scalar, exponent: int = 0, scale: Scalar = 1):
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        poly = _as_poly(numerator)
-        while exponent > 0:
-            c = poly.coefficients
-            if sum(c[0::4]) != sum(c[2::4]) or sum(c[1::4]) != sum(c[3::4]):
-                break
-            quotient = list(c[2:])
-            for j in range(len(quotient) - 3, -1, -1):
-                quotient[j] -= quotient[j + 2]
-            poly = Polynomial(quotient)
+        coeffs = _as_poly(primitive).coefficients
+        if not coeffs or not scale:
+            coeffs, exponent, scale = (), 0, 0
+        else:
+            common = math.lcm(*[c.denominator for c in coeffs if type(c) is not int])
+            if common != 1:
+                coeffs = [(c * common).numerator for c in coeffs]
+                scale = Fraction(scale, common)
+            content = math.gcd(*coeffs)
+            if coeffs[-1] < 0:
+                content = -content
+            if content != 1:
+                coeffs = [c // content for c in coeffs]
+                scale *= content
+            if type(scale) is not int:
+                scale = _exact(scale)
+        c = coeffs
+        while exponent and sum(c[0::4]) == sum(c[2::4]) and sum(c[1::4]) == sum(c[3::4]):
+            c = list(c[2:])
+            for j in range(len(c) - 3, -1, -1):
+                c[j] -= c[j + 2]
             exponent -= 1
-        object.__setattr__(self, "numerator", poly)
+        object.__setattr__(self, "primitive", Polynomial(c))
         object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "scale", scale)
+
+    @property
+    def numerator(self) -> Polynomial:
+        """The full numerator scale * P."""
+        return self.primitive * self.scale
 
     def derivative(self) -> ArctanRational:
-        """Quotient rule: (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1), re-canonicalized."""
-        p, k = self.numerator, self.exponent
+        """Quotient rule on P: scale (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1),
+        re-canonicalized."""
+        p, k = self.primitive, self.exponent
         top = p.derivative() * ONE_PLUS_X2 - Polynomial((0, 2 * k)) * p
-        return ArctanRational(top, k + 1)
+        return ArctanRational(top, k + 1, self.scale)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at a rational point; 1+x^2 >= 1 so never a pole.
 
-        At x = p/q the value is (q^deg P(p/q)) q^(2k-deg) / (p^2+q^2)^k,
-        formed as one Fraction.
+        At x = p/q the value is scale (q^deg P(p/q)) q^(2k-deg) / (p^2+q^2)^k:
+        P is evaluated in int, and the scale is multiplied in once, into the
+        one Fraction formed at the end.
         """
-        poly, k = self.numerator, self.exponent
+        poly, k = self.primitive, self.exponent
         if poly.is_zero():
             return Fraction(0)
         x = Fraction(x)
@@ -268,7 +385,7 @@ class ArctanRational(_Value):
             top *= q**shift
         else:
             bottom *= q**-shift
-        return Fraction(top, bottom)
+        return Fraction(self.scale * top, bottom)
 
     def __add__(self, other: ArctanRational) -> ArctanRational:
         k = max(self.exponent, other.exponent)
@@ -276,7 +393,18 @@ class ArctanRational(_Value):
         right = other.numerator * ONE_PLUS_X2 ** (k - other.exponent)
         return ArctanRational(left + right, k)
 
+    def terms(self) -> Iterator[Term]:
+        """(power, numerator, denominator) as text for each nonzero
+        coefficient of the numerator, in ascending powers."""
+        return self.primitive.terms(self.scale)
+
+    def text(self) -> Iterator[str]:
+        """The text form in pieces; joined, they are ``str``."""
+        if self.exponent:
+            yield "("
+        yield from self.primitive.text(self.scale)
+        if self.exponent:
+            yield f") / (1+x^2)^{self.exponent}"
+
     def __str__(self) -> str:
-        if self.exponent == 0:
-            return str(self.numerator)
-        return f"({self.numerator}) / (1+x^2)^{self.exponent}"
+        return "".join(self.text())

@@ -1,15 +1,40 @@
 """Independent brute-force oracles, used only by the tests.
 
 Each one computes its quantity by a route the library never takes, so an
-agreement between the two is evidence, not tautology.
+agreement between the two is evidence, not tautology.  ``digit_limit`` sets
+the interpreter's int <-> str digit limit for a test's own conversions.
 """
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
 from arctanderiv.polynomial import Polynomial
+
+DEFAULT_DIGIT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 0)
+
+
+def current_digit_limit() -> int:
+    """sys.get_int_max_str_digits(), or 0 (no limit) before Python 3.11."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextlib.contextmanager
+def digit_limit(limit: int):
+    """Run the block with the int <-> str digit limit set to ``limit`` (0
+    lifts it) and restore the previous limit in ``finally``.  Before Python
+    3.11 there is no limit and this does nothing."""
+    previous = current_digit_limit()
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(previous)
 
 
 def euler_partition_count(n: int) -> int:
@@ -87,6 +112,20 @@ def gaussian_derivative_value(n: int, x: Fraction) -> Fraction:
         exponent >>= 1
     sign = -1 if (n - 1) & 1 else 1
     return Fraction(sign * factorial(n - 1) * power[1] * q**n, (p * p + q * q) ** n)
+
+
+def arctan_numerator(n: int) -> dict[int, int]:
+    """Power -> nonzero coefficient of the numerator of arctan^(n) over
+    (1+x^2)^n, for n >= 1, from the same Gaussian-integer identity expanded
+    by the binomial theorem with math.comb:
+
+        (-1)^(n-1) (n-1)! Im((x+i)^n)
+            = (-1)^(n-1) (n-1)! sum over odd k of C(n, k) (-1)^((k-1)/2) x^(n-k).
+    """
+    prefactor = (-1) ** (n - 1) * factorial(n - 1)
+    return {
+        n - k: prefactor * (-1) ** ((k - 1) // 2) * comb(n, k) for k in range(1, n + 1, 2)
+    }
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:

@@ -14,6 +14,13 @@ from hypothesis import strategies as st
 import arctanderiv
 from arctanderiv import arctan_derivative_closed, identities
 from arctanderiv.cli import FORMATS, main
+from oracles import (
+    DEFAULT_DIGIT_LIMIT,
+    arctan_numerator,
+    current_digit_limit,
+    digit_limit,
+    gaussian_derivative_value,
+)
 
 
 def run_cli(capsys, *argv):
@@ -323,18 +330,79 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch):
         assert err == "error: RuntimeError: sweep broke\n"
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
-)
-def test_digit_limit_failure_exits_three(capsys):
-    if sys.get_int_max_str_digits() == 0:
-        pytest.skip("the int->str digit limit is lifted")
-    for fmt in ("text", "json", "csv"):
-        code, out, err = run_cli(capsys, "derive", "1600", "--x=1/3", f"--format={fmt}")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ValueError: ")
-        assert err.count("\n") == 1
+def run_at_default_digit_limit(capsys, *argv):
+    """run_cli under the interpreter's default int <-> str digit limit,
+    checking that the command leaves the limit as it found it."""
+    with digit_limit(DEFAULT_DIGIT_LIMIT):
+        result = run_cli(capsys, *argv)
+        assert current_digit_limit() == DEFAULT_DIGIT_LIMIT
+    return result
+
+
+def _symbolic_outputs(n):
+    """The text, json and csv outputs of `derive n` from the math.comb
+    numerator; its ints are converted to text once, by json.dumps with the
+    digit limit lifted."""
+    numerator = sorted(arctan_numerator(n).items())
+    assert all(abs(c) > 1 for _, c in numerator)
+    document = {
+        "n": n,
+        "method": None,
+        "numerator": [{"power": p, "numerator": c, "denominator": 1} for p, c in numerator],
+        "denominator_exponent": n,
+    }
+    with digit_limit(0):
+        json_text = json.dumps(document, indent=2)
+    terms = json.loads(json_text, parse_int=str)["numerator"]
+    text = ""
+    for term in reversed(terms):
+        power, c = term["power"], term["numerator"]
+        variable = "" if power == "0" else "*x" if power == "1" else f"*x^{power}"
+        text += f" {'-' if c[0] == '-' else '+'} {c.lstrip('-')}{variable}"
+    text = ("-" if text[1] == "-" else "") + text[3:]
+    csv_rows = "".join(f"{t['power']},{t['numerator']},1,{n}\n" for t in terms)
+    return {
+        "text": f"({text}) / (1+x^2)^{n}\n",
+        "json": json_text + "\n",
+        "csv": "power,numerator,denominator,denominator_exponent\n" + csv_rows,
+    }
+
+
+def test_symbolic_derive_prints_past_the_digit_limit(capsys):
+    # Every coefficient of arctan^(2000) has 5736 to 6333 digits, over
+    # the default limit of 4300.
+    n = 2000
+    expected = _symbolic_outputs(n)
+    for method in ("closed", "prop12"):
+        for fmt in FORMATS:
+            code, out, err = run_at_default_digit_limit(
+                capsys, "derive", str(n), f"--method={method}", f"--format={fmt}"
+            )
+            assert (code, err) == (0, "")
+            want = expected[fmt].replace('"method": null', f'"method": "{method}"')
+            assert out == want, (method, fmt)
+
+
+@pytest.mark.parametrize("n", [1600, 2000])
+def test_derive_values_print_past_the_digit_limit(capsys, n):
+    x = Fraction(1, 3)
+    with digit_limit(0):
+        value = str(gaussian_derivative_value(n, x))
+    assert len(value) > DEFAULT_DIGIT_LIMIT
+    for method in ("closed", "fdb"):
+        expected = {
+            "text": value + "\n",
+            "json": json.dumps(
+                {"n": n, "method": method, "x": "1/3", "value": value}, indent=2
+            ) + "\n",
+            "csv": f"n,method,x,value\n{n},{method},1/3,{value}\n",
+        }
+        for fmt in FORMATS:
+            code, out, err = run_at_default_digit_limit(
+                capsys, "derive", str(n), f"--method={method}", "--x=1/3", f"--format={fmt}"
+            )
+            assert (code, err) == (0, "")
+            assert out == expected[fmt], (method, fmt)
 
 
 def test_malformed_arguments_exit_two(capsys):

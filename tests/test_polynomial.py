@@ -1,17 +1,18 @@
 import copy
 import doctest
 import importlib
+import math
 import pickle
 import pkgutil
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arctanderiv
-from arctanderiv import ONE_PLUS_X2, ArctanRational, Polynomial
-from oracles import difference_quotient_derivative
+from arctanderiv import ONE_PLUS_X2, ArctanRational, Polynomial, exact_str
+from oracles import difference_quotient_derivative, digit_limit
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=8
@@ -65,6 +66,39 @@ def test_compose():
     outer = Polynomial((1, 0, 1))  # y^2 + 1
     inner = Polynomial((1, 1))  # x + 1
     assert outer.compose(inner) == Polynomial((2, 2, 1))
+
+
+# Ints of up to about 60k digits, drawn by bit length so that every size is
+# met.
+big_ints = st.integers(0, 200_000).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
+
+
+def _check_exact_str(n, scale):
+    with digit_limit(0):
+        want, want_scaled = str(n), str(scale * n)
+        want_fraction = str(Fraction(n, scale)) if scale else None
+    assert exact_str(n) == want
+    if scale:
+        assert exact_str(Fraction(n, scale)) == want_fraction
+    if n:
+        assert list(Polynomial((n,)).terms(scale)) == ([(0, want_scaled, "1")] if scale else [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_ints, big_ints)
+def test_exact_str_matches_str(n, scale):
+    _check_exact_str(n, scale)
+
+
+def test_exact_str_at_split_widths():
+    # 0, negative values and powers of two next to each split width: 2048
+    # bits and its doublings.
+    _check_exact_str(0, 0)
+    _check_exact_str(-1, -(10**9000))
+    for w in (2048 << j for j in range(7)):
+        for n in ((1 << w) - 1, 1 << w, (1 << w) + 1):
+            _check_exact_str(n, -3)
+            _check_exact_str(-7, -n)
 
 
 def test_text_rendering():
@@ -204,12 +238,31 @@ def test_rational_functions_are_values():
     assert a != ArctanRational(Polynomial((0, -2)), 1)
     assert ArctanRational(Polynomial((1,)), 1) != Polynomial((1,))
     assert ArctanRational(Polynomial((1,)), 0) != Polynomial((1,))
-    for field in ("numerator", "exponent"):
+    for field in ("primitive", "exponent", "scale", "numerator"):
         with pytest.raises(AttributeError):
             setattr(a, field, 0)
         with pytest.raises(AttributeError):
             delattr(a, field)
     assert (a.numerator, a.exponent) == (Polynomial((0, -2)), 2)
     assert pickle.loads(pickle.dumps(a)) == copy.copy(a) == copy.deepcopy(a) == a
-    assert repr(a) == "ArctanRational(numerator=Polynomial((0, -2)), exponent=2)"
-    assert repr(ArctanRational(1)) == "ArctanRational(numerator=Polynomial((1,)), exponent=0)"
+    assert (a.primitive, a.scale) == (Polynomial((0, 1)), -2)
+    assert repr(a) == "ArctanRational(primitive=Polynomial((0, 1)), exponent=2, scale=-2)"
+    assert repr(ArctanRational(1)) == "ArctanRational(primitive=Polynomial((1,)), exponent=0, scale=1)"
+
+
+@given(small_ars)
+def test_stored_form(r):
+    p = r.primitive
+    assert all(type(c) is int for c in p.coefficients)
+    if p.is_zero():
+        assert (r.exponent, r.scale) == (0, 0)
+    else:
+        assert math.gcd(*p.coefficients) == 1 and p.leading_coefficient > 0
+        assert type(r.scale) is int or r.scale.denominator != 1
+    assert r.numerator == r.scale * p
+    # The form is unique: rebuilding from it or from the full numerator
+    # gives the same fields.
+    assert ArctanRational(p, r.exponent, r.scale) == ArctanRational(r.numerator, r.exponent) == r
+    names = {"Polynomial": Polynomial, "ArctanRational": ArctanRational, "Fraction": Fraction}
+    assert eval(repr(r), names) == r
+    assert pickle.loads(pickle.dumps(r)) == copy.copy(r) == copy.deepcopy(r) == r
