@@ -1,25 +1,29 @@
 """Exact verification of the alternating binomial-sum identities and of their
 terminating Gauss hypergeometric form.
 
-Every check here is an exact-equality sweep over big rationals.  The Gamma
-function never appears: the hypergeometric series is only ever evaluated where
-it terminates, so the classical Gamma-ratio closed form is exercised purely
+Every check here is an exact-equality sweep.  The Gamma function never
+appears: the hypergeometric series is only ever evaluated where it
+terminates, so the classical Gamma-ratio closed form is exercised purely
 through its combinatorial consequence, never numerically.
 
 The three sums (the alternating sum, the weighted sum and the terminating
-series) accumulate an integer numerator over one common denominator and build
-a single ``Fraction`` at the end, so no gcd runs inside a sum.  The binomials
-of the literal sums come from Pascal's triangle and are never derived from
-the previous term by a ratio: the ratio C(n-i-1, i+1) / C(n-i, i) is the
-term ratio of the 2F1 series, so a literal sum built from it would make the
-2F1 check compare the series with itself.  Single calls read them from
-``binomial``, one O(n) literal sum per call.  The sweeps read C(n-i, i) and
-C(2n+1-i, i) from the Pascal anti-diagonals, each built from the two before
-it by addition only, and read no C(i, m) at all: the numerators of every m
-of one n are the coefficients of a Taylor shift by 1, computed by additions
-(Pascal's rule).  The binomial-identity sweep reads its closed form from
-Pascal rows grown by addition, and decides each case by integer equality of
-the two numerators.
+series) accumulate an integer numerator over one common denominator, so no
+gcd runs inside a sum.  The binomials of the literal sums come from Pascal's
+rule and are never derived from the previous term by a ratio: the ratio
+C(n-i-1, i+1) / C(n-i, i) is the term ratio of the 2F1 series, so a literal
+sum built from it would make the 2F1 check compare the series with itself.
+Single calls read them from ``binomial``, one O(n) literal sum per call.
+
+The sweeps take O(n) additions per n.  The literal numerators of every m of
+one n are the coefficients of the weight polynomial shifted by 1; the weight
+polynomials follow a three-term recurrence (Pascal's rule on the
+anti-diagonals), and the shift is linear, so the sweeps run that recurrence
+on the shifted polynomials themselves: recurrence, then shift, once, at the
+start.  The corollary sweep reads its binomials from one pass over the
+anti-diagonals, and ``check-identity`` reads its closed form from Pascal rows
+grown by addition.  Every case is decided by integer equality, by
+cross-multiplication where the two sides have different denominators, and a
+``Fraction`` is built only for the context of a mismatch.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterator, Sequence
 
-from .combinatorics import binomial, pochhammer
+from .combinatorics import binomial
 from .polynomial import Scalar
 from .reports import CheckReport
 
@@ -79,11 +83,7 @@ def _alternating_weights(n: int, diagonal: Sequence[int]) -> list[int]:
     """The integer weights w_i = (-1)^i 4^(n//2 - i) C(n-i, i), i = 0..n//2,
     of the literal sum, from the anti-diagonal D_n."""
     top = n // 2
-    weights = []
-    for i in range(top + 1):
-        weight = diagonal[i] << 2 * (top - i)
-        weights.append(-weight if i & 1 else weight)
-    return weights
+    return [(-d if i & 1 else d) << 2 * (top - i) for i, d in enumerate(diagonal)]
 
 
 def _alternating_numerator(n: int, m: int) -> int:
@@ -94,25 +94,26 @@ def _alternating_numerator(n: int, m: int) -> int:
     return sum(binomial(i, m) * weights[i] for i in range(m, top + 1))
 
 
-def _alternating_numerators(weights: Sequence[int]) -> list[int]:
-    """sum_i C(i, m) w_i for every m = 0..len(weights)-1: the coefficients
-    of W(1 + t), where W(t) = sum_i w_i t^i.
-
-    W(1 + t) is built by Horner's scheme in 1 + t, highest weight first.
-    Each step multiplies by 1 + t through Pascal's rule, additions only, so
-    no C(i, m) and no term ratio is ever read.
-    """
-    poly = [weights[-1]]
-    for w in reversed(weights[:-1]):
-        poly = [w + poly[0], *map(add, poly[1:], poly[:-1]), poly[-1]]
-    return poly
-
-
 def _sweep_numerators(n_max: int) -> Iterator[tuple[int, list[int]]]:
-    """(n, [sum_i C(i, m) w_i for m = 0..n//2]) for n = 0..n_max, with the
-    weights from the anti-diagonal D_n."""
-    for n, diagonal in zip(range(n_max + 1), _antidiagonals()):
-        yield n, _alternating_numerators(_alternating_weights(n, diagonal))
+    """(n, S_n) for n = 0..n_max, where S_n[m] = sum_i C(i, m) w_i is the
+    literal sum of (n, m) times 4^(n//2), m = 0..n//2.
+
+    S_n(t) = W_n(1 + t) with W_n(t) = sum_i w_i t^i (binomial theorem).
+    Pascal's rule on the anti-diagonals, C(n-i, i) = C(n-1-i, i) +
+    C(n-1-i, i-1), gives W_n = c_n W_{n-1} - t W_{n-2} from W_{-1} = 0 and
+    W_0 = 1, with c_n = 4^(n//2 - (n-1)//2): 4 for even n, 1 for odd n.
+    Substituting 1 + t for t is linear, so S_n = c_n S_{n-1} - (1+t) S_{n-2}:
+    O(n) additions per n, and no C(i, m), no term ratio and no closed form
+    is read.  The yielded rows are the recurrence's state; do not mutate them.
+    """
+    older: list[int] = []  # S_{-1}
+    newer = [1]  # S_0
+    yield 0, newer
+    for n in range(1, n_max + 1):
+        # c_n S_{n-1}, padded to the n//2 + 1 coefficients of S_n.
+        scaled = newer if n & 1 else [v << 2 for v in newer] + [0]
+        older, newer = newer, list(map(sub, map(sub, scaled, older + [0]), [0] + older))
+        yield n, newer
 
 
 def alternating_binomial_sum(n: int, m: int) -> Fraction:
@@ -120,10 +121,9 @@ def alternating_binomial_sum(n: int, m: int) -> Fraction:
 
     Accumulated as integers over the common denominator 4^(n//2): term i is
     C(i, m) times the weight (-1)^i 4^(n//2 - i) C(n-i, i), with every
-    binomial read from ``binomial``.  O(n) per call.  The sweeps build the
-    same weights once per n from the anti-diagonals and take the numerators
-    of every m at once from a Taylor shift, so this sum is an independent
-    witness for their values.
+    binomial read from ``binomial``.  O(n) per call.  The sweeps take the
+    numerators of every m at once from a recurrence on the shifted weight
+    polynomials, so this sum is an independent witness for their values.
     :func:`arctanderiv.arctan.expansion_coefficient` computes the same sum
     over the same denominator but is written separately (Horner's scheme in
     4, its own index names), so the equality test between the two modules can
@@ -158,30 +158,28 @@ def alternating_binomial_closed_form(n: int, m: int) -> Fraction:
 def check_binomial_identity(n_max: int) -> CheckReport:
     """Literal sum == closed form for every n <= n_max, 0 <= m <= n//2.
 
-    The literal sums of one n come at once from the Taylor shift of its
-    weights; the closed form reads row n+1 of Pascal's triangle, grown by
-    addition.
+    The literal sums of one n come at once from ``_sweep_numerators``; the
+    closed form reads row n+1 of Pascal's triangle, grown by addition.
     Since 2^n = 4^(n//2) 2^(n&1), a case holds exactly when the literal
     numerator over 4^(n//2), shifted left by n&1, equals the closed form's
-    numerator over 2^n; both sides become a ``Fraction`` only in the context
-    of a mismatch.
+    numerator over 2^n.  One list comparison decides the whole row of an n
+    and counts its cases; only a row that differs is walked case by case,
+    and both sides become a ``Fraction`` only in the context of a mismatch.
     """
     report = CheckReport("check-identity", {"n_max": n_max})
     closed_rows = itertools.islice(_pascal_rows(), 1, None)
     for (n, numerators), closed_row in zip(_sweep_numerators(n_max), closed_rows):
-        shift = n & 1
-        for m, numerator in enumerate(numerators):
-            closed = _closed_form_numerator(closed_row, m)
-            if numerator << shift == closed:
+        closed = [_closed_form_numerator(closed_row, m) for m in range(len(numerators))]
+        literal = [v << 1 for v in numerators] if n & 1 else numerators
+        if literal == closed:
+            report.cases += len(closed)
+            continue
+        for m, (lhs, rhs) in enumerate(zip(literal, closed)):
+            if lhs == rhs:
                 report.count_case(True)
             else:
-                report.count_case(
-                    False,
-                    n=n,
-                    m=m,
-                    lhs=Fraction(numerator, 4 ** (n // 2)),
-                    rhs=Fraction(closed, 1 << n),
-                )
+                lhs, rhs = Fraction(lhs, 1 << n), Fraction(rhs, 1 << n)
+                report.count_case(False, n=n, m=m, lhs=lhs, rhs=rhs)
     return report
 
 
@@ -189,11 +187,9 @@ def _weighted_numerator(n: int, diagonal: Sequence[int], lcm: int) -> int:
     """The weighted sum times 4^n lcm, from the anti-diagonal D_{2n+1} and
     lcm = lcm(1..n+1): term i is (-1)^i C(2n+1-i, i) scaled by
     4^(n-i) lcm / (n+1-i)."""
-    numerator = 0
-    for i in range(n + 1):
-        term = diagonal[i] * (lcm // (n + 1 - i)) << 2 * (n - i)
-        numerator += -term if i & 1 else term
-    return numerator
+    return sum(
+        (-d if i & 1 else d) * (lcm // (n + 1 - i)) << 2 * (n - i) for i, d in enumerate(diagonal)
+    )
 
 
 def weighted_binomial_sum(n: int) -> Fraction:
@@ -209,14 +205,15 @@ def weighted_binomial_sum(n: int) -> Fraction:
     return Fraction(_weighted_numerator(n, diagonal, lcm), lcm << 2 * n)
 
 
-def _weighted_sums(n_max: int) -> Iterator[Fraction]:
-    """weighted_binomial_sum(n) for n = 0..n_max, from the odd anti-diagonals
-    D_{2n+1}, with lcm(1..n+1) grown by one factor per n."""
+def _corollary_numerators(n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, lcm, numerator, D_{2n}) for n = 0..n_max, from one pass over the
+    anti-diagonals: D_{2n+1} gives the numerator of weighted_binomial_sum(n)
+    over 4^n lcm, with lcm = lcm(1..n+1) grown by one factor per n."""
     lcm = 1
-    odd_diagonals = itertools.islice(_antidiagonals(), 1, None, 2)
-    for n, diagonal in zip(range(n_max + 1), odd_diagonals):
+    diagonals = _antidiagonals()
+    for n, even, odd in zip(range(n_max + 1), diagonals, diagonals):
         lcm = math.lcm(lcm, n + 1)
-        yield Fraction(_weighted_numerator(n, diagonal, lcm), lcm << 2 * n)
+        yield n, lcm, _weighted_numerator(n, odd, lcm), even
 
 
 def weighted_binomial_closed_form(n: int) -> Fraction:
@@ -234,27 +231,32 @@ def check_weighted_identity(n_max: int) -> CheckReport:
 
     With S_j = alternating_binomial_sum(2j, 0), the derivation rests on
     S_{j+1} - S_j/4 = 2/4^(j+1); that recurrence is swept for j <= n_max//2
-    so the two halves of the argument are checked together.  Only m = 0 is
-    needed there, where every C(i, 0) is 1, so S_j is the sum of the weights
-    of the even anti-diagonal D_{2j}.
+    so the two halves of the argument are checked together.  In integers it
+    reads s_{j+1} - s_j = 2, where s_j = 4^j S_j is the sum of the weights of
+    the even anti-diagonal D_{2j}: at m = 0 every C(i, 0) is 1.  Over its
+    4^n lcm(1..n+1), the closed form's numerator is lcm // (n+1) for even n
+    and 0 for odd n.  The weighted cases come first, then the recurrence.
     """
     report = CheckReport("check-corollary", {"n_max": n_max})
-    for n, lhs in enumerate(_weighted_sums(n_max)):
-        rhs = weighted_binomial_closed_form(n)
-        report.count_case(lhs == rhs, n=n, lhs=lhs, rhs=rhs)
-    even_diagonals = itertools.islice(_antidiagonals(), 0, 2 * (n_max // 2 + 1) + 1, 2)
-    for j, diagonal in enumerate(even_diagonals):
-        following = Fraction(sum(_alternating_weights(2 * j, diagonal)), 4**j)
-        if j:
-            difference = following - prefix / 4
-            expected = Fraction(2, 4**j)
-            report.count_case(
-                difference == expected,
-                recurrence_j=j - 1,
-                difference=difference,
-                expected=expected,
-            )
-        prefix = following
+    prefix_sums = []
+    # The recurrence needs s_0..s_{n_max//2 + 1}, which passes n_max at 0.
+    for n, lcm, numerator, even in _corollary_numerators(max(n_max, 1)):
+        if n <= n_max // 2 + 1:
+            prefix_sums.append(sum(_alternating_weights(2 * n, even)))
+        if n > n_max:
+            break
+        if numerator == (0 if n & 1 else lcm // (n + 1)):
+            report.count_case(True)
+        else:
+            lhs = Fraction(numerator, lcm << 2 * n)
+            report.count_case(False, n=n, lhs=lhs, rhs=weighted_binomial_closed_form(n))
+    for j, (prefix, following) in enumerate(zip(prefix_sums, prefix_sums[1:])):
+        if following - prefix == 2:
+            report.count_case(True)
+        else:
+            difference = Fraction(following - prefix, 4 ** (j + 1))
+            expected = Fraction(2, 4 ** (j + 1))
+            report.count_case(False, recurrence_j=j, difference=difference, expected=expected)
     return report
 
 
@@ -270,9 +272,7 @@ def truncation_index(a: Scalar, b: Scalar) -> int | None:
     integer q, so the last surviving term has index -q; half-integers never
     reach zero.
     """
-    candidates = [
-        -int(p) for p in (a, b) if p <= 0 and p.denominator == 1
-    ]
+    candidates = [-p.numerator for p in (a, b) if p.denominator == 1 and p.numerator <= 0]
     return min(candidates) if candidates else None
 
 
@@ -291,6 +291,12 @@ def terminating_2f1(a: Scalar, b: Scalar, c: Scalar) -> Fraction:
     and denominators of a, b and c, and reduced by one gcd at the end.  It
     holds for any rational a, b and c.
     """
+    return Fraction(*_terminating_2f1(a, b, c))
+
+
+def _terminating_2f1(a: Scalar, b: Scalar, c: Scalar) -> tuple[int, int]:
+    """terminating_2f1(a, b, c) as an unreduced (numerator, denominator)
+    pair of ints; the denominator may be negative."""
     last = truncation_index(a, b)
     if last is None or last >= MAX_TERMS:
         raise NonTerminatingSeriesError(
@@ -312,15 +318,10 @@ def terminating_2f1(a: Scalar, b: Scalar, c: Scalar) -> Fraction:
         down = (c_num + k * c_den) * (k + 1) * upper_den
         numerator = numerator * up + denominator * down
         denominator *= down
-    return Fraction(numerator, denominator)
+    return numerator, denominator
 
 
-def _hypergeometric_case(
-    n: int,
-    m: int,
-    report: CheckReport,
-    numerator: int,
-) -> None:
+def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) -> None:
     # numerator is the literal sum times 4^(n//2).
     # Series form of the literal sum: 2F1(m - n/2, m - n/2 + 1/2; m - n; 1)
     # times (-1)^m / (m! 4^m) * (n - 2m + 1)_m.  Exactly one upper parameter
@@ -328,27 +329,19 @@ def _hypergeometric_case(
     # series terminates after the term of index n//2 - m: the same number of
     # terms as the literal sum.
     a, b = Fraction(2 * m - n, 2), Fraction(2 * m - n + 1, 2)
-    expected_index = n // 2 - m
-    index = truncation_index(a, b)
+    index, expected = truncation_index(a, b), n // 2 - m
     report.count_case(
-        index == expected_index,
-        n=n,
-        m=m,
-        kind="truncation index",
-        index=index,
-        expected=expected_index,
+        index == expected, n=n, m=m, kind="truncation index", index=index, expected=expected
     )
-    prefactor = Fraction((-1) ** m, math.factorial(m) * 4**m) * pochhammer(n - 2 * m + 1, m)
-    series_value = terminating_2f1(a, b, m - n) * prefactor
-    literal = Fraction(numerator, 4 ** (n // 2))
-    report.count_case(
-        series_value == literal,
-        n=n,
-        m=m,
-        kind="value",
-        series=series_value,
-        literal=literal,
-    )
+    # The value case, cross-multiplied, with (n - 2m + 1)_m = (n-m)!/(n-2m)!.
+    series_num, series_den = _terminating_2f1(a, b, m - n)
+    series_num *= (-1) ** m * math.perm(n - m, m)
+    series_den *= math.factorial(m) << 2 * m
+    if series_num << 2 * (n // 2) == numerator * series_den:
+        report.count_case(True)
+    else:
+        series, literal = Fraction(series_num, series_den), Fraction(numerator, 4 ** (n // 2))
+        report.count_case(False, n=n, m=m, kind="value", series=series, literal=literal)
 
 
 def check_hypergeometric_form(n: int, m: int) -> CheckReport:
@@ -368,8 +361,7 @@ def check_hypergeometric_form(n: int, m: int) -> CheckReport:
 
 def check_hypergeometric_sweep(n_max: int) -> CheckReport:
     """check_hypergeometric_form over every n <= n_max and valid m, with the
-    literal sums of one n taken at once from the Taylor shift of its
-    weights."""
+    literal sums of one n taken at once from ``_sweep_numerators``."""
     report = CheckReport("check-2f1", {"n_max": n_max})
     for n, numerators in _sweep_numerators(n_max):
         for m, numerator in enumerate(numerators):

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Any
+
+from .polynomial import exact_str
 
 __all__ = ["CheckReport", "FAILURES_KEPT"]
 
 _JSON_SAFE = (bool, int, str, type(None))
+
+
+def _rendered(value: Any) -> Any:
+    if isinstance(value, _JSON_SAFE):
+        return value
+    return exact_str(value) if isinstance(value, Fraction) else str(value)
+
 
 FAILURES_KEPT = 20
 """How many failure contexts a report keeps; later mismatches are only counted."""
@@ -17,9 +27,9 @@ class CheckReport:
     contexts of the first FAILURES_KEPT mismatches.
 
     Failure contexts are flat dicts of JSON-safe values (exact rationals are
-    rendered as "p/q" strings), so a report serializes as-is.  Memory stays
-    bounded when every case fails, because later mismatches are counted
-    without being rendered.
+    rendered as "p/q" strings by ``exact_str``, at any size), so a report
+    serializes as-is.  Memory stays bounded when every case fails, because
+    later mismatches are counted without being rendered.
     """
 
     def __init__(self, check: str, parameters: dict[str, Any]) -> None:
@@ -39,9 +49,7 @@ class CheckReport:
         if not ok:
             self.mismatches += 1
             if len(self.failures) < FAILURES_KEPT:
-                self.failures.append(
-                    {k: (v if isinstance(v, _JSON_SAFE) else str(v)) for k, v in context.items()}
-                )
+                self.failures.append({k: _rendered(v) for k, v in context.items()})
 
     def to_dict(self) -> dict[str, Any]:
         return {

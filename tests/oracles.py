@@ -11,6 +11,7 @@ import contextlib
 import sys
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 from arctanderiv.polynomial import Polynomial
 
@@ -152,6 +153,19 @@ def alternating_sum_literal(n: int, m: int) -> Fraction:
         (Fraction((-1) ** i * comb(i, m) * comb(n - i, i), 4**i) for i in range(m, n // 2 + 1)),
         Fraction(0),
     )
+
+
+def taylor_shift_by_one(weights: list[int]) -> list[int]:
+    """The coefficients of W(1 + t), where W(t) = sum_i weights[i] t^i, that
+    is sum_i C(i, m) weights[i] for every m = 0..len(weights)-1.
+
+    Horner's scheme in 1 + t, highest weight first, one polynomial at a time:
+    each step multiplies by 1 + t through Pascal's rule, additions only.
+    """
+    poly = [weights[-1]]
+    for w in reversed(weights[:-1]):
+        poly = [w + poly[0], *map(add, poly[1:], poly[:-1]), poly[-1]]
+    return poly
 
 
 def weighted_sum_literal(n: int) -> Fraction:

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import arctanderiv
-from arctanderiv import arctan_derivative_closed, identities
+from arctanderiv import arctan, arctan_derivative_closed, identities
 from arctanderiv.cli import FORMATS, main
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
@@ -243,25 +243,26 @@ def test_mismatch_report_is_bounded(capsys, monkeypatch):
     assert out.splitlines()[1] == "check-identity,60,961,961,False"
 
 
+def perturb_sweep_numerator(monkeypatch, wrong_n, wrong_m):
+    """Make the literal numerator that the sweeps compare at (wrong_n, wrong_m)
+    one too large.  The perturbed row is a copy, so the recurrence behind
+    ``_sweep_numerators`` carries on from the true numerators."""
+    numerators_of = identities._sweep_numerators
+
+    def wrong_numerators(n_max):
+        for n, numerators in numerators_of(n_max):
+            if n == wrong_n:
+                numerators = list(numerators)
+                numerators[wrong_m] += 1
+            yield n, numerators
+
+    monkeypatch.setattr(identities, "_sweep_numerators", wrong_numerators)
+
+
 def test_identity_mismatch_context_has_both_exact_values(capsys, monkeypatch):
     # The literal numerator is off by one at (n, m) = (37, 5) only.
     wrong_n, wrong_m = 37, 5
-    current = []
-    weights_of = identities._alternating_weights
-    numerators_of = identities._alternating_numerators
-
-    def recording_weights(n, diagonal):
-        current[:] = [n]
-        return weights_of(n, diagonal)
-
-    def wrong_numerators(weights):
-        numerators = numerators_of(weights)
-        if current == [wrong_n]:
-            numerators[wrong_m] += 1
-        return numerators
-
-    monkeypatch.setattr(identities, "_alternating_weights", recording_weights)
-    monkeypatch.setattr(identities, "_alternating_numerators", wrong_numerators)
+    perturb_sweep_numerator(monkeypatch, wrong_n, wrong_m)
     true = Fraction((-1) ** wrong_m * comb(wrong_n + 1, 2 * wrong_m + 1), 2**wrong_n)
     wrong = true + Fraction(1, 4 ** (wrong_n // 2))
     context = {"n": wrong_n, "m": wrong_m, "lhs": str(wrong), "rhs": str(true)}
@@ -283,6 +284,86 @@ def test_identity_mismatch_context_has_both_exact_values(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check-identity", "60", "--format=csv")
     assert code == 1
     assert out.splitlines()[1] == "check-identity,60,961,1,False"
+
+
+def assert_one_mismatch(capsys, argv, cases, context, text):
+    """The sweep ``argv`` fails exactly one of its cases, with this context,
+    in every format."""
+    check, n_max = argv
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == [f"{check}: n_max={n_max} cases={cases} FAIL (1 mismatches)", text]
+    code, out, _ = run_cli(capsys, *argv, "--format=json")
+    assert code == 1
+    assert json.loads(out)["failures"] == [context]
+    code, out, _ = run_cli(capsys, *argv, "--format=csv")
+    assert code == 1
+    assert out.splitlines()[1] == f"{check},{n_max},{cases},1,False"
+
+
+def test_2f1_value_mismatch_context(capsys, monkeypatch):
+    # The literal numerator is off by one at (n, m) = (37, 5) only, so the
+    # value case fails there and its truncation-index case still passes.
+    perturb_sweep_numerator(monkeypatch, 37, 5)
+    true = Fraction(-(comb(38, 11)), 2**37)
+    wrong = true + Fraction(1, 4**18)
+    context = {"n": 37, "m": 5, "kind": "value", "series": str(true), "literal": str(wrong)}
+    text = f"  MISMATCH n=37 m=5 kind=value series={true} literal={wrong}"
+    assert identities.check_hypergeometric_sweep(60).failures == [context]
+    assert_one_mismatch(capsys, ("check-2f1", "60"), 1922, context, text)
+
+
+def test_corollary_weighted_mismatch_context(capsys, monkeypatch):
+    # The weighted numerator over 4^8 lcm(1..9) is off by one at n = 8 only.
+    numerators_of = identities._corollary_numerators
+
+    def wrong_numerators(n_max):
+        for n, lcm, numerator, even in numerators_of(n_max):
+            yield n, lcm, numerator + 1 if n == 8 else numerator, even
+
+    monkeypatch.setattr(identities, "_corollary_numerators", wrong_numerators)
+    true = Fraction(1, 9 * 4**8)
+    wrong = true + Fraction(1, 2520 * 4**8)
+    context = {"n": 8, "lhs": str(wrong), "rhs": str(true)}
+    text = f"  MISMATCH n=8 lhs={wrong} rhs={true}"
+    assert identities.check_weighted_identity(60).failures == [context]
+    assert_one_mismatch(capsys, ("check-corollary", "60"), 92, context, text)
+
+
+def test_corollary_recurrence_mismatch_context(capsys, monkeypatch):
+    # The weight sum s_31 = 4^31 S_31 of D_62 is one too large.  It is the
+    # last one check-corollary 60 reads, so only the step from j = 30 fails.
+    weights_of = identities._alternating_weights
+
+    def wrong_weights(n, diagonal):
+        weights = weights_of(n, diagonal)
+        if n == 62:
+            weights[0] += 1
+        return weights
+
+    monkeypatch.setattr(identities, "_alternating_weights", wrong_weights)
+    difference, expected = Fraction(3, 4**31), Fraction(2, 4**31)
+    context = {"recurrence_j": 30, "difference": str(difference), "expected": str(expected)}
+    text = f"  MISMATCH recurrence_j=30 difference={difference} expected={expected}"
+    assert identities.check_weighted_identity(60).failures == [context]
+    assert_one_mismatch(capsys, ("check-corollary", "60"), 92, context, text)
+
+
+def test_mismatch_past_the_digit_limit_exits_one(capsys, monkeypatch):
+    # A failing case whose value has 4400 digits still renders exactly.
+    huge = Fraction(10**4400 + 1, 3)
+    monkeypatch.setattr(arctan, "square_chain_rule", lambda order, x, jet: huge)
+    text = "1" + "0" * 4399 + "1/3"
+    argv = ("crosscheck", "2", "--points=0")
+    code, out, _ = run_at_default_digit_limit(capsys, *argv)
+    assert code == 1
+    assert out.count(f" pointwise={text} ") == 2
+    code, out, _ = run_at_default_digit_limit(capsys, *argv, "--format=json")
+    assert code == 1
+    assert [failure["pointwise"] for failure in json.loads(out)["failures"]] == [text, text]
+    code, out, _ = run_at_default_digit_limit(capsys, *argv, "--format=csv")
+    assert code == 1
+    assert out.splitlines()[1] == "crosscheck,2,6,2,False"
 
 
 @pytest.mark.parametrize(

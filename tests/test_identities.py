@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,12 @@ from arctanderiv import (
     weighted_binomial_closed_form,
     weighted_binomial_sum,
 )
-from oracles import alternating_sum_literal, forward_2f1, weighted_sum_literal
+from oracles import (
+    alternating_sum_literal,
+    forward_2f1,
+    taylor_shift_by_one,
+    weighted_sum_literal,
+)
 
 
 def test_alternating_sum_values():
@@ -183,14 +189,32 @@ def test_sweep_values_match_single_calls_and_oracles():
             assert value == alternating_binomial_sum(n, m)
             if m in (0, n // 4, n // 2):
                 assert value == alternating_sum_literal(n, m)
-    for n, value in enumerate(identities._weighted_sums(300)):
+    for n, lcm, numerator, even in identities._corollary_numerators(300):
+        assert lcm == math.lcm(*range(1, n + 2))
+        value = Fraction(numerator, lcm << 2 * n)
         assert value == weighted_binomial_sum(n) == weighted_sum_literal(n)
+        prefix_sum = sum(identities._alternating_weights(2 * n, even))
+        assert Fraction(prefix_sum, 4**n) == alternating_binomial_sum(2 * n, 0)
+    assert n == 300
+
+
+def literal_weights(n):
+    """The weights (-1)^i 4^(n//2 - i) C(n-i, i) of the literal sum, from
+    math.comb."""
+    return [(-1) ** i * 4 ** (n // 2 - i) * math.comb(n - i, i) for i in range(n // 2 + 1)]
+
+
+def test_sweep_numerators_match_taylor_shift_oracle():
+    # The recurrence on shifted polynomials against shifting each n's own
+    # weights.
+    for n, numerators in identities._sweep_numerators(300):
+        assert numerators == taylor_shift_by_one(literal_weights(n))
     assert n == 300
 
 
 @given(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40))
 def test_taylor_shift_matches_literal_binomial_sums(weights):
-    numerators = identities._alternating_numerators(weights)
+    numerators = taylor_shift_by_one(weights)
     assert len(numerators) == len(weights)
     for m, numerator in enumerate(numerators):
         assert numerator == sum(math.comb(i, m) * w for i, w in enumerate(weights))
@@ -199,9 +223,8 @@ def test_taylor_shift_matches_literal_binomial_sums(weights):
 def test_taylor_shift_past_1024():
     # Past n = 1024, where the batch sums once switched from cached rows to
     # math.comb.
-    n = 1201
-    weights = identities._alternating_weights(n, [math.comb(n - i, i) for i in range(n // 2 + 1)])
-    numerators = identities._alternating_numerators(weights)
+    n, numerators = next(itertools.islice(identities._sweep_numerators(1201), 1201, None))
+    assert n == 1201
     assert len(numerators) == n // 2 + 1
     for m, numerator in enumerate(numerators):
         value = Fraction(numerator, 4 ** (n // 2))

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 from arctanderiv import CheckReport
 from arctanderiv.reports import FAILURES_KEPT
+from oracles import DEFAULT_DIGIT_LIMIT, digit_limit
 
 
 def test_failure_contexts_are_bounded():
@@ -25,3 +28,11 @@ def test_passing_report_has_no_mismatches():
         "failures": [],
         "passed": True,
     }
+
+
+def test_failure_context_renders_past_the_digit_limit():
+    # 4401 digits over 3: str() would raise under the default digit limit.
+    report = CheckReport("crosscheck", {"n_max": 1})
+    with digit_limit(DEFAULT_DIGIT_LIMIT):
+        report.count_case(False, n=1, pointwise=Fraction(10**4400 + 1, 3))
+    assert report.failures == [{"n": 1, "pointwise": "1" + "0" * 4399 + "1/3"}]
