@@ -2,31 +2,33 @@
 for exact agreement.
 
 * closed: (n-1)! q_{n-1}(x) / (1+x^2)^n with the integer polynomial family q.
-* expanded: prefactored alternating-binomial coefficient expansion.
+* expanded (``prop12``): the alternating-binomial expansion, with the
+  literal sums alternating_binomial_sum(n-1, m) as coefficients, taken from
+  ``identities._sweep_numerators``; this module keeps no copy of the sum.
 * pointwise: chain rule for 1/(1 + x^2) = reciprocal composed with 1 + x^2,
   evaluated at a point through derivative jets.
 * oracle: brute-force repeated quotient-rule differentiation, the ground
   truth the other three are measured against.
 
-All routes take n = the derivative order of arctan itself (n >= 1).
+``crosscheck`` holds each of the first three against the oracle.  All routes
+take n = the derivative order of arctan itself (n >= 1).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
-from operator import add
 
-from .combinatorics import binomial
 from .composition import DerivativeJet, square_chain_rule
-from .polynomial import ArctanRational, Polynomial, Scalar
+from .identities import _sweep_numerators
+from .polynomial import ArctanRational, Polynomial, Scalar, exact_str
 from .reports import CheckReport
 
 __all__ = [
     "DEFAULT_SAMPLE_POINTS",
     "q_polynomial",
     "arctan_derivative_closed",
-    "expansion_coefficient",
     "expansion_coefficients",
     "arctan_derivative_expanded",
     "arctan_derivative_pointwise",
@@ -80,83 +82,41 @@ def arctan_derivative_closed(n: int) -> ArctanRational:
     return ArctanRational(q_polynomial(n - 1), n, scale=math.factorial(n - 1))
 
 
-def _expansion_diagonal(n: int) -> list[int]:
-    """The anti-diagonal C(n-k, k), k = 0..n//2, of one expansion order n."""
-    return [binomial(n - k, k) for k in range(n // 2 + 1)]
+def _expanded(p: int, numerators: list[int]) -> ArctanRational:
+    """arctan^(p+1) assembled from the alternating-binomial expansion:
 
+        p! 2^p (-1)^p / (1+x^2)^(p+1) * sum_m c_m x^(p-2m),
 
-def _expansion_numerator(diagonal: list[int], m: int) -> int:
-    """4^(n//2) times the literal sum of expansion_coefficient(m, n), from
-    the order's anti-diagonal, by Horner's scheme in 4 (term k = m first)."""
-    numerator = 0
-    for k in range(m, len(diagonal)):
-        term = binomial(k, m) * diagonal[k]
-        numerator = (numerator << 2) + (-term if k & 1 else term)
-    return numerator
-
-
-def expansion_coefficient(m: int, n: int) -> Fraction:
-    """Coefficient of x^(n-2m) in the expanded form of arctan^(n+1), before
-    the common prefactor n! 2^n (-1)^n / (1+x^2)^(n+1):
-
-        sum_{k=m}^{n//2} (-1)^k 4^(-k) C(k, m) C(n-k, k).
-
-    Always evaluated as this literal sum; its closed form is exactly what the
-    identity sweeps verify, so using it here would make those checks circular.
-    The integer numerator over 4^(n//2) is built by Horner's scheme in 4,
-    term k = m first, O(n) per call, so it is an independent witness for the
-    values of :func:`expansion_coefficients`.
+    with c_m = alternating_binomial_sum(p, m) = numerators[m] / 4^(p//2).
+    Since 2^p / 4^(p//2) = 2^(p&1), the numerator is the integer prefactor
+    (-1)^p p! 2^(p&1), passed as the scale, times sum_m numerators[m] x^(p-2m),
+    so no Fraction is built and the prefactor is never multiplied in.
     """
-    if n < 0 or m < 0 or m > n // 2:
-        raise ValueError("expansion_coefficient requires 0 <= m <= n//2")
-    return Fraction(_expansion_numerator(_expansion_diagonal(n), m), 4 ** (n // 2))
+    coeffs = [0] * (p + 1)
+    coeffs[p::-2] = numerators
+    prefactor = (-1) ** p * (math.factorial(p) << (p & 1))
+    return ArctanRational(Polynomial(coeffs), p + 1, scale=prefactor)
 
 
-def _expansion_numerators(n: int) -> list[int]:
-    """4^(n//2) times every expansion coefficient (m = 0..n//2) of order n.
-
-    With v_k = (-1)^k 4^(n//2 - k) C(n-k, k), the numerator of coefficient m
-    is sum_k C(k, m) v_k, the coefficient of s^m in V(1 + s), where
-    V(s) = sum_k v_k s^k.  V(1 + s) is built by Horner's scheme in 1 + s,
-    k = n//2 first: each step is (1 + s) T + v_k = (v_k + s T) + T, Pascal's
-    rule by additions, so no C(k, m) is read.  The anti-diagonal C(n-k, k)
-    is read once per order.
-    """
-    diagonal = _expansion_diagonal(n)
-    top = n // 2
-    shifted: list[int] = []
-    for k in range(top, -1, -1):
-        v = diagonal[k] << 2 * (top - k)
-        shifted = list(map(add, [-v if k & 1 else v, *shifted], [*shifted, 0]))
-    return shifted
+def _literal_numerators(n: int) -> list[int]:
+    """The last row of ``_sweep_numerators(n)``: 4^(n//2) c_m, m = 0..n//2."""
+    return deque(_sweep_numerators(n), maxlen=1)[0][1]
 
 
 def expansion_coefficients(n: int) -> tuple[Fraction, ...]:
-    """All expansion coefficients (m = 0..n//2) for one expansion order n,
-    the numerators of :func:`_expansion_numerators` over 4^(n//2)."""
+    """All expansion coefficients c_m = alternating_binomial_sum(n, m),
+    m = 0..n//2, of one expansion order n."""
     if n < 0:
         raise ValueError("expansion_coefficients requires n >= 0")
     denominator = 4 ** (n // 2)
-    return tuple(Fraction(numerator, denominator) for numerator in _expansion_numerators(n))
+    return tuple(Fraction(numerator, denominator) for numerator in _literal_numerators(n))
 
 
 def arctan_derivative_expanded(n: int) -> ArctanRational:
-    """arctan^(n) assembled from the alternating-binomial expansion:
-
-        p! 2^p (-1)^p / (1+x^2)^(p+1) * sum_m c_m x^(p-2m),   p = n - 1,
-
-    with c_m = expansion_coefficient(m, p) = N_m / 4^(p//2).  Since
-    2^p / 4^(p//2) = 2^(p&1), the numerator is the integer prefactor
-    (-1)^p p! 2^(p&1), passed as the scale, times sum_m N_m x^(p-2m), so no
-    Fraction is built and the prefactor is never multiplied in.
-    """
+    """arctan^(n) assembled by :func:`_expanded` from the literal numerators
+    of expansion order n - 1."""
     _require_order(n)
-    p = n - 1
-    coeffs = [0] * (p + 1)
-    for m, numerator in enumerate(_expansion_numerators(p)):
-        coeffs[p - 2 * m] = numerator
-    prefactor = (-1) ** p * (math.factorial(p) << (p & 1))
-    return ArctanRational(Polynomial(coeffs), n, scale=prefactor)
+    return _expanded(n - 1, _literal_numerators(n - 1))
 
 
 def arctan_derivative_pointwise(n: int, x: Scalar) -> Fraction:
@@ -190,9 +150,10 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     match the oracle's value at every sample point.  Results are keyed by n,
     so the report does not depend on evaluation order.
 
-    The jet route is :func:`arctan_derivative_pointwise` with the reciprocal
-    jet built once per sample point, at order n_max - 1, before the n loop.
-    This is exact: a shorter reciprocal jet is a prefix of a longer one, and
+    The oracle and the literal numerators (row p = n - 1 of
+    ``_sweep_numerators``, O(n) additions per order) are streamed alongside
+    the n loop.  The reciprocal jet is built once per sample point, at order
+    n_max - 1: a shorter reciprocal jet is a prefix of a longer one, and
     :func:`square_chain_rule` reads only the values up to order n - 1, so
     each n gets the value a jet of exactly that order gives.
     """
@@ -200,15 +161,16 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
         raise ValueError("crosscheck requires n_max >= 1")
     points = tuple(Fraction(p) for p in sample_points)
     report = CheckReport(
-        "crosscheck", {"n_max": n_max, "points": [str(p) for p in points]}
+        "crosscheck", {"n_max": n_max, "points": [exact_str(p) for p in points]}
     )
     jets = [DerivativeJet.of_reciprocal(1 + x * x, n_max - 1) for x in points]
     oracle = ArctanRational(Polynomial((1,)), 1)
-    for n in range(1, n_max + 1):
+    for p, numerators in _sweep_numerators(n_max - 1):
+        n = p + 1
         if n > 1:
             oracle = oracle.derivative()
         closed = arctan_derivative_closed(n)
-        expanded = arctan_derivative_expanded(n)
+        expanded = _expanded(p, numerators)
         report.count_case(
             closed == oracle, n=n, pair="closed vs oracle", closed=closed, oracle=oracle
         )

@@ -12,18 +12,22 @@ gcd runs inside a sum.  The binomials of the literal sums come from Pascal's
 rule and are never derived from the previous term by a ratio: the ratio
 C(n-i-1, i+1) / C(n-i, i) is the term ratio of the 2F1 series, so a literal
 sum built from it would make the 2F1 check compare the series with itself.
-Single calls read them from ``binomial``, one O(n) literal sum per call.
 
-The sweeps take O(n) additions per n.  The literal numerators of every m of
-one n are the coefficients of the weight polynomial shifted by 1; the weight
-polynomials follow a three-term recurrence (Pascal's rule on the
-anti-diagonals), and the shift is linear, so the sweeps run that recurrence
-on the shifted polynomials themselves: recurrence, then shift, once, at the
-start.  The corollary sweep reads its binomials from one pass over the
-anti-diagonals, and ``check-identity`` reads its closed form from Pascal rows
-grown by addition.  Every case is decided by integer equality, by
-cross-multiplication where the two sides have different denominators, and a
-``Fraction`` is built only for the context of a mismatch.
+The literal alternating sum has two implementations: one case by
+``_alternating_numerator`` (O(n), binomials read from ``binomial``), and
+every m of every n by ``_sweep_numerators`` (O(n) additions per n).  The
+literal numerators of one n are the coefficients of the weight polynomial
+shifted by 1; the weight polynomials follow a three-term recurrence
+(Pascal's rule on the anti-diagonals), and the shift is linear, so the
+recurrence runs on the shifted polynomials themselves.  That stream also
+gives the coefficients of the ``prop12`` route in ``arctanderiv.arctan``,
+and every check holds it against a side built another way: Pascal rows
+grown by addition (``check-identity``), the terminating series
+(``check-2f1``) or the quotient-rule oracle (``crosscheck``).  The
+corollary sweep reads its binomials from one pass over the anti-diagonals.
+Every case is decided by integer equality, by cross-multiplication where
+the two sides have different denominators, and a ``Fraction`` is built only
+for the context of a mismatch.
 """
 
 from __future__ import annotations
@@ -119,15 +123,14 @@ def _sweep_numerators(n_max: int) -> Iterator[tuple[int, list[int]]]:
 def alternating_binomial_sum(n: int, m: int) -> Fraction:
     """sum_{i=m}^{n//2} (-1)^i 4^(-i) C(i, m) C(n-i, i), evaluated literally.
 
-    Accumulated as integers over the common denominator 4^(n//2): term i is
-    C(i, m) times the weight (-1)^i 4^(n//2 - i) C(n-i, i), with every
-    binomial read from ``binomial``.  O(n) per call.  The sweeps take the
-    numerators of every m at once from a recurrence on the shifted weight
-    polynomials, so this sum is an independent witness for their values.
-    :func:`arctanderiv.arctan.expansion_coefficient` computes the same sum
-    over the same denominator but is written separately (Horner's scheme in
-    4, its own index names), so the equality test between the two modules can
-    catch transcription drift in either one.
+    It is the coefficient of x^(n-2m) in arctan^(n+1) before the common
+    prefactor n! 2^n (-1)^n / (1+x^2)^(n+1), so
+    :func:`arctanderiv.arctan.expansion_coefficients` lists it.  Accumulated as
+    integers over the common denominator 4^(n//2): term i is C(i, m) times
+    the weight (-1)^i 4^(n//2 - i) C(n-i, i), with every binomial read from
+    ``binomial``.  O(n) per call.  The sweeps and the ``prop12`` route take
+    the numerators of every m at once from a recurrence on the shifted weight
+    polynomials; the tests hold both against ``math.comb`` oracles.
     """
     _require_half_range(n, m)
     return Fraction(_alternating_numerator(n, m), 4 ** (n // 2))

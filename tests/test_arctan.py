@@ -6,14 +6,16 @@ import pytest
 from arctanderiv import (
     ArctanRational,
     Polynomial,
+    alternating_binomial_sum,
     arctan,
     arctan_derivative_closed,
     arctan_derivative_expanded,
     arctan_derivative_oracle,
     arctan_derivative_pointwise,
     crosscheck,
-    expansion_coefficient,
+    exact_str,
     expansion_coefficients,
+    identities,
     q_polynomial,
 )
 from oracles import alternating_sum_literal, gaussian_derivative_value
@@ -60,19 +62,6 @@ def test_order_zero_is_rejected_by_all_routes():
         arctan_derivative_pointwise(0, Fraction(1))
 
 
-def test_expansion_coefficient_values():
-    assert expansion_coefficient(0, 0) == 1
-    assert expansion_coefficient(0, 2) == Fraction(3, 4)
-    assert expansion_coefficient(1, 4) == Fraction(-5, 8)
-
-
-def test_expansion_coefficient_range_check():
-    with pytest.raises(ValueError):
-        expansion_coefficient(2, 3)
-    with pytest.raises(ValueError):
-        expansion_coefficient(-1, 3)
-
-
 def test_expansion_coefficient_row():
     row = expansion_coefficients(4)
     assert len(row) == 3
@@ -82,7 +71,7 @@ def test_expansion_coefficient_row():
 def test_expansion_coefficients_batch_matches_single_calls_and_oracle():
     for n in range(200):
         row = expansion_coefficients(n)
-        assert row == tuple(expansion_coefficient(m, n) for m in range(n // 2 + 1))
+        assert row == tuple(alternating_binomial_sum(n, m) for m in range(n // 2 + 1))
         assert row == tuple(alternating_sum_literal(n, m) for m in range(n // 2 + 1))
 
 
@@ -93,7 +82,7 @@ def test_expansion_coefficients_past_1024():
         row = expansion_coefficients(n)
         assert len(row) == n // 2 + 1
         for m in (0, n // 4, n // 2):
-            assert row[m] == expansion_coefficient(m, n) == alternating_sum_literal(n, m)
+            assert row[m] == alternating_binomial_sum(n, m) == alternating_sum_literal(n, m)
 
 
 def test_symbolic_routes_have_integer_numerators():
@@ -234,6 +223,40 @@ def test_crosscheck_reports_a_wrong_jet_value(monkeypatch):
     first = report.failures[0]
     assert (first["n"], first["point"]) == (bad_n, str(bad_point))
     assert first["pair"] == "pointwise vs oracle"
+
+
+def test_crosscheck_reports_a_wrong_literal_numerator(monkeypatch):
+    # The prop12 kernel must be compared with the oracle: one numerator off
+    # by one in stream row p must fail exactly the expanded form of n = p + 1.
+    # The perturbed row is a copy, so the recurrence carries on from the
+    # true numerators.
+    bad_p = 9
+    numerators_of = arctan._sweep_numerators
+
+    def wrong_numerators(n_max):
+        for p, numerators in numerators_of(n_max):
+            if p == bad_p:
+                numerators = list(numerators)
+                numerators[2] += 1
+            yield p, numerators
+
+    monkeypatch.setattr(arctan, "_sweep_numerators", wrong_numerators)
+    report = crosscheck(20, (Fraction(1, 3),))
+    assert report.mismatches == 1
+    first = report.failures[0]
+    assert (first["n"], first["pair"]) == (bad_p + 1, "expanded vs oracle")
+
+
+def test_expanded_rows_of_one_stream_match_single_orders():
+    for p, numerators in identities._sweep_numerators(80):
+        assert arctan._expanded(p, numerators) == arctan_derivative_expanded(p + 1), p
+
+
+def test_crosscheck_renders_points_past_the_digit_limit():
+    point = Fraction(10**4400 + 1, 3)
+    report = crosscheck(2, [point])
+    assert report.passed
+    assert report.parameters["points"] == [exact_str(point)]
 
 
 def test_crosscheck_requires_positive_bound():

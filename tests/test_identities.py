@@ -14,7 +14,6 @@ from arctanderiv import (
     check_hypergeometric_form,
     check_hypergeometric_sweep,
     check_weighted_identity,
-    expansion_coefficient,
     identities,
     terminating_2f1,
     truncation_index,
@@ -65,13 +64,6 @@ def test_identity_sweep_case_counts():
 def test_identity_sweep_wide():
     report = check_binomial_identity(120)
     assert report.passed
-
-
-def test_matches_expansion_coefficients():
-    # Same sum, two independently written evaluation strategies.
-    for n in range(101):
-        for m in range(n // 2 + 1):
-            assert expansion_coefficient(m, n) == alternating_binomial_sum(n, m)
 
 
 def test_weighted_sum_values():
