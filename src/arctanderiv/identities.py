@@ -24,10 +24,13 @@ gives the coefficients of the ``prop12`` route in ``arctanderiv.arctan``,
 and every check holds it against a side built another way: Pascal rows
 grown by addition (``check-identity``), the terminating series
 (``check-2f1``) or the quotient-rule oracle (``crosscheck``).  The
-corollary sweep reads its binomials from one pass over the anti-diagonals.
-Every case is decided by integer equality, by cross-multiplication where
-the two sides have different denominators, and a ``Fraction`` is built only
-for the context of a mismatch.
+corollary sweep reads no binomial: its weighted sums are the zeroth moments
+of a table that a three-term recurrence fills by shifts and subtractions
+over one lcm (``_weighted_moments``), and its recurrence half reads the
+m = 0 entries of the even rows of ``_sweep_numerators``.  Every case is
+decided by integer equality, by cross-multiplication where the two sides
+have different denominators, and a ``Fraction`` is built only for the
+context of a mismatch.
 """
 
 from __future__ import annotations
@@ -66,36 +69,14 @@ def _require_half_range(n: int, m: int) -> None:
         raise ValueError("requires 0 <= m <= n//2")
 
 
-def _antidiagonals() -> Iterator[tuple[int, ...]]:
-    """The Pascal anti-diagonals D_N = (C(N-i, i))_{i <= N//2} for N = 0, 1, 2, ...
-
-    Each one comes from the two before it by Pascal's rule,
-    C(N-i, i) = C(N-1-i, i) + C(N-1-i, i-1), that is
-    D_N[i] = D_{N-1}[i] + D_{N-2}[i-1]: additions only, no term ratio and no
-    whole rows, and only two diagonals are held at a time.
-    """
-    older: tuple[int, ...] = ()  # D_{-1}
-    newer: tuple[int, ...] = (1,)  # D_0
-    for n in itertools.count(1):
-        yield newer
-        # For even n, D_{n-1} lacks its last entry, C(n/2 - 1, n/2) = 0.
-        padded = newer if n & 1 else newer + (0,)
-        older, newer = newer, tuple(map(add, padded, (0,) + older))
-
-
-def _alternating_weights(n: int, diagonal: Sequence[int]) -> list[int]:
-    """The integer weights w_i = (-1)^i 4^(n//2 - i) C(n-i, i), i = 0..n//2,
-    of the literal sum, from the anti-diagonal D_n."""
-    top = n // 2
-    return [(-d if i & 1 else d) << 2 * (top - i) for i, d in enumerate(diagonal)]
-
-
 def _alternating_numerator(n: int, m: int) -> int:
-    """sum_{i=m}^{n//2} C(i, m) w_i, the literal sum times 4^(n//2), with
-    every binomial read from ``binomial``: O(n) per call."""
+    """sum_{i=m}^{n//2} C(i, m) w_i with w_i = (-1)^i 4^(n//2 - i) C(n-i, i):
+    the literal sum times 4^(n//2), with every binomial read from
+    ``binomial``.  O(n) per call."""
     top = n // 2
-    weights = _alternating_weights(n, [binomial(n - i, i) for i in range(top + 1)])
-    return sum(binomial(i, m) * weights[i] for i in range(m, top + 1))
+    return sum(
+        binomial(i, m) * (-1) ** i * binomial(n - i, i) << 2 * (top - i) for i in range(m, top + 1)
+    )
 
 
 def _sweep_numerators(n_max: int) -> Iterator[tuple[int, list[int]]]:
@@ -169,6 +150,8 @@ def check_binomial_identity(n_max: int) -> CheckReport:
     and counts its cases; only a row that differs is walked case by case,
     and both sides become a ``Fraction`` only in the context of a mismatch.
     """
+    if n_max < 0:
+        raise ValueError("check_binomial_identity requires n_max >= 0")
     report = CheckReport("check-identity", {"n_max": n_max})
     closed_rows = itertools.islice(_pascal_rows(), 1, None)
     for (n, numerators), closed_row in zip(_sweep_numerators(n_max), closed_rows):
@@ -186,15 +169,6 @@ def check_binomial_identity(n_max: int) -> CheckReport:
     return report
 
 
-def _weighted_numerator(n: int, diagonal: Sequence[int], lcm: int) -> int:
-    """The weighted sum times 4^n lcm, from the anti-diagonal D_{2n+1} and
-    lcm = lcm(1..n+1): term i is (-1)^i C(2n+1-i, i) scaled by
-    4^(n-i) lcm / (n+1-i)."""
-    return sum(
-        (-d if i & 1 else d) * (lcm // (n + 1 - i)) << 2 * (n - i) for i, d in enumerate(diagonal)
-    )
-
-
 def weighted_binomial_sum(n: int) -> Fraction:
     """sum_{i=0}^{n} (-1)^i C(2n+1-i, i) / (4^i (n+1-i)), evaluated literally.
 
@@ -204,19 +178,39 @@ def weighted_binomial_sum(n: int) -> Fraction:
     if n < 0:
         raise ValueError("requires n >= 0")
     lcm = math.lcm(*range(1, n + 2))
-    diagonal = [binomial(2 * n + 1 - i, i) for i in range(n + 1)]
-    return Fraction(_weighted_numerator(n, diagonal, lcm), lcm << 2 * n)
+    numerator = sum(
+        (-1) ** i * binomial(2 * n + 1 - i, i) * (lcm // (n + 1 - i)) << 2 * (n - i)
+        for i in range(n + 1)
+    )
+    return Fraction(numerator, lcm << 2 * n)
 
 
-def _corollary_numerators(n_max: int) -> Iterator[tuple[int, int, int, int]]:
-    """(n, lcm, numerator, D_{2n}) for n = 0..n_max, from one pass over the
-    anti-diagonals: D_{2n+1} gives the numerator of weighted_binomial_sum(n)
-    over 4^n lcm, with lcm = lcm(1..n+1) grown by one factor per n."""
-    lcm = 1
-    diagonals = _antidiagonals()
-    for n, even, odd in zip(range(n_max + 1), diagonals, diagonals):
-        lcm = math.lcm(lcm, n + 1)
-        yield n, lcm, _weighted_numerator(n, odd, lcm), even
+def _weighted_moments(n_max: int) -> Iterator[tuple[int, int, int]]:
+    """(n, L, J_n^(0)) for n = 0..n_max: the weighted sum of n times 4^n L,
+    with L = lcm(1..n_max+1) computed once.
+
+    Let B_n(t) = sum_i (-1)^i 4^(-i) C(2n+1-i, i) t^(n-i).  Since
+    1/(n+1-i) = int_0^1 t^(n-i) dt, the weighted sum is int_0^1 B_n.  The
+    anti-diagonal form of Pascal's rule, C(N-i, i) = C(N-1-i, i) +
+    C(N-1-i, i-1), taken at N = 2n+1, 2n and 2n-1 to eliminate the even
+    diagonals, gives B_n = (t - 1/2) B_{n-1} - B_{n-2}/16 from B_{-1} = 0 and
+    B_0 = 1.  So the scaled moments J_n^(k) = 4^n L int_0^1 t^k B_n follow
+    J_n^(k) = 4 J_{n-1}^(k+1) - 2 J_{n-1}^(k) - J_{n-2}^(k) from J_{-1} = 0
+    and J_0^(k) = L/(k+1): integers, by shifts and subtractions only, with no
+    binomial, no term ratio and no closed form read.  4^n is the least scale
+    that keeps the step integral, and with it no entry outgrows (n+1) L,
+    because |4^n B_n| <= n+1 on [0, 1].  Row n is kept for k <= n_max - n
+    only, and two rows are held at a time.
+    """
+    lcm = math.lcm(*range(1, n_max + 2))
+    older = [0] * (n_max + 1)  # J_{-1}
+    newer = [lcm // (k + 1) for k in range(n_max + 1)]  # J_0
+    yield 0, lcm, newer[0]
+    for n in range(1, n_max + 1):
+        older, newer = newer, [
+            (((up << 1) - same) << 1) - back for up, same, back in zip(newer[1:], newer, older)
+        ]
+        yield n, lcm, newer[0]
 
 
 def weighted_binomial_closed_form(n: int) -> Fraction:
@@ -232,27 +226,27 @@ def check_weighted_identity(n_max: int) -> CheckReport:
     """The weighted sum vs its parity-split closed form for every n <= n_max,
     plus the first-difference recurrence behind it.
 
-    With S_j = alternating_binomial_sum(2j, 0), the derivation rests on
-    S_{j+1} - S_j/4 = 2/4^(j+1); that recurrence is swept for j <= n_max//2
-    so the two halves of the argument are checked together.  In integers it
-    reads s_{j+1} - s_j = 2, where s_j = 4^j S_j is the sum of the weights of
-    the even anti-diagonal D_{2j}: at m = 0 every C(i, 0) is 1.  Over its
-    4^n lcm(1..n+1), the closed form's numerator is lcm // (n+1) for even n
-    and 0 for odd n.  The weighted cases come first, then the recurrence.
+    The weighted sums come from the moment table of ``_weighted_moments``:
+    scaled by 4^n lcm(1..n_max+1), the closed form is lcm / (n+1) for even n
+    and 0 for odd n.  With S_j = alternating_binomial_sum(2j, 0), the
+    derivation rests on S_{j+1} - S_j/4 = 2/4^(j+1); that recurrence is
+    swept for j <= n_max//2 so the two halves of the argument are checked
+    together.  In integers it reads s_{j+1} - s_j = 2, where s_j = 4^j S_j is
+    the m = 0 entry of row 2j of ``_sweep_numerators``.  The weighted cases
+    come first, then the recurrence.
     """
+    if n_max < 0:
+        raise ValueError("check_weighted_identity requires n_max >= 0")
     report = CheckReport("check-corollary", {"n_max": n_max})
-    prefix_sums = []
-    # The recurrence needs s_0..s_{n_max//2 + 1}, which passes n_max at 0.
-    for n, lcm, numerator, even in _corollary_numerators(max(n_max, 1)):
-        if n <= n_max // 2 + 1:
-            prefix_sums.append(sum(_alternating_weights(2 * n, even)))
-        if n > n_max:
-            break
-        if numerator == (0 if n & 1 else lcm // (n + 1)):
+    for n, lcm, moment in _weighted_moments(n_max):
+        if moment == (0 if n & 1 else lcm // (n + 1)):
             report.count_case(True)
         else:
-            lhs = Fraction(numerator, lcm << 2 * n)
+            lhs = Fraction(moment, lcm << 2 * n)
             report.count_case(False, n=n, lhs=lhs, rhs=weighted_binomial_closed_form(n))
+    # The recurrence needs s_0..s_{n_max//2 + 1}, which passes n_max at 0.
+    rows = _sweep_numerators(2 * (n_max // 2 + 1))
+    prefix_sums = [numerators[0] for n, numerators in rows if not n & 1]
     for j, (prefix, following) in enumerate(zip(prefix_sums, prefix_sums[1:])):
         if following - prefix == 2:
             report.count_case(True)
@@ -365,6 +359,8 @@ def check_hypergeometric_form(n: int, m: int) -> CheckReport:
 def check_hypergeometric_sweep(n_max: int) -> CheckReport:
     """check_hypergeometric_form over every n <= n_max and valid m, with the
     literal sums of one n taken at once from ``_sweep_numerators``."""
+    if n_max < 0:
+        raise ValueError("check_hypergeometric_sweep requires n_max >= 0")
     report = CheckReport("check-2f1", {"n_max": n_max})
     for n, numerators in _sweep_numerators(n_max):
         for m, numerator in enumerate(numerators):

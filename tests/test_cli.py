@@ -314,14 +314,15 @@ def test_2f1_value_mismatch_context(capsys, monkeypatch):
 
 
 def test_corollary_weighted_mismatch_context(capsys, monkeypatch):
-    # The weighted numerator over 4^8 lcm(1..9) is off by one at n = 8 only.
-    numerators_of = identities._corollary_numerators
+    # The weighted sum at n = 8, scaled by 4^8 lcm(1..61), is lcm(1..61)/2520
+    # too large; every other n keeps its true value.
+    moments_of = identities._weighted_moments
 
-    def wrong_numerators(n_max):
-        for n, lcm, numerator, even in numerators_of(n_max):
-            yield n, lcm, numerator + 1 if n == 8 else numerator, even
+    def wrong_moments(n_max):
+        for n, lcm, moment in moments_of(n_max):
+            yield n, lcm, moment + lcm // 2520 if n == 8 else moment
 
-    monkeypatch.setattr(identities, "_corollary_numerators", wrong_numerators)
+    monkeypatch.setattr(identities, "_weighted_moments", wrong_moments)
     true = Fraction(1, 9 * 4**8)
     wrong = true + Fraction(1, 2520 * 4**8)
     context = {"n": 8, "lhs": str(wrong), "rhs": str(true)}
@@ -331,17 +332,9 @@ def test_corollary_weighted_mismatch_context(capsys, monkeypatch):
 
 
 def test_corollary_recurrence_mismatch_context(capsys, monkeypatch):
-    # The weight sum s_31 = 4^31 S_31 of D_62 is one too large.  It is the
+    # The weight sum s_31 = 4^31 S_31 = S_62[0] is one too large.  It is the
     # last one check-corollary 60 reads, so only the step from j = 30 fails.
-    weights_of = identities._alternating_weights
-
-    def wrong_weights(n, diagonal):
-        weights = weights_of(n, diagonal)
-        if n == 62:
-            weights[0] += 1
-        return weights
-
-    monkeypatch.setattr(identities, "_alternating_weights", wrong_weights)
+    perturb_sweep_numerator(monkeypatch, 62, 0)
     difference, expected = Fraction(3, 4**31), Fraction(2, 4**31)
     context = {"recurrence_j": 30, "difference": str(difference), "expected": str(expected)}
     text = f"  MISMATCH recurrence_j=30 difference={difference} expected={expected}"

@@ -61,6 +61,14 @@ def test_identity_sweep_case_counts():
     assert report.cases == 9
 
 
+@pytest.mark.parametrize(
+    "sweep", [check_binomial_identity, check_weighted_identity, check_hypergeometric_sweep]
+)
+def test_sweeps_reject_negative_n_max(sweep):
+    with pytest.raises(ValueError, match="requires n_max >= 0"):
+        sweep(-1)
+
+
 def test_identity_sweep_wide():
     report = check_binomial_identity(120)
     assert report.passed
@@ -168,12 +176,9 @@ def test_hypergeometric_sweep():
     assert report.cases == 2 * sum(n // 2 + 1 for n in range(21))
 
 
-def test_antidiagonals_match_math_comb():
-    for top, diagonal in zip(range(1201), identities._antidiagonals()):
-        assert list(diagonal) == [math.comb(top - i, i) for i in range(top // 2 + 1)]
-
-
 def test_sweep_values_match_single_calls_and_oracles():
+    # At even n = 2j, m = 0 this holds the weight sum s_j = S_{2j}[0] that
+    # check-corollary reads against alternating_binomial_sum(2j, 0).
     for n, numerators in identities._sweep_numerators(300):
         assert len(numerators) == n // 2 + 1
         for m, numerator in enumerate(numerators):
@@ -181,12 +186,11 @@ def test_sweep_values_match_single_calls_and_oracles():
             assert value == alternating_binomial_sum(n, m)
             if m in (0, n // 4, n // 2):
                 assert value == alternating_sum_literal(n, m)
-    for n, lcm, numerator, even in identities._corollary_numerators(300):
-        assert lcm == math.lcm(*range(1, n + 2))
-        value = Fraction(numerator, lcm << 2 * n)
+    assert n == 300
+    for n, lcm, moment in identities._weighted_moments(300):
+        assert lcm == math.lcm(*range(1, 302))
+        value = Fraction(moment, lcm << 2 * n)
         assert value == weighted_binomial_sum(n) == weighted_sum_literal(n)
-        prefix_sum = sum(identities._alternating_weights(2 * n, even))
-        assert Fraction(prefix_sum, 4**n) == alternating_binomial_sum(2 * n, 0)
     assert n == 300
 
 
