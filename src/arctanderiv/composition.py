@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
-from .polynomial import Polynomial, Scalar, _Value
+from .polynomial import Polynomial, Scalar, _ints, _Value
 
 __all__ = [
     "MultiplicityVector",
@@ -67,13 +68,14 @@ class DerivativeJet(_Value):
         f^(k)(point) = N_k * r^(k+1),
 
     so the chain rules can work in ``int`` throughout; ``values`` rebuilds
-    the Fractions.  The stored form is not unique (N_k t^(k+1) with r/t
-    stores the same values), so equality and hash compare the point and the
-    values, not the stored fields.
+    the Fractions.  ``__init__`` takes this stored form as given, and
+    ``of_values`` builds one from the values.  It is not unique (N_k t^(k+1)
+    with r/t stores the same values), so equality and hash compare the point
+    and the values, not the stored fields.
 
     >>> DerivativeJet.of_reciprocal(Fraction(-5, 4), 2)
     DerivativeJet(point=Fraction(-5, 4), numerators=(1, -1, 2), ratio=Fraction(-4, 5))
-    >>> DerivativeJet(1, (Fraction(1, 2), Fraction(-1, 3))).numerators
+    >>> DerivativeJet.of_values(1, (Fraction(1, 2), Fraction(-1, 3))).numerators
     (3, -12)
     """
 
@@ -82,31 +84,24 @@ class DerivativeJet(_Value):
     numerators: tuple[int, ...]
     ratio: Fraction
 
-    def __init__(self, point: Scalar, values) -> None:
-        """Store the values over L, the lcm of their denominators: r = 1/L
-        and N_k = v_k L^(k+1)."""
-        values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-        if not values:
+    def __init__(self, point: Scalar, numerators: Iterable[int], ratio: Scalar) -> None:
+        numerators = _ints(numerators, "a jet numerator")
+        if not numerators:
             raise ValueError("a jet needs at least the order-0 value")
-        common = math.lcm(*(v.denominator for v in values))
-        numerators = []
-        power = common
-        for v in values:
-            numerators.append(v.numerator * (power // v.denominator))
-            power *= common
-        self._fill(Fraction(point), tuple(numerators), Fraction(1, common))
-
-    def _fill(self, point: Fraction, numerators: tuple[int, ...], ratio: Fraction) -> None:
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "point", Fraction(point))
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "ratio", Fraction(ratio))
 
     @classmethod
-    def _stored(cls, point: Fraction, numerators: tuple[int, ...], ratio: Fraction) -> DerivativeJet:
-        """A jet from its stored form, as given; pickles and copies use it."""
-        jet = object.__new__(cls)
-        jet._fill(point, numerators, ratio)
-        return jet
+    def of_values(cls, point: Scalar, values: Iterable[Scalar]) -> DerivativeJet:
+        """The jet with these values, stored over L, the lcm of their
+        denominators: r = 1/L and N_k = v_k L^(k+1)."""
+        values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+        common = math.lcm(*(v.denominator for v in values))
+        numerators = [
+            v.numerator * common ** (k + 1) // v.denominator for k, v in enumerate(values)
+        ]
+        return cls(point, numerators, Fraction(1, common))
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -131,9 +126,6 @@ class DerivativeJet(_Value):
     def __hash__(self) -> int:
         return hash((self.point, self.values))
 
-    def __reduce__(self):
-        return self._stored, self._fields()
-
     @classmethod
     def of_polynomial(cls, poly: Polynomial, point: Scalar, order: int) -> DerivativeJet:
         """Jet of a polynomial, by repeated symbolic differentiation."""
@@ -143,7 +135,7 @@ class DerivativeJet(_Value):
         for _ in range(order + 1):
             values.append(current.evaluate(at))
             current = current.derivative()
-        return cls(at, values)
+        return cls.of_values(at, values)
 
     @classmethod
     def of_reciprocal(cls, point: Scalar, order: int) -> DerivativeJet:
@@ -159,7 +151,7 @@ class DerivativeJet(_Value):
         numerators = [1]
         for k in range(1, order + 1):
             numerators.append(numerators[-1] * -k)
-        return cls._stored(y0, tuple(numerators), 1 / y0)
+        return cls(y0, numerators, 1 / y0)
 
 
 def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction:

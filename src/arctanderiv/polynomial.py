@@ -1,10 +1,10 @@
-"""Dense univariate polynomials over exact rationals, the rational-function
-form scale * P(x) / (1+x^2)^k in which every arctan derivative lives, and the
+"""Dense univariate integer polynomials, the rational-function form
+scale * P(x) / (1+x^2)^k in which every arctan derivative lives, and the
 exact text form of their numbers at any size.
 
-Coefficients are stored as ``int`` wherever they are integral and as
-``Fraction`` otherwise, so integer polynomials (every arctan numerator) are
-computed entirely in integer arithmetic.  There is no general polynomial
+Coefficients and scales are ``int`` only (every arctan numerator is an
+integer polynomial), so all symbolic work is integer arithmetic and rationals
+appear only as values at a rational point.  There is no general polynomial
 division: the only divisor ever needed is 1+x^2, which ``ArctanRational``
 detects by P(i) = 0 and removes by synthetic division, with additions only.
 """
@@ -112,11 +112,19 @@ class _Value:
         return f"{type(self).__name__}({fields})"
 
 
-class Polynomial(_Value):
-    """Coefficients in ascending powers; the zero polynomial is the empty tuple.
+def _ints(values: Iterable[int], what: str) -> list[int]:
+    """values as a list of ``int``; any other type, even an integral
+    ``Fraction``, raises TypeError."""
+    values = list(values)
+    wrong = set(map(type, values)) - {int}
+    if wrong:
+        raise TypeError(f"{what} must be int, not {wrong.pop().__name__}")
+    return values
 
-    Integral coefficients, including integral ``Fraction`` inputs, are stored
-    as ``int``; the rest as ``Fraction``.
+
+class Polynomial(_Value):
+    """Integer coefficients in ascending powers; the zero polynomial is the
+    empty tuple.
 
     >>> str(Polynomial((-1, 0, 3)))
     '3*x^2 - 1'
@@ -127,10 +135,10 @@ class Polynomial(_Value):
     """
 
     __slots__ = ("coefficients",)
-    coefficients: tuple[Scalar, ...]
+    coefficients: tuple[int, ...]
 
-    def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [c if type(c) is int else _exact(c) for c in coefficients]
+    def __init__(self, coefficients: Iterable[int] = ()):
+        coeffs = _ints(coefficients, "a Polynomial coefficient")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -144,12 +152,12 @@ class Polynomial(_Value):
         return not self.coefficients
 
     @property
-    def leading_coefficient(self) -> Scalar:
+    def leading_coefficient(self) -> int:
         if self.is_zero():
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coefficients[-1]
 
-    def __add__(self, other: Polynomial | Scalar) -> Polynomial:
+    def __add__(self, other: Polynomial | int) -> Polynomial:
         other = _as_poly(other)
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
@@ -164,12 +172,13 @@ class Polynomial(_Value):
     def __neg__(self) -> Polynomial:
         return Polynomial(-c for c in self.coefficients)
 
-    def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
+    def __sub__(self, other: Polynomial | int) -> Polynomial:
         return self + (-_as_poly(other))
 
-    def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: Polynomial | int) -> Polynomial:
+        if type(other) is int:
             return Polynomial(c * other for c in self.coefficients)
+        other = _as_poly(other)
         prod = [0] * (len(self.coefficients) + len(other.coefficients))
         for i, a in enumerate(self.coefficients):
             if a:
@@ -204,7 +213,7 @@ class Polynomial(_Value):
         q = x.denominator
         return Fraction(self._homogeneous(x.numerator, q), q**self.degree)
 
-    def _homogeneous(self, p: int, q: int) -> Scalar:
+    def _homogeneous(self, p: int, q: int) -> int:
         """q^deg * P(p/q) = sum c_i p^i q^(deg-i), by Horner's scheme in p
         with the matching power of q folded into each coefficient."""
         coeffs = self.coefficients
@@ -225,40 +234,37 @@ class Polynomial(_Value):
     def __repr__(self) -> str:
         return f"Polynomial({self.coefficients!r})"
 
-    def _terms(self, scale: Scalar, powers: Iterable[int]) -> Iterator[Term]:
+    def _terms(self, scale: int, powers: Iterable[int]) -> Iterator[Term]:
         """(power, numerator, denominator) as text for each nonzero
-        coefficient of scale * self, in the order of powers.
+        coefficient of scale * self, in the order of powers (always "1").
 
-        An int scale is converted to Decimal once, and each int coefficient
-        is printed as the exact Decimal product, so the product is never
-        formed as an int and never converted by the quadratic int -> str.
+        A scale other than 1 is converted to Decimal once, and each
+        coefficient is printed as the exact Decimal product, so the product is
+        never formed as an int and never converted by the quadratic int -> str.
         """
         coefficients = self.coefficients
-        factor = _decimal(scale) if type(scale) is int and scale != 1 else None
+        factor = None if scale == 1 else _decimal(scale)
         for power in powers:
             c = coefficients[power]
             if not (c and scale):
                 continue
-            if factor is not None and type(c) is int:
-                yield power, str(_EXACT.multiply(factor, _decimal(c))), "1"
+            if factor is None:
+                yield power, exact_str(c), "1"
             else:
-                value = scale * c
-                yield power, exact_str(value.numerator), exact_str(value.denominator)
+                yield power, str(_EXACT.multiply(factor, _decimal(c))), "1"
 
-    def terms(self, scale: Scalar = 1) -> Iterator[Term]:
+    def terms(self, scale: int = 1) -> Iterator[Term]:
         """(power, numerator, denominator) as text for each nonzero
         coefficient of scale * self, in ascending powers."""
         return self._terms(scale, range(len(self.coefficients)))
 
-    def text(self, scale: Scalar = 1) -> Iterator[str]:
+    def text(self, scale: int = 1) -> Iterator[str]:
         """The text form of scale * self, one piece per term: descending
         powers, exact coefficients.  Joined, the pieces are ``str``."""
         first = True
-        for power, numerator, denominator in self._terms(scale, range(self.degree, -1, -1)):
+        for power, numerator, _ in self._terms(scale, range(self.degree, -1, -1)):
             negative = numerator[0] == "-"
             magnitude = numerator[negative:]
-            if denominator != "1":
-                magnitude = f"{magnitude}/{denominator}"
             if power:
                 variable = "x" if power == 1 else f"x^{power}"
                 magnitude = variable if magnitude == "1" else f"{magnitude}*{variable}"
@@ -274,14 +280,7 @@ class Polynomial(_Value):
         return "".join(self.text())
 
 
-def _exact(value) -> Scalar:
-    """value as an exact rational: an int when integral, else a Fraction."""
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _as_poly(value: Polynomial | Scalar) -> Polynomial:
+def _as_poly(value: Polynomial | int) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial((value,))
@@ -295,18 +294,17 @@ class ArctanRational(_Value):
 
     * P is a primitive integer polynomial (the gcd of its coefficients is 1)
       with a positive leading coefficient;
-    * scale carries the content and the sign: an int, or a Fraction when the
-      given numerator has non-integral coefficients;
+    * scale is an int that carries the content and the sign;
     * k is the smallest possible exponent;
     * zero is P = 0, k = 0 and scale = 0.
 
-    ``ArctanRational(p, k, scale)`` is scale * p / (1+x^2)^k for any
-    polynomial or scalar p (the parameters are named after the stored
-    fields, so that the repr is a constructor call): construction takes one
-    gcd over p's coefficients and moves that content into ``scale``, so a
-    route can pass a factor it knows, such as (n-1)!, as ``scale`` and never
-    multiply it in.  The form
-    is unique, so mathematically equal values compare equal field by field.
+    ``ArctanRational(p, k, scale)`` is scale * p / (1+x^2)^k for an
+    integer polynomial or int p and an int scale (the parameters are named
+    after the stored fields, so that the repr is a constructor call):
+    construction takes one gcd over p's coefficients and moves that content
+    into ``scale``, so a route can pass a factor it knows, such as (n-1)!,
+    as ``scale`` and never multiply it in.  The form is unique, so
+    mathematically equal values compare equal field by field.
     Exponent 0 is a plain polynomial.  ``numerator`` is the full numerator
     scale * P, built on each read.
 
@@ -324,27 +322,22 @@ class ArctanRational(_Value):
     __slots__ = ("primitive", "exponent", "scale")
     primitive: Polynomial
     exponent: int
-    scale: Scalar
+    scale: int
 
-    def __init__(self, primitive: Polynomial | Scalar, exponent: int = 0, scale: Scalar = 1):
+    def __init__(self, primitive: Polynomial | int, exponent: int = 0, scale: int = 1):
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
+        _ints((scale,), "an ArctanRational scale")
         coeffs = _as_poly(primitive).coefficients
         if not coeffs or not scale:
             coeffs, exponent, scale = (), 0, 0
         else:
-            common = math.lcm(*[c.denominator for c in coeffs if type(c) is not int])
-            if common != 1:
-                coeffs = [(c * common).numerator for c in coeffs]
-                scale = Fraction(scale, common)
             content = math.gcd(*coeffs)
             if coeffs[-1] < 0:
                 content = -content
             if content != 1:
                 coeffs = [c // content for c in coeffs]
                 scale *= content
-            if type(scale) is not int:
-                scale = _exact(scale)
         c = coeffs
         while exponent and sum(c[0::4]) == sum(c[2::4]) and sum(c[1::4]) == sum(c[3::4]):
             c = list(c[2:])

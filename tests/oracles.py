@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from math import comb, factorial
 from operator import add
+from typing import Sequence
 
 from arctanderiv.polynomial import Polynomial
 
@@ -77,17 +78,26 @@ def set_partition_count(n: int) -> int:
     return walk(0, [])
 
 
-def difference_quotient_derivative(p: Polynomial, x: Fraction) -> Fraction:
-    """p'(x) through the symbolic difference quotient (p(x+h) - p(x)) / h.
+def difference_quotient_derivative(coefficients: Sequence[int], x: Fraction) -> Fraction:
+    """p'(x) through the symbolic difference quotient (p(x+h) - p(x)) / h,
+    for p = sum_i coefficients[i] x^i.
 
-    h stays a polynomial variable.  Dividing by h shifts every coefficient
-    down one power, so the constant term must vanish and the h^1 coefficient
-    is the h -> 0 limit of the quotient.  Never touches Polynomial.derivative.
+    h stays a polynomial variable: p(x+h) is expanded by Horner's scheme in
+    x + h on a plain list of Fraction coefficients in h, and p(x) is summed
+    term by term.  Dividing by h shifts every coefficient down one power, so
+    the constant term must vanish and the h^1 coefficient is the h -> 0 limit
+    of the quotient.  Never touches Polynomial.
     """
-    in_h = p.compose(Polynomial((x, 1)))
-    coeffs = (in_h - Polynomial((p.evaluate(x),))).coefficients + (0, 0)
-    assert coeffs[0] == 0
-    return Fraction(coeffs[1])
+    in_h = [Fraction(0)]
+    for c in reversed(coefficients):
+        times_x_plus_h = [a * x for a in in_h] + [Fraction(0)]
+        for power, a in enumerate(in_h, 1):
+            times_x_plus_h[power] += a
+        times_x_plus_h[0] += c
+        in_h = times_x_plus_h
+    in_h[0] -= sum((c * x**i for i, c in enumerate(coefficients)), Fraction(0))
+    assert in_h[0] == 0
+    return (in_h + [Fraction(0)])[1]
 
 
 def gaussian_derivative_value(n: int, x: Fraction) -> Fraction:

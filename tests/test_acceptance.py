@@ -102,32 +102,48 @@ def test_criterion_6_coefficient_recurrence():
     assert ok
 
 
-def _random_polynomial(rng: random.Random) -> Polynomial:
+def _random_polynomial(rng: random.Random) -> tuple[Polynomial, int]:
+    """A random polynomial with rational coefficients, as an integer
+    polynomial P and a common denominator d: the drawn polynomial is P/d."""
     degree = rng.randint(1, 5)
     coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(degree)]
     coeffs.append(Fraction(rng.choice((-3, -2, -1, 1, 2, 3))))
-    return Polynomial(coeffs)
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return Polynomial(int(c * d) for c in coeffs), d
+
+
+def _jet(poly: Polynomial, d: int, point: Fraction, order: int) -> DerivativeJet:
+    """The jet of poly/d at point, built from its values."""
+    values = []
+    for _ in range(order + 1):
+        values.append(poly.evaluate(point) / d)
+        poly = poly.derivative()
+    return DerivativeJet.of_values(point, values)
 
 
 def test_criterion_7_generic_composition():
     rng = random.Random(20240817)
     ok = True
     for _ in range(200):
-        f = _random_polynomial(rng)
-        g = _random_polynomial(rng)
+        f, a = _random_polynomial(rng)
+        g, b = _random_polynomial(rng)
         x0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        composed = f.compose(g)
-        f_jet = DerivativeJet.of_polynomial(f, g.evaluate(x0), 10)
-        g_jet = DerivativeJet.of_polynomial(g, x0, 10)
+        # (f/a)(g/b) = H / (a b^deg f), H = sum_i f_i b^(deg f - i) g^i.
+        top = f.degree
+        scaled = Polynomial(c * b ** (top - i) for i, c in enumerate(f.coefficients))
+        composed, denominator = scaled.compose(g), a * b**top
+        f_jet = _jet(f, a, g.evaluate(x0) / b, 10)
+        g_jet = _jet(g, b, x0, 10)
         for n in range(1, 11):
-            ok = ok and faa_di_bruno(n, f_jet, g_jet) == nth_derivative_value(composed, n, x0)
+            expected = nth_derivative_value(composed, n, x0) / denominator
+            ok = ok and faa_di_bruno(n, f_jet, g_jet) == expected
     counts_ok = all(
         len(multiplicity_vectors(n)) == euler_partition_count(n) for n in range(1, 31)
     )
     bell_ok = True
     for n in range(1, 9):
-        f_jet = DerivativeJet(0, (Fraction(1),) * (n + 1))
-        g_jet = DerivativeJet(0, (Fraction(0),) + (Fraction(1),) * n)
+        f_jet = DerivativeJet.of_values(0, (Fraction(1),) * (n + 1))
+        g_jet = DerivativeJet.of_values(0, (Fraction(0),) + (Fraction(1),) * n)
         bell_ok = bell_ok and faa_di_bruno(n, f_jet, g_jet) == set_partition_count(n)
     _verdict(
         "7 generic composition",

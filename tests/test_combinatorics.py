@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arctanderiv import binomial, pochhammer
+from arctanderiv import binomial
 from oracles import pascal_triangle
 
 
@@ -54,23 +54,6 @@ def test_binomial_beyond_cache_limit():
         for k in (-1, -n, n + 1, 2 * n):
             assert binomial(n, k) == 0
     assert binomial(1025, 512) == binomial(1024, 511) + binomial(1024, 512)
-
-
-def test_pochhammer_empty_product():
-    for q in (0, 2, -3, Fraction(1, 2), Fraction(-7, 3)):
-        assert pochhammer(q, 0) == 1
-
-
-def test_pochhammer_examples():
-    assert pochhammer(2, 3) == 24
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert pochhammer(-2, 4) == 0
-
-
-def test_pochhammer_vs_factorial_for_naturals():
-    for q in range(1, 31):
-        for k in range(16):
-            assert pochhammer(q, k) == Fraction(math.factorial(q + k - 1), math.factorial(q - 1))
 
 
 @given(

@@ -64,12 +64,16 @@ def test_reciprocal_jet_values():
 
 def test_jets_are_values():
     a = DerivativeJet.of_reciprocal(Fraction(5, 4), 2)
-    b = DerivativeJet(Fraction(10, 8), (Fraction(4, 5), Fraction(-16, 25), Fraction(128, 125)))
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b, DerivativeJet.of_reciprocal(Fraction(5, 4), 2)}) == 1
+    b = DerivativeJet.of_values(
+        Fraction(10, 8), (Fraction(4, 5), Fraction(-16, 25), Fraction(128, 125))
+    )
+    # The same values in another stored form: N_k = (-1)^k 4^(k+1) k!, r = 1/5.
+    c = DerivativeJet(Fraction(10, 8), (4, -16, 128), Fraction(1, 5))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c, DerivativeJet.of_reciprocal(Fraction(5, 4), 2)}) == 1
     assert a != DerivativeJet.of_reciprocal(Fraction(5, 4), 3)
-    assert a != DerivativeJet(Fraction(5, 4), a.values[:2] + (0,))
-    assert a != DerivativeJet(Fraction(5, 3), a.values)
+    assert a != DerivativeJet.of_values(Fraction(5, 4), a.values[:2] + (0,))
+    assert a != DerivativeJet.of_values(Fraction(5, 3), a.values)
     assert a != (a.point, a.values)
     for field in ("point", "values"):
         with pytest.raises(AttributeError):
@@ -81,7 +85,7 @@ def test_jets_are_values():
     assert repr(a) == (
         "DerivativeJet(point=Fraction(5, 4), numerators=(1, -1, 2), ratio=Fraction(4, 5))"
     )
-    assert repr(DerivativeJet(0, (1,))) == (
+    assert repr(DerivativeJet.of_values(0, (1,))) == (
         "DerivativeJet(point=Fraction(0, 1), numerators=(1,), ratio=Fraction(1, 1))"
     )
 
@@ -92,7 +96,7 @@ def test_reciprocal_jet_at_a_negative_point():
     jet = DerivativeJet.of_reciprocal(y0, 8)
     assert jet.ratio == Fraction(-4, 5)
     values = [Fraction(math.factorial(k) * (-1) ** k) / y0 ** (k + 1) for k in range(9)]
-    generic = DerivativeJet(y0, values)
+    generic = DerivativeJet.of_values(y0, values)
     assert jet.values == generic.values == tuple(values)
     assert jet == generic and hash(jet) == hash(generic)
     for x0 in (Fraction(1, 2), Fraction(-3, 2)):
@@ -104,9 +108,24 @@ def test_reciprocal_jet_at_a_negative_point():
 
 
 def test_jet_copies_keep_the_stored_form():
-    jet = DerivativeJet.of_reciprocal(Fraction(-5, 4), 3)
-    for copied in (pickle.loads(pickle.dumps(jet)), copy.copy(jet), copy.deepcopy(jet)):
-        assert (copied.numerators, copied.ratio) == (jet.numerators, jet.ratio)
+    names = {"DerivativeJet": DerivativeJet, "Fraction": Fraction}
+    for jet in (
+        DerivativeJet.of_reciprocal(Fraction(-5, 4), 3),
+        DerivativeJet(Fraction(10, 8), (4, -16, 128), Fraction(1, 5)),
+    ):
+        rebuilt = (
+            eval(repr(jet), names),
+            pickle.loads(pickle.dumps(jet)),
+            copy.copy(jet),
+            copy.deepcopy(jet),
+        )
+        for copied in rebuilt:
+            assert type(copied) is DerivativeJet
+            assert (copied.point, copied.numerators, copied.ratio) == (
+                jet.point,
+                jet.numerators,
+                jet.ratio,
+            )
 
 
 def test_reciprocal_jet_rejects_zero():
@@ -116,15 +135,17 @@ def test_reciprocal_jet_rejects_zero():
 
 def test_jet_needs_values():
     with pytest.raises(ValueError):
-        DerivativeJet(0, ())
+        DerivativeJet.of_values(0, ())
+    with pytest.raises(ValueError):
+        DerivativeJet(0, (), 1)
 
 
 def test_first_order_is_plain_chain_rule():
     rng = random.Random(7)
     for _ in range(20):
         g0, g1, f1 = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
-        f_jet = DerivativeJet(g0, (Fraction(rng.randint(-9, 9)), f1))
-        g_jet = DerivativeJet(0, (g0, g1))
+        f_jet = DerivativeJet.of_values(g0, (Fraction(rng.randint(-9, 9)), f1))
+        g_jet = DerivativeJet.of_values(0, (g0, g1))
         assert faa_di_bruno(1, f_jet, g_jet) == f1 * g1
 
 
@@ -142,20 +163,20 @@ def test_cube_then_square_third_derivative():
 
 def test_all_ones_jets_give_bell_numbers():
     for n in range(1, 9):
-        f_jet = DerivativeJet(0, (Fraction(1),) * (n + 1))
-        g_jet = DerivativeJet(0, (Fraction(0),) + (Fraction(1),) * n)
+        f_jet = DerivativeJet.of_values(0, (Fraction(1),) * (n + 1))
+        g_jet = DerivativeJet.of_values(0, (Fraction(0),) + (Fraction(1),) * n)
         assert faa_di_bruno(n, f_jet, g_jet) == set_partition_count(n)
 
 
 def test_order_zero_returns_composed_value():
-    f_jet = DerivativeJet(5, (Fraction(11),))
-    g_jet = DerivativeJet(1, (Fraction(5),))
+    f_jet = DerivativeJet.of_values(5, (Fraction(11),))
+    g_jet = DerivativeJet.of_values(1, (Fraction(5),))
     assert faa_di_bruno(0, f_jet, g_jet) == 11
 
 
 def test_jet_order_validation():
-    f_jet = DerivativeJet(0, (1, 1))
-    g_jet = DerivativeJet(0, (0, 1))
+    f_jet = DerivativeJet.of_values(0, (1, 1))
+    g_jet = DerivativeJet.of_values(0, (0, 1))
     with pytest.raises(ValueError):
         faa_di_bruno(2, f_jet, g_jet)
     with pytest.raises(ValueError):
@@ -163,14 +184,14 @@ def test_jet_order_validation():
 
 
 def test_jet_anchor_validation():
-    f_jet = DerivativeJet(3, (1, 1))
-    g_jet = DerivativeJet(0, (2, 1))
+    f_jet = DerivativeJet.of_values(3, (1, 1))
+    g_jet = DerivativeJet.of_values(0, (2, 1))
     with pytest.raises(ValueError):
         faa_di_bruno(1, f_jet, g_jet)
 
 
 def _random_jet(rng, order):
-    return DerivativeJet(
+    return DerivativeJet.of_values(
         Fraction(rng.randint(-5, 5)),
         tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(order + 1)),
     )
@@ -206,7 +227,7 @@ def test_square_chain_rule_parity():
 def _square_inner_jet(inner, x0, n):
     # Jet of g(x) = a + x^2 at x0, with a chosen so that g(x0) = inner.
     g_values = [inner, 2 * x0, Fraction(2)] + [Fraction(0)] * max(n - 2, 0)
-    return DerivativeJet(x0, g_values[: n + 1])
+    return DerivativeJet.of_values(x0, g_values[: n + 1])
 
 
 def test_square_chain_rule_agrees_with_generic_composition():
@@ -239,7 +260,7 @@ def test_square_chain_rule_reads_a_prefix_of_longer_jets():
             exact = DerivativeJet.of_reciprocal(1 + x * x, n)
             assert long_reciprocal.values[: n + 1] == exact.values
             assert square_chain_rule(n, x, long_reciprocal) == square_chain_rule(n, x, exact)
-            prefix = DerivativeJet(long_random.point, long_random.values[: n + 1])
+            prefix = DerivativeJet.of_values(long_random.point, long_random.values[: n + 1])
             assert square_chain_rule(n, x, long_random) == square_chain_rule(n, x, prefix)
 
 
