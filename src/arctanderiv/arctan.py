@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .composition import DerivativeJet, square_chain_rule
 from .identities import _sweep_numerators
-from .polynomial import ArctanRational, Polynomial, Scalar, exact_str
+from .polynomial import ArctanRational, Polynomial, _rational, exact_str
 from .reports import CheckReport
 
 __all__ = [
@@ -119,7 +119,7 @@ def arctan_derivative_expanded(n: int) -> ArctanRational:
     return _expanded(n - 1, _literal_numerators(n - 1))
 
 
-def arctan_derivative_pointwise(n: int, x: Scalar) -> Fraction:
+def arctan_derivative_pointwise(n: int, x: int | Fraction) -> Fraction:
     """arctan^(n)(x) for one rational x, through derivative jets.
 
     arctan' = 1/(1 + x^2) is the reciprocal composed with a + x^2 (a = 1), so
@@ -127,7 +127,7 @@ def arctan_derivative_pointwise(n: int, x: Scalar) -> Fraction:
     of y -> 1/y at 1 + x^2 and apply the specialized chain rule.
     """
     _require_order(n)
-    at = Fraction(x)
+    at = _rational(x, "a point")
     jet = DerivativeJet.of_reciprocal(1 + at * at, n - 1)
     return square_chain_rule(n - 1, at, jet)
 
@@ -159,7 +159,7 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     """
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
-    points = tuple(Fraction(p) for p in sample_points)
+    points = tuple(_rational(p, "a sample point") for p in sample_points)
     report = CheckReport(
         "crosscheck", {"n_max": n_max, "points": [exact_str(p) for p in points]}
     )

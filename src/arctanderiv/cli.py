@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import arctan, identities
-from .polynomial import ArctanRational, exact_str
+from .polynomial import ArctanRational, Term, exact_str
 
 __all__ = ["main", "build_parser"]
 
@@ -77,9 +77,10 @@ class _Number(str):
     """The text of an integer, written to json as a number."""
 
 
-def _term_dicts(terms: Iterable[tuple[int, str, str]]) -> Iterator[dict[str, object]]:
-    for power, numerator, denominator in terms:
-        yield {"power": power, "numerator": _Number(numerator), "denominator": _Number(denominator)}
+def _term_dicts(terms: Iterable[Term]) -> Iterator[dict[str, object]]:
+    """json term dicts from (power, text) pairs: every term is an integer."""
+    for power, numerator in terms:
+        yield {"power": power, "numerator": _Number(numerator), "denominator": 1}
 
 
 def _json(value: object, indent: str, quote: Callable[[object], str]) -> Iterator[str]:
@@ -146,7 +147,7 @@ def cmd_qpoly(args: argparse.Namespace) -> int:
         poly.text(),
         lambda: {"n": args.n, "terms": _term_dicts(poly.terms())},
         TERM_HEADER,
-        poly.terms(),
+        ((power, numerator, 1) for power, numerator in poly.terms()),
     )
     return 0
 
@@ -160,8 +161,6 @@ SYMBOLIC_METHODS: dict[str, Callable[[int], ArctanRational]] = {
 
 def cmd_derive(args: argparse.Namespace) -> int:
     if args.method == "fdb":
-        if args.x is None:
-            raise _UsageError("--method=fdb evaluates pointwise and needs --x")
         value = arctan.arctan_derivative_pointwise(args.n, args.x)
     else:
         result = SYMBOLIC_METHODS[args.method](args.n)
@@ -176,7 +175,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
                     "denominator_exponent": result.exponent,
                 },
                 (*TERM_HEADER, "denominator_exponent"),
-                ((*term, result.exponent) for term in result.terms()),
+                ((power, numerator, 1, result.exponent) for power, numerator in result.terms()),
             )
             return 0
         value = result.evaluate(args.x)
@@ -244,10 +243,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-class _UsageError(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arctanderiv",
@@ -307,11 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "derive" and args.method == "fdb" and args.x is None:
+        parser.error("--method=fdb evaluates pointwise and needs --x")
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         # Exit 1 is reserved for a mathematical mismatch.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .polynomial import Polynomial, Scalar, _ints, _Value
+from .polynomial import Polynomial, _ints, _rational, _Value
 
 __all__ = [
     "MultiplicityVector",
@@ -69,9 +69,10 @@ class DerivativeJet(_Value):
 
     so the chain rules can work in ``int`` throughout; ``values`` rebuilds
     the Fractions.  ``__init__`` takes this stored form as given, and
-    ``of_values`` builds one from the values.  It is not unique (N_k t^(k+1)
-    with r/t stores the same values), so equality and hash compare the point
-    and the values, not the stored fields.
+    ``of_values`` builds one from the values; points, ratios and values are
+    ``int`` or ``Fraction`` (TypeError otherwise).  The form is not unique
+    (N_k t^(k+1) with r/t stores the same values), so equality and hash
+    compare the point and the values, not the stored fields.
 
     >>> DerivativeJet.of_reciprocal(Fraction(-5, 4), 2)
     DerivativeJet(point=Fraction(-5, 4), numerators=(1, -1, 2), ratio=Fraction(-4, 5))
@@ -84,19 +85,19 @@ class DerivativeJet(_Value):
     numerators: tuple[int, ...]
     ratio: Fraction
 
-    def __init__(self, point: Scalar, numerators: Iterable[int], ratio: Scalar) -> None:
+    def __init__(self, point: int | Fraction, numerators: Iterable[int], ratio: int | Fraction):
         numerators = _ints(numerators, "a jet numerator")
         if not numerators:
             raise ValueError("a jet needs at least the order-0 value")
-        object.__setattr__(self, "point", Fraction(point))
+        object.__setattr__(self, "point", _rational(point, "a jet point"))
         object.__setattr__(self, "numerators", tuple(numerators))
-        object.__setattr__(self, "ratio", Fraction(ratio))
+        object.__setattr__(self, "ratio", _rational(ratio, "a jet ratio"))
 
     @classmethod
-    def of_values(cls, point: Scalar, values: Iterable[Scalar]) -> DerivativeJet:
+    def of_values(cls, point: int | Fraction, values: Iterable[int | Fraction]) -> DerivativeJet:
         """The jet with these values, stored over L, the lcm of their
         denominators: r = 1/L and N_k = v_k L^(k+1)."""
-        values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+        values = [_rational(v, "a jet value") for v in values]
         common = math.lcm(*(v.denominator for v in values))
         numerators = [
             v.numerator * common ** (k + 1) // v.denominator for k, v in enumerate(values)
@@ -127,9 +128,9 @@ class DerivativeJet(_Value):
         return hash((self.point, self.values))
 
     @classmethod
-    def of_polynomial(cls, poly: Polynomial, point: Scalar, order: int) -> DerivativeJet:
+    def of_polynomial(cls, poly: Polynomial, point: int | Fraction, order: int) -> DerivativeJet:
         """Jet of a polynomial, by repeated symbolic differentiation."""
-        at = Fraction(point)
+        at = _rational(point, "a jet point")
         values = []
         current = poly
         for _ in range(order + 1):
@@ -138,14 +139,14 @@ class DerivativeJet(_Value):
         return cls.of_values(at, values)
 
     @classmethod
-    def of_reciprocal(cls, point: Scalar, order: int) -> DerivativeJet:
+    def of_reciprocal(cls, point: int | Fraction, order: int) -> DerivativeJet:
         """Jet of y -> 1/y: the k-th derivative at y0 is k! (-1)^k / y0^(k+1),
         stored as N_k = (-1)^k k! and r = 1/y0.
 
         N_k depends on k only and r on y0 only, so the order-k jet is the
         first k+1 values of any longer one.
         """
-        y0 = Fraction(point)
+        y0 = _rational(point, "a jet point")
         if y0 == 0:
             raise ZeroDivisionError("reciprocal jet undefined at 0")
         numerators = [1]
@@ -189,7 +190,7 @@ def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction
     return total
 
 
-def square_chain_rule(n: int, x: Scalar, f_jet: DerivativeJet) -> Fraction:
+def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fraction:
     """n-th derivative at x of h(x) = f(a + x^2), given the jet of f at a + x^2.
 
     Because the inner function has vanishing derivatives beyond order two, the
@@ -214,7 +215,7 @@ def square_chain_rule(n: int, x: Scalar, f_jet: DerivativeJet) -> Fraction:
         raise ValueError("derivative order must be >= 0")
     if f_jet.order < n:
         raise ValueError(f"square_chain_rule needs a jet of order >= {n}")
-    x = Fraction(x)
+    x = _rational(x, "a point")
     p, q = x.numerator, x.denominator
     c, d = f_jet.ratio.numerator, f_jet.ratio.denominator
     numerators = f_jet.numerators
@@ -248,11 +249,6 @@ def square_chain_coefficients(n: int) -> list[int]:
         raise ValueError("square_chain_coefficients requires n >= 1")
     coeffs = [1]
     for m in range(1, n):
-        nxt = []
-        for k in range((m + 1) // 2 + 1):
-            value = coeffs[k] if k < len(coeffs) else 0
-            if 1 <= k <= len(coeffs):
-                value += 2 * (m - 2 * (k - 1)) * coeffs[k - 1]
-            nxt.append(value)
-        coeffs = nxt
+        padded = [0, *coeffs, 0]
+        coeffs = [padded[k + 1] + 2 * (m - 2 * k + 2) * padded[k] for k in range((m + 1) // 2 + 1)]
     return coeffs

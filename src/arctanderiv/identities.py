@@ -42,7 +42,6 @@ from operator import add, sub
 from typing import Iterator, Sequence
 
 from .combinatorics import binomial
-from .polynomial import Scalar
 from .reports import CheckReport
 
 __all__ = [
@@ -262,7 +261,7 @@ MAX_TERMS = 10**6
 terminating."""
 
 
-def truncation_index(a: Scalar, b: Scalar) -> int | None:
+def truncation_index(a: int | Fraction, b: int | Fraction) -> int | None:
     """Index of the last nonzero series term, or None when nothing truncates.
 
     The rising factorial (q)_k first vanishes at k = 1 - q for a nonpositive
@@ -273,7 +272,7 @@ def truncation_index(a: Scalar, b: Scalar) -> int | None:
     return min(candidates) if candidates else None
 
 
-def terminating_2f1(a: Scalar, b: Scalar, c: Scalar) -> Fraction:
+def terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> Fraction:
     """Exact finite value of sum_k (a)_k (b)_k / ((c)_k k!) at argument 1.
 
     The sum runs k = 0..K with K the truncation index.  Term k = 0 is 1 and
@@ -291,7 +290,7 @@ def terminating_2f1(a: Scalar, b: Scalar, c: Scalar) -> Fraction:
     return Fraction(*_terminating_2f1(a, b, c))
 
 
-def _terminating_2f1(a: Scalar, b: Scalar, c: Scalar) -> tuple[int, int]:
+def _terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> tuple[int, int]:
     """terminating_2f1(a, b, c) as an unreduced (numerator, denominator)
     pair of ints; the denominator may be negative."""
     last = truncation_index(a, b)

@@ -15,10 +15,9 @@ import functools
 import math
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
-Scalar = Union[int, Fraction]
-Term = tuple[int, str, str]
+Term = tuple[int, str]
 
 __all__ = ["Polynomial", "ArctanRational", "ONE_PLUS_X2", "exact_str"]
 
@@ -59,9 +58,9 @@ def _decimal(n: int) -> Decimal:
     return _EXACT.add(_EXACT.multiply(_decimal(hi), _two_power(j)), _decimal(lo))
 
 
-def exact_str(value: Scalar) -> str:
-    """str(value) for an int or a Fraction of any size, with no int -> str
-    digit limit and no call to sys.set_int_max_str_digits.
+def exact_str(value: int | Fraction) -> str:
+    """str(value) for an int or a Fraction of any size, through _decimal, with
+    no int -> str digit limit and no call to sys.set_int_max_str_digits.
 
     >>> exact_str(Fraction(-3, 4)), exact_str(7)
     ('-3/4', '7')
@@ -70,8 +69,18 @@ def exact_str(value: Scalar) -> str:
     """
     if value.denominator != 1:
         return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
-    n = value.numerator
-    return str(n) if n.bit_length() <= _DIRECT_BITS else str(_decimal(n))
+    return str(_decimal(value.numerator))
+
+
+def _repr(value: object) -> str:
+    """repr(value), with the ints of an int, tuple or Fraction by exact_str."""
+    if type(value) is int:
+        return exact_str(value)
+    if isinstance(value, Fraction):
+        return f"Fraction({exact_str(value.numerator)}, {exact_str(value.denominator)})"
+    if type(value) is not tuple:
+        return repr(value)
+    return f"({', '.join(map(_repr, value))}{',' * (len(value) == 1)})"
 
 
 def _immutable(self, name, *value):
@@ -108,7 +117,7 @@ class _Value:
         return self.__class__, self._fields()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
 
@@ -120,6 +129,13 @@ def _ints(values: Iterable[int], what: str) -> list[int]:
     if wrong:
         raise TypeError(f"{what} must be int, not {wrong.pop().__name__}")
     return values
+
+
+def _rational(value: int | Fraction, what: str) -> Fraction:
+    """value as a Fraction; any type but int or Fraction raises TypeError."""
+    if type(value) is int or isinstance(value, Fraction):
+        return Fraction(value)
+    raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
 
 
 class Polynomial(_Value):
@@ -204,12 +220,12 @@ class Polynomial(_Value):
     def derivative(self) -> Polynomial:
         return Polynomial(i * c for i, c in enumerate(self.coefficients) if i)
 
-    def evaluate(self, x: Scalar) -> Fraction:
+    def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact value at a rational point x = p/q: q^deg P(p/q), computed
         without division, over q^deg as one Fraction."""
+        x = _rational(x, "a point")
         if self.is_zero():
             return Fraction(0)
-        x = Fraction(x)
         q = x.denominator
         return Fraction(self._homogeneous(x.numerator, q), q**self.degree)
 
@@ -232,37 +248,32 @@ class Polynomial(_Value):
         return result
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.coefficients!r})"
+        return f"Polynomial({_repr(self.coefficients)})"
 
     def _terms(self, scale: int, powers: Iterable[int]) -> Iterator[Term]:
-        """(power, numerator, denominator) as text for each nonzero
-        coefficient of scale * self, in the order of powers (always "1").
+        """(power, text) for each nonzero coefficient of scale * self, in the
+        order of powers.
 
-        A scale other than 1 is converted to Decimal once, and each
-        coefficient is printed as the exact Decimal product, so the product is
-        never formed as an int and never converted by the quadratic int -> str.
+        The scale is converted to Decimal once, and each coefficient is
+        printed as the exact Decimal product, so the product is never formed
+        as an int and never converted by the quadratic int -> str.
         """
-        coefficients = self.coefficients
-        factor = None if scale == 1 else _decimal(scale)
+        factor = _decimal(scale)
         for power in powers:
-            c = coefficients[power]
-            if not (c and scale):
-                continue
-            if factor is None:
-                yield power, exact_str(c), "1"
-            else:
-                yield power, str(_EXACT.multiply(factor, _decimal(c))), "1"
+            c = self.coefficients[power]
+            if c and scale:
+                yield power, str(_EXACT.multiply(factor, _decimal(c)))
 
     def terms(self, scale: int = 1) -> Iterator[Term]:
-        """(power, numerator, denominator) as text for each nonzero
-        coefficient of scale * self, in ascending powers."""
+        """(power, text) for each nonzero coefficient of scale * self, in
+        ascending powers; the text is an integer (the denominator is 1)."""
         return self._terms(scale, range(len(self.coefficients)))
 
     def text(self, scale: int = 1) -> Iterator[str]:
         """The text form of scale * self, one piece per term: descending
         powers, exact coefficients.  Joined, the pieces are ``str``."""
         first = True
-        for power, numerator, _ in self._terms(scale, range(self.degree, -1, -1)):
+        for power, numerator in self._terms(scale, range(self.degree, -1, -1)):
             negative = numerator[0] == "-"
             magnitude = numerator[negative:]
             if power:
@@ -360,17 +371,17 @@ class ArctanRational(_Value):
         top = p.derivative() * ONE_PLUS_X2 - Polynomial((0, 2 * k)) * p
         return ArctanRational(top, k + 1, self.scale)
 
-    def evaluate(self, x: Scalar) -> Fraction:
+    def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact value at a rational point; 1+x^2 >= 1 so never a pole.
 
         At x = p/q the value is scale (q^deg P(p/q)) q^(2k-deg) / (p^2+q^2)^k:
         P is evaluated in int, and the scale is multiplied in once, into the
         one Fraction formed at the end.
         """
+        x = _rational(x, "a point")
         poly, k = self.primitive, self.exponent
         if poly.is_zero():
             return Fraction(0)
-        x = Fraction(x)
         p, q = x.numerator, x.denominator
         top, bottom = poly._homogeneous(p, q), (p * p + q * q) ** k
         shift = 2 * k - poly.degree
@@ -387,8 +398,8 @@ class ArctanRational(_Value):
         return ArctanRational(left + right, k)
 
     def terms(self) -> Iterator[Term]:
-        """(power, numerator, denominator) as text for each nonzero
-        coefficient of the numerator, in ascending powers."""
+        """(power, text) for each nonzero coefficient of the numerator
+        scale * P, in ascending powers."""
         return self.primitive.terms(self.scale)
 
     def text(self) -> Iterator[str]:

@@ -121,8 +121,9 @@ def test_derive_value_json_and_csv(capsys, method):
 
 
 def test_derive_usage_errors(capsys):
-    code, _, err = run_cli(capsys, "derive", "3", "--method=fdb")
+    code, out, err = run_cli(capsys, "derive", "3", "--method=fdb")
     assert code == 2
+    assert out == ""
     assert "fdb" in err
     code, _, _ = run_cli(capsys, "derive", "0", "--method=closed")
     assert code == 2
