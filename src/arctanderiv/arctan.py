@@ -20,7 +20,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from .composition import DerivativeJet, square_chain_rule
+from .composition import DerivativeJet, _square_chain_rule, square_chain_rule
 from .identities import _sweep_numerators
 from .polynomial import ArctanRational, Polynomial, _rational, exact_str
 from .reports import CheckReport
@@ -156,6 +156,12 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     n_max - 1: a shorter reciprocal jet is a prefix of a longer one, and
     :func:`square_chain_rule` reads only the values up to order n - 1, so
     each n gets the value a jet of exactly that order gives.
+
+    A pointwise case is decided in integers: the jet route and the oracle
+    each give an unreduced (numerator, denominator) pair, from their own
+    kernels (``_square_chain_rule`` and ``ArctanRational._evaluate``), and
+    the case passes when a d == b c.  Both values become a ``Fraction`` only
+    in the context of a mismatch.
     """
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
@@ -178,14 +184,17 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
             expanded == oracle, n=n, pair="expanded vs oracle", expanded=expanded, oracle=oracle
         )
         for x, jet in zip(points, jets):
-            pointwise = square_chain_rule(n - 1, x, jet)
-            expected = oracle.evaluate(x)
-            report.count_case(
-                pointwise == expected,
-                n=n,
-                pair="pointwise vs oracle",
-                point=x,
-                pointwise=pointwise,
-                oracle=expected,
-            )
+            top, bottom = _square_chain_rule(n - 1, x.numerator, x.denominator, jet)
+            expected_top, expected_bottom = oracle._evaluate(x.numerator, x.denominator)
+            if top * expected_bottom == expected_top * bottom:
+                report.count_case(True)
+            else:
+                report.count_case(
+                    False,
+                    n=n,
+                    pair="pointwise vs oracle",
+                    point=x,
+                    pointwise=Fraction(top, bottom),
+                    oracle=Fraction(expected_top, expected_bottom),
+                )
     return report

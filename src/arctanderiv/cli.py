@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=(*SYMBOLIC_METHODS, "fdb"), default="closed")
     p.add_argument("--x", type=_rational, default=None, help="evaluate at x = p/q")
     add_format(p)
-    p.set_defaults(func=cmd_derive)
+    p.set_defaults(func=cmd_derive, parser=p)
 
     # The check functions are read here, when the parser is built, so that a
     # rebinding of the module attribute before main() runs takes effect.
@@ -303,7 +303,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "derive" and args.method == "fdb" and args.x is None:
-        parser.error("--method=fdb evaluates pointwise and needs --x")
+        args.parser.error("--method=fdb evaluates pointwise and needs --x")
     try:
         return args.func(args)
     except Exception as exc:

@@ -201,12 +201,17 @@ def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fracti
     With x = p/q, h = n//2, the jet's stored form f^(j) = N_j (c/d)^(j+1) and
     n - 2k = (n&1) + 2(h-k), the sum times d^(n+1) q^n is
 
-        (2p)^(n&1) c^(n-h+1) sum_{k=0}^{h} w_k N_(n-k) (4p^2 c)^(h-k) (q^2 d)^k,
+        (2p)^(n&1) c^(n-h+1) sum_{k=0}^{h} w_k N_(n-k) A^(h-k) B^k,
 
-    a sum of products of integers, so it is accumulated in ``int`` by
-    Horner's scheme in 4p^2 c, and the only Fraction built is the result
-    over d^(n+1) q^n.  The weight is updated from term to term,
-    w_(k+1) = w_k (n-2k)(n-2k-1)/(k+1), which is exact.
+    with A = 4p^2 c and B = q^2 d: a sum of products of integers.  Each term
+    has total degree h in A and B, so with g = gcd(A, B) the sum is
+    g^h sum_k w_k N_(n-k) (A/g)^(h-k) (B/g)^k, exactly; it is accumulated in
+    ``int`` by Horner's scheme in A/g, and g^h is multiplied in once.  For
+    the reciprocal jet of 1 + x^2 (c = q^2, d = p^2 + q^2), g is q^2 or 2q^2,
+    which halves the width of every power and of the running total; at
+    x = 0, A = 0 and g = B.  The weight is updated from term to term,
+    w_(k+1) = w_k (n-2k)(n-2k-1)/(k+1), which is exact.  The only Fraction
+    built is the result over d^(n+1) q^n.
 
     The jet is trusted to be anchored at the intended inner value; only its
     order is validated.
@@ -216,11 +221,19 @@ def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fracti
     if f_jet.order < n:
         raise ValueError(f"square_chain_rule needs a jet of order >= {n}")
     x = _rational(x, "a point")
-    p, q = x.numerator, x.denominator
+    return Fraction(*_square_chain_rule(n, x.numerator, x.denominator, f_jet))
+
+
+def _square_chain_rule(n: int, p: int, q: int, f_jet: DerivativeJet) -> tuple[int, int]:
+    """square_chain_rule(n, p/q, f_jet) as an unreduced (numerator,
+    denominator) pair of ints, for q > 0 and a jet of order >= n."""
     c, d = f_jet.ratio.numerator, f_jet.ratio.denominator
     numerators = f_jet.numerators
     half = n // 2
     p_step, q_step = 4 * p * p * c, q * q * d
+    common = math.gcd(p_step, q_step)
+    p_step //= common
+    q_step //= common
     total = 0
     weight = 1
     q_power = 1
@@ -228,10 +241,10 @@ def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fracti
         total = total * p_step + weight * numerators[n - k] * q_power
         weight = weight * (n - 2 * k) * (n - 2 * k - 1) // (k + 1)
         q_power *= q_step
-    total *= c ** (n - half + 1)
+    total *= common**half * c ** (n - half + 1)
     if n & 1:
         total *= 2 * p
-    return Fraction(total, d ** (n + 1) * q**n)
+    return total, d ** (n + 1) * q**n
 
 
 def square_chain_coefficients(n: int) -> list[int]:

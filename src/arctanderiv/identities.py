@@ -42,6 +42,7 @@ from operator import add, sub
 from typing import Iterator, Sequence
 
 from .combinatorics import binomial
+from .polynomial import _rational
 from .reports import CheckReport
 
 __all__ = [
@@ -266,8 +267,13 @@ def truncation_index(a: int | Fraction, b: int | Fraction) -> int | None:
 
     The rising factorial (q)_k first vanishes at k = 1 - q for a nonpositive
     integer q, so the last surviving term has index -q; half-integers never
-    reach zero.
+    reach zero.  a and b are ``int`` or ``Fraction`` (TypeError otherwise).
     """
+    return _truncation_index(_rational(a, "a series parameter"), _rational(b, "a series parameter"))
+
+
+def _truncation_index(a: int | Fraction, b: int | Fraction) -> int | None:
+    """truncation_index without the argument check, for the sweep."""
     candidates = [-p.numerator for p in (a, b) if p.denominator == 1 and p.numerator <= 0]
     return min(candidates) if candidates else None
 
@@ -285,15 +291,18 @@ def terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> 
     1 + r_0 (1 + r_1 (... (1 + r_{K-1}))) with term ratio
     r_k = (a+k)(b+k) / ((c+k)(k+1)), in integers built from the numerators
     and denominators of a, b and c, and reduced by one gcd at the end.  It
-    holds for any rational a, b and c.
+    holds for any rational a, b and c, each an ``int`` or a ``Fraction``
+    (TypeError otherwise).
     """
+    a, b, c = (_rational(v, "a series parameter") for v in (a, b, c))
     return Fraction(*_terminating_2f1(a, b, c))
 
 
 def _terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> tuple[int, int]:
     """terminating_2f1(a, b, c) as an unreduced (numerator, denominator)
-    pair of ints; the denominator may be negative."""
-    last = truncation_index(a, b)
+    pair of ints; the denominator may be negative.  The parameters are not
+    checked."""
+    last = _truncation_index(a, b)
     if last is None or last >= MAX_TERMS:
         raise NonTerminatingSeriesError(
             f"no upper parameter truncates the series within {MAX_TERMS} terms"
@@ -325,7 +334,7 @@ def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) ->
     # series terminates after the term of index n//2 - m: the same number of
     # terms as the literal sum.
     a, b = Fraction(2 * m - n, 2), Fraction(2 * m - n + 1, 2)
-    index, expected = truncation_index(a, b), n // 2 - m
+    index, expected = _truncation_index(a, b), n // 2 - m
     report.count_case(
         index == expected, n=n, m=m, kind="truncation index", index=index, expected=expected
     )

@@ -366,10 +366,16 @@ class ArctanRational(_Value):
 
     def derivative(self) -> ArctanRational:
         """Quotient rule on P: scale (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1),
-        re-canonicalized."""
-        p, k = self.primitive, self.exponent
-        top = p.derivative() * ONE_PLUS_X2 - Polynomial((0, 2 * k)) * p
-        return ArctanRational(top, k + 1, self.scale)
+        re-canonicalized.
+
+        Coefficient j of P'(1+x^2) - 2kxP is (j+1) c_(j+1) + (j-1-2k) c_(j-1),
+        so the new numerator is one pass over P's coefficients, padded with
+        zeros at both ends.
+        """
+        coeffs, shift = self.primitive.coefficients, 1 + 2 * self.exponent
+        padded = (0, *coeffs, 0, 0)
+        top = [(j + 1) * padded[j + 2] + (j - shift) * padded[j] for j in range(len(coeffs) + 1)]
+        return ArctanRational(Polynomial(top), self.exponent + 1, self.scale)
 
     def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact value at a rational point; 1+x^2 >= 1 so never a pole.
@@ -379,17 +385,21 @@ class ArctanRational(_Value):
         one Fraction formed at the end.
         """
         x = _rational(x, "a point")
+        return Fraction(*self._evaluate(x.numerator, x.denominator))
+
+    def _evaluate(self, p: int, q: int) -> tuple[int, int]:
+        """evaluate(p/q) as an unreduced (numerator, denominator) pair of
+        ints, for q > 0."""
         poly, k = self.primitive, self.exponent
         if poly.is_zero():
-            return Fraction(0)
-        p, q = x.numerator, x.denominator
+            return 0, 1
         top, bottom = poly._homogeneous(p, q), (p * p + q * q) ** k
         shift = 2 * k - poly.degree
         if shift >= 0:
             top *= q**shift
         else:
             bottom *= q**-shift
-        return Fraction(self.scale * top, bottom)
+        return self.scale * top, bottom
 
     def __add__(self, other: ArctanRational) -> ArctanRational:
         k = max(self.exponent, other.exponent)

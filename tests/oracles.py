@@ -14,7 +14,8 @@ from math import comb, factorial
 from operator import add
 from typing import Sequence
 
-from arctanderiv.polynomial import Polynomial
+from arctanderiv.composition import DerivativeJet
+from arctanderiv.polynomial import ArctanRational, Polynomial
 
 DEFAULT_DIGIT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 0)
 
@@ -202,3 +203,39 @@ def forward_2f1(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
         total += term
         k += 1
     return total
+
+
+def quotient_rule_step(value: ArctanRational) -> ArctanRational:
+    """One quotient-rule step on scale P / (1+x^2)^k, by Polynomial
+    arithmetic: scale (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1), with P' from
+    ``Polynomial.derivative`` and the two products and the difference from
+    the Polynomial operators."""
+    p, k = value.primitive, value.exponent
+    top = p.derivative() * Polynomial((1, 0, 1)) - Polynomial((0, 2 * k)) * p
+    return ArctanRational(top, k + 1, value.scale)
+
+
+def square_chain_rule_unreduced(n: int, x: Fraction, jet: DerivativeJet) -> Fraction:
+    """The collapsed chain rule for f(a + x^2) at x = p/q, summed by Horner's
+    scheme in A = 4p^2 c with the powers of B = q^2 d, with no common factor
+    of A and B taken out:
+
+        (2p)^(n&1) c^(n-h+1) sum_{k=0}^{h} w_k N_(n-k) A^(h-k) B^k
+            / (d^(n+1) q^n),
+
+    for the jet's stored form f^(j) = N_j (c/d)^(j+1) and h = n//2."""
+    p, q = x.numerator, x.denominator
+    c, d = jet.ratio.numerator, jet.ratio.denominator
+    half = n // 2
+    p_step, q_step = 4 * p * p * c, q * q * d
+    total = 0
+    weight = 1
+    q_power = 1
+    for k in range(half + 1):
+        total = total * p_step + weight * jet.numerators[n - k] * q_power
+        weight = weight * (n - 2 * k) * (n - 2 * k - 1) // (k + 1)
+        q_power *= q_step
+    total *= c ** (n - half + 1)
+    if n & 1:
+        total *= 2 * p
+    return Fraction(total, d ** (n + 1) * q**n)

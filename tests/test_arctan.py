@@ -211,18 +211,44 @@ def test_crosscheck_reports_a_wrong_jet_value(monkeypatch):
     # wrong (n, point) value must be the first failure, with that n and point.
     points = (Fraction(1, 3), Fraction(-47, 53), Fraction(3, 4))
     bad_n, bad_point = 9, Fraction(-47, 53)
-    square_chain_rule = arctan.square_chain_rule
+    square_chain_rule = arctan._square_chain_rule
 
-    def wrong_once(order, x, jet):
-        value = square_chain_rule(order, x, jet)
-        return value + 1 if (order + 1, x) == (bad_n, bad_point) else value
+    def wrong_once(order, p, q, jet):
+        top, bottom = square_chain_rule(order, p, q, jet)
+        if (order + 1, Fraction(p, q)) == (bad_n, bad_point):
+            top += bottom
+        return top, bottom
 
-    monkeypatch.setattr(arctan, "square_chain_rule", wrong_once)
+    monkeypatch.setattr(arctan, "_square_chain_rule", wrong_once)
     report = crosscheck(12, points)
     assert report.mismatches == 1
     first = report.failures[0]
     assert (first["n"], first["point"]) == (bad_n, str(bad_point))
     assert first["pair"] == "pointwise vs oracle"
+
+
+def test_crosscheck_decides_pointwise_cases_by_value(monkeypatch):
+    # Both pointwise pairs multiplied through by a factor that changes with
+    # the order and sign: the same values, so every case still passes.
+    square_chain_rule = arctan._square_chain_rule
+    evaluate = ArctanRational._evaluate
+
+    def scaled_jet(order, p, q, jet):
+        top, bottom = square_chain_rule(order, p, q, jet)
+        factor = (-3) ** (order % 5) * (order + 2)
+        return top * factor, bottom * factor
+
+    def scaled_oracle(value, p, q):
+        top, bottom = evaluate(value, p, q)
+        factor = 7 ** (value.exponent % 4) * -q
+        return top * factor, bottom * factor
+
+    monkeypatch.setattr(arctan, "_square_chain_rule", scaled_jet)
+    monkeypatch.setattr(ArctanRational, "_evaluate", scaled_oracle)
+    points = (Fraction(0), Fraction(1, 3), Fraction(-47, 53), Fraction(3))
+    report = crosscheck(30, points)
+    assert report.passed
+    assert report.cases == 30 * (2 + len(points))
 
 
 def test_crosscheck_reports_a_wrong_literal_numerator(monkeypatch):

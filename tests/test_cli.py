@@ -125,6 +125,9 @@ def test_derive_usage_errors(capsys):
     assert code == 2
     assert out == ""
     assert "fdb" in err
+    usage = err.split("arctanderiv derive: error:")[0]
+    assert usage.startswith("usage: arctanderiv derive ")
+    assert "--x X" in usage
     code, _, _ = run_cli(capsys, "derive", "0", "--method=closed")
     assert code == 2
     code, _, _ = run_cli(capsys, "derive", "2", "--method=nope")
@@ -346,7 +349,8 @@ def test_corollary_recurrence_mismatch_context(capsys, monkeypatch):
 def test_mismatch_past_the_digit_limit_exits_one(capsys, monkeypatch):
     # A failing case whose value has 4400 digits still renders exactly.
     huge = Fraction(10**4400 + 1, 3)
-    monkeypatch.setattr(arctan, "square_chain_rule", lambda order, x, jet: huge)
+    pair = huge.numerator, huge.denominator
+    monkeypatch.setattr(arctan, "_square_chain_rule", lambda order, p, q, jet: pair)
     text = "1" + "0" * 4399 + "1/3"
     argv = ("crosscheck", "2", "--points=0")
     code, out, _ = run_at_default_digit_limit(capsys, *argv)

@@ -14,7 +14,12 @@ from arctanderiv import (
     square_chain_coefficients,
     square_chain_rule,
 )
-from oracles import euler_partition_count, nth_derivative_value, set_partition_count
+from oracles import (
+    euler_partition_count,
+    nth_derivative_value,
+    set_partition_count,
+    square_chain_rule_unreduced,
+)
 
 
 def test_multiplicity_vectors_small_cases():
@@ -262,6 +267,33 @@ def test_square_chain_rule_reads_a_prefix_of_longer_jets():
             assert square_chain_rule(n, x, long_reciprocal) == square_chain_rule(n, x, exact)
             prefix = DerivativeJet.of_values(long_random.point, long_random.values[: n + 1])
             assert square_chain_rule(n, x, long_random) == square_chain_rule(n, x, prefix)
+
+
+@pytest.mark.parametrize(
+    "x, ratio, common",
+    [
+        (Fraction(3, 7), Fraction(1, 5), 1),  # gcd(4p^2 c, q^2 d) = 1
+        (Fraction(-1, 2), Fraction(4, 5), 4),  # q^2: reciprocal jet, p^2 + q^2 odd
+        (Fraction(1, 3), Fraction(9, 10), 18),  # 2q^2: p and q both odd
+        (Fraction(0), Fraction(1), 1),  # x = 0: the sum is its k = h term
+        (Fraction(3), Fraction(1, 10), 2),  # q = 1
+        (Fraction(2), Fraction(1, 5), 1),  # q = 1
+        (Fraction(5, 4), Fraction(-16, 41), 16),  # a negative ratio
+    ],
+)
+def test_square_chain_rule_matches_the_unreduced_sum(x, ratio, common):
+    rng = random.Random(37)
+    c, d = ratio.numerator, ratio.denominator
+    p, q = x.numerator, x.denominator
+    if p:
+        assert math.gcd(4 * p * p * c, q * q * d) == common
+    jets = [
+        DerivativeJet.of_reciprocal(1 / ratio, 30),
+        DerivativeJet(x, [rng.randint(-99, 99) for _ in range(31)], ratio),
+    ]
+    for jet in jets:
+        for n in range(31):
+            assert square_chain_rule(n, x, jet) == square_chain_rule_unreduced(n, x, jet), n
 
 
 def test_coefficient_recurrence_small_cases():

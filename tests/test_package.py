@@ -17,6 +17,8 @@ from arctanderiv import (
     polynomial,
     reports,
     square_chain_rule,
+    terminating_2f1,
+    truncation_index,
 )
 
 LIBRARY_MODULES = (arctan, combinatorics, composition, identities, polynomial, reports)
@@ -32,8 +34,8 @@ def test_package_exports_every_module_name_once():
     assert "FAILURES_KEPT" in names
 
 
-# Every place where a caller's rational point, ratio or value enters the
-# library, as a function of that one number.
+# Every place where a caller's rational point, ratio, value or series
+# parameter enters the library, as a function of that one number.
 ENTRY_POINTS = {
     "Polynomial.evaluate": lambda x: Polynomial((1, 0, 1)).evaluate(x),
     "ArctanRational.evaluate": lambda x: arctan_derivative_closed(3).evaluate(x),
@@ -46,6 +48,10 @@ ENTRY_POINTS = {
     "square_chain_rule": lambda x: square_chain_rule(2, x, DerivativeJet.of_reciprocal(5, 2)),
     "arctan_derivative_pointwise": lambda x: arctan_derivative_pointwise(3, x),
     "crosscheck": lambda x: crosscheck(3, (x,)).to_dict(),
+    "truncation_index": lambda x: truncation_index(x, -2),
+    "terminating_2f1 a": lambda x: terminating_2f1(x, -2, 1),
+    "terminating_2f1 b": lambda x: terminating_2f1(-2, x, 1),
+    "terminating_2f1 c": lambda x: terminating_2f1(-2, 1, x),
 }
 
 

@@ -19,7 +19,12 @@ from arctanderiv import (
     arctan_derivative_closed,
     exact_str,
 )
-from oracles import DEFAULT_DIGIT_LIMIT, difference_quotient_derivative, digit_limit
+from oracles import (
+    DEFAULT_DIGIT_LIMIT,
+    difference_quotient_derivative,
+    digit_limit,
+    quotient_rule_step,
+)
 
 coefficients = st.integers(-80, 80)
 rationals = st.fractions(
@@ -253,6 +258,19 @@ small_ars = st.builds(
 @given(small_ars, small_ars)
 def test_derivative_is_linear(r, s):
     assert (r + s).derivative() == r.derivative() + s.derivative()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(coefficients, min_size=0, max_size=41),
+    st.integers(0, 40),
+    coefficients.filter(bool),
+)
+def test_derivative_matches_polynomial_quotient_rule(coeffs, exponent, scale):
+    # One pass over the padded coefficients is the quotient-rule step that
+    # Polynomial derivative, products and difference take.
+    value = ArctanRational(Polynomial(coeffs), exponent, scale)
+    assert value.derivative() == quotient_rule_step(value)
 
 
 def test_rational_function_rendering():
