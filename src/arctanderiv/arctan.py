@@ -20,7 +20,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from .composition import DerivativeJet, _square_chain_rule, square_chain_rule
+from .composition import DerivativeJet, _chain_weights, _square_chain_rule, square_chain_rule
 from .identities import _sweep_numerators
 from .polynomial import ArctanRational, Polynomial, _rational, exact_str
 from .reports import CheckReport
@@ -155,7 +155,9 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     the n loop.  The reciprocal jet is built once per sample point, at order
     n_max - 1: a shorter reciprocal jet is a prefix of a longer one, and
     :func:`square_chain_rule` reads only the values up to order n - 1, so
-    each n gets the value a jet of exactly that order gives.
+    each n gets the value a jet of exactly that order gives.  Every
+    reciprocal jet has N_k = (-1)^k k!, so one row of chain-rule weights per
+    order (``composition._chain_weights``) serves all the points.
 
     A pointwise case is decided in integers: the jet route and the oracle
     each give an unreduced (numerator, denominator) pair, from their own
@@ -183,8 +185,9 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
         report.count_case(
             expanded == oracle, n=n, pair="expanded vs oracle", expanded=expanded, oracle=oracle
         )
+        weights = list(_chain_weights(n - 1, jets[0].numerators)) if jets else ()
         for x, jet in zip(points, jets):
-            top, bottom = _square_chain_rule(n - 1, x.numerator, x.denominator, jet)
+            top, bottom = _square_chain_rule(n - 1, x.numerator, x.denominator, jet.ratio, weights)
             expected_top, expected_bottom = oracle._evaluate(x.numerator, x.denominator)
             if top * expected_bottom == expected_top * bottom:
                 report.count_case(True)

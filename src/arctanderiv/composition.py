@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .polynomial import Polynomial, _ints, _rational, _Value
 
@@ -209,9 +209,9 @@ def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fracti
     ``int`` by Horner's scheme in A/g, and g^h is multiplied in once.  For
     the reciprocal jet of 1 + x^2 (c = q^2, d = p^2 + q^2), g is q^2 or 2q^2,
     which halves the width of every power and of the running total; at
-    x = 0, A = 0 and g = B.  The weight is updated from term to term,
-    w_(k+1) = w_k (n-2k)(n-2k-1)/(k+1), which is exact.  The only Fraction
-    built is the result over d^(n+1) q^n.
+    x = 0, A = 0 and g = B.  The weights w_k N_(n-k) come from
+    :func:`_chain_weights`, streamed into the sum one at a time.  The only
+    Fraction built is the result over d^(n+1) q^n.
 
     The jet is trusted to be anchored at the intended inner value; only its
     order is validated.
@@ -221,25 +221,37 @@ def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fracti
     if f_jet.order < n:
         raise ValueError(f"square_chain_rule needs a jet of order >= {n}")
     x = _rational(x, "a point")
-    return Fraction(*_square_chain_rule(n, x.numerator, x.denominator, f_jet))
+    weights = _chain_weights(n, f_jet.numerators)
+    return Fraction(*_square_chain_rule(n, x.numerator, x.denominator, f_jet.ratio, weights))
 
 
-def _square_chain_rule(n: int, p: int, q: int, f_jet: DerivativeJet) -> tuple[int, int]:
+def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:
+    """w_k N_(n-k) for k = 0..n//2, the point-free factors of the order-n sum,
+    by the exact update w_(k+1) = w_k (n-2k)(n-2k-1)/(k+1).  ``crosscheck``
+    keeps them as one list per order for all its points; a single sum
+    streams them, since the list would be about as large as the sum."""
+    weight = 1
+    for k in range(n // 2 + 1):
+        yield weight * numerators[n - k]
+        weight = weight * (n - 2 * k) * (n - 2 * k - 1) // (k + 1)
+
+
+def _square_chain_rule(
+    n: int, p: int, q: int, ratio: Fraction, weights: Iterable[int]
+) -> tuple[int, int]:
     """square_chain_rule(n, p/q, f_jet) as an unreduced (numerator,
-    denominator) pair of ints, for q > 0 and a jet of order >= n."""
-    c, d = f_jet.ratio.numerator, f_jet.ratio.denominator
-    numerators = f_jet.numerators
+    denominator) pair of ints, for q > 0, the jet's ratio and the weights
+    ``_chain_weights(n, f_jet.numerators)``."""
+    c, d = ratio.numerator, ratio.denominator
     half = n // 2
     p_step, q_step = 4 * p * p * c, q * q * d
     common = math.gcd(p_step, q_step)
     p_step //= common
     q_step //= common
     total = 0
-    weight = 1
     q_power = 1
-    for k in range(half + 1):
-        total = total * p_step + weight * numerators[n - k] * q_power
-        weight = weight * (n - 2 * k) * (n - 2 * k - 1) // (k + 1)
+    for weight in weights:
+        total = total * p_step + weight * q_power
         q_power *= q_step
     total *= common**half * c ** (n - half + 1)
     if n & 1:

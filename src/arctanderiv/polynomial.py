@@ -230,15 +230,15 @@ class Polynomial(_Value):
         return Fraction(self._homogeneous(x.numerator, q), q**self.degree)
 
     def _homogeneous(self, p: int, q: int) -> int:
-        """q^deg * P(p/q) = sum c_i p^i q^(deg-i), by Horner's scheme in p
-        with the matching power of q folded into each coefficient."""
+        """q^deg * P(p/q) = sum c_i p^i q^(deg-i), for a nonzero P.  If
+        P(x) = x^(deg&1) R(x^2), as every arctan numerator is, it is p^(deg&1)
+        times R's value at p^2/q^2, from half the coefficients."""
         coeffs = self.coefficients
-        value = coeffs[-1]
-        q_power = 1
-        for c in reversed(coeffs[:-1]):
-            q_power *= q
-            value = value * p + c * q_power if c else value * p
-        return value
+        odd = (len(coeffs) - 1) & 1
+        if any(coeffs[1 - odd :: 2]):
+            return _homogeneous(coeffs, p, q, {})
+        value = _homogeneous(coeffs[odd::2], p * p, q * q, {})
+        return value * p if odd else value
 
     def compose(self, inner: Polynomial) -> Polynomial:
         """The polynomial self(inner(x))."""
@@ -289,6 +289,32 @@ class Polynomial(_Value):
 
     def __str__(self) -> str:
         return "".join(self.text())
+
+
+_LEAF = 64  # the longest coefficient run that _homogeneous sums by Horner's scheme
+
+
+def _homogeneous(coeffs: tuple[int, ...], p: int, q: int, powers: dict) -> int:
+    """q^d P(p/q) for the d + 1 ascending coefficients of P (the last may be
+    zero), by Horner's scheme in p up to _LEAF of them.  Above, P = A + x^h B
+    with A the first h, and q^d P(p/q) = q^(d-h+1) A_hom + p^h B_hom, where
+    A_hom and B_hom are the same form of each half, evaluated the same way.
+    The halves at one depth have at most two lengths, so ``powers`` keeps
+    (p^h, q^(d-h+1)) per length for the call.  Below quadratic time."""
+    size = len(coeffs)
+    if size > _LEAF:
+        half = size // 2
+        if size not in powers:
+            powers[size] = p**half, q ** (size - half)
+        p_power, q_power = powers[size]
+        low = _homogeneous(coeffs[:half], p, q, powers)
+        return q_power * low + p_power * _homogeneous(coeffs[half:], p, q, powers)
+    value = coeffs[-1]
+    q_power = 1
+    for c in reversed(coeffs[:-1]):
+        q_power *= q
+        value = value * p + c * q_power if c else value * p
+    return value
 
 
 def _as_poly(value: Polynomial | int) -> Polynomial:

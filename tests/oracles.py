@@ -239,3 +239,15 @@ def square_chain_rule_unreduced(n: int, x: Fraction, jet: DerivativeJet) -> Frac
     if n & 1:
         total *= 2 * p
     return Fraction(total, d ** (n + 1) * q**n)
+
+
+def homogeneous_horner(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^d P(p/q) for the d + 1 ascending coefficients of P, by one Horner
+    loop in p over all of them, with the matching power of q folded into
+    each nonzero coefficient."""
+    value = coeffs[-1]
+    q_power = 1
+    for c in reversed(coeffs[:-1]):
+        q_power *= q
+        value = value * p + c * q_power if c else value * p
+    return value

@@ -201,6 +201,12 @@ def test_crosscheck_mixed_points():
     assert report.cases == 12 * (2 + len(points))
 
 
+def test_crosscheck_without_points():
+    report = crosscheck(15, ())
+    assert report.passed
+    assert report.cases == 2 * 15
+
+
 def test_crosscheck_wide_sweep_single_point():
     report = crosscheck(50, (Fraction(2, 3),))
     assert report.passed
@@ -213,8 +219,8 @@ def test_crosscheck_reports_a_wrong_jet_value(monkeypatch):
     bad_n, bad_point = 9, Fraction(-47, 53)
     square_chain_rule = arctan._square_chain_rule
 
-    def wrong_once(order, p, q, jet):
-        top, bottom = square_chain_rule(order, p, q, jet)
+    def wrong_once(order, p, q, ratio, weights):
+        top, bottom = square_chain_rule(order, p, q, ratio, weights)
         if (order + 1, Fraction(p, q)) == (bad_n, bad_point):
             top += bottom
         return top, bottom
@@ -233,8 +239,8 @@ def test_crosscheck_decides_pointwise_cases_by_value(monkeypatch):
     square_chain_rule = arctan._square_chain_rule
     evaluate = ArctanRational._evaluate
 
-    def scaled_jet(order, p, q, jet):
-        top, bottom = square_chain_rule(order, p, q, jet)
+    def scaled_jet(order, p, q, ratio, weights):
+        top, bottom = square_chain_rule(order, p, q, ratio, weights)
         factor = (-3) ** (order % 5) * (order + 2)
         return top * factor, bottom * factor
 

@@ -350,7 +350,7 @@ def test_mismatch_past_the_digit_limit_exits_one(capsys, monkeypatch):
     # A failing case whose value has 4400 digits still renders exactly.
     huge = Fraction(10**4400 + 1, 3)
     pair = huge.numerator, huge.denominator
-    monkeypatch.setattr(arctan, "_square_chain_rule", lambda order, p, q, jet: pair)
+    monkeypatch.setattr(arctan, "_square_chain_rule", lambda order, p, q, ratio, weights: pair)
     text = "1" + "0" * 4399 + "1/3"
     argv = ("crosscheck", "2", "--points=0")
     code, out, _ = run_at_default_digit_limit(capsys, *argv)

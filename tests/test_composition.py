@@ -14,6 +14,7 @@ from arctanderiv import (
     square_chain_coefficients,
     square_chain_rule,
 )
+from arctanderiv.composition import _chain_weights, _square_chain_rule
 from oracles import (
     euler_partition_count,
     nth_derivative_value,
@@ -294,6 +295,25 @@ def test_square_chain_rule_matches_the_unreduced_sum(x, ratio, common):
     for jet in jets:
         for n in range(31):
             assert square_chain_rule(n, x, jet) == square_chain_rule_unreduced(n, x, jet), n
+
+
+def test_square_chain_rule_takes_a_weight_row_or_its_stream():
+    # crosscheck keeps one list of weights per order for all its points; a
+    # single call streams them.  Both give the unreduced sum's value.
+    rng = random.Random(43)
+    randoms = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+    cases = [(x, _random_jet(rng, 30)) for x in randoms]
+    for x in (Fraction(0), Fraction(-3), Fraction(355, 113)):
+        cases.append((x, DerivativeJet.of_reciprocal(1 + x * x, 30)))
+    for x, jet in cases:
+        p, q = x.numerator, x.denominator
+        for n in range(31):
+            row = list(_chain_weights(n, jet.numerators))
+            assert len(row) == n // 2 + 1
+            pair = _square_chain_rule(n, p, q, jet.ratio, row)
+            stream = _chain_weights(n, jet.numerators)
+            assert pair == _square_chain_rule(n, p, q, jet.ratio, stream)
+            assert Fraction(*pair) == square_chain_rule_unreduced(n, x, jet), (x, n)
 
 
 def test_coefficient_recurrence_small_cases():

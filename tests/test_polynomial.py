@@ -7,7 +7,7 @@ import pkgutil
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arctanderiv
@@ -23,6 +23,7 @@ from oracles import (
     DEFAULT_DIGIT_LIMIT,
     difference_quotient_derivative,
     digit_limit,
+    homogeneous_horner,
     quotient_rule_step,
 )
 
@@ -82,6 +83,36 @@ def test_evaluate_examples():
     assert Polynomial((4, 1, 9)).evaluate(0) == 4
     assert Polynomial((-1, 0, 3)).evaluate(1) == 2
     assert Polynomial((0, -2)).evaluate(Fraction(1, 2)) == -1
+    assert Polynomial().evaluate(Fraction(-7, 3)) == 0
+
+
+@st.composite
+def homogeneous_cases(draw):
+    """Coefficients of a length around the leaf size of the split and its
+    doublings, with the odd or even ones zeroed or neither, one run of
+    zeros, and a point p/q."""
+    size = draw(st.sampled_from((1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257)))
+    rng = draw(st.randoms(use_true_random=False))
+    coeffs = [rng.choice((-1, 1)) * rng.randint(1, 10**9) for _ in range(size)]
+    parity = draw(st.sampled_from((0, 1, None)))
+    if parity is not None:
+        coeffs[1 - parity :: 2] = [0] * len(coeffs[1 - parity :: 2])
+    start = draw(st.integers(0, size))
+    stop = draw(st.integers(start, size))
+    coeffs[start:stop] = [0] * (stop - start)
+    p = draw(st.just(0) | st.integers(-(10**6), 10**6))
+    q = draw(st.just(1) | st.integers(1, 10**6))
+    return coeffs, p, q
+
+
+@settings(max_examples=80, deadline=None)
+@given(homogeneous_cases())
+def test_homogeneous_matches_horner(case):
+    # The parity rule and the split by halves give today's Horner value.
+    coeffs, p, q = case
+    poly = Polynomial(coeffs)
+    assume(not poly.is_zero())
+    assert poly._homogeneous(p, q) == homogeneous_horner(poly.coefficients, p, q)
 
 
 def test_trailing_zeros_are_trimmed():
