@@ -124,7 +124,8 @@ def arctan_derivative_pointwise(n: int, x: int | Fraction) -> Fraction:
 
     arctan' = 1/(1 + x^2) is the reciprocal composed with a + x^2 (a = 1), so
     arctan^(n) is the (n-1)-st derivative of that composition: build the jet
-    of y -> 1/y at 1 + x^2 and apply the specialized chain rule.
+    of y -> 1/y at 1 + x^2 and apply the specialized chain rule, a sum on
+    the binomial weights C(n-1-k, k) with (n-1)! multiplied in once.
     """
     _require_order(n)
     at = _rational(x, "a point")
@@ -153,11 +154,11 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     The oracle and the literal numerators (row p = n - 1 of
     ``_sweep_numerators``, O(n) additions per order) are streamed alongside
     the n loop.  The reciprocal jet is built once per sample point, at order
-    n_max - 1: a shorter reciprocal jet is a prefix of a longer one, and
-    :func:`square_chain_rule` reads only the values up to order n - 1, so
-    each n gets the value a jet of exactly that order gives.  Every
-    reciprocal jet has N_k = (-1)^k k!, so one row of chain-rule weights per
-    order (``composition._chain_weights``) serves all the points.
+    n_max - 1: a shorter reciprocal jet is a prefix of a longer one, so each
+    n gets the value a jet of exactly that order gives.  Every reciprocal
+    jet has T_k = (-1)^k, so one row of chain-rule weights per order,
+    (-1)^(n-1-k) C(n-1-k, k) from ``composition._chain_weights``, serves all
+    the points.
 
     A pointwise case is decided in integers: the jet route and the oracle
     each give an unreduced (numerator, denominator) pair, from their own

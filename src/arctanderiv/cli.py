@@ -110,6 +110,14 @@ def _json(value: object, indent: str, quote: Callable[[object], str]) -> Iterato
         yield quote(value)
 
 
+def _csv_field(value: object) -> str:
+    """str(value), quoted and its quotes doubled if it holds , " CR or LF."""
+    text = str(value)
+    if any(special in text for special in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit(
     fmt: str,
     text: Iterable[str],
@@ -125,16 +133,15 @@ def _emit(
     own format, so a large value is converted once and never held whole as
     one output string.
     """
+    write = sys.stdout.write
     if fmt == "csv":
-        import csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write(",".join(map(_csv_field, header)) + "\n")
+        for row in rows:
+            write(",".join(map(_csv_field, row)) + "\n")
         return
     if fmt == "json":
         import json
         text = _json(document(), "", json.dumps)
-    write = sys.stdout.write
     for piece in text:
         write(piece)
     write("\n")

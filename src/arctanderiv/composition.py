@@ -1,15 +1,15 @@
 """Higher-order chain rules over exact derivative jets.
 
-A jet is the value sequence (f(y0), f'(y0), ..., f^(n)(y0)) at one point; the
-composition rules consume jets only, so they are indifferent to how the
-underlying functions are represented.  Contents:
+A jet is the value sequence (f(y0), f'(y0), ..., f^(n)(y0)) at one point,
+stored as Taylor coefficients; composition rules consume jets only, so they
+are indifferent to how the underlying functions are represented.  Contents:
 
 * the generic n-th derivative of f(g(x)) as a weighted sum over partition
   multiplicity vectors,
 * the specialized closed sum for h(x) = f(a + x^2), whose inner derivatives
-  vanish beyond order two,
+  vanish beyond order two: binomial weights C(n-k, k), and n! once,
 * the same specialization's coefficient family rebuilt by a differentiation
-  recurrence, as an independent derivation of identical coefficients.
+  recurrence, as an independent derivation of its factorial weights.
 """
 
 from __future__ import annotations
@@ -63,21 +63,21 @@ def multiplicity_vectors(n: int) -> list[MultiplicityVector]:
 class DerivativeJet(_Value):
     """Derivative values (f(point), f'(point), ..., f^(order)(point)).
 
-    A jet is stored as integer numerators N_k and one rational ratio r,
+    A jet is stored as integer Taylor numerators T_k and one rational ratio r,
 
-        f^(k)(point) = N_k * r^(k+1),
+        f^(k)(point) / k! = T_k * r^(k+1),
 
-    so the chain rules can work in ``int`` throughout; ``values`` rebuilds
-    the Fractions.  ``__init__`` takes this stored form as given, and
-    ``of_values`` builds one from the values; points, ratios and values are
-    ``int`` or ``Fraction`` (TypeError otherwise).  The form is not unique
-    (N_k t^(k+1) with r/t stores the same values), so equality and hash
-    compare the point and the values, not the stored fields.
+    so the chain rules work in ``int`` throughout; ``values`` multiplies k!
+    back in.  ``__init__`` takes this stored form as given, and ``of_values``
+    builds one from the values; points, ratios and values are ``int`` or
+    ``Fraction`` (TypeError otherwise).  The form is not unique (T_k t^(k+1)
+    with r/t stores the same values), so equality and hash compare the point
+    and the values, not the stored fields.
 
     >>> DerivativeJet.of_reciprocal(Fraction(-5, 4), 2)
-    DerivativeJet(point=Fraction(-5, 4), numerators=(1, -1, 2), ratio=Fraction(-4, 5))
-    >>> DerivativeJet.of_values(1, (Fraction(1, 2), Fraction(-1, 3))).numerators
-    (3, -12)
+    DerivativeJet(point=Fraction(-5, 4), numerators=(1, -1, 1), ratio=Fraction(-4, 5))
+    >>> DerivativeJet.of_values(1, (Fraction(1, 2), Fraction(-1, 3), 1)).numerators
+    (3, -12, 108)
     """
 
     __slots__ = ("point", "numerators", "ratio")
@@ -95,25 +95,21 @@ class DerivativeJet(_Value):
 
     @classmethod
     def of_values(cls, point: int | Fraction, values: Iterable[int | Fraction]) -> DerivativeJet:
-        """The jet with these values, stored over L, the lcm of their
-        denominators: r = 1/L and N_k = v_k L^(k+1)."""
-        values = [_rational(v, "a jet value") for v in values]
-        common = math.lcm(*(v.denominator for v in values))
-        numerators = [
-            v.numerator * common ** (k + 1) // v.denominator for k, v in enumerate(values)
-        ]
+        """The jet with these values, stored over L, the lcm of the
+        denominators of F_k = v_k/k!: r = 1/L and T_k = F_k L^(k+1)."""
+        taylor = [_rational(v, "a jet value") / math.factorial(k) for k, v in enumerate(values)]
+        common = math.lcm(*(f.denominator for f in taylor))
+        numerators = [int(f * common ** (k + 1)) for k, f in enumerate(taylor)]
         return cls(point, numerators, Fraction(1, common))
+
+    def _taylor(self) -> list[Fraction]:
+        """The Taylor coefficients f^(k)(point)/k! = T_k r^(k+1)."""
+        c, d = self.ratio.numerator, self.ratio.denominator
+        return [Fraction(t * c ** (k + 1), d ** (k + 1)) for k, t in enumerate(self.numerators)]
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        c, d = self.ratio.numerator, self.ratio.denominator
-        c_power, d_power = c, d
-        values = []
-        for numerator in self.numerators:
-            values.append(Fraction(numerator * c_power, d_power))
-            c_power *= c
-            d_power *= d
-        return tuple(values)
+        return tuple(math.factorial(k) * f for k, f in enumerate(self._taylor()))
 
     @property
     def order(self) -> int:
@@ -140,27 +136,22 @@ class DerivativeJet(_Value):
 
     @classmethod
     def of_reciprocal(cls, point: int | Fraction, order: int) -> DerivativeJet:
-        """Jet of y -> 1/y: the k-th derivative at y0 is k! (-1)^k / y0^(k+1),
-        stored as N_k = (-1)^k k! and r = 1/y0.
-
-        N_k depends on k only and r on y0 only, so the order-k jet is the
-        first k+1 values of any longer one.
-        """
+        """Jet of y -> 1/y: f^(k)(y0)/k! = (-1)^k / y0^(k+1), stored as
+        T_k = (-1)^k and r = 1/y0.  T_k depends on k only and r on y0 only,
+        so the order-k jet is the first k+1 values of any longer one."""
         y0 = _rational(point, "a jet point")
         if y0 == 0:
             raise ZeroDivisionError("reciprocal jet undefined at 0")
-        numerators = [1]
-        for k in range(1, order + 1):
-            numerators.append(numerators[-1] * -k)
-        return cls(y0, numerators, 1 / y0)
+        return cls(y0, [-1 if k & 1 else 1 for k in range(order + 1)], 1 / y0)
 
 
 def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction:
     """n-th derivative of f(g(x)) at g_jet.point, from the two jets alone.
 
-    Sums, over every multiplicity vector (l_1, ..., l_n) of n,
+    n! times the n-th Taylor coefficient of f(g(x)): with F_j = f^(j)/j! and
+    G_i = g^(i)/i!, the sum over every multiplicity vector l of n of
 
-        n!/(l_1! ... l_n!) * f^(l_1+...+l_n)(g(x0)) * prod_i (g^(i)(x0)/i!)^l_i.
+        |l|!/(l_1! ... l_n!) * F_|l| * prod_i G_i^l_i,   |l| = l_1 + ... + l_n.
 
     n = 0 returns the plain composed value.  Jets shorter than n, or an f jet
     not anchored at the value of g, are invalid arguments.
@@ -169,49 +160,43 @@ def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction
         raise ValueError("derivative order must be >= 0")
     if f_jet.order < n or g_jet.order < n:
         raise ValueError(f"faa_di_bruno needs jets of order >= {n}")
-    f_values, g_values = f_jet.values, g_jet.values
-    if f_jet.point != g_values[0]:
+    f_taylor, g_taylor = f_jet._taylor(), g_jet._taylor()
+    if f_jet.point != g_taylor[0]:
         raise ValueError("the f jet must be taken at the value of g")
     if n == 0:
-        return f_values[0]
-    n_fact = math.factorial(n)
+        return f_taylor[0]
     total = Fraction(0)
     for vec in multiplicity_vectors(n):
-        denominator = 1
-        inner = Fraction(1)
-        order = 0
-        for i, li in enumerate(vec, start=1):
-            if li == 0:
-                continue
-            order += li
-            denominator *= math.factorial(li) * math.factorial(i) ** li
-            inner *= g_values[i] ** li
-        total += Fraction(n_fact, denominator) * f_values[order] * inner
-    return total
+        order = sum(vec)
+        multinomial = math.factorial(order) // math.prod(map(math.factorial, vec))
+        inner = math.prod(g**li for g, li in zip(g_taylor[1:], vec))
+        total += multinomial * f_taylor[order] * inner
+    return math.factorial(n) * total
 
 
 def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fraction:
     """n-th derivative at x of h(x) = f(a + x^2), given the jet of f at a + x^2.
 
     Because the inner function has vanishing derivatives beyond order two, the
-    generic composition sum collapses to
+    generic composition sum collapses to sum_k w_k (2x)^(n-2k) f^(n-k)(a + x^2),
+    w_k = n!/(k!(n-2k)!).  The paper's step w_k (n-k)! = n! C(n-k, k) puts it
+    on the Taylor coefficients F_j = f^(j)/j! that the jet stores:
 
-        sum_{k=0}^{n//2} w_k (2x)^(n-2k) f^(n-k)(a + x^2),  w_k = n!/(k!(n-2k)!).
+        h^(n)(x) = n! sum_{k=0}^{n//2} C(n-k, k) (2x)^(n-2k) F_(n-k)(a + x^2).
 
-    With x = p/q, h = n//2, the jet's stored form f^(j) = N_j (c/d)^(j+1) and
-    n - 2k = (n&1) + 2(h-k), the sum times d^(n+1) q^n is
+    With x = p/q, h = n//2, F_j = T_j (c/d)^(j+1) and n - 2k = (n&1) + 2(h-k),
+    h^(n)(x) times d^(n+1) q^n is
 
-        (2p)^(n&1) c^(n-h+1) sum_{k=0}^{h} w_k N_(n-k) A^(h-k) B^k,
+        n! (2p)^(n&1) c^(n-h+1) sum_{k=0}^{h} C(n-k, k) T_(n-k) A^(h-k) B^k,
 
-    with A = 4p^2 c and B = q^2 d: a sum of products of integers.  Each term
-    has total degree h in A and B, so with g = gcd(A, B) the sum is
-    g^h sum_k w_k N_(n-k) (A/g)^(h-k) (B/g)^k, exactly; it is accumulated in
-    ``int`` by Horner's scheme in A/g, and g^h is multiplied in once.  For
-    the reciprocal jet of 1 + x^2 (c = q^2, d = p^2 + q^2), g is q^2 or 2q^2,
-    which halves the width of every power and of the running total; at
-    x = 0, A = 0 and g = B.  The weights w_k N_(n-k) come from
-    :func:`_chain_weights`, streamed into the sum one at a time.  The only
-    Fraction built is the result over d^(n+1) q^n.
+    with A = 4p^2 c and B = q^2 d.  Each term has total degree h in A and B,
+    so with g = gcd(A, B) the sum is g^h times the same sum in A/g and B/g,
+    exactly; it is accumulated in ``int`` by Horner's scheme in A/g, and g^h
+    and n! are multiplied in once.  For the reciprocal jet of 1 + x^2
+    (c = q^2, d = p^2 + q^2), g is q^2 or 2q^2, which halves the width of
+    every power and of the running total; at x = 0, A = 0 and g = B.  The
+    weights, about n bits each, stream in from :func:`_chain_weights`, and
+    the only Fraction built is the result over d^(n+1) q^n.
 
     The jet is trusted to be anchored at the intended inner value; only its
     order is validated.
@@ -226,14 +211,17 @@ def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fracti
 
 
 def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:
-    """w_k N_(n-k) for k = 0..n//2, the point-free factors of the order-n sum,
-    by the exact update w_(k+1) = w_k (n-2k)(n-2k-1)/(k+1).  ``crosscheck``
-    keeps them as one list per order for all its points; a single sum
-    streams them, since the list would be about as large as the sum."""
-    weight = 1
+    """C(n-k, k) T_(n-k) for k = 0..n//2, the point-free factors of the
+    order-n sum, by the exact update C(n-k-1, k+1) = C(n-k, k) (n-2k)(n-2k-1)
+    / ((k+1)(n-k)), which gives 0 after the last weight (n - k = 0 only at
+    n = 0).  The module imports nothing from ``identities``, whose binomial
+    rows the sweeps check: this route is checked against the quotient-rule
+    oracle.  ``crosscheck`` keeps one list per order for all its points; a
+    single sum streams them (the list would be about as large as the sum)."""
+    binomial = 1
     for k in range(n // 2 + 1):
-        yield weight * numerators[n - k]
-        weight = weight * (n - 2 * k) * (n - 2 * k - 1) // (k + 1)
+        yield binomial * numerators[n - k]
+        binomial = binomial * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * max(n - k, 1))
 
 
 def _square_chain_rule(
@@ -241,7 +229,8 @@ def _square_chain_rule(
 ) -> tuple[int, int]:
     """square_chain_rule(n, p/q, f_jet) as an unreduced (numerator,
     denominator) pair of ints, for q > 0, the jet's ratio and the weights
-    ``_chain_weights(n, f_jet.numerators)``."""
+    ``_chain_weights(n, f_jet.numerators)``; ``crosscheck`` holds it against
+    the oracle's own kernel, ``ArctanRational._evaluate``."""
     c, d = ratio.numerator, ratio.denominator
     half = n // 2
     p_step, q_step = 4 * p * p * c, q * q * d
@@ -253,22 +242,23 @@ def _square_chain_rule(
     for weight in weights:
         total = total * p_step + weight * q_power
         q_power *= q_step
-    total *= common**half * c ** (n - half + 1)
+    total *= common**half * c ** (n - half + 1) * math.factorial(n)
     if n & 1:
         total *= 2 * p
     return total, d ** (n + 1) * q**n
 
 
 def square_chain_coefficients(n: int) -> list[int]:
-    """Coefficients c_k of the h(x) = f(a + x^2) expansion, for one order n,
-    rebuilt purely by the differentiation recurrence.
+    """Coefficients c_k = w_k of the h(x) = f(a + x^2) expansion, for one
+    order n, rebuilt purely by the differentiation recurrence.
 
     The expansion reads h^(n)(x) = sum_k c_k (2x)^(n-2k) f^(n-k)(a + x^2).
     Differentiating the order-m sum term by term sends c_k unchanged into the
     order-(m+1) term k (the chain factor 2x joins the power) and carries
     2*(m-2k)*c_k into term k+1 (the power-rule factor, rewritten on the (2x)
-    basis).  Seeded with (1,) at order 1; the factorial closed form is never
-    used here, so this is an independent derivation of the same family.
+    basis).  Seeded with (1,) at order 1; neither the factorial closed form
+    nor the binomials of :func:`_chain_weights` are used here, so this is an
+    independent derivation of the same family.
     """
     if n < 1:
         raise ValueError("square_chain_coefficients requires n >= 1")

@@ -216,23 +216,28 @@ def quotient_rule_step(value: ArctanRational) -> ArctanRational:
 
 
 def square_chain_rule_unreduced(n: int, x: Fraction, jet: DerivativeJet) -> Fraction:
-    """The collapsed chain rule for f(a + x^2) at x = p/q, summed by Horner's
-    scheme in A = 4p^2 c with the powers of B = q^2 d, with no common factor
-    of A and B taken out:
+    """The collapsed chain rule for f(a + x^2) at x = p/q on derivative
+    values, summed by Horner's scheme in A = 4p^2 c with the powers of
+    B = q^2 d, with no common factor of A and B taken out:
 
         (2p)^(n&1) c^(n-h+1) sum_{k=0}^{h} w_k N_(n-k) A^(h-k) B^k
             / (d^(n+1) q^n),
 
-    for the jet's stored form f^(j) = N_j (c/d)^(j+1) and h = n//2."""
+    for w_k = n!/(k!(n-2k)!), h = n//2 and the derivative numerators
+    N_j = f^(j) / r^(j+1) over the jet's ratio r = c/d.  The jet is read only
+    through ``values`` and ``ratio``, so its stored Taylor numerators and the
+    library's binomial weights are not used."""
     p, q = x.numerator, x.denominator
     c, d = jet.ratio.numerator, jet.ratio.denominator
+    numerators = [value / jet.ratio ** (j + 1) for j, value in enumerate(jet.values)]
+    assert all(numerator.denominator == 1 for numerator in numerators)
     half = n // 2
     p_step, q_step = 4 * p * p * c, q * q * d
     total = 0
     weight = 1
     q_power = 1
     for k in range(half + 1):
-        total = total * p_step + weight * jet.numerators[n - k] * q_power
+        total = total * p_step + weight * numerators[n - k].numerator * q_power
         weight = weight * (n - 2 * k) * (n - 2 * k - 1) // (k + 1)
         q_power *= q_step
     total *= c ** (n - half + 1)

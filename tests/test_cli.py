@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import arctanderiv
 from arctanderiv import arctan, arctan_derivative_closed, identities
-from arctanderiv.cli import FORMATS, main
+from arctanderiv.cli import FORMATS, _emit, main
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
     arctan_numerator,
@@ -527,6 +529,46 @@ def test_bench_default_n_max(capsys):
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [r[1] for r in rows] == ["1", "2", "5", "10", "20", "50", "100"] * 4
+
+
+def _csv_writer_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def test_csv_rows_are_what_csv_writer_writes(capsys):
+    header = ("plain", "a,b", 'say "hi"', "cr\r,here", "line\nbreak", " leading")
+    rows = [
+        (1, "x,y", '"', "\r\n", " 2", True),
+        ("", "-3/4", 'a"b,c', "\n", "  ", Fraction(-1, 3)),
+    ]
+    _emit("csv", (), None, header, iter(rows))
+    assert capsys.readouterr().out == _csv_writer_text([header, *rows])
+    # A lone CR is quoted as well; csv.writer in Python 3.11 quotes only the
+    # characters of its lineterminator, "\n" here.
+    _emit("csv", (), None, ("cr\rhere", "x"), ())
+    assert capsys.readouterr().out == '"cr\rhere",x\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qpoly", "7"),
+        ("derive", "9"),
+        ("derive", "9", "--method=prop12", "--x=355/113"),
+        ("derive", "9", "--method=fdb", "--x=-47/53"),
+        ("check-identity", "12"),
+        ("check-corollary", "12"),
+        ("check-2f1", "12"),
+        ("crosscheck", "6", "--points=0,1/2"),
+        ("bench", "10"),
+    ],
+)
+def test_csv_output_is_what_csv_writer_writes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format=csv")
+    assert code == 0
+    assert out == _csv_writer_text(csv.reader(io.StringIO(out)))
 
 
 def test_bench_json(capsys):

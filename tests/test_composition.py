@@ -73,8 +73,8 @@ def test_jets_are_values():
     b = DerivativeJet.of_values(
         Fraction(10, 8), (Fraction(4, 5), Fraction(-16, 25), Fraction(128, 125))
     )
-    # The same values in another stored form: N_k = (-1)^k 4^(k+1) k!, r = 1/5.
-    c = DerivativeJet(Fraction(10, 8), (4, -16, 128), Fraction(1, 5))
+    # The same values in another stored form: T_k = (-1)^k 4^(k+1), r = 1/5.
+    c = DerivativeJet(Fraction(10, 8), (4, -16, 64), Fraction(1, 5))
     assert a == b == c and hash(a) == hash(b) == hash(c)
     assert len({a, b, c, DerivativeJet.of_reciprocal(Fraction(5, 4), 2)}) == 1
     assert a != DerivativeJet.of_reciprocal(Fraction(5, 4), 3)
@@ -89,7 +89,7 @@ def test_jets_are_values():
     assert a.point == Fraction(5, 4) and a.order == 2
     assert pickle.loads(pickle.dumps(a)) == copy.copy(a) == copy.deepcopy(a) == a
     assert repr(a) == (
-        "DerivativeJet(point=Fraction(5, 4), numerators=(1, -1, 2), ratio=Fraction(4, 5))"
+        "DerivativeJet(point=Fraction(5, 4), numerators=(1, -1, 1), ratio=Fraction(4, 5))"
     )
     assert repr(DerivativeJet.of_values(0, (1,))) == (
         "DerivativeJet(point=Fraction(0, 1), numerators=(1,), ratio=Fraction(1, 1))"
@@ -111,6 +111,17 @@ def test_reciprocal_jet_at_a_negative_point():
             expected = faa_di_bruno(n, jet, g_jet)
             assert square_chain_rule(n, x0, jet) == expected
             assert square_chain_rule(n, x0, generic) == expected
+
+
+def test_of_values_stores_over_the_taylor_denominators():
+    # v_2 = 1 has the Taylor coefficient 1/2, a denominator no value has.
+    jet = DerivativeJet.of_values(0, (1, 1, 1))
+    assert (jet.numerators, jet.ratio) == ((2, 4, 4), Fraction(1, 2))
+    assert jet.values == (1, 1, 1)
+    rng = random.Random(47)
+    for order in range(12):
+        values = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(order + 1))
+        assert DerivativeJet.of_values(Fraction(1, 3), values).values == values
 
 
 def test_jet_copies_keep_the_stored_form():
@@ -297,6 +308,28 @@ def test_square_chain_rule_matches_the_unreduced_sum(x, ratio, common):
             assert square_chain_rule(n, x, jet) == square_chain_rule_unreduced(n, x, jet), n
 
 
+def test_square_chain_rule_matches_the_derivative_form_oracle():
+    # The oracle reads the jet through its values and sums w_k N_(n-k) on
+    # derivative values; the library sums C(n-k, k) T_(n-k) on Taylor
+    # numerators and multiplies by n! once.
+    rng = random.Random(53)
+    for x in (Fraction(0), Fraction(3), Fraction(-22, 7), Fraction(355, 113)):
+        for jet in (DerivativeJet.of_reciprocal(1 + x * x, 60), _random_jet(rng, 60)):
+            for n in range(61):
+                expected = square_chain_rule_unreduced(n, x, jet)
+                assert square_chain_rule(n, x, jet) == expected, (x, n)
+
+
+def test_chain_weights_are_binomials():
+    for n in range(301):
+        binomials = [math.comb(n - k, k) for k in range(n // 2 + 1)]
+        assert list(_chain_weights(n, (1,) * (n + 1))) == binomials, n
+        signs = [(-1) ** j for j in range(n + 1)]
+        assert list(_chain_weights(n, signs)) == [
+            (-1) ** (n - k) * b for k, b in enumerate(binomials)
+        ], n
+
+
 def test_square_chain_rule_takes_a_weight_row_or_its_stream():
     # crosscheck keeps one list of weights per order for all its points; a
     # single call streams them.  Both give the unreduced sum's value.
@@ -323,11 +356,13 @@ def test_coefficient_recurrence_small_cases():
 
 
 def test_coefficient_recurrence_matches_closed_form():
-    for n in range(1, 21):
+    for n in range(1, 101):
         coeffs = square_chain_coefficients(n)
         assert len(coeffs) == n // 2 + 1
         for k, c in enumerate(coeffs):
             assert c == math.factorial(n) // (math.factorial(k) * math.factorial(n - 2 * k))
+            # The paper's step from Faa di Bruno's formula to the binomial sum.
+            assert c * math.factorial(n - k) == math.factorial(n) * math.comb(n - k, k)
 
 
 def test_coefficient_recurrence_rejects_zero():
