@@ -1,12 +1,14 @@
-"""Dense univariate integer polynomials, the rational-function form
+"""The integer polynomials of the routes, the rational-function form
 scale * P(x) / (1+x^2)^k in which every arctan derivative lives, and the
 exact text form of their numbers at any size.
 
-Coefficients and scales are ``int`` only (every arctan numerator is an
-integer polynomial), so all symbolic work is integer arithmetic and rationals
-appear only as values at a rational point.  There is no general polynomial
-division: the only divisor ever needed is 1+x^2, which ``ArctanRational``
-detects by P(i) = 0 and removes by synthetic division, with additions only.
+Coefficients, scales and exponents are ``int`` only (every arctan numerator
+is an integer polynomial), so all symbolic work is integer arithmetic and
+rationals appear only as values at a rational point.  There is no ring
+arithmetic on these values: each route builds its numerator's coefficients
+itself, and the classes only store, differentiate, evaluate and print them.
+The only divisor ever needed is 1+x^2, which ``ArctanRational`` detects by
+P(i) = 0 and removes by synthetic division, with additions only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Iterator
 
 Term = tuple[int, str]
 
-__all__ = ["Polynomial", "ArctanRational", "ONE_PLUS_X2", "exact_str"]
+__all__ = ["Polynomial", "ArctanRational", "exact_str"]
 
 # Exact decimal arithmetic on integers: no rounding at any size (Inexact
 # traps if one ever would).
@@ -88,7 +90,7 @@ def _immutable(self, name, *value):
 
 
 class _Value:
-    """Base of the immutable value classes: arithmetic returns new objects,
+    """Base of the immutable value classes: methods return new objects,
     equality is structural, and instances can be shared freely between
     threads.
 
@@ -140,12 +142,14 @@ def _rational(value: int | Fraction, what: str) -> Fraction:
 
 class Polynomial(_Value):
     """Integer coefficients in ascending powers; the zero polynomial is the
-    empty tuple.
+    empty tuple.  Routes read its coefficients and its text, and
+    ``DerivativeJet.of_polynomial`` its derivative and its exact value at a
+    rational point.
 
     >>> str(Polynomial((-1, 0, 3)))
     '3*x^2 - 1'
-    >>> Polynomial((1, 0, 1)) * Polynomial((1, 0, 1))
-    Polynomial((1, 0, 2, 0, 1))
+    >>> Polynomial((1, 0, 1)).derivative()
+    Polynomial((0, 2))
     >>> Polynomial((5,))
     Polynomial((5,))
     """
@@ -166,56 +170,6 @@ class Polynomial(_Value):
 
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    @property
-    def leading_coefficient(self) -> int:
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
-
-    def __add__(self, other: Polynomial | int) -> Polynomial:
-        other = _as_poly(other)
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return Polynomial(summed)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(-c for c in self.coefficients)
-
-    def __sub__(self, other: Polynomial | int) -> Polynomial:
-        return self + (-_as_poly(other))
-
-    def __mul__(self, other: Polynomial | int) -> Polynomial:
-        if type(other) is int:
-            return Polynomial(c * other for c in self.coefficients)
-        other = _as_poly(other)
-        prod = [0] * (len(self.coefficients) + len(other.coefficients))
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients, i):
-                    if b:
-                        prod[j] += a * b
-        return Polynomial(prod)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> Polynomial:
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial((1,))
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def derivative(self) -> Polynomial:
         return Polynomial(i * c for i, c in enumerate(self.coefficients) if i)
@@ -239,13 +193,6 @@ class Polynomial(_Value):
             return _homogeneous(coeffs, p, q, {})
         value = _homogeneous(coeffs[odd::2], p * p, q * q, {})
         return value * p if odd else value
-
-    def compose(self, inner: Polynomial) -> Polynomial:
-        """The polynomial self(inner(x))."""
-        result = Polynomial()
-        for c in reversed(self.coefficients):
-            result = result * inner + c
-        return result
 
     def __repr__(self) -> str:
         return f"Polynomial({_repr(self.coefficients)})"
@@ -317,15 +264,6 @@ def _homogeneous(coeffs: tuple[int, ...], p: int, q: int, powers: dict) -> int:
     return value
 
 
-def _as_poly(value: Polynomial | int) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial((value,))
-
-
-ONE_PLUS_X2 = Polynomial((1, 0, 1))
-
-
 class ArctanRational(_Value):
     """scale * P(x) / (1+x^2)^k, stored in the one canonical form:
 
@@ -336,11 +274,11 @@ class ArctanRational(_Value):
     * zero is P = 0, k = 0 and scale = 0.
 
     ``ArctanRational(p, k, scale)`` is scale * p / (1+x^2)^k for an
-    integer polynomial or int p and an int scale (the parameters are named
-    after the stored fields, so that the repr is a constructor call):
-    construction takes one gcd over p's coefficients and moves that content
-    into ``scale``, so a route can pass a factor it knows, such as (n-1)!,
-    as ``scale`` and never multiply it in.  The form is unique, so
+    integer polynomial or int p, an int k >= 0 and an int scale (the
+    parameters are named after the stored fields, so that the repr is a
+    constructor call): construction takes one gcd over p's coefficients and
+    moves that content into ``scale``, so a route can pass a factor it
+    knows, such as (n-1)!, as ``scale`` and never multiply it in.  The form is unique, so
     mathematically equal values compare equal field by field.
     Exponent 0 is a plain polynomial.  ``numerator`` is the full numerator
     scale * P, built on each read.
@@ -362,10 +300,13 @@ class ArctanRational(_Value):
     scale: int
 
     def __init__(self, primitive: Polynomial | int, exponent: int = 0, scale: int = 1):
+        _ints((exponent,), "an ArctanRational exponent")
+        _ints((scale,), "an ArctanRational scale")
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        _ints((scale,), "an ArctanRational scale")
-        coeffs = _as_poly(primitive).coefficients
+        if not isinstance(primitive, Polynomial):
+            primitive = Polynomial((primitive,))
+        coeffs = primitive.coefficients
         if not coeffs or not scale:
             coeffs, exponent, scale = (), 0, 0
         else:
@@ -388,7 +329,7 @@ class ArctanRational(_Value):
     @property
     def numerator(self) -> Polynomial:
         """The full numerator scale * P."""
-        return self.primitive * self.scale
+        return Polynomial(c * self.scale for c in self.primitive.coefficients)
 
     def derivative(self) -> ArctanRational:
         """Quotient rule on P: scale (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1),
@@ -426,12 +367,6 @@ class ArctanRational(_Value):
         else:
             bottom *= q**-shift
         return self.scale * top, bottom
-
-    def __add__(self, other: ArctanRational) -> ArctanRational:
-        k = max(self.exponent, other.exponent)
-        left = self.numerator * ONE_PLUS_X2 ** (k - self.exponent)
-        right = other.numerator * ONE_PLUS_X2 ** (k - other.exponent)
-        return ArctanRational(left + right, k)
 
     def terms(self) -> Iterator[Term]:
         """(power, text) for each nonzero coefficient of the numerator

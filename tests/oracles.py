@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial
 from operator import add
 from typing import Sequence
@@ -205,14 +206,42 @@ def forward_2f1(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
     return total
 
 
+def times_one_plus_x2(coeffs: Sequence[int], j: int) -> list[int]:
+    """The ascending coefficients of P (1+x^2)^j: j passes of c_i + c_(i-2)."""
+    for _ in range(j):
+        coeffs = list(map(add, [*coeffs, 0, 0], [0, 0, *coeffs]))
+    return list(coeffs)
+
+
+def compose(outer: Sequence[int], inner: Sequence[int]) -> list[int]:
+    """The ascending coefficients of outer(inner(x)), by Horner's scheme."""
+    result = [0]
+    for c in reversed(outer):
+        product = [0] * (len(result) + len(inner))
+        for i, a in enumerate(result):
+            for j, b in enumerate(inner, i):
+                product[j] += a * b
+        product[0] += c
+        result = product
+    return result
+
+
+def rational_sum(r: ArctanRational, s: ArctanRational) -> ArctanRational:
+    """r + s over the larger exponent, summed on coefficient lists."""
+    k = max(r.exponent, s.exponent)
+    a, b = (times_one_plus_x2(v.numerator.coefficients, k - v.exponent) for v in (r, s))
+    return ArctanRational(Polynomial(map(sum, zip_longest(a, b, fillvalue=0))), k)
+
+
 def quotient_rule_step(value: ArctanRational) -> ArctanRational:
-    """One quotient-rule step on scale P / (1+x^2)^k, by Polynomial
-    arithmetic: scale (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1), with P' from
-    ``Polynomial.derivative`` and the two products and the difference from
-    the Polynomial operators."""
-    p, k = value.primitive, value.exponent
-    top = p.derivative() * Polynomial((1, 0, 1)) - Polynomial((0, 2 * k)) * p
-    return ArctanRational(top, k + 1, value.scale)
+    """One quotient-rule step on scale P / (1+x^2)^k, on coefficient lists:
+    scale (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1), with P' by the power rule and
+    the product by 1+x^2 and the difference taken term by term."""
+    p, k = value.primitive.coefficients, value.exponent
+    top = times_one_plus_x2([i * c for i, c in enumerate(p)][1:], 1)
+    for i, c in enumerate(p, 1):
+        top[i] -= 2 * k * c
+    return ArctanRational(Polynomial(top), k + 1, value.scale)
 
 
 def square_chain_rule_unreduced(n: int, x: Fraction, jet: DerivativeJet) -> Fraction:

@@ -30,7 +30,7 @@ from arctanderiv import (
     square_chain_coefficients,
 )
 from arctanderiv.cli import main as cli_main
-from oracles import euler_partition_count, nth_derivative_value, set_partition_count
+from oracles import compose, euler_partition_count, nth_derivative_value, set_partition_count
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -131,7 +131,8 @@ def test_criterion_7_generic_composition():
         # (f/a)(g/b) = H / (a b^deg f), H = sum_i f_i b^(deg f - i) g^i.
         top = f.degree
         scaled = Polynomial(c * b ** (top - i) for i, c in enumerate(f.coefficients))
-        composed, denominator = scaled.compose(g), a * b**top
+        composed = Polynomial(compose(scaled.coefficients, g.coefficients))
+        denominator = a * b**top
         f_jet = _jet(f, a, g.evaluate(x0) / b, 10)
         g_jet = _jet(g, b, x0, 10)
         for n in range(1, 11):
@@ -159,7 +160,7 @@ def test_criterion_8_structural_properties():
     q_ok = True
     for n in range(101):
         q = q_polynomial(n)
-        q_ok = q_ok and q.degree == n and q.leading_coefficient == (-1) ** n * (n + 1)
+        q_ok = q_ok and q.degree == n and q.coefficients[-1] == (-1) ** n * (n + 1)
         q_ok = q_ok and all(
             c == 0 for power, c in enumerate(q.coefficients) if power % 2 != n % 2
         )

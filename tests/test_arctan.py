@@ -37,7 +37,7 @@ def test_q_polynomial_structure():
     for n in range(101):
         q = q_polynomial(n)
         assert q.degree == n
-        assert q.leading_coefficient == (-1) ** n * (n + 1)
+        assert q.coefficients[-1] == (-1) ** n * (n + 1)
         # Only powers with the parity of n appear.
         for power, c in enumerate(q.coefficients):
             if power % 2 != n % 2:

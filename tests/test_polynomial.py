@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import arctanderiv
 from arctanderiv import (
-    ONE_PLUS_X2,
     ArctanRational,
     DerivativeJet,
     Polynomial,
@@ -25,6 +24,8 @@ from oracles import (
     digit_limit,
     homogeneous_horner,
     quotient_rule_step,
+    rational_sum,
+    times_one_plus_x2,
 )
 
 coefficients = st.integers(-80, 80)
@@ -50,27 +51,6 @@ def _rebuilt(value):
         copy.copy(value),
         copy.deepcopy(value),
     )
-
-
-def test_addition_examples():
-    assert Polynomial((1, 1)) + Polynomial((0, -1)) == Polynomial((1,))
-    p = Polynomial((2, 0, 5))
-    assert Polynomial() + p == p
-    assert Polynomial((-1, 0, 3)) + Polynomial((0, 2)) == Polynomial((-1, 2, 3))
-
-
-def test_multiplication_examples():
-    p = Polynomial((7, -1, 2))
-    assert p * Polynomial((1,)) == p
-    assert Polynomial((0, 1)) * Polynomial((0, 1)) == Polynomial((0, 0, 1))
-    assert ONE_PLUS_X2 * ONE_PLUS_X2 == Polynomial((1, 0, 2, 0, 1))
-
-
-def test_scalar_arithmetic():
-    p = Polynomial((1, 2))
-    assert 3 * p == Polynomial((3, 6))
-    assert p + 1 == Polynomial((2, 2))
-    assert p - 3 == Polynomial((-2, 2))
 
 
 def test_derivative_examples():
@@ -120,12 +100,6 @@ def test_trailing_zeros_are_trimmed():
     assert Polynomial((0, 0)).is_zero()
     assert Polynomial().degree == -1
     assert Polynomial((0, 0, 4)).degree == 2
-
-
-def test_compose():
-    outer = Polynomial((1, 0, 1))  # y^2 + 1
-    inner = Polynomial((1, 1))  # x + 1
-    assert outer.compose(inner) == Polynomial((2, 2, 1))
 
 
 # Ints of up to about 60k digits, drawn by bit length so that every size is
@@ -197,24 +171,23 @@ def test_module_doctests():
 
 
 def test_integral_coefficients_are_ints():
-    p = Polynomial((2, 1, 0, -2))
-    assert (p * 3).coefficients == (6, 3, 0, -6)
-    assert type((p * 3).coefficients[1]) is int
+    numerator = ArctanRational(Polynomial((2, 1, 0, -2)), 0, 3).numerator
+    assert numerator.coefficients == (6, 3, 0, -6)
+    assert all(type(c) is int for c in numerator.coefficients)
 
 
-@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(4, 2), 0.5, "1"], ids=repr)
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(4, 2), 0.5, "1", True], ids=repr)
 def test_value_classes_take_ints_only(c):
-    # No Fraction coefficient, even an integral one, and no float or str.
+    # No Fraction coefficient, scale or exponent, even an integral one, and
+    # no float, str or bool.
     with pytest.raises(TypeError):
         Polynomial((c,))
     with pytest.raises(TypeError):
         ArctanRational(Polynomial((1,)), 1, c)
     with pytest.raises(TypeError):
+        ArctanRational(Polynomial((1,)), c)
+    with pytest.raises(TypeError):
         DerivativeJet(0, (c,), 1)
-    p = Polynomial((1, 2))
-    for operation in (p.__add__, p.__sub__, p.__mul__, p.__radd__, p.__rmul__):
-        with pytest.raises(TypeError):
-            operation(c)
 
 
 @given(small_polys, rationals)
@@ -224,7 +197,7 @@ def test_derivative_matches_difference_quotient(p, x):
 
 def test_arctan_rational_canonicalization():
     base = ArctanRational(Polynomial((0, -2)), 2)
-    inflated = ArctanRational(Polynomial((0, -2)) * ONE_PLUS_X2**3, 5)
+    inflated = ArctanRational(Polynomial(times_one_plus_x2((0, -2), 3)), 5)
     assert inflated == base
     assert inflated.exponent == 2
     # Canonicalizing a canonical value is the identity.
@@ -241,10 +214,10 @@ def _divisible_by_one_plus_x2(p):
 
 @given(small_polys, st.integers(0, 3), st.integers(0, 4))
 def test_canonical_form_is_minimal(p, j, k):
-    inflated = p * ONE_PLUS_X2**j
+    inflated = Polynomial(times_one_plus_x2(p.coefficients, j))
     r = ArctanRational(inflated, k)
     assert 0 <= r.exponent <= k
-    assert r.numerator * ONE_PLUS_X2 ** (k - r.exponent) == inflated
+    assert Polynomial(times_one_plus_x2(r.numerator.coefficients, k - r.exponent)) == inflated
     if r.exponent > 0:
         assert not _divisible_by_one_plus_x2(r.numerator)
 
@@ -288,7 +261,7 @@ small_ars = st.builds(
 
 @given(small_ars, small_ars)
 def test_derivative_is_linear(r, s):
-    assert (r + s).derivative() == r.derivative() + s.derivative()
+    assert rational_sum(r, s).derivative() == rational_sum(r.derivative(), s.derivative())
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,8 +271,8 @@ def test_derivative_is_linear(r, s):
     coefficients.filter(bool),
 )
 def test_derivative_matches_polynomial_quotient_rule(coeffs, exponent, scale):
-    # One pass over the padded coefficients is the quotient-rule step that
-    # Polynomial derivative, products and difference take.
+    # One pass over the padded coefficients is the quotient-rule step taken
+    # on plain coefficient lists.
     value = ArctanRational(Polynomial(coeffs), exponent, scale)
     assert value.derivative() == quotient_rule_step(value)
 
@@ -356,8 +329,8 @@ def test_stored_form(r):
     if p.is_zero():
         assert (r.exponent, r.scale) == (0, 0)
     else:
-        assert math.gcd(*p.coefficients) == 1 and p.leading_coefficient > 0
-    assert r.numerator == r.scale * p
+        assert math.gcd(*p.coefficients) == 1 and p.coefficients[-1] > 0
+    assert r.numerator == Polynomial(r.scale * c for c in p.coefficients)
     # The form is unique: rebuilding from it or from the full numerator
     # gives the same fields.
     assert ArctanRational(p, r.exponent, r.scale) == ArctanRational(r.numerator, r.exponent) == r
