@@ -4,23 +4,30 @@ exact binomial and terminating-hypergeometric identity sweeps.
 Everything is computed over arbitrary-precision rationals; there is no
 floating point anywhere in the core.  The package re-exports the public
 names (``__all__``) of each module below.
+
+The re-export is lazy (PEP 562 module ``__getattr__``), so that a CLI
+command compiles only the modules it runs.  Importing the package loads
+none of them.  The name of a library module, such as ``arctanderiv.arctan``,
+imports just that module.  Any other name first imports all six, binds
+their public names here and sets ``__all__``, in the order of ``_MODULES``.
 """
 
-from . import arctan, combinatorics, composition, identities, polynomial, reports
-from .arctan import *
-from .combinatorics import *
-from .composition import *
-from .identities import *
-from .polynomial import *
-from .reports import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *arctan.__all__,
-    *combinatorics.__all__,
-    *composition.__all__,
-    *identities.__all__,
-    *polynomial.__all__,
-    *reports.__all__,
-]
+_MODULES = ("arctan", "combinatorics", "composition", "identities", "polynomial", "reports")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    global __all__
+    namespace, names = globals(), []
+    for module in (importlib.import_module(f"{__name__}.{m}") for m in _MODULES):
+        namespace.update((public, getattr(module, public)) for public in module.__all__)
+        names += module.__all__
+    __all__ = names
+    if name in namespace:
+        return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

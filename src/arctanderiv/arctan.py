@@ -12,6 +12,12 @@ for exact agreement.
 
 ``crosscheck`` holds each of the first three against the oracle.  All routes
 take n = the derivative order of arctan itself (n >= 1).
+
+Only ``polynomial`` is imported with this module.  A route imports
+``composition``, ``identities`` or ``reports`` when it runs, and reads their
+kernels from those modules then, so that ``closed`` and ``oracle`` compile
+none of them and a rebinding of a kernel in its home module reaches every
+route.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .composition import DerivativeJet, _chain_weights, _square_chain_rule, square_chain_rule
-from .identities import _sweep_numerators
 from .polynomial import ArctanRational, Polynomial, _rational, exact_str
-from .reports import CheckReport
+
+if TYPE_CHECKING:
+    from .reports import CheckReport
 
 __all__ = [
     "DEFAULT_SAMPLE_POINTS",
@@ -100,7 +107,9 @@ def _expanded(p: int, numerators: list[int]) -> ArctanRational:
 
 def _literal_numerators(n: int) -> list[int]:
     """The last row of ``_sweep_numerators(n)``: 4^(n//2) c_m, m = 0..n//2."""
-    return deque(_sweep_numerators(n), maxlen=1)[0][1]
+    from . import identities
+
+    return deque(identities._sweep_numerators(n), maxlen=1)[0][1]
 
 
 def expansion_coefficients(n: int) -> tuple[Fraction, ...]:
@@ -127,10 +136,12 @@ def arctan_derivative_pointwise(n: int, x: int | Fraction) -> Fraction:
     of y -> 1/y at 1 + x^2 and apply the specialized chain rule, a sum on
     the binomial weights C(n-1-k, k) with (n-1)! multiplied in once.
     """
+    from . import composition
+
     _require_order(n)
     at = _rational(x, "a point")
-    jet = DerivativeJet.of_reciprocal(1 + at * at, n - 1)
-    return square_chain_rule(n - 1, at, jet)
+    jet = composition.DerivativeJet.of_reciprocal(1 + at * at, n - 1)
+    return composition.square_chain_rule(n - 1, at, jet)
 
 
 def arctan_derivative_oracle(n: int) -> ArctanRational:
@@ -166,15 +177,17 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     the case passes when a d == b c.  Both values become a ``Fraction`` only
     in the context of a mismatch.
     """
+    from . import composition, identities, reports
+
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
     points = tuple(_rational(p, "a sample point") for p in sample_points)
-    report = CheckReport(
+    report = reports.CheckReport(
         "crosscheck", {"n_max": n_max, "points": [exact_str(p) for p in points]}
     )
-    jets = [DerivativeJet.of_reciprocal(1 + x * x, n_max - 1) for x in points]
+    jets = [composition.DerivativeJet.of_reciprocal(1 + x * x, n_max - 1) for x in points]
     oracle = ArctanRational(Polynomial((1,)), 1)
-    for p, numerators in _sweep_numerators(n_max - 1):
+    for p, numerators in identities._sweep_numerators(n_max - 1):
         n = p + 1
         if n > 1:
             oracle = oracle.derivative()
@@ -186,9 +199,11 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
         report.count_case(
             expanded == oracle, n=n, pair="expanded vs oracle", expanded=expanded, oracle=oracle
         )
-        weights = list(_chain_weights(n - 1, jets[0].numerators)) if jets else ()
+        weights = list(composition._chain_weights(n - 1, jets[0].numerators)) if jets else ()
         for x, jet in zip(points, jets):
-            top, bottom = _square_chain_rule(n - 1, x.numerator, x.denominator, jet.ratio, weights)
+            top, bottom = composition._square_chain_rule(
+                n - 1, x.numerator, x.denominator, jet.ratio, weights
+            )
             expected_top, expected_bottom = oracle._evaluate(x.numerator, x.denominator)
             if top * expected_bottom == expected_top * bottom:
                 report.count_case(True)

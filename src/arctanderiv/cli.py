@@ -5,7 +5,10 @@ Every result is printed by one emitter, ``_emit``, as text, a json document
 or a csv table, streamed to stdout term by term, with every number rendered
 at any size by ``exact_str`` (no int -> str digit limit).  The four sweeps (``check-identity``, ``check-corollary``,
 ``check-2f1`` and ``crosscheck``) share one command, ``cmd_check``, which runs
-the check function its subparser stored.
+the check function its subparser named.
+
+Building the parser imports no route module: each command imports the module
+that it runs when it runs, so a command compiles only the modules it uses.
 
 Exit codes: 0 when everything succeeds (checks all pass), 1 when a
 verification sweep finds a mismatch, 2 for usage or argument-parse errors,
@@ -16,14 +19,14 @@ line, without a traceback).  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 import time
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import arctan, identities
-from .polynomial import ArctanRational, Term, exact_str
+from .polynomial import Term, exact_str
 
 __all__ = ["main", "build_parser"]
 
@@ -148,6 +151,8 @@ def _emit(
 
 
 def cmd_qpoly(args: argparse.Namespace) -> int:
+    from . import arctan
+
     poly = arctan.q_polynomial(args.n)
     _emit(
         args.format,
@@ -159,18 +164,21 @@ def cmd_qpoly(args: argparse.Namespace) -> int:
     return 0
 
 
-SYMBOLIC_METHODS: dict[str, Callable[[int], ArctanRational]] = {
-    "closed": arctan.arctan_derivative_closed,
-    "prop12": arctan.arctan_derivative_expanded,
-    "oracle": arctan.arctan_derivative_oracle,
+# The symbolic routes, by the name of their function in ``arctan``.
+SYMBOLIC_METHODS: dict[str, str] = {
+    "closed": "arctan_derivative_closed",
+    "prop12": "arctan_derivative_expanded",
+    "oracle": "arctan_derivative_oracle",
 }
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    from . import arctan
+
     if args.method == "fdb":
         value = arctan.arctan_derivative_pointwise(args.n, args.x)
     else:
-        result = SYMBOLIC_METHODS[args.method](args.n)
+        result = getattr(arctan, SYMBOLIC_METHODS[args.method])(args.n)
         if args.x is None:
             _emit(
                 args.format,
@@ -198,11 +206,15 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    """Run the sweep the subcommand stored in ``args.check``, with its cost on
-    stderr so that stdout repeats exactly; exit 1 on a mismatch."""
-    points = (args.points,) if "points" in args else ()
+    """Run the sweep that the subcommand names in ``args.check``, a (module,
+    function) pair, with its cost on stderr so that stdout repeats exactly;
+    exit 1 on a mismatch.  The function is read from its module now, so a
+    rebinding of the module attribute before the command runs takes effect."""
+    module, name = args.check
+    check = getattr(importlib.import_module(f".{module}", __package__), name)
+    points = () if getattr(args, "points", None) is None else (args.points,)
     start = time.perf_counter()
-    report = args.check(args.n_max, *points)
+    report = check(args.n_max, *points)
     elapsed = time.perf_counter() - start
     rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else "inf"
     print(f"{report.check}: elapsed_s={elapsed:.3f} cases_per_s={rate}", file=sys.stderr)
@@ -228,8 +240,10 @@ BENCH_HEADER = ("method", "n", "micros")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import arctan
+
     methods = {
-        **SYMBOLIC_METHODS,
+        **{name: getattr(arctan, function) for name, function in SYMBOLIC_METHODS.items()},
         "fdb": lambda n: arctan.arctan_derivative_pointwise(n, BENCH_POINT),
     }
     rows = []
@@ -272,31 +286,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_derive, parser=p)
 
-    # The check functions are read here, when the parser is built, so that a
-    # rebinding of the module attribute before main() runs takes effect.
-    for name, help_text, default, check in (
+    for name, help_text, default, function in (
         ("check-identity", "alternating binomial sum vs closed form", 200,
-         identities.check_binomial_identity),
+         "check_binomial_identity"),
         ("check-corollary", "weighted binomial sum vs parity closed form", 200,
-         identities.check_weighted_identity),
+         "check_weighted_identity"),
         ("check-2f1", "literal sums vs terminating hypergeometric form", 60,
-         identities.check_hypergeometric_sweep),
+         "check_hypergeometric_sweep"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("n_max", type=_natural, nargs="?", default=default)
         add_format(p)
-        p.set_defaults(func=cmd_check, check=check)
+        p.set_defaults(func=cmd_check, check=("identities", function))
 
     p = sub.add_parser("crosscheck", help="all four derivative routes against each other")
     p.add_argument("n_max", type=_positive, nargs="?", default=50)
-    p.add_argument(
-        "--points",
-        type=_rational_list,
-        default=arctan.DEFAULT_SAMPLE_POINTS,
-        help="comma-separated rational sample points",
-    )
+    # Without --points, crosscheck takes its own DEFAULT_SAMPLE_POINTS.
+    p.add_argument("--points", type=_rational_list, help="comma-separated rational sample points")
     add_format(p)
-    p.set_defaults(func=cmd_check, check=arctan.crosscheck)
+    p.set_defaults(func=cmd_check, check=("arctan", "crosscheck"))
 
     p = sub.add_parser("bench", help="wall-clock timing table per method and n")
     p.add_argument("n_max", type=_natural, nargs="?", default=100)

@@ -269,12 +269,19 @@ def truncation_index(a: int | Fraction, b: int | Fraction) -> int | None:
     integer q, so the last surviving term has index -q; half-integers never
     reach zero.  a and b are ``int`` or ``Fraction`` (TypeError otherwise).
     """
-    return _truncation_index(_rational(a, "a series parameter"), _rational(b, "a series parameter"))
+    return _truncation_index(_parameter(a), _parameter(b))
 
 
-def _truncation_index(a: int | Fraction, b: int | Fraction) -> int | None:
-    """truncation_index without the argument check, for the sweep."""
-    candidates = [-p.numerator for p in (a, b) if p.denominator == 1 and p.numerator <= 0]
+def _parameter(value: int | Fraction) -> tuple[int, int]:
+    """A caller's series parameter, checked, as its lowest-terms (numerator,
+    denominator) pair, the form the series kernels take."""
+    value = _rational(value, "a series parameter")
+    return value.numerator, value.denominator
+
+
+def _truncation_index(a: tuple[int, int], b: tuple[int, int]) -> int | None:
+    """truncation_index on lowest-terms pairs, unchecked, for the sweep."""
+    candidates = [-num for num, den in (a, b) if den == 1 and num <= 0]
     return min(candidates) if candidates else None
 
 
@@ -294,26 +301,23 @@ def terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> 
     holds for any rational a, b and c, each an ``int`` or a ``Fraction``
     (TypeError otherwise).
     """
-    a, b, c = (_rational(v, "a series parameter") for v in (a, b, c))
-    return Fraction(*_terminating_2f1(a, b, c))
+    a, b, c = _parameter(a), _parameter(b), _parameter(c)
+    return Fraction(*_terminating_2f1(a, b, c, _truncation_index(a, b)))
 
 
-def _terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> tuple[int, int]:
-    """terminating_2f1(a, b, c) as an unreduced (numerator, denominator)
-    pair of ints; the denominator may be negative.  The parameters are not
-    checked."""
-    last = _truncation_index(a, b)
+def _terminating_2f1(
+    a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], last: int | None
+) -> tuple[int, int]:
+    """terminating_2f1 on lowest-terms pairs, unchecked, with ``last`` the
+    truncation index of a and b, as an unreduced (numerator, denominator)
+    pair of ints; the denominator may be negative."""
     if last is None or last >= MAX_TERMS:
         raise NonTerminatingSeriesError(
             f"no upper parameter truncates the series within {MAX_TERMS} terms"
         )
-    if c <= 0 and c.denominator == 1 and -c < last:
-        raise ZeroDivisionError(
-            f"lower-parameter factor c + {-c.numerator} vanishes before truncation"
-        )
-    a_num, a_den = a.numerator, a.denominator
-    b_num, b_den = b.numerator, b.denominator
-    c_num, c_den = c.numerator, c.denominator
+    (a_num, a_den), (b_num, b_den), (c_num, c_den) = a, b, c
+    if c_den == 1 and c_num <= 0 and -c_num < last:
+        raise ZeroDivisionError(f"lower-parameter factor c + {-c_num} vanishes before truncation")
     # r_k = (a_num + k a_den)(b_num + k b_den) c_den
     #       / ((c_num + k c_den)(k + 1) a_den b_den)
     upper_den = a_den * b_den
@@ -326,20 +330,30 @@ def _terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) ->
     return numerator, denominator
 
 
+def _upper_parameters(n: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The upper parameters m - n/2 and m - n/2 + 1/2 of case (n, m) as
+    lowest-terms pairs, built without a Fraction: the integer one is the
+    one whose numerator, 2m - n or 2m - n + 1, is even."""
+    top = 2 * m - n
+    return ((top >> 1, 1), (top + 1, 2)) if top & 1 == 0 else ((top, 2), ((top + 1) >> 1, 1))
+
+
 def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) -> None:
     # numerator is the literal sum times 4^(n//2).
     # Series form of the literal sum: 2F1(m - n/2, m - n/2 + 1/2; m - n; 1)
     # times (-1)^m / (m! 4^m) * (n - 2m + 1)_m.  Exactly one upper parameter
     # is a nonpositive integer (which one depends on the parity of n), so the
     # series terminates after the term of index n//2 - m: the same number of
-    # terms as the literal sum.
-    a, b = Fraction(2 * m - n, 2), Fraction(2 * m - n + 1, 2)
+    # terms as the literal sum.  The index is computed once and the series
+    # runs to it.
+    a, b = _upper_parameters(n, m)
     index, expected = _truncation_index(a, b), n // 2 - m
-    report.count_case(
-        index == expected, n=n, m=m, kind="truncation index", index=index, expected=expected
-    )
+    if index == expected:
+        report.count_case(True)
+    else:
+        report.count_case(False, n=n, m=m, kind="truncation index", index=index, expected=expected)
     # The value case, cross-multiplied, with (n - 2m + 1)_m = (n-m)!/(n-2m)!.
-    series_num, series_den = _terminating_2f1(a, b, m - n)
+    series_num, series_den = _terminating_2f1(a, b, (m - n, 1), index)
     series_num *= (-1) ** m * math.perm(n - m, m)
     series_den *= math.factorial(m) << 2 * m
     if series_num << 2 * (n // 2) == numerator * series_den:

@@ -12,6 +12,7 @@ from arctanderiv import (
     arctan_derivative_expanded,
     arctan_derivative_oracle,
     arctan_derivative_pointwise,
+    composition,
     crosscheck,
     exact_str,
     expansion_coefficients,
@@ -217,7 +218,7 @@ def test_crosscheck_reports_a_wrong_jet_value(monkeypatch):
     # wrong (n, point) value must be the first failure, with that n and point.
     points = (Fraction(1, 3), Fraction(-47, 53), Fraction(3, 4))
     bad_n, bad_point = 9, Fraction(-47, 53)
-    square_chain_rule = arctan._square_chain_rule
+    square_chain_rule = composition._square_chain_rule
 
     def wrong_once(order, p, q, ratio, weights):
         top, bottom = square_chain_rule(order, p, q, ratio, weights)
@@ -225,7 +226,7 @@ def test_crosscheck_reports_a_wrong_jet_value(monkeypatch):
             top += bottom
         return top, bottom
 
-    monkeypatch.setattr(arctan, "_square_chain_rule", wrong_once)
+    monkeypatch.setattr(composition, "_square_chain_rule", wrong_once)
     report = crosscheck(12, points)
     assert report.mismatches == 1
     first = report.failures[0]
@@ -236,7 +237,7 @@ def test_crosscheck_reports_a_wrong_jet_value(monkeypatch):
 def test_crosscheck_decides_pointwise_cases_by_value(monkeypatch):
     # Both pointwise pairs multiplied through by a factor that changes with
     # the order and sign: the same values, so every case still passes.
-    square_chain_rule = arctan._square_chain_rule
+    square_chain_rule = composition._square_chain_rule
     evaluate = ArctanRational._evaluate
 
     def scaled_jet(order, p, q, ratio, weights):
@@ -249,7 +250,7 @@ def test_crosscheck_decides_pointwise_cases_by_value(monkeypatch):
         factor = 7 ** (value.exponent % 4) * -q
         return top * factor, bottom * factor
 
-    monkeypatch.setattr(arctan, "_square_chain_rule", scaled_jet)
+    monkeypatch.setattr(composition, "_square_chain_rule", scaled_jet)
     monkeypatch.setattr(ArctanRational, "_evaluate", scaled_oracle)
     points = (Fraction(0), Fraction(1, 3), Fraction(-47, 53), Fraction(3))
     report = crosscheck(30, points)
@@ -263,7 +264,7 @@ def test_crosscheck_reports_a_wrong_literal_numerator(monkeypatch):
     # The perturbed row is a copy, so the recurrence carries on from the
     # true numerators.
     bad_p = 9
-    numerators_of = arctan._sweep_numerators
+    numerators_of = identities._sweep_numerators
 
     def wrong_numerators(n_max):
         for p, numerators in numerators_of(n_max):
@@ -272,7 +273,7 @@ def test_crosscheck_reports_a_wrong_literal_numerator(monkeypatch):
                 numerators[2] += 1
             yield p, numerators
 
-    monkeypatch.setattr(arctan, "_sweep_numerators", wrong_numerators)
+    monkeypatch.setattr(identities, "_sweep_numerators", wrong_numerators)
     report = crosscheck(20, (Fraction(1, 3),))
     assert report.mismatches == 1
     first = report.failures[0]

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import arctanderiv
-from arctanderiv import arctan, arctan_derivative_closed, identities
+from arctanderiv import arctan_derivative_closed, composition, identities
 from arctanderiv.cli import FORMATS, _emit, main
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
@@ -319,6 +320,28 @@ def test_2f1_value_mismatch_context(capsys, monkeypatch):
     assert_one_mismatch(capsys, ("check-2f1", "60"), 1922, context, text)
 
 
+def test_2f1_truncation_index_mismatch_context(capsys, monkeypatch):
+    # The truncation index at (n, m) = (37, 5), where the upper parameters
+    # are -27/2 and b = -13, is one too large.  The series then runs one term
+    # further, and that term holds the factor b + 13 = 0, so only the index
+    # case fails.  Other cases share those parameters, so the case is found
+    # by its place: the sweep to 60 asks for one index per case, 961 in
+    # (n, m) order.
+    truncation_index = identities._truncation_index
+    place = sum(n // 2 + 1 for n in range(37)) + 5
+    calls = itertools.count()
+
+    def wrong_index(a, b):
+        index = truncation_index(a, b)
+        return index + 1 if next(calls) % 961 == place else index
+
+    monkeypatch.setattr(identities, "_truncation_index", wrong_index)
+    context = {"n": 37, "m": 5, "kind": "truncation index", "index": 14, "expected": 13}
+    text = "  MISMATCH n=37 m=5 kind=truncation index index=14 expected=13"
+    assert identities.check_hypergeometric_sweep(60).failures == [context]
+    assert_one_mismatch(capsys, ("check-2f1", "60"), 1922, context, text)
+
+
 def test_corollary_weighted_mismatch_context(capsys, monkeypatch):
     # The weighted sum at n = 8, scaled by 4^8 lcm(1..61), is lcm(1..61)/2520
     # too large; every other n keeps its true value.
@@ -352,7 +375,7 @@ def test_mismatch_past_the_digit_limit_exits_one(capsys, monkeypatch):
     # A failing case whose value has 4400 digits still renders exactly.
     huge = Fraction(10**4400 + 1, 3)
     pair = huge.numerator, huge.denominator
-    monkeypatch.setattr(arctan, "_square_chain_rule", lambda order, p, q, ratio, weights: pair)
+    monkeypatch.setattr(composition, "_square_chain_rule", lambda order, p, q, ratio, weights: pair)
     text = "1" + "0" * 4399 + "1/3"
     argv = ("crosscheck", "2", "--points=0")
     code, out, _ = run_at_default_digit_limit(capsys, *argv)
@@ -397,6 +420,52 @@ def test_start_up_imports_no_dataclasses_and_no_output_format():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.split() == []
+
+
+def loaded_modules(code, *argv):
+    """The package modules in sys.modules after ``code`` runs with ``argv``
+    in a fresh ``python -S`` process, named without the package prefix;
+    -S keeps site-packages from importing anything first."""
+    probe = code + "\nprint(*sorted(m for m in sys.modules if m.startswith('arctanderiv.')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(arctanderiv.__file__).parent.parent)}
+    command = [sys.executable, "-S", "-c", probe, *argv]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    return {name.removeprefix("arctanderiv.") for name in result.stdout.splitlines()[-1].split()}
+
+
+RUN_AS_MAIN = (
+    "import runpy, sys\n"
+    "sys.argv[0] = 'arctanderiv'\n"
+    "try:\n"
+    "    runpy.run_module('arctanderiv', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code"
+)
+ROUTE = {"cli", "polynomial", "arctan"}
+SWEEP = {"cli", "polynomial", "identities", "reports", "combinatorics"}
+
+
+MODULES_RUN = {
+    "derive 50": ROUTE,
+    "derive 50 --x=1/2": ROUTE,
+    "qpoly 3": ROUTE,
+    "derive 50 --method=fdb --x=1/2": ROUTE | {"composition"},
+    "derive 50 --method=prop12": ROUTE | SWEEP,
+    "check-identity 5": SWEEP,
+    "check-corollary 5": SWEEP,
+    "check-2f1 5": SWEEP,
+    "crosscheck 5": ROUTE | SWEEP | {"composition"},
+}
+
+
+@pytest.mark.parametrize("command", MODULES_RUN)
+def test_each_command_loads_only_the_modules_it_runs(command):
+    assert loaded_modules(RUN_AS_MAIN, *command.split()) == MODULES_RUN[command]
+
+
+def test_building_the_parser_loads_no_route_module():
+    code = "import sys, arctanderiv, arctanderiv.cli as cli\ncli.build_parser()"
+    assert loaded_modules(code) == {"cli", "polynomial"}
 
 
 def test_unexpected_exception_exits_three(capsys, monkeypatch):

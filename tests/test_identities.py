@@ -176,6 +176,21 @@ def test_hypergeometric_sweep():
     assert report.cases == 2 * sum(n // 2 + 1 for n in range(21))
 
 
+def test_sweep_series_parameters_are_lowest_terms_pairs():
+    # The sweep hands the 2F1 kernels (numerator, denominator) pairs, not
+    # Fractions; they must be the upper parameters in lowest terms, and the
+    # pair kernel must give what the public series gives.
+    for n in range(41):
+        for m in range(n // 2 + 1):
+            a, b = Fraction(2 * m - n, 2), Fraction(2 * m - n + 1, 2)
+            pairs = identities._upper_parameters(n, m)
+            assert pairs == ((a.numerator, a.denominator), (b.numerator, b.denominator))
+            index = identities._truncation_index(*pairs)
+            assert index == truncation_index(a, b) == n // 2 - m
+            value = identities._terminating_2f1(*pairs, (m - n, 1), index)
+            assert Fraction(*value) == terminating_2f1(a, b, m - n), (n, m)
+
+
 def test_sweep_values_match_single_calls_and_oracles():
     # At even n = 2j, m = 0 this holds the weight sum s_j = S_{2j}[0] that
     # check-corollary reads against alternating_binomial_sum(2j, 0).
