@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_SAMPLE_POINTS",
     "q_polynomial",
     "arctan_derivative_closed",
-    "expansion_coefficients",
     "arctan_derivative_expanded",
     "arctan_derivative_pointwise",
     "arctan_derivative_oracle",
@@ -105,27 +104,13 @@ def _expanded(p: int, numerators: list[int]) -> ArctanRational:
     return ArctanRational(Polynomial(coeffs), p + 1, scale=prefactor)
 
 
-def _literal_numerators(n: int) -> list[int]:
-    """The last row of ``_sweep_numerators(n)``: 4^(n//2) c_m, m = 0..n//2."""
-    from . import identities
-
-    return deque(identities._sweep_numerators(n), maxlen=1)[0][1]
-
-
-def expansion_coefficients(n: int) -> tuple[Fraction, ...]:
-    """All expansion coefficients c_m = alternating_binomial_sum(n, m),
-    m = 0..n//2, of one expansion order n."""
-    if n < 0:
-        raise ValueError("expansion_coefficients requires n >= 0")
-    denominator = 4 ** (n // 2)
-    return tuple(Fraction(numerator, denominator) for numerator in _literal_numerators(n))
-
-
 def arctan_derivative_expanded(n: int) -> ArctanRational:
     """arctan^(n) assembled by :func:`_expanded` from the literal numerators
-    of expansion order n - 1."""
+    of expansion order n - 1, the last row of ``identities._sweep_numerators(n - 1)``."""
+    from . import identities
+
     _require_order(n)
-    return _expanded(n - 1, _literal_numerators(n - 1))
+    return _expanded(n - 1, deque(identities._sweep_numerators(n - 1), maxlen=1)[0][1])
 
 
 def arctan_derivative_pointwise(n: int, x: int | Fraction) -> Fraction:

@@ -23,6 +23,7 @@ import importlib
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -38,14 +39,17 @@ FORMATS = ("text", "json", "csv")
 _INTEGER = r"[+-]?[0-9]+"
 _INTEGER_RE = re.compile(_INTEGER + r"\Z")
 _RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?\Z")
+_MAX_DIGITS = 4300  # int()'s default digit limit; no order or size this long can run
 
 
 def _rational(text: str) -> Fraction:
-    """CLI rational syntax: integer p or p/q, sign allowed on p only."""
+    """CLI rational syntax: integer p or p/q, sign allowed on p only.  The
+    digits are read through Decimal, which has no int <- str digit limit."""
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} (expected p or p/q)")
+    numerator, _, denominator = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(Decimal(numerator)), int(Decimal(denominator or 1)))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
@@ -60,7 +64,9 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 def _natural(text: str) -> int:
     if not _INTEGER_RE.match(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    value = int(text)
+    if len(text.lstrip("+-")) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits: too large to compute")
+    value = int(Decimal(text))
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -164,21 +170,25 @@ def cmd_qpoly(args: argparse.Namespace) -> int:
     return 0
 
 
-# The symbolic routes, by the name of their function in ``arctan``.
-SYMBOLIC_METHODS: dict[str, str] = {
+# The derive routes, by the name of their function in ``arctan``; a route in
+# POINTWISE_METHODS takes the point after n, and needs --x.
+METHODS: dict[str, str] = {
     "closed": "arctan_derivative_closed",
     "prop12": "arctan_derivative_expanded",
     "oracle": "arctan_derivative_oracle",
+    "fdb": "arctan_derivative_pointwise",
 }
+POINTWISE_METHODS = frozenset({"fdb"})
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
     from . import arctan
 
-    if args.method == "fdb":
-        value = arctan.arctan_derivative_pointwise(args.n, args.x)
+    route = getattr(arctan, METHODS[args.method])
+    if args.method in POINTWISE_METHODS:
+        value = route(args.n, args.x)
     else:
-        result = getattr(arctan, SYMBOLIC_METHODS[args.method])(args.n)
+        result = route(args.n)
         if args.x is None:
             _emit(
                 args.format,
@@ -242,16 +252,14 @@ BENCH_HEADER = ("method", "n", "micros")
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import arctan
 
-    methods = {
-        **{name: getattr(arctan, function) for name, function in SYMBOLIC_METHODS.items()},
-        "fdb": lambda n: arctan.arctan_derivative_pointwise(n, BENCH_POINT),
-    }
     rows = []
     buckets = [n for n in BENCH_BUCKETS if n <= args.n_max]
-    for name, method in methods.items():
+    for name, function in METHODS.items():
+        route = getattr(arctan, function)
+        point = (BENCH_POINT,) if name in POINTWISE_METHODS else ()
         for n in buckets:
             start = time.perf_counter()
-            method(n)
+            route(n, *point)
             elapsed = time.perf_counter() - start
             rows.append((name, n, int(elapsed * 1_000_000)))
     _emit(
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="compute the n-th derivative of arctan")
     p.add_argument("n", type=_positive)
-    p.add_argument("--method", choices=(*SYMBOLIC_METHODS, "fdb"), default="closed")
+    p.add_argument("--method", choices=METHODS, default="closed")
     p.add_argument("--x", type=_rational, default=None, help="evaluate at x = p/q")
     add_format(p)
     p.set_defaults(func=cmd_derive, parser=p)
@@ -317,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "derive" and args.method == "fdb" and args.x is None:
-        args.parser.error("--method=fdb evaluates pointwise and needs --x")
+    if args.command == "derive" and args.method in POINTWISE_METHODS and args.x is None:
+        args.parser.error(f"--method={args.method} evaluates pointwise and needs --x")
     try:
         return args.func(args)
     except Exception as exc:

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .polynomial import Polynomial, _ints, _rational, _Value
+from .polynomial import _ints, _rational, _Value
 
 __all__ = [
     "MultiplicityVector",
@@ -122,17 +122,6 @@ class DerivativeJet(_Value):
 
     def __hash__(self) -> int:
         return hash((self.point, self.values))
-
-    @classmethod
-    def of_polynomial(cls, poly: Polynomial, point: int | Fraction, order: int) -> DerivativeJet:
-        """Jet of a polynomial, by repeated symbolic differentiation."""
-        at = _rational(point, "a jet point")
-        values = []
-        current = poly
-        for _ in range(order + 1):
-            values.append(current.evaluate(at))
-            current = current.derivative()
-        return cls.of_values(at, values)
 
     @classmethod
     def of_reciprocal(cls, point: int | Fraction, order: int) -> DerivativeJet:

@@ -14,7 +14,7 @@ C(n-i-1, i+1) / C(n-i, i) is the term ratio of the 2F1 series, so a literal
 sum built from it would make the 2F1 check compare the series with itself.
 
 The literal alternating sum has two implementations: one case by
-``_alternating_numerator`` (O(n), binomials read from ``binomial``), and
+``alternating_binomial_sum`` (O(n), binomials read from ``binomial``), and
 every m of every n by ``_sweep_numerators`` (O(n) additions per n).  The
 literal numerators of one n are the coefficients of the weight polynomial
 shifted by 1; the weight polynomials follow a three-term recurrence
@@ -55,7 +55,6 @@ __all__ = [
     "check_weighted_identity",
     "truncation_index",
     "terminating_2f1",
-    "check_hypergeometric_form",
     "check_hypergeometric_sweep",
 ]
 
@@ -67,16 +66,6 @@ class NonTerminatingSeriesError(ArithmeticError):
 def _require_half_range(n: int, m: int) -> None:
     if n < 0 or m < 0 or m > n // 2:
         raise ValueError("requires 0 <= m <= n//2")
-
-
-def _alternating_numerator(n: int, m: int) -> int:
-    """sum_{i=m}^{n//2} C(i, m) w_i with w_i = (-1)^i 4^(n//2 - i) C(n-i, i):
-    the literal sum times 4^(n//2), with every binomial read from
-    ``binomial``.  O(n) per call."""
-    top = n // 2
-    return sum(
-        binomial(i, m) * (-1) ** i * binomial(n - i, i) << 2 * (top - i) for i in range(m, top + 1)
-    )
 
 
 def _sweep_numerators(n_max: int) -> Iterator[tuple[int, list[int]]]:
@@ -105,16 +94,20 @@ def alternating_binomial_sum(n: int, m: int) -> Fraction:
     """sum_{i=m}^{n//2} (-1)^i 4^(-i) C(i, m) C(n-i, i), evaluated literally.
 
     It is the coefficient of x^(n-2m) in arctan^(n+1) before the common
-    prefactor n! 2^n (-1)^n / (1+x^2)^(n+1), so
-    :func:`arctanderiv.arctan.expansion_coefficients` lists it.  Accumulated as
-    integers over the common denominator 4^(n//2): term i is C(i, m) times
-    the weight (-1)^i 4^(n//2 - i) C(n-i, i), with every binomial read from
+    prefactor n! 2^n (-1)^n / (1+x^2)^(n+1).  Accumulated as integers over
+    the common denominator 4^(n//2): term i is C(i, m) times the weight
+    (-1)^i 4^(n//2 - i) C(n-i, i), with every binomial read from
     ``binomial``.  O(n) per call.  The sweeps and the ``prop12`` route take
     the numerators of every m at once from a recurrence on the shifted weight
-    polynomials; the tests hold both against ``math.comb`` oracles.
+    polynomials (``_sweep_numerators``); the tests hold both against
+    ``math.comb`` oracles.
     """
     _require_half_range(n, m)
-    return Fraction(_alternating_numerator(n, m), 4 ** (n // 2))
+    top = n // 2
+    numerator = sum(
+        binomial(i, m) * (-1) ** i * binomial(n - i, i) << 2 * (top - i) for i in range(m, top + 1)
+    )
+    return Fraction(numerator, 4**top)
 
 
 def _pascal_rows() -> Iterator[tuple[int, ...]]:
@@ -363,24 +356,15 @@ def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) ->
         report.count_case(False, n=n, m=m, kind="value", series=series, literal=literal)
 
 
-def check_hypergeometric_form(n: int, m: int) -> CheckReport:
-    """One case: the prefactored terminating series against the literal sum,
-    plus the truncation-index pin at n//2 - m.
-
-    m <= n//2 forces m < n for every n >= 1, so the lower parameter m - n is
-    a negative integer except at n = m = 0, where the first upper parameter
-    is 0 and the series is the bare k = 0 term (produced before any division
-    by the lower parameter).
-    """
-    _require_half_range(n, m)
-    report = CheckReport("check-2f1", {"n": n, "m": m})
-    _hypergeometric_case(n, m, report, _alternating_numerator(n, m))
-    return report
-
-
 def check_hypergeometric_sweep(n_max: int) -> CheckReport:
-    """check_hypergeometric_form over every n <= n_max and valid m, with the
-    literal sums of one n taken at once from ``_sweep_numerators``."""
+    """The prefactored terminating series against the literal sum, plus the
+    truncation-index pin at n//2 - m, for every n <= n_max and 0 <= m <= n//2,
+    with the literal sums of one n taken at once from ``_sweep_numerators``.
+
+    m <= n//2 forces m < n for n >= 1, so the lower parameter m - n is a
+    negative integer except at n = m = 0, where the series is its bare k = 0
+    term, produced before any division by it.
+    """
     if n_max < 0:
         raise ValueError("check_hypergeometric_sweep requires n_max >= 0")
     report = CheckReport("check-2f1", {"n_max": n_max})

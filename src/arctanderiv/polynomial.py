@@ -142,9 +142,9 @@ def _rational(value: int | Fraction, what: str) -> Fraction:
 
 class Polynomial(_Value):
     """Integer coefficients in ascending powers; the zero polynomial is the
-    empty tuple.  Routes read its coefficients and its text, and
-    ``DerivativeJet.of_polynomial`` its derivative and its exact value at a
-    rational point.
+    empty tuple.  Routes read its coefficients and its text; ``derivative``
+    and ``evaluate`` give the values that ``DerivativeJet.of_values`` takes
+    for the jet of a polynomial at a rational point.
 
     >>> str(Polynomial((-1, 0, 3)))
     '3*x^2 - 1'

@@ -158,6 +158,16 @@ def nth_derivative_value(p: Polynomial, n: int, x: Fraction) -> Fraction:
     return current.evaluate(x)
 
 
+def polynomial_jet(p: Polynomial, point: int | Fraction, order: int) -> DerivativeJet:
+    """The jet of a polynomial at point, from its values by repeated
+    symbolic differentiation."""
+    values = []
+    for _ in range(order + 1):
+        values.append(p.evaluate(point))
+        p = p.derivative()
+    return DerivativeJet.of_values(point, values)
+
+
 def alternating_sum_literal(n: int, m: int) -> Fraction:
     """sum_{i=m}^{n//2} (-1)^i 4^(-i) C(i, m) C(n-i, i), term by term in
     Fraction arithmetic with math.comb binomials."""

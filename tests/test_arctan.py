@@ -6,7 +6,6 @@ import pytest
 from arctanderiv import (
     ArctanRational,
     Polynomial,
-    alternating_binomial_sum,
     arctan,
     arctan_derivative_closed,
     arctan_derivative_expanded,
@@ -15,11 +14,10 @@ from arctanderiv import (
     composition,
     crosscheck,
     exact_str,
-    expansion_coefficients,
     identities,
     q_polynomial,
 )
-from oracles import alternating_sum_literal, gaussian_derivative_value
+from oracles import gaussian_derivative_value
 
 
 def test_q_polynomial_small_cases():
@@ -61,29 +59,6 @@ def test_order_zero_is_rejected_by_all_routes():
             route(0)
     with pytest.raises(ValueError):
         arctan_derivative_pointwise(0, Fraction(1))
-
-
-def test_expansion_coefficient_row():
-    row = expansion_coefficients(4)
-    assert len(row) == 3
-    assert row[1] == Fraction(-5, 8)
-
-
-def test_expansion_coefficients_batch_matches_single_calls_and_oracle():
-    for n in range(200):
-        row = expansion_coefficients(n)
-        assert row == tuple(alternating_binomial_sum(n, m) for m in range(n // 2 + 1))
-        assert row == tuple(alternating_sum_literal(n, m) for m in range(n // 2 + 1))
-
-
-def test_expansion_coefficients_past_1024():
-    # Past n = 1024, where the batch once switched from cached rows to
-    # math.comb.
-    for n in (1024, 1025, 1201):
-        row = expansion_coefficients(n)
-        assert len(row) == n // 2 + 1
-        for m in (0, n // 4, n // 2):
-            assert row[m] == alternating_binomial_sum(n, m) == alternating_sum_literal(n, m)
 
 
 def test_symbolic_routes_have_integer_numerators():

@@ -15,7 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import arctanderiv
-from arctanderiv import arctan_derivative_closed, composition, identities
+from arctanderiv import (
+    arctan_derivative_closed,
+    arctan_derivative_pointwise,
+    composition,
+    identities,
+)
 from arctanderiv.cli import FORMATS, _emit, main
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
@@ -553,6 +558,36 @@ def test_derive_values_print_past_the_digit_limit(capsys, n):
             )
             assert (code, err) == (0, "")
             assert out == expected[fmt], (method, fmt)
+
+
+def test_rational_arguments_read_past_the_digit_limit(capsys):
+    # 1/10^5000: Fraction() of its text refuses the 5001-digit denominator.
+    text = "1/1" + "0" * 5000
+    x = Fraction(1, 10**5000)
+    expected = arctan_derivative_closed(3).evaluate(x)
+    assert expected == arctan_derivative_pointwise(3, x)
+    for method in ("closed", "fdb"):
+        code, out, err = run_at_default_digit_limit(
+            capsys, "derive", "3", f"--method={method}", f"--x={text}", "--format=json"
+        )
+        assert (code, err) == (0, "")
+        document = json.loads(out)
+        assert document["x"] == text
+        with digit_limit(0):
+            assert Fraction(document["value"]) == expected
+    code, out, err = run_at_default_digit_limit(capsys, "crosscheck", "3", f"--points=1/2,{text}")
+    assert code == 0
+    assert out == f"crosscheck: n_max=3 points=1/2,{text} cases=12 PASS\n"
+
+
+@pytest.mark.parametrize("command", ["qpoly", "derive", "check-identity"])
+def test_integer_arguments_past_the_digit_limit_exit_two(capsys, command):
+    # No order or sweep size that long can be computed; the message says so
+    # and names no parser function.
+    code, out, err = run_at_default_digit_limit(capsys, command, "1" + "0" * 5000)
+    assert (code, out) == (2, "")
+    assert re.search(r"error: argument n(_max)?: more than 4300 digits: too large to compute\n\Z", err)
+    assert "invalid" not in err
 
 
 def test_malformed_arguments_exit_two(capsys):

@@ -11,7 +11,6 @@ from arctanderiv import (
     alternating_binomial_closed_form,
     alternating_binomial_sum,
     check_binomial_identity,
-    check_hypergeometric_form,
     check_hypergeometric_sweep,
     check_weighted_identity,
     identities,
@@ -158,15 +157,10 @@ def test_hypergeometric_form_cases():
         (4, 1, Fraction(-5, 8)),
         (6, 0, Fraction(7, 64)),
     ):
-        report = check_hypergeometric_form(n, m)
-        assert report.passed, report.failures
         assert alternating_binomial_sum(n, m) == expected
     assert alternating_binomial_closed_form(6, 0) == Fraction(7, 64)
-
-
-def test_hypergeometric_form_validates_range():
-    with pytest.raises(ValueError):
-        check_hypergeometric_form(4, 3)
+    report = check_hypergeometric_sweep(6)
+    assert report.passed, report.failures
 
 
 def test_hypergeometric_sweep():

@@ -13,12 +13,15 @@ from arctanderiv import (
     combinatorics,
     composition,
     crosscheck,
+    faa_di_bruno,
     identities,
     polynomial,
     reports,
     square_chain_rule,
     terminating_2f1,
     truncation_index,
+    weighted_binomial_closed_form,
+    weighted_binomial_sum,
 )
 
 LIBRARY_MODULES = (arctan, combinatorics, composition, identities, polynomial, reports)
@@ -43,7 +46,6 @@ ENTRY_POINTS = {
     "DerivativeJet ratio": lambda x: DerivativeJet(Fraction(1, 3), (1, 2), x),
     "DerivativeJet.of_values point": lambda x: DerivativeJet.of_values(x, (1, Fraction(1, 2))),
     "DerivativeJet.of_values value": lambda x: DerivativeJet.of_values(1, (Fraction(1, 2), x)),
-    "DerivativeJet.of_polynomial": lambda x: DerivativeJet.of_polynomial(Polynomial((1, 2, 3)), x, 2),
     "DerivativeJet.of_reciprocal": lambda x: DerivativeJet.of_reciprocal(x, 3),
     "square_chain_rule": lambda x: square_chain_rule(2, x, DerivativeJet.of_reciprocal(5, 2)),
     "arctan_derivative_pointwise": lambda x: arctan_derivative_pointwise(3, x),
@@ -65,3 +67,21 @@ def test_rational_inputs_reject_other_types(entry, bad):
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_int_inputs_equal_their_fractions(entry):
     assert ENTRY_POINTS[entry](2) == ENTRY_POINTS[entry](Fraction(2))
+
+
+# Functions of an order n >= 0, each with arguments that pass its other
+# checks at n = -1, so only the order guard can raise.
+_JET = DerivativeJet.of_reciprocal(5, 3)
+NEGATIVE_ORDERS = {
+    "faa_di_bruno": lambda n: faa_di_bruno(n, _JET, DerivativeJet.of_values(0, (5, 1, 0, 0))),
+    "square_chain_rule": lambda n: square_chain_rule(n, 2, _JET),
+    "weighted_binomial_sum": weighted_binomial_sum,
+    "weighted_binomial_closed_form": weighted_binomial_closed_form,
+}
+
+
+@pytest.mark.parametrize("entry", NEGATIVE_ORDERS)
+def test_negative_orders_raise(entry):
+    with pytest.raises(ValueError, match=">= 0"):
+        NEGATIVE_ORDERS[entry](-1)
+    NEGATIVE_ORDERS[entry](0)

@@ -228,6 +228,12 @@ def test_arctan_rational_zero_normalizes_to_exponent_zero():
     assert zero.numerator.is_zero()
 
 
+def test_arctan_rational_zero_evaluates_to_zero():
+    zero = ArctanRational(Polynomial(), 5)
+    for x in (0, 1, Fraction(-47, 53), Fraction(355, 113), Fraction(1, 10**50)):
+        assert zero.evaluate(x) == 0
+
+
 def test_arctan_rational_rejects_negative_exponent():
     with pytest.raises(ValueError):
         ArctanRational(Polynomial((1,)), -1)
