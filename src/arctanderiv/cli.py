@@ -10,6 +10,10 @@ the check function its subparser named.
 Building the parser imports no route module: each command imports the module
 that it runs when it runs, so a command compiles only the modules it uses.
 
+``main(argv)`` is the in-process API: it returns the exit code and leaves
+the garbage collector alone.  A process enters through ``__main__.run``,
+which exits with that code.
+
 Exit codes: 0 when everything succeeds (checks all pass), 1 when a
 verification sweep finds a mismatch, 2 for usage or argument-parse errors,
 3 when the command raised an unexpected exception (reported on one stderr
@@ -62,6 +66,8 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _natural(text: str) -> int:
+    """A nonnegative integer of at most 4300 digits: bench's n_max, which
+    only caps the table's sizes, takes any such value."""
     if not _INTEGER_RE.match(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if len(text.lstrip("+-")) > _MAX_DIGITS:
@@ -72,8 +78,17 @@ def _natural(text: str) -> int:
     return value
 
 
-def _positive(text: str) -> int:
+def _order(text: str) -> int:
+    """An order or sweep size: the routes index lists by it, so none past
+    sys.maxsize can run."""
     value = _natural(text)
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"more than {sys.maxsize}: too large to compute")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = _order(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -283,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="text")
 
     p = sub.add_parser("qpoly", help="print the numerator polynomial family member q_n")
-    p.add_argument("n", type=_natural)
+    p.add_argument("n", type=_order)
     add_format(p)
     p.set_defaults(func=cmd_qpoly)
 
@@ -303,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
          "check_hypergeometric_sweep"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("n_max", type=_natural, nargs="?", default=default)
+        p.add_argument("n_max", type=_order, nargs="?", default=default)
         add_format(p)
         p.set_defaults(func=cmd_check, check=("identities", function))
 
@@ -333,7 +348,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Exit 1 is reserved for a mathematical mismatch.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import itertools
 import json
@@ -21,7 +22,7 @@ from arctanderiv import (
     composition,
     identities,
 )
-from arctanderiv.cli import FORMATS, _emit, main
+from arctanderiv.cli import FORMATS, _emit, build_parser, main
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
     arctan_numerator,
@@ -412,29 +413,33 @@ def test_check_reports_its_cost_on_stderr(capsys, argv):
         assert "elapsed" not in out
 
 
+def run_fresh(code, *argv):
+    """The completed ``python -S -c code argv...`` process, run fresh with
+    the package of this tree on its path; -S keeps site-packages from
+    importing anything before the package does."""
+    env = {**os.environ, "PYTHONPATH": str(Path(arctanderiv.__file__).parent.parent)}
+    command = [sys.executable, "-S", "-c", code, *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=True)
+
+
 def test_start_up_imports_no_dataclasses_and_no_output_format():
-    # -S keeps site-packages from importing anything before the package does.
     probe = (
         "import sys, arctanderiv\n"
         "from arctanderiv import cli\n"
         "cli.build_parser()\n"
         "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', 'csv') if m in sys.modules))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(arctanderiv.__file__).parent.parent)}
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
+    result = run_fresh(probe)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
 
 
 def loaded_modules(code, *argv):
     """The package modules in sys.modules after ``code`` runs with ``argv``
-    in a fresh ``python -S`` process, named without the package prefix;
-    -S keeps site-packages from importing anything first."""
+    in a fresh ``python -S`` process, named without the package prefix."""
     probe = code + "\nprint(*sorted(m for m in sys.modules if m.startswith('arctanderiv.')))"
-    env = {**os.environ, "PYTHONPATH": str(Path(arctanderiv.__file__).parent.parent)}
-    command = [sys.executable, "-S", "-c", probe, *argv]
-    result = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    result = run_fresh(probe, *argv)
+    assert result.returncode == 0, result.stderr
     return {name.removeprefix("arctanderiv.") for name in result.stdout.splitlines()[-1].split()}
 
 
@@ -471,6 +476,74 @@ def test_each_command_loads_only_the_modules_it_runs(command):
 def test_building_the_parser_loads_no_route_module():
     code = "import sys, arctanderiv, arctanderiv.cli as cli\ncli.build_parser()"
     assert loaded_modules(code) == {"cli", "polynomial"}
+
+
+# An atexit handler runs before the interpreter's shutdown collections; this
+# one prints whether the collector's objects were frozen by then.
+FREEZE_PROBE = (
+    "import atexit, gc\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+)
+RUN_MODULE = (
+    "import runpy, sys\n"
+    "sys.argv[0] = 'arctanderiv'\n"
+    "runpy.run_module('arctanderiv', run_name='__main__')\n"
+)
+BROKEN_SWEEP = (
+    "from arctanderiv import identities\n"
+    "def broken(n_max):\n"
+    "    raise RuntimeError('sweep broke')\n"
+    "identities.check_weighted_identity = broken\n"
+)
+# A closed-form numerator of 0 is wrong for every (n, m).
+WRONG_SWEEP = (
+    "from arctanderiv import identities\n"
+    "identities._closed_form_numerator = lambda row, m: 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "code, patch, command",
+    [
+        (0, "", "qpoly 3"),
+        (0, "", "--help"),
+        (1, WRONG_SWEEP, "check-identity 6"),
+        (2, "", "derive 0"),
+        (3, BROKEN_SWEEP, "check-corollary 5"),
+    ],
+    ids=["exit0", "help", "exit1", "exit2", "exit3"],
+)
+def test_entry_point_freezes_the_collector_on_every_exit(code, patch, command):
+    result = run_fresh(FREEZE_PROBE + patch + RUN_MODULE, *command.split())
+    assert result.returncode == code, result.stderr
+    assert result.stdout.endswith("frozen True\n")
+    if code == 3:
+        assert result.stderr == "error: RuntimeError: sweep broke\n"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "derive", "3")[0] == 0
+    assert run_cli(capsys, "derive", "0")[0] == 2
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_runs_the_entry_point():
+    # Read as text: Python 3.10 has no tomllib.
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^arctanderiv = "(.*)"$', scripts, re.M)[1]
+    assert target == "arctanderiv.__main__:run"
+    module, _, name = target.partition(":")
+    # What an installer's generated script does with the target.
+    script = FREEZE_PROBE + (
+        f"import sys\nfrom {module} import {name}\nsys.argv[0] = 'arctanderiv'\nsys.exit({name}())\n"
+    )
+    result = run_fresh(script, "derive", "3")
+    assert (result.returncode, result.stdout) == (0, "(6*x^2 - 2) / (1+x^2)^3\nfrozen True\n")
+    result = run_fresh(script, "derive", "0")
+    assert (result.returncode, result.stdout) == (2, "frozen True\n")
+    assert "argument n: must be >= 1" in result.stderr
 
 
 def test_unexpected_exception_exits_three(capsys, monkeypatch):
@@ -588,6 +661,20 @@ def test_integer_arguments_past_the_digit_limit_exit_two(capsys, command):
     assert (code, out) == (2, "")
     assert re.search(r"error: argument n(_max)?: more than 4300 digits: too large to compute\n\Z", err)
     assert "invalid" not in err
+    # Nor can one past sys.maxsize, the longest list a route could index: it
+    # is refused as it is parsed, so a sweep never starts.  (An order between
+    # about 10^9 and sys.maxsize allocates before it fails, so no test runs
+    # one.)
+    with pytest.raises(SystemExit) as refused:
+        build_parser().parse_args([command, str(10**20)])
+    out, err = capsys.readouterr()
+    assert (refused.value.code, out) == (2, "")
+    assert re.search(rf"error: argument n(_max)?: more than {sys.maxsize}: too large to compute\n\Z", err)
+
+
+def test_bench_takes_any_n_max_of_at_most_4300_digits():
+    # bench only caps its sizes by n_max, so it runs past sys.maxsize.
+    assert build_parser().parse_args(["bench", str(10**20)]).n_max == 10**20
 
 
 def test_malformed_arguments_exit_two(capsys):
