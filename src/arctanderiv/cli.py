@@ -10,14 +10,18 @@ the check function its subparser named.
 Building the parser imports no route module: each command imports the module
 that it runs when it runs, so a command compiles only the modules it uses.
 
-``main(argv)`` is the in-process API: it returns the exit code and leaves
-the garbage collector alone.  A process enters through ``__main__.run``,
-which exits with that code.
+``main(argv)`` is the in-process API: it returns the exit code, touches no
+file descriptor and leaves the garbage collector alone.  A process enters
+through ``__main__.run``, which exits with that code.
 
 Exit codes: 0 when everything succeeds (checks all pass), 1 when a
-verification sweep finds a mismatch, 2 for usage or argument-parse errors,
-3 when the command raised an unexpected exception (reported on one stderr
-line, without a traceback).  Results go to stdout, diagnostics to stderr.
+verification sweep finds a mismatch, 2 for usage or argument-parse errors
+and for an order that the process cannot hold (a ``MemoryError`` or
+``OverflowError`` from the command), 3 when the command raised any other
+exception, a failed write of stdout included.  A failure is reported on one
+stderr line, without a traceback.  Results go to stdout, diagnostics to
+stderr.  Every result and help text is flushed as soon as it is written, so
+a write that fails does so inside ``main``, which can still report it.
 """
 
 from __future__ import annotations
@@ -162,13 +166,16 @@ def _emit(
         write(",".join(map(_csv_field, header)) + "\n")
         for row in rows:
             write(",".join(map(_csv_field, row)) + "\n")
-        return
-    if fmt == "json":
-        import json
-        text = _json(document(), "", json.dumps)
-    for piece in text:
-        write(piece)
-    write("\n")
+    else:
+        if fmt == "json":
+            import json
+            text = _json(document(), "", json.dumps)
+        for piece in text:
+            write(piece)
+        write("\n")
+    # A result shorter than stdout's buffer would otherwise wait there until
+    # finalization, too late for main to report a failed write.
+    sys.stdout.flush()
 
 
 def cmd_qpoly(args: argparse.Namespace) -> int:
@@ -233,16 +240,16 @@ def cmd_derive(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     """Run the sweep that the subcommand names in ``args.check``, a (module,
     function) pair, with its cost on stderr so that stdout repeats exactly;
-    exit 1 on a mismatch.  The function is read from its module now, so a
-    rebinding of the module attribute before the command runs takes effect."""
+    exit 1 on a mismatch.  The cost follows the written result, so a result
+    that could not be written leaves only its error on stderr.  The function
+    is read from its module now, so a rebinding of the module attribute
+    before the command runs takes effect."""
     module, name = args.check
     check = getattr(importlib.import_module(f".{module}", __package__), name)
     points = () if getattr(args, "points", None) is None else (args.points,)
     start = time.perf_counter()
     report = check(args.n_max, *points)
     elapsed = time.perf_counter() - start
-    rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else "inf"
-    print(f"{report.check}: elapsed_s={elapsed:.3f} cases_per_s={rate}", file=sys.stderr)
     lines = [report.summary()]
     for failure in report.failures:
         lines.append("  MISMATCH " + " ".join(f"{k}={v}" for k, v in failure.items()))
@@ -256,6 +263,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         ("check", "n_max", "cases", "failures", "passed"),
         [(report.check, args.n_max, report.cases, report.mismatches, report.passed)],
     )
+    rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else "inf"
+    print(f"{report.check}: elapsed_s={elapsed:.3f} cases_per_s={rate}", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -287,8 +296,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a help writer that raises when the write
+    fails: argparse's own swallows the ``OSError``, so help lost to a full
+    device would exit 0.  Subparsers take the class of their parent."""
+
+    def print_help(self, file=None) -> None:
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arctanderiv",
         description="Exact arctan derivatives by four methods, with exact identity sweeps.",
     )
@@ -339,11 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "derive" and args.method in POINTWISE_METHODS and args.x is None:
-        args.parser.error(f"--method={args.method} evaluates pointwise and needs --x")
     try:
+        # --help writes and flushes inside parse_args.
+        args = parser.parse_args(argv)
+        if args.command == "derive" and args.method in POINTWISE_METHODS and args.x is None:
+            args.parser.error(f"--method={args.method} evaluates pointwise and needs --x")
         return args.func(args)
+    except (MemoryError, OverflowError) as exc:
+        # An order that passes the parser but whose lists the process cannot
+        # hold, or whose length does not fit an index.
+        print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
+        return 2
     except Exception as exc:
         # Exit 1 is reserved for a mathematical mismatch.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

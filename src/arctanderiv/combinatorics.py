@@ -10,8 +10,9 @@ __all__ = ["binomial"]
 def binomial(n: int, k: int) -> int:
     """C(n, k) from ``math.comb``, with C(n, k) = 0 whenever k < 0 or k > n.
 
-    The out-of-range convention lets sums over shifted index ranges run
-    without edge guards.
+    No module of the package calls it: the literal sums in ``identities``
+    never leave 0 <= k <= n and call ``math.comb`` directly.  It serves the
+    public name ``arctanderiv.binomial``.
     """
     if n < 0:
         raise ValueError("binomial requires n >= 0")

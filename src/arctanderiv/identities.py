@@ -14,7 +14,7 @@ C(n-i-1, i+1) / C(n-i, i) is the term ratio of the 2F1 series, so a literal
 sum built from it would make the 2F1 check compare the series with itself.
 
 The literal alternating sum has two implementations: one case by
-``alternating_binomial_sum`` (O(n), binomials read from ``binomial``), and
+``alternating_binomial_sum`` (O(n), binomials read from ``math.comb``), and
 every m of every n by ``_sweep_numerators`` (O(n) additions per n).  The
 literal numerators of one n are the coefficients of the weight polynomial
 shifted by 1; the weight polynomials follow a three-term recurrence
@@ -41,7 +41,6 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterator, Sequence
 
-from .combinatorics import binomial
 from .polynomial import _rational
 from .reports import CheckReport
 
@@ -97,15 +96,17 @@ def alternating_binomial_sum(n: int, m: int) -> Fraction:
     prefactor n! 2^n (-1)^n / (1+x^2)^(n+1).  Accumulated as integers over
     the common denominator 4^(n//2): term i is C(i, m) times the weight
     (-1)^i 4^(n//2 - i) C(n-i, i), with every binomial read from
-    ``binomial``.  O(n) per call.  The sweeps and the ``prop12`` route take
-    the numerators of every m at once from a recurrence on the shifted weight
-    polynomials (``_sweep_numerators``); the tests hold both against
-    ``math.comb`` oracles.
+    ``math.comb``: i runs over [m, n//2], so both stay in range.  O(n) per
+    call.  The sweeps and the ``prop12`` route take the numerators of every m
+    at once from a recurrence on the shifted weight polynomials
+    (``_sweep_numerators``); the tests hold both against term-by-term
+    ``Fraction`` oracles.
     """
     _require_half_range(n, m)
     top = n // 2
     numerator = sum(
-        binomial(i, m) * (-1) ** i * binomial(n - i, i) << 2 * (top - i) for i in range(m, top + 1)
+        math.comb(i, m) * (-1) ** i * math.comb(n - i, i) << 2 * (top - i)
+        for i in range(m, top + 1)
     )
     return Fraction(numerator, 4**top)
 
@@ -129,7 +130,7 @@ def _closed_form_numerator(row: Sequence[int], m: int) -> int:
 def alternating_binomial_closed_form(n: int, m: int) -> Fraction:
     """(-1)^m 2^(-n) C(n+1, 2m+1)."""
     _require_half_range(n, m)
-    return Fraction((-1) ** m * binomial(n + 1, 2 * m + 1), 1 << n)
+    return Fraction((-1) ** m * math.comb(n + 1, 2 * m + 1), 1 << n)
 
 
 def check_binomial_identity(n_max: int) -> CheckReport:
@@ -166,13 +167,14 @@ def weighted_binomial_sum(n: int) -> Fraction:
     """sum_{i=0}^{n} (-1)^i C(2n+1-i, i) / (4^i (n+1-i)), evaluated literally.
 
     Accumulated as integers over the common denominator 4^n lcm(1..n+1),
-    with C(2n+1-i, i) read from ``binomial``.
+    with C(2n+1-i, i) read from ``math.comb``: i <= n < 2n+1-i keeps it in
+    range.
     """
     if n < 0:
         raise ValueError("requires n >= 0")
     lcm = math.lcm(*range(1, n + 2))
     numerator = sum(
-        (-1) ** i * binomial(2 * n + 1 - i, i) * (lcm // (n + 1 - i)) << 2 * (n - i)
+        (-1) ** i * math.comb(2 * n + 1 - i, i) * (lcm // (n + 1 - i)) << 2 * (n - i)
         for i in range(n + 1)
     )
     return Fraction(numerator, lcm << 2 * n)

@@ -452,7 +452,7 @@ RUN_AS_MAIN = (
     "    assert exc.code == 0, exc.code"
 )
 ROUTE = {"cli", "polynomial", "arctan"}
-SWEEP = {"cli", "polynomial", "identities", "reports", "combinatorics"}
+SWEEP = {"cli", "polynomial", "identities", "reports"}
 
 
 MODULES_RUN = {
@@ -465,6 +465,7 @@ MODULES_RUN = {
     "check-corollary 5": SWEEP,
     "check-2f1 5": SWEEP,
     "crosscheck 5": ROUTE | SWEEP | {"composition"},
+    "bench 2": ROUTE | SWEEP | {"composition"},
 }
 
 
@@ -556,6 +557,93 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch):
         assert code == 3
         assert out == ""
         assert err == "error: RuntimeError: sweep broke\n"
+
+
+def run_entry_point(stdout, *argv, unbuffered, **options):
+    """The completed ``python -S [-u] -m arctanderiv argv...`` process with
+    its stdout on ``stdout`` and ``subprocess.run``'s other ``options``;
+    PYTHONUNBUFFERED is removed from its environment, so only -u makes
+    stdout unbuffered."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(arctanderiv.__file__).parent.parent)
+    command = [sys.executable, "-S", *(["-u"] if unbuffered else []), "-m", "arctanderiv", *argv]
+    return subprocess.run(
+        command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, **options
+    )
+
+
+# derive 200 prints about 42 kB, past stdout's buffer, so its write fails
+# while the command runs; the others fail only when they are flushed.  A
+# passing check must exit 3 too, and leave no cost line on stderr.
+FAILED_WRITES = ["derive 5", "check-identity 30", "--help", "derive --help", "derive 200"]
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@BUFFERING
+@pytest.mark.parametrize("command", FAILED_WRITES)
+def test_a_write_to_a_full_device_exits_three(command, unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as full:
+        result = run_entry_point(full, *command.split(), unbuffered=unbuffered)
+    assert result.returncode == 3, result.stderr
+    assert re.fullmatch(r"error: OSError: \[Errno \d+\] [^\n]*\n", result.stderr)
+
+
+@BUFFERING
+@pytest.mark.parametrize("command", FAILED_WRITES)
+def test_a_write_to_a_closed_pipe_exits_three(command, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_entry_point(write_end, *command.split(), unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 3, result.stderr
+    assert re.fullmatch(r"error: BrokenPipeError: \[Errno \d+\] [^\n]*\n", result.stderr)
+
+
+@pytest.mark.parametrize("command", ["derive 5", "--help"])
+def test_a_closed_stdout_exits_three(command):
+    # Started with fd 1 closed, the interpreter sets sys.stdout to None, so
+    # the write fails with AttributeError and there is nothing to flush.
+    result = run_entry_point(
+        None, *command.split(), unbuffered=False, preexec_fn=lambda: os.close(1)
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == "error: AttributeError: 'NoneType' object has no attribute 'write'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("qpoly", str(sys.maxsize - 2)), "MemoryError"),
+        (("qpoly", str(sys.maxsize)), "OverflowError"),
+        (("derive", str(sys.maxsize), "--x=1/2"), "OverflowError"),
+    ],
+    ids=["qpoly-memory", "qpoly-overflow", "derive-overflow"],
+)
+def test_orders_the_process_cannot_hold_exit_two(capsys, argv, kind):
+    # Each order passes the parser, and q_polynomial's [1] * (n + 2) is
+    # refused by its length alone, before anything is allocated.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: input too large to compute ({kind})\n"
+
+
+def test_an_order_past_the_address_space_limit_exits_two():
+    pytest.importorskip("resource")
+    # q_polynomial(10^9) asks for an 8 GB list; the child's address space is
+    # capped at 1 GB first, so the allocation fails instead of swapping.
+    limit = (
+        "import resource\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+    )
+    result = run_fresh(limit + RUN_MODULE, "qpoly", "1000000000")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: input too large to compute (MemoryError)\n"
 
 
 def run_at_default_digit_limit(capsys, *argv):
@@ -663,8 +751,8 @@ def test_integer_arguments_past_the_digit_limit_exit_two(capsys, command):
     assert "invalid" not in err
     # Nor can one past sys.maxsize, the longest list a route could index: it
     # is refused as it is parsed, so a sweep never starts.  (An order between
-    # about 10^9 and sys.maxsize allocates before it fails, so no test runs
-    # one.)
+    # about 10^9 and sys.maxsize allocates before it fails, so only a child
+    # with a lowered address-space limit runs one.)
     with pytest.raises(SystemExit) as refused:
         build_parser().parse_args([command, str(10**20)])
     out, err = capsys.readouterr()
