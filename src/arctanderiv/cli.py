@@ -146,6 +146,15 @@ def _csv_field(value: object) -> str:
     return text
 
 
+def _stdout():
+    """sys.stdout, for a result or help.  A process started with fd 1 closed
+    has None there: that raises the OSError of a failed write instead."""
+    if sys.stdout is None:
+        import errno
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
 def _emit(
     fmt: str,
     text: Iterable[str],
@@ -161,7 +170,8 @@ def _emit(
     own format, so a large value is converted once and never held whole as
     one output string.
     """
-    write = sys.stdout.write
+    out = _stdout()
+    write = out.write
     if fmt == "csv":
         write(",".join(map(_csv_field, header)) + "\n")
         for row in rows:
@@ -175,7 +185,7 @@ def _emit(
         write("\n")
     # A result shorter than stdout's buffer would otherwise wait there until
     # finalization, too late for main to report a failed write.
-    sys.stdout.flush()
+    out.flush()
 
 
 def cmd_qpoly(args: argparse.Namespace) -> int:
@@ -302,7 +312,7 @@ class _Parser(argparse.ArgumentParser):
     device would exit 0.  Subparsers take the class of their parent."""
 
     def print_help(self, file=None) -> None:
-        file = file or sys.stdout
+        file = file or _stdout()
         file.write(self.format_help())
         file.flush()
 

@@ -6,9 +6,10 @@ Coefficients, scales and exponents are ``int`` only (every arctan numerator
 is an integer polynomial), so all symbolic work is integer arithmetic and
 rationals appear only as values at a rational point.  There is no ring
 arithmetic on these values: each route builds its numerator's coefficients
-itself, and the classes only store, differentiate, evaluate and print them.
-The only divisor ever needed is 1+x^2, which ``ArctanRational`` detects by
-P(i) = 0 and removes by synthetic division, with additions only.
+itself; ``Polynomial`` only stores and prints them, and ``ArctanRational``
+alone differentiates and evaluates.  The only divisor ever needed is 1+x^2,
+which ``ArctanRational`` detects by P(i) = 0 and removes by synthetic
+division, with additions only.
 """
 
 from __future__ import annotations
@@ -142,14 +143,13 @@ def _rational(value: int | Fraction, what: str) -> Fraction:
 
 class Polynomial(_Value):
     """Integer coefficients in ascending powers; the zero polynomial is the
-    empty tuple.  Routes read its coefficients and its text; ``derivative``
-    and ``evaluate`` give the values that ``DerivativeJet.of_values`` takes
-    for the jet of a polynomial at a rational point.
+    empty tuple.  Routes read its coefficients and its text; to differentiate
+    or evaluate P, take ``ArctanRational(P)``, which is P over (1+x^2)^0.
 
     >>> str(Polynomial((-1, 0, 3)))
     '3*x^2 - 1'
-    >>> Polynomial((1, 0, 1)).derivative()
-    Polynomial((0, 2))
+    >>> ArctanRational(Polynomial((1, 0, 1))).derivative()
+    ArctanRational(primitive=Polynomial((0, 1)), exponent=0, scale=2)
     >>> Polynomial((5,))
     Polynomial((5,))
     """
@@ -170,29 +170,6 @@ class Polynomial(_Value):
 
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def derivative(self) -> Polynomial:
-        return Polynomial(i * c for i, c in enumerate(self.coefficients) if i)
-
-    def evaluate(self, x: int | Fraction) -> Fraction:
-        """Exact value at a rational point x = p/q: q^deg P(p/q), computed
-        without division, over q^deg as one Fraction."""
-        x = _rational(x, "a point")
-        if self.is_zero():
-            return Fraction(0)
-        q = x.denominator
-        return Fraction(self._homogeneous(x.numerator, q), q**self.degree)
-
-    def _homogeneous(self, p: int, q: int) -> int:
-        """q^deg * P(p/q) = sum c_i p^i q^(deg-i), for a nonzero P.  If
-        P(x) = x^(deg&1) R(x^2), as every arctan numerator is, it is p^(deg&1)
-        times R's value at p^2/q^2, from half the coefficients."""
-        coeffs = self.coefficients
-        odd = (len(coeffs) - 1) & 1
-        if any(coeffs[1 - odd :: 2]):
-            return _homogeneous(coeffs, p, q, {})
-        value = _homogeneous(coeffs[odd::2], p * p, q * q, {})
-        return value * p if odd else value
 
     def __repr__(self) -> str:
         return f"Polynomial({_repr(self.coefficients)})"
@@ -356,12 +333,22 @@ class ArctanRational(_Value):
 
     def _evaluate(self, p: int, q: int) -> tuple[int, int]:
         """evaluate(p/q) as an unreduced (numerator, denominator) pair of
-        ints, for q > 0."""
-        poly, k = self.primitive, self.exponent
-        if poly.is_zero():
+        ints, for q > 0.  If P(x) = x^(deg&1) R(x^2), as every arctan
+        numerator is, q^deg P(p/q) is p^(deg&1) times R's value at p^2/q^2,
+        from half the coefficients."""
+        coeffs, k = self.primitive.coefficients, self.exponent
+        if not coeffs:
             return 0, 1
-        top, bottom = poly._homogeneous(p, q), (p * p + q * q) ** k
-        shift = 2 * k - poly.degree
+        degree = len(coeffs) - 1
+        odd = degree & 1
+        if any(coeffs[1 - odd :: 2]):
+            top = _homogeneous(coeffs, p, q, {})
+        else:
+            top = _homogeneous(coeffs[odd::2], p * p, q * q, {})
+            if odd:
+                top *= p
+        bottom = (p * p + q * q) ** k
+        shift = 2 * k - degree
         if shift >= 0:
             top *= q**shift
         else:

@@ -18,6 +18,9 @@ from typing import Sequence
 from arctanderiv.composition import DerivativeJet
 from arctanderiv.polynomial import ArctanRational, Polynomial
 
+# The coefficients of the oracles' plain polynomial lists.
+Rational = int | Fraction
+
 DEFAULT_DIGIT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 0)
 
 
@@ -150,21 +153,37 @@ def pascal_triangle(rows: int) -> list[list[int]]:
     return table
 
 
-def nth_derivative_value(p: Polynomial, n: int, x: Fraction) -> Fraction:
-    """Differentiate a polynomial symbolically n times, then evaluate."""
-    current = p
+def power_rule(coeffs: Sequence[Rational]) -> list[Rational]:
+    """The ascending coefficients of P' for those of P: i c_i moves to
+    power i - 1."""
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def polynomial_value(coeffs: Sequence[Rational], x: Rational) -> Fraction:
+    """P(x) for the ascending coefficients of P at a rational x = p/q, as
+    homogeneous_horner's q^d P(p/q) over q^d."""
+    if not coeffs:
+        return Fraction(0)
+    x = Fraction(x)
+    q = x.denominator
+    return Fraction(homogeneous_horner(coeffs, x.numerator, q), q ** (len(coeffs) - 1))
+
+
+def nth_derivative_value(coeffs: Sequence[Rational], n: int, x: Rational) -> Fraction:
+    """P^(n)(x): the power rule n times on P's coefficient list, then its
+    value."""
     for _ in range(n):
-        current = current.derivative()
-    return current.evaluate(x)
+        coeffs = power_rule(coeffs)
+    return polynomial_value(coeffs, x)
 
 
-def polynomial_jet(p: Polynomial, point: int | Fraction, order: int) -> DerivativeJet:
-    """The jet of a polynomial at point, from its values by repeated
-    symbolic differentiation."""
+def polynomial_jet(coeffs: Sequence[Rational], point: Rational, order: int) -> DerivativeJet:
+    """The jet of P at point, from its values by the power rule on P's
+    coefficient list."""
     values = []
     for _ in range(order + 1):
-        values.append(p.evaluate(point))
-        p = p.derivative()
+        values.append(polynomial_value(coeffs, point))
+        coeffs = power_rule(coeffs)
     return DerivativeJet.of_values(point, values)
 
 
@@ -223,7 +242,7 @@ def times_one_plus_x2(coeffs: Sequence[int], j: int) -> list[int]:
     return list(coeffs)
 
 
-def compose(outer: Sequence[int], inner: Sequence[int]) -> list[int]:
+def compose(outer: Sequence[Rational], inner: Sequence[Rational]) -> list[Rational]:
     """The ascending coefficients of outer(inner(x)), by Horner's scheme."""
     result = [0]
     for c in reversed(outer):
@@ -248,7 +267,7 @@ def quotient_rule_step(value: ArctanRational) -> ArctanRational:
     scale (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1), with P' by the power rule and
     the product by 1+x^2 and the difference taken term by term."""
     p, k = value.primitive.coefficients, value.exponent
-    top = times_one_plus_x2([i * c for i, c in enumerate(p)][1:], 1)
+    top = times_one_plus_x2(power_rule(p), 1)
     for i, c in enumerate(p, 1):
         top[i] -= 2 * k * c
     return ArctanRational(Polynomial(top), k + 1, value.scale)
@@ -285,7 +304,7 @@ def square_chain_rule_unreduced(n: int, x: Fraction, jet: DerivativeJet) -> Frac
     return Fraction(total, d ** (n + 1) * q**n)
 
 
-def homogeneous_horner(coeffs: Sequence[int], p: int, q: int) -> int:
+def homogeneous_horner(coeffs: Sequence[Rational], p: int, q: int) -> Rational:
     """q^d P(p/q) for the d + 1 ascending coefficients of P, by one Horner
     loop in p over all of them, with the matching power of q folded into
     each nonzero coefficient."""

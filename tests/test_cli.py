@@ -603,15 +603,23 @@ def test_a_write_to_a_closed_pipe_exits_three(command, unbuffered):
     assert re.fullmatch(r"error: BrokenPipeError: \[Errno \d+\] [^\n]*\n", result.stderr)
 
 
-@pytest.mark.parametrize("command", ["derive 5", "--help"])
+@pytest.mark.parametrize("command", ["derive 5", "--help", "derive --help", "check-identity 30"])
 def test_a_closed_stdout_exits_three(command):
-    # Started with fd 1 closed, the interpreter sets sys.stdout to None, so
-    # the write fails with AttributeError and there is nothing to flush.
+    # Started with fd 1 closed, the interpreter sets sys.stdout to None; the
+    # write is refused with the OSError of a closed descriptor, and there is
+    # nothing to flush.
     result = run_entry_point(
         None, *command.split(), unbuffered=False, preexec_fn=lambda: os.close(1)
     )
     assert result.returncode == 3, result.stderr
-    assert result.stderr == "error: AttributeError: 'NoneType' object has no attribute 'write'\n"
+    assert result.stderr == "error: OSError: [Errno 9] stdout is closed\n"
+
+
+def test_a_usage_error_with_a_closed_stdout_exits_two():
+    # The usage message goes to stderr, so a closed stdout changes nothing.
+    result = run_entry_point(None, "derive", "0", unbuffered=False, preexec_fn=lambda: os.close(1))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("usage: arctanderiv derive")
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import pytest
 import arctanderiv
 from arctanderiv import (
     DerivativeJet,
-    Polynomial,
     arctan,
     arctan_derivative_closed,
     arctan_derivative_pointwise,
@@ -40,7 +39,6 @@ def test_package_exports_every_module_name_once():
 # Every place where a caller's rational point, ratio, value or series
 # parameter enters the library, as a function of that one number.
 ENTRY_POINTS = {
-    "Polynomial.evaluate": lambda x: Polynomial((1, 0, 1)).evaluate(x),
     "ArctanRational.evaluate": lambda x: arctan_derivative_closed(3).evaluate(x),
     "DerivativeJet point": lambda x: DerivativeJet(x, (1, 2), Fraction(1, 3)),
     "DerivativeJet ratio": lambda x: DerivativeJet(Fraction(1, 3), (1, 2), x),

@@ -23,6 +23,7 @@ from oracles import (
     difference_quotient_derivative,
     digit_limit,
     homogeneous_horner,
+    power_rule,
     quotient_rule_step,
     rational_sum,
     times_one_plus_x2,
@@ -53,17 +54,24 @@ def _rebuilt(value):
     )
 
 
+def _plain(*coeffs):
+    """The polynomial with these coefficients, as an ArctanRational over
+    (1+x^2)^0, which differentiates and evaluates it."""
+    return ArctanRational(Polynomial(coeffs))
+
+
 def test_derivative_examples():
-    assert Polynomial((5,)).derivative() == Polynomial()
-    assert Polynomial((0, 0, 0, 1)).derivative() == Polynomial((0, 0, 3))
-    assert Polynomial((-1, 0, 3)).derivative() == Polynomial((0, 6))
+    # At exponent 0 the quotient rule adds one factor 1+x^2 and removes it.
+    assert _plain(5).derivative() == _plain()
+    assert _plain(0, 0, 0, 1).derivative() == _plain(0, 0, 3)
+    assert _plain(-1, 0, 3).derivative() == _plain(0, 6)
 
 
 def test_evaluate_examples():
-    assert Polynomial((4, 1, 9)).evaluate(0) == 4
-    assert Polynomial((-1, 0, 3)).evaluate(1) == 2
-    assert Polynomial((0, -2)).evaluate(Fraction(1, 2)) == -1
-    assert Polynomial().evaluate(Fraction(-7, 3)) == 0
+    assert _plain(4, 1, 9).evaluate(0) == 4
+    assert _plain(-1, 0, 3).evaluate(1) == 2
+    assert _plain(0, -2).evaluate(Fraction(1, 2)) == -1
+    assert _plain().evaluate(Fraction(-7, 3)) == 0
 
 
 @st.composite
@@ -88,11 +96,12 @@ def homogeneous_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(homogeneous_cases())
 def test_homogeneous_matches_horner(case):
-    # The parity rule and the split by halves give today's Horner value.
+    # The parity rule and the split by halves give one Horner loop's value.
     coeffs, p, q = case
     poly = Polynomial(coeffs)
     assume(not poly.is_zero())
-    assert poly._homogeneous(p, q) == homogeneous_horner(poly.coefficients, p, q)
+    expected = homogeneous_horner(poly.coefficients, p, q), q**poly.degree
+    assert ArctanRational(poly)._evaluate(p, q) == expected
 
 
 def test_trailing_zeros_are_trimmed():
@@ -190,9 +199,16 @@ def test_value_classes_take_ints_only(c):
         DerivativeJet(0, (c,), 1)
 
 
-@given(small_polys, rationals)
-def test_derivative_matches_difference_quotient(p, x):
-    assert p.derivative().evaluate(x) == difference_quotient_derivative(p.coefficients, x)
+@given(small_polys, st.integers(0, 3), rationals)
+def test_derivative_matches_difference_quotient(q, j, x):
+    # P = Q (1+x^2)^j, so that the numerators of both the quotient rule and
+    # of P' can carry factors 1+x^2.  At exponent 0 the quotient rule's
+    # P'(1+x^2) / (1+x^2) loses exactly that one factor again.
+    p = times_one_plus_x2(q.coefficients, j)
+    derivative = ArctanRational(Polynomial(p)).derivative()
+    assert derivative.exponent == 0
+    assert derivative.numerator == Polynomial(power_rule(p))
+    assert derivative.evaluate(x) == difference_quotient_derivative(p, x)
 
 
 def test_arctan_rational_canonicalization():
@@ -300,6 +316,8 @@ def test_polynomials_are_values():
     with pytest.raises(AttributeError):
         del a.coefficients
     assert a.coefficients == (1, 0, 3)
+    # Only ArctanRational differentiates and evaluates.
+    assert not any(hasattr(a, name) for name in ("derivative", "evaluate", "_homogeneous"))
     for rebuilt in _rebuilt(a):
         assert type(rebuilt) is Polynomial and rebuilt.coefficients == a.coefficients
     assert repr(Polynomial((1, 0, -3))) == "Polynomial((1, 0, -3))"
