@@ -27,7 +27,7 @@ from collections import deque
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .polynomial import ArctanRational, Polynomial, _rational, exact_str
+from .polynomial import ArctanRational, _rational, exact_str
 
 if TYPE_CHECKING:
     from .reports import CheckReport
@@ -57,9 +57,9 @@ def _require_order(n: int) -> None:
         raise ValueError("arctan derivative order must be >= 1 (arctan itself is not rational)")
 
 
-def q_polynomial(n: int) -> Polynomial:
-    """Degree-n integer polynomial q_n with
-    arctan^(n+1)(x) = n! q_n(x) / (1+x^2)^(n+1):
+def q_polynomial(n: int) -> tuple[int, ...]:
+    """The ascending coefficients of the degree-n integer polynomial q_n
+    with arctan^(n+1)(x) = n! q_n(x) / (1+x^2)^(n+1):
 
         q_n(x) = (-1)^n * sum over even k in [0, n] of
                  C(n+1, k+1) (-1)^(k/2) x^(n-k).
@@ -78,7 +78,7 @@ def q_polynomial(n: int) -> Polynomial:
     coeffs = [0] * (n + 1)
     for k in range(0, n + 1, 2):
         coeffs[n - k] = sign * row[k + 1] * (-1) ** (k // 2)
-    return Polynomial(coeffs)
+    return tuple(coeffs)
 
 
 def arctan_derivative_closed(n: int) -> ArctanRational:
@@ -101,7 +101,7 @@ def _expanded(p: int, numerators: list[int]) -> ArctanRational:
     coeffs = [0] * (p + 1)
     coeffs[p::-2] = numerators
     prefactor = (-1) ** p * (math.factorial(p) << (p & 1))
-    return ArctanRational(Polynomial(coeffs), p + 1, scale=prefactor)
+    return ArctanRational(coeffs, p + 1, scale=prefactor)
 
 
 def arctan_derivative_expanded(n: int) -> ArctanRational:
@@ -133,7 +133,7 @@ def arctan_derivative_oracle(n: int) -> ArctanRational:
     """Brute force: differentiate 1/(1+x^2) through n-1 quotient-rule steps,
     each on the primitive part P, with the content moved into the scale."""
     _require_order(n)
-    value = ArctanRational(Polynomial((1,)), 1)
+    value = ArctanRational(1, 1)
     for _ in range(n - 1):
         value = value.derivative()
     return value
@@ -171,7 +171,7 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
         "crosscheck", {"n_max": n_max, "points": [exact_str(p) for p in points]}
     )
     jets = [composition.DerivativeJet.of_reciprocal(1 + x * x, n_max - 1) for x in points]
-    oracle = ArctanRational(Polynomial((1,)), 1)
+    oracle = ArctanRational(1, 1)
     for p, numerators in identities._sweep_numerators(n_max - 1):
         n = p + 1
         if n > 1:

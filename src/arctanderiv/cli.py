@@ -35,7 +35,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .polynomial import Term, exact_str
+from .polynomial import ArctanRational, Term, exact_str
 
 __all__ = ["main", "build_parser"]
 
@@ -191,7 +191,7 @@ def _emit(
 def cmd_qpoly(args: argparse.Namespace) -> int:
     from . import arctan
 
-    poly = arctan.q_polynomial(args.n)
+    poly = ArctanRational(arctan.q_polynomial(args.n))
     _emit(
         args.format,
         poly.text(),

@@ -1,15 +1,15 @@
-"""The integer polynomials of the routes, the rational-function form
-scale * P(x) / (1+x^2)^k in which every arctan derivative lives, and the
-exact text form of their numbers at any size.
+"""The rational-function form scale * P(x) / (1+x^2)^k in which every
+arctan derivative lives, and the exact text form of its numbers at any size.
 
 Coefficients, scales and exponents are ``int`` only (every arctan numerator
 is an integer polynomial), so all symbolic work is integer arithmetic and
 rationals appear only as values at a rational point.  There is no ring
 arithmetic on these values: each route builds its numerator's coefficients
-itself; ``Polynomial`` only stores and prints them, and ``ArctanRational``
-alone differentiates and evaluates.  The only divisor ever needed is 1+x^2,
-which ``ArctanRational`` detects by P(i) = 0 and removes by synthetic
-division, with additions only.
+itself, as a plain list or tuple, and hands them to ``ArctanRational``,
+which stores, differentiates, evaluates and prints them; a plain polynomial
+is an ``ArctanRational`` at exponent 0.  The only divisor ever needed is
+1+x^2, which ``ArctanRational`` detects by P(i) = 0 and removes by
+synthetic division, with additions only.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 Term = tuple[int, str]
 
-__all__ = ["Polynomial", "ArctanRational", "exact_str"]
+__all__ = ["ArctanRational", "exact_str"]
 
 # Exact decimal arithmetic on integers: no rounding at any size (Inexact
 # traps if one ever would).
@@ -141,80 +141,6 @@ def _rational(value: int | Fraction, what: str) -> Fraction:
     raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
 
 
-class Polynomial(_Value):
-    """Integer coefficients in ascending powers; the zero polynomial is the
-    empty tuple.  Routes read its coefficients and its text; to differentiate
-    or evaluate P, take ``ArctanRational(P)``, which is P over (1+x^2)^0.
-
-    >>> str(Polynomial((-1, 0, 3)))
-    '3*x^2 - 1'
-    >>> ArctanRational(Polynomial((1, 0, 1))).derivative()
-    ArctanRational(primitive=Polynomial((0, 1)), exponent=0, scale=2)
-    >>> Polynomial((5,))
-    Polynomial((5,))
-    """
-
-    __slots__ = ("coefficients",)
-    coefficients: tuple[int, ...]
-
-    def __init__(self, coefficients: Iterable[int] = ()):
-        coeffs = _ints(coefficients, "a Polynomial coefficient")
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the leading term; -1 stands in for the zero polynomial."""
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __repr__(self) -> str:
-        return f"Polynomial({_repr(self.coefficients)})"
-
-    def _terms(self, scale: int, powers: Iterable[int]) -> Iterator[Term]:
-        """(power, text) for each nonzero coefficient of scale * self, in the
-        order of powers.
-
-        The scale is converted to Decimal once, and each coefficient is
-        printed as the exact Decimal product, so the product is never formed
-        as an int and never converted by the quadratic int -> str.
-        """
-        factor = _decimal(scale)
-        for power in powers:
-            c = self.coefficients[power]
-            if c and scale:
-                yield power, str(_EXACT.multiply(factor, _decimal(c)))
-
-    def terms(self, scale: int = 1) -> Iterator[Term]:
-        """(power, text) for each nonzero coefficient of scale * self, in
-        ascending powers; the text is an integer (the denominator is 1)."""
-        return self._terms(scale, range(len(self.coefficients)))
-
-    def text(self, scale: int = 1) -> Iterator[str]:
-        """The text form of scale * self, one piece per term: descending
-        powers, exact coefficients.  Joined, the pieces are ``str``."""
-        first = True
-        for power, numerator in self._terms(scale, range(self.degree, -1, -1)):
-            negative = numerator[0] == "-"
-            magnitude = numerator[negative:]
-            if power:
-                variable = "x" if power == 1 else f"x^{power}"
-                magnitude = variable if magnitude == "1" else f"{magnitude}*{variable}"
-            if first:
-                yield f"-{magnitude}" if negative else magnitude
-            else:
-                yield f" - {magnitude}" if negative else f" + {magnitude}"
-            first = False
-        if first:
-            yield "0"
-
-    def __str__(self) -> str:
-        return "".join(self.text())
-
-
 _LEAF = 64  # the longest coefficient run that _homogeneous sums by Horner's scheme
 
 
@@ -245,20 +171,21 @@ class ArctanRational(_Value):
     """scale * P(x) / (1+x^2)^k, stored in the one canonical form:
 
     * P is a primitive integer polynomial (the gcd of its coefficients is 1)
-      with a positive leading coefficient;
+      with a positive leading coefficient, a tuple in ascending powers;
     * scale is an int that carries the content and the sign;
     * k is the smallest possible exponent;
-    * zero is P = 0, k = 0 and scale = 0.
+    * zero is P = (), k = 0 and scale = 0.
 
-    ``ArctanRational(p, k, scale)`` is scale * p / (1+x^2)^k for an
-    integer polynomial or int p, an int k >= 0 and an int scale (the
-    parameters are named after the stored fields, so that the repr is a
-    constructor call): construction takes one gcd over p's coefficients and
-    moves that content into ``scale``, so a route can pass a factor it
-    knows, such as (n-1)!, as ``scale`` and never multiply it in.  The form is unique, so
+    ``ArctanRational(p, k, scale)`` is scale * p / (1+x^2)^k for int
+    coefficients p in ascending powers (any iterable, or one int), an int
+    k >= 0 and an int scale (the parameters are named after the stored
+    fields, so that the repr is a constructor call): construction checks the
+    coefficients once, takes one gcd over them and moves that content into
+    ``scale``, so a route can pass a factor it knows, such as (n-1)!, as
+    ``scale`` and never multiply it in.  The form is unique, so
     mathematically equal values compare equal field by field.
-    Exponent 0 is a plain polynomial.  ``numerator`` is the full numerator
-    scale * P, built on each read.
+    Exponent 0 is a plain polynomial.  ``coefficients`` are those of the
+    full numerator scale * P, and ``numerator`` is that polynomial alone.
 
     Over the rationals 1+x^2 divides P exactly when P(i) = 0, that is, when
     c_0 - c_2 + c_4 - ... and c_1 - c_3 + c_5 - ... both vanish.  Only then
@@ -267,46 +194,56 @@ class ArctanRational(_Value):
     No arctan route ever hits a factor: its numerator at x = i is
     (-1)^(n-1) (n-1)! (2i)^(n-1), never 0.
 
-    >>> ArctanRational(Polynomial((0, -2, 0, -2)), 3)
-    ArctanRational(primitive=Polynomial((0, 1)), exponent=2, scale=-2)
+    >>> ArctanRational((0, -2, 0, -2), 3)
+    ArctanRational(primitive=(0, 1), exponent=2, scale=-2)
+    >>> str(ArctanRational((-1, 0, 3)))
+    '3*x^2 - 1'
+    >>> ArctanRational((1, 0, 1)).derivative()
+    ArctanRational(primitive=(0, 1), exponent=0, scale=2)
     """
 
     __slots__ = ("primitive", "exponent", "scale")
-    primitive: Polynomial
+    primitive: tuple[int, ...]
     exponent: int
     scale: int
 
-    def __init__(self, primitive: Polynomial | int, exponent: int = 0, scale: int = 1):
+    def __init__(self, primitive: Iterable[int] | int, exponent: int = 0, scale: int = 1):
         _ints((exponent,), "an ArctanRational exponent")
         _ints((scale,), "an ArctanRational scale")
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        if not isinstance(primitive, Polynomial):
-            primitive = Polynomial((primitive,))
-        coeffs = primitive.coefficients
-        if not coeffs or not scale:
-            coeffs, exponent, scale = (), 0, 0
+        if not hasattr(primitive, "__iter__"):
+            primitive = (primitive,)
+        c = _ints(primitive, "an ArctanRational coefficient")
+        while c and c[-1] == 0:
+            c.pop()
+        if not c or not scale:
+            c, exponent, scale = [], 0, 0
         else:
-            content = math.gcd(*coeffs)
-            if coeffs[-1] < 0:
+            content = math.gcd(*c)
+            if c[-1] < 0:
                 content = -content
             if content != 1:
-                coeffs = [c // content for c in coeffs]
+                c = [v // content for v in c]
                 scale *= content
-        c = coeffs
         while exponent and sum(c[0::4]) == sum(c[2::4]) and sum(c[1::4]) == sum(c[3::4]):
-            c = list(c[2:])
+            c = c[2:]
             for j in range(len(c) - 3, -1, -1):
                 c[j] -= c[j + 2]
             exponent -= 1
-        object.__setattr__(self, "primitive", Polynomial(c))
+        object.__setattr__(self, "primitive", tuple(c))
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "scale", scale)
 
     @property
-    def numerator(self) -> Polynomial:
-        """The full numerator scale * P."""
-        return Polynomial(c * self.scale for c in self.primitive.coefficients)
+    def coefficients(self) -> tuple[int, ...]:
+        """The coefficients scale * c of the full numerator, ascending."""
+        return tuple([c * self.scale for c in self.primitive])
+
+    @property
+    def numerator(self) -> ArctanRational:
+        """The full numerator scale * P, over (1+x^2)^0."""
+        return ArctanRational(self.primitive, 0, self.scale)
 
     def derivative(self) -> ArctanRational:
         """Quotient rule on P: scale (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1),
@@ -316,10 +253,10 @@ class ArctanRational(_Value):
         so the new numerator is one pass over P's coefficients, padded with
         zeros at both ends.
         """
-        coeffs, shift = self.primitive.coefficients, 1 + 2 * self.exponent
+        coeffs, shift = self.primitive, 1 + 2 * self.exponent
         padded = (0, *coeffs, 0, 0)
         top = [(j + 1) * padded[j + 2] + (j - shift) * padded[j] for j in range(len(coeffs) + 1)]
-        return ArctanRational(Polynomial(top), self.exponent + 1, self.scale)
+        return ArctanRational(top, self.exponent + 1, self.scale)
 
     def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact value at a rational point; 1+x^2 >= 1 so never a pole.
@@ -336,7 +273,7 @@ class ArctanRational(_Value):
         ints, for q > 0.  If P(x) = x^(deg&1) R(x^2), as every arctan
         numerator is, q^deg P(p/q) is p^(deg&1) times R's value at p^2/q^2,
         from half the coefficients."""
-        coeffs, k = self.primitive.coefficients, self.exponent
+        coeffs, k = self.primitive, self.exponent
         if not coeffs:
             return 0, 1
         degree = len(coeffs) - 1
@@ -355,16 +292,46 @@ class ArctanRational(_Value):
             bottom *= q**-shift
         return self.scale * top, bottom
 
+    def _terms(self, powers: Iterable[int]) -> Iterator[Term]:
+        """(power, text) for each nonzero coefficient of the numerator
+        scale * P, in the order of powers.
+
+        The scale is converted to Decimal once, and each coefficient is
+        printed as the exact Decimal product, so the product is never formed
+        as an int and never converted by the quadratic int -> str.
+        """
+        factor = _decimal(self.scale)
+        for power in powers:
+            c = self.primitive[power]
+            if c:
+                yield power, str(_EXACT.multiply(factor, _decimal(c)))
+
     def terms(self) -> Iterator[Term]:
         """(power, text) for each nonzero coefficient of the numerator
-        scale * P, in ascending powers."""
-        return self.primitive.terms(self.scale)
+        scale * P, in ascending powers; the text is an integer (the
+        denominator is 1)."""
+        return self._terms(range(len(self.primitive)))
 
     def text(self) -> Iterator[str]:
-        """The text form in pieces; joined, they are ``str``."""
+        """The text form in pieces: the numerator in descending powers with
+        exact coefficients, in parentheses over (1+x^2)^k when k > 0.
+        Joined, the pieces are ``str``."""
         if self.exponent:
             yield "("
-        yield from self.primitive.text(self.scale)
+        first = True
+        for power, numerator in self._terms(range(len(self.primitive) - 1, -1, -1)):
+            negative = numerator[0] == "-"
+            magnitude = numerator[negative:]
+            if power:
+                variable = "x" if power == 1 else f"x^{power}"
+                magnitude = variable if magnitude == "1" else f"{magnitude}*{variable}"
+            if first:
+                yield f"-{magnitude}" if negative else magnitude
+            else:
+                yield f" - {magnitude}" if negative else f" + {magnitude}"
+            first = False
+        if first:
+            yield "0"
         if self.exponent:
             yield f") / (1+x^2)^{self.exponent}"
 

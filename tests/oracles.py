@@ -16,7 +16,7 @@ from operator import add
 from typing import Sequence
 
 from arctanderiv.composition import DerivativeJet
-from arctanderiv.polynomial import ArctanRational, Polynomial
+from arctanderiv.polynomial import ArctanRational
 
 # The coefficients of the oracles' plain polynomial lists.
 Rational = int | Fraction
@@ -91,7 +91,7 @@ def difference_quotient_derivative(coefficients: Sequence[int], x: Fraction) -> 
     x + h on a plain list of Fraction coefficients in h, and p(x) is summed
     term by term.  Dividing by h shifts every coefficient down one power, so
     the constant term must vanish and the h^1 coefficient is the h -> 0 limit
-    of the quotient.  Never touches Polynomial.
+    of the quotient.  Never touches the package.
     """
     in_h = [Fraction(0)]
     for c in reversed(coefficients):
@@ -242,6 +242,44 @@ def times_one_plus_x2(coeffs: Sequence[int], j: int) -> list[int]:
     return list(coeffs)
 
 
+def rendered_rational(
+    coeffs: Sequence[int], exponent: int, scale: int
+) -> tuple[str, list[tuple[int, str]]]:
+    """The text and the ascending (power, numerator text) terms of
+    scale * P / (1+x^2)^k in lowest terms, for P with these ascending
+    coefficients, from plain lists: factors 1+x^2 are taken out by long
+    division while the remainder is zero, and each coefficient is printed by
+    ``str`` with the digit limit lifted."""
+    top = [scale * c for c in coeffs]
+    while top and top[-1] == 0:
+        top.pop()
+    if not top:
+        exponent = 0
+    while exponent and len(top) > 2:
+        remainder, quotient = list(top), [0] * (len(top) - 2)
+        for j in range(len(top) - 1, 1, -1):
+            quotient[j - 2] = remainder[j]
+            remainder[j - 2] -= remainder[j]
+        if remainder[0] or remainder[1]:
+            break
+        top, exponent = quotient, exponent - 1
+    with digit_limit(0):
+        terms = [(power, str(c)) for power, c in enumerate(top) if c]
+    pieces = []
+    for power, text in reversed(terms):
+        negative = text.startswith("-")
+        magnitude = text.lstrip("-")
+        if power:
+            variable = "x" if power == 1 else f"x^{power}"
+            magnitude = variable if magnitude == "1" else f"{magnitude}*{variable}"
+        if pieces:
+            pieces.append((" - " if negative else " + ") + magnitude)
+        else:
+            pieces.append("-" * negative + magnitude)
+    text = "".join(pieces) or "0"
+    return (f"({text}) / (1+x^2)^{exponent}" if exponent else text), terms
+
+
 def compose(outer: Sequence[Rational], inner: Sequence[Rational]) -> list[Rational]:
     """The ascending coefficients of outer(inner(x)), by Horner's scheme."""
     result = [0]
@@ -258,19 +296,19 @@ def compose(outer: Sequence[Rational], inner: Sequence[Rational]) -> list[Ration
 def rational_sum(r: ArctanRational, s: ArctanRational) -> ArctanRational:
     """r + s over the larger exponent, summed on coefficient lists."""
     k = max(r.exponent, s.exponent)
-    a, b = (times_one_plus_x2(v.numerator.coefficients, k - v.exponent) for v in (r, s))
-    return ArctanRational(Polynomial(map(sum, zip_longest(a, b, fillvalue=0))), k)
+    a, b = (times_one_plus_x2(v.coefficients, k - v.exponent) for v in (r, s))
+    return ArctanRational(map(sum, zip_longest(a, b, fillvalue=0)), k)
 
 
 def quotient_rule_step(value: ArctanRational) -> ArctanRational:
     """One quotient-rule step on scale P / (1+x^2)^k, on coefficient lists:
     scale (P'(1+x^2) - 2kxP) / (1+x^2)^(k+1), with P' by the power rule and
     the product by 1+x^2 and the difference taken term by term."""
-    p, k = value.primitive.coefficients, value.exponent
+    p, k = value.primitive, value.exponent
     top = times_one_plus_x2(power_rule(p), 1)
     for i, c in enumerate(p, 1):
         top[i] -= 2 * k * c
-    return ArctanRational(Polynomial(top), k + 1, value.scale)
+    return ArctanRational(top, k + 1, value.scale)
 
 
 def square_chain_rule_unreduced(n: int, x: Fraction, jet: DerivativeJet) -> Fraction:

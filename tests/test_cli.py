@@ -29,6 +29,7 @@ from oracles import (
     current_digit_limit,
     digit_limit,
     gaussian_derivative_value,
+    rendered_rational,
 )
 
 
@@ -68,6 +69,29 @@ def test_qpoly_json_roundtrip(capsys):
         ],
     }
     assert json.dumps(document, indent=2) == out.rstrip("\n")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_qpoly_matches_binomial_formula(capsys, fmt):
+    # q_n = (-1)^n sum over even k of C(n+1, k+1) (-1)^(k/2) x^(n-k).  Every
+    # odd n has a content above 1 (q_1 = -2x, q_3 = 4x - 4x^3).
+    for n in range(81):
+        coeffs = [0] * (n + 1)
+        for k in range(0, n + 1, 2):
+            coeffs[n - k] = (-1) ** (n + k // 2) * comb(n + 1, k + 1)
+        terms = [(power, c) for power, c in enumerate(coeffs) if c]
+        code, out, _ = run_cli(capsys, "qpoly", str(n), f"--format={fmt}")
+        assert code == 0
+        if fmt == "text":
+            assert out == rendered_rational(coeffs, 0, 1)[0] + "\n"
+        elif fmt == "json":
+            assert json.loads(out) == {
+                "n": n,
+                "terms": [{"power": p, "numerator": c, "denominator": 1} for p, c in terms],
+            }
+        else:
+            rows = "".join(f"{p},{c},1\n" for p, c in terms)
+            assert out == "power,numerator,denominator\n" + rows
 
 
 def test_derive_symbolic_text(capsys):

@@ -14,7 +14,6 @@ import arctanderiv
 from arctanderiv import (
     ArctanRational,
     DerivativeJet,
-    Polynomial,
     arctan_derivative_closed,
     exact_str,
 )
@@ -26,6 +25,7 @@ from oracles import (
     power_rule,
     quotient_rule_step,
     rational_sum,
+    rendered_rational,
     times_one_plus_x2,
 )
 
@@ -33,11 +33,8 @@ coefficients = st.integers(-80, 80)
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=8
 )
-small_polys = st.builds(
-    Polynomial, st.lists(coefficients, min_size=0, max_size=9)
-)
+small_polys = st.lists(coefficients, min_size=0, max_size=9)
 NAMES = {
-    "Polynomial": Polynomial,
     "ArctanRational": ArctanRational,
     "DerivativeJet": DerivativeJet,
     "Fraction": Fraction,
@@ -57,7 +54,7 @@ def _rebuilt(value):
 def _plain(*coeffs):
     """The polynomial with these coefficients, as an ArctanRational over
     (1+x^2)^0, which differentiates and evaluates it."""
-    return ArctanRational(Polynomial(coeffs))
+    return ArctanRational(coeffs)
 
 
 def test_derivative_examples():
@@ -98,17 +95,17 @@ def homogeneous_cases(draw):
 def test_homogeneous_matches_horner(case):
     # The parity rule and the split by halves give one Horner loop's value.
     coeffs, p, q = case
-    poly = Polynomial(coeffs)
-    assume(not poly.is_zero())
-    expected = homogeneous_horner(poly.coefficients, p, q), q**poly.degree
-    assert ArctanRational(poly)._evaluate(p, q) == expected
+    value = ArctanRational(coeffs)
+    assume(value.primitive)
+    expected = homogeneous_horner(value.coefficients, p, q), q ** (len(value.primitive) - 1)
+    assert value._evaluate(p, q) == expected
 
 
 def test_trailing_zeros_are_trimmed():
-    assert Polynomial((1, 0, 0)) == Polynomial((1,))
-    assert Polynomial((0, 0)).is_zero()
-    assert Polynomial().degree == -1
-    assert Polynomial((0, 0, 4)).degree == 2
+    assert ArctanRational((1, 0, 0)) == ArctanRational((1,)) == ArctanRational(1)
+    assert ArctanRational((0, 0)).primitive == ()
+    assert ArctanRational(()).primitive == ()
+    assert ArctanRational((0, 0, 4)).primitive == (0, 0, 1)
 
 
 # Ints of up to about 60k digits, drawn by bit length so that every size is
@@ -118,13 +115,16 @@ big_ints = st.integers(0, 200_000).flatmap(lambda bits: st.integers(-(1 << bits)
 
 def _check_exact_str(n, scale):
     with digit_limit(0):
-        want, want_scaled = str(n), str(scale * n)
+        want, want_scaled, want_scale = str(n), str(scale * n), str(scale)
         want_fraction = str(Fraction(n, scale)) if scale else None
     assert exact_str(n) == want
     if scale:
         assert exact_str(Fraction(n, scale)) == want_fraction
     if n:
-        assert list(Polynomial((n,)).terms(scale)) == ([(0, want_scaled)] if scale else [])
+        # n and 1 are coprime, so n stays a stored coefficient and prints as
+        # its exact Decimal product with the scale.
+        terms = [(0, want_scaled), (1, want_scale)] if scale else []
+        assert list(ArctanRational((n, 1), 0, scale).terms()) == terms
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,15 +145,14 @@ def test_exact_str_at_split_widths():
 
 
 def test_text_rendering():
-    assert str(Polynomial((-1, 0, 3))) == "3*x^2 - 1"
-    assert str(Polynomial((0, -2))) == "-2*x"
-    assert str(Polynomial()) == "0"
-    assert str(Polynomial((1, 0, 1))) == "x^2 + 1"
+    assert str(ArctanRational((-1, 0, 3))) == "3*x^2 - 1"
+    assert str(ArctanRational((0, -2))) == "-2*x"
+    assert str(ArctanRational(())) == "0"
+    assert str(ArctanRational((1, 0, 1))) == "x^2 + 1"
 
 
 @given(small_polys, st.integers(0, 3))
 def test_repr_round_trips(p, k):
-    assert eval(repr(p), NAMES) == p
     r = ArctanRational(p, k)
     assert eval(repr(r), NAMES) == r
 
@@ -180,9 +179,9 @@ def test_module_doctests():
 
 
 def test_integral_coefficients_are_ints():
-    numerator = ArctanRational(Polynomial((2, 1, 0, -2)), 0, 3).numerator
-    assert numerator.coefficients == (6, 3, 0, -6)
-    assert all(type(c) is int for c in numerator.coefficients)
+    value = ArctanRational((2, 1, 0, -2), 0, 3)
+    assert value.coefficients == value.numerator.coefficients == (6, 3, 0, -6)
+    assert all(type(c) is int for c in value.coefficients)
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(4, 2), 0.5, "1", True], ids=repr)
@@ -190,11 +189,13 @@ def test_value_classes_take_ints_only(c):
     # No Fraction coefficient, scale or exponent, even an integral one, and
     # no float, str or bool.
     with pytest.raises(TypeError):
-        Polynomial((c,))
+        ArctanRational((c,))
     with pytest.raises(TypeError):
-        ArctanRational(Polynomial((1,)), 1, c)
+        ArctanRational(c)
     with pytest.raises(TypeError):
-        ArctanRational(Polynomial((1,)), c)
+        ArctanRational(1, 1, c)
+    with pytest.raises(TypeError):
+        ArctanRational(1, c)
     with pytest.raises(TypeError):
         DerivativeJet(0, (c,), 1)
 
@@ -204,78 +205,78 @@ def test_derivative_matches_difference_quotient(q, j, x):
     # P = Q (1+x^2)^j, so that the numerators of both the quotient rule and
     # of P' can carry factors 1+x^2.  At exponent 0 the quotient rule's
     # P'(1+x^2) / (1+x^2) loses exactly that one factor again.
-    p = times_one_plus_x2(q.coefficients, j)
-    derivative = ArctanRational(Polynomial(p)).derivative()
+    p = times_one_plus_x2(q, j)
+    derivative = ArctanRational(p).derivative()
     assert derivative.exponent == 0
-    assert derivative.numerator == Polynomial(power_rule(p))
+    assert derivative == ArctanRational(power_rule(p))
     assert derivative.evaluate(x) == difference_quotient_derivative(p, x)
 
 
 def test_arctan_rational_canonicalization():
-    base = ArctanRational(Polynomial((0, -2)), 2)
-    inflated = ArctanRational(Polynomial(times_one_plus_x2((0, -2), 3)), 5)
+    base = ArctanRational((0, -2), 2)
+    inflated = ArctanRational(times_one_plus_x2((0, -2), 3), 5)
     assert inflated == base
     assert inflated.exponent == 2
     # Canonicalizing a canonical value is the identity.
-    again = ArctanRational(base.numerator, base.exponent)
+    again = ArctanRational(base.coefficients, base.exponent)
     assert again == base
 
 
 def _divisible_by_one_plus_x2(p):
     # 1+x^2 | P exactly when P(i) = 0: both alternating sums vanish.
-    even = sum((-1) ** j * c for j, c in enumerate(p.coefficients[0::2]))
-    odd = sum((-1) ** j * c for j, c in enumerate(p.coefficients[1::2]))
+    even = sum((-1) ** j * c for j, c in enumerate(p[0::2]))
+    odd = sum((-1) ** j * c for j, c in enumerate(p[1::2]))
     return even == 0 and odd == 0
 
 
 @given(small_polys, st.integers(0, 3), st.integers(0, 4))
 def test_canonical_form_is_minimal(p, j, k):
-    inflated = Polynomial(times_one_plus_x2(p.coefficients, j))
+    inflated = times_one_plus_x2(p, j)
     r = ArctanRational(inflated, k)
     assert 0 <= r.exponent <= k
-    assert Polynomial(times_one_plus_x2(r.numerator.coefficients, k - r.exponent)) == inflated
+    assert ArctanRational(times_one_plus_x2(r.coefficients, k - r.exponent)) == ArctanRational(inflated)
     if r.exponent > 0:
-        assert not _divisible_by_one_plus_x2(r.numerator)
+        assert not _divisible_by_one_plus_x2(r.coefficients)
 
 
 def test_arctan_rational_zero_normalizes_to_exponent_zero():
-    zero = ArctanRational(Polynomial(), 5)
+    zero = ArctanRational((), 5)
     assert zero.exponent == 0
-    assert zero.numerator.is_zero()
+    assert zero.primitive == zero.coefficients == ()
 
 
 def test_arctan_rational_zero_evaluates_to_zero():
-    zero = ArctanRational(Polynomial(), 5)
+    zero = ArctanRational((), 5)
     for x in (0, 1, Fraction(-47, 53), Fraction(355, 113), Fraction(1, 10**50)):
         assert zero.evaluate(x) == 0
 
 
 def test_arctan_rational_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        ArctanRational(Polynomial((1,)), -1)
+        ArctanRational((1,), -1)
 
 
 def test_quotient_rule_steps():
-    start = ArctanRational(Polynomial((1,)), 1)
+    start = ArctanRational(1, 1)
     first = start.derivative()
-    assert first == ArctanRational(Polynomial((0, -2)), 2)
+    assert first == ArctanRational((0, -2), 2)
     second = first.derivative()
-    assert second == ArctanRational(Polynomial((-2, 0, 6)), 3)
+    assert second == ArctanRational((-2, 0, 6), 3)
 
 
 def test_derivative_of_constant_is_zero():
-    assert ArctanRational(Polynomial((9,)), 0).derivative() == ArctanRational(Polynomial(), 0)
+    assert ArctanRational((9,), 0).derivative() == ArctanRational((), 0)
 
 
 def test_evaluate_examples_rational_function():
-    assert ArctanRational(Polynomial((1,)), 0).evaluate(Fraction(5, 3)) == 1
-    assert ArctanRational(Polynomial((0, -2)), 2).evaluate(1) == Fraction(-1, 2)
-    assert ArctanRational(Polynomial((-2, 0, 6)), 0).evaluate(0) == -2
+    assert ArctanRational((1,), 0).evaluate(Fraction(5, 3)) == 1
+    assert ArctanRational((0, -2), 2).evaluate(1) == Fraction(-1, 2)
+    assert ArctanRational((-2, 0, 6), 0).evaluate(0) == -2
 
 
 small_ars = st.builds(
     ArctanRational,
-    st.lists(coefficients, min_size=0, max_size=5).map(Polynomial),
+    st.lists(coefficients, min_size=0, max_size=5),
     st.integers(0, 3),
     coefficients,
 )
@@ -295,67 +296,93 @@ def test_derivative_is_linear(r, s):
 def test_derivative_matches_polynomial_quotient_rule(coeffs, exponent, scale):
     # One pass over the padded coefficients is the quotient-rule step taken
     # on plain coefficient lists.
-    value = ArctanRational(Polynomial(coeffs), exponent, scale)
+    value = ArctanRational(coeffs, exponent, scale)
     assert value.derivative() == quotient_rule_step(value)
 
 
 def test_rational_function_rendering():
-    assert str(ArctanRational(Polynomial((0, -2)), 2)) == "(-2*x) / (1+x^2)^2"
-    assert str(ArctanRational(Polynomial((1,)), 1)) == "(1) / (1+x^2)^1"
-    assert str(ArctanRational(Polynomial((3,)), 0)) == "3"
+    assert str(ArctanRational((0, -2), 2)) == "(-2*x) / (1+x^2)^2"
+    assert str(ArctanRational(1, 1)) == "(1) / (1+x^2)^1"
+    assert str(ArctanRational((3,), 0)) == "3"
+
+
+_big = st.integers(2040, 7000).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
+
+
+@st.composite
+def rendering_cases(draw):
+    """Coefficients with a content above 1 (or 1), a leading coefficient of
+    either sign, inner, trailing or all zeros, some of them past the 2048
+    bits that ``_decimal`` converts directly, times (1+x^2)^j; an exponent
+    in 0..3 and a scale that may be 0."""
+    small = st.integers(-9, 9)
+    base = draw(st.lists(st.just(0) | small | _big, max_size=6))
+    content = draw(st.integers(1, 12) | _big)
+    coeffs = times_one_plus_x2([content * c for c in base], draw(st.integers(0, 2)))
+    coeffs += [0] * draw(st.integers(0, 2))
+    return coeffs, draw(st.integers(0, 3)), draw(st.just(0) | small | _big)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rendering_cases())
+def test_rendering_matches_list_oracle(case):
+    coeffs, exponent, scale = case
+    value = ArctanRational(coeffs, exponent, scale)
+    text, terms = rendered_rational(coeffs, exponent, scale)
+    assert str(value) == text
+    assert list(value.terms()) == terms
 
 
 def test_polynomials_are_values():
-    a, b = Polynomial((1, 0, 3)), Polynomial([1, 0, 3, 0])
+    # A plain polynomial is an ArctanRational at exponent 0.
+    a, b = ArctanRational((1, 0, 3)), ArctanRational([1, 0, 3, 0])
     assert a == b and hash(a) == hash(b)
-    assert len({a, b, Polynomial((1, 0, 3))}) == 1
-    assert a != Polynomial((1, 0, 4))
-    assert Polynomial((1,)) != (1,)
+    assert len({a, b, ArctanRational((1, 0, 3))}) == 1
+    assert a != ArctanRational((1, 0, 4))
+    assert ArctanRational((1,)) != (1,)
     with pytest.raises(AttributeError):
-        a.coefficients = (2,)
+        a.primitive = (2,)
     with pytest.raises(AttributeError):
-        del a.coefficients
-    assert a.coefficients == (1, 0, 3)
-    # Only ArctanRational differentiates and evaluates.
-    assert not any(hasattr(a, name) for name in ("derivative", "evaluate", "_homogeneous"))
+        del a.primitive
+    assert a.primitive == a.coefficients == (1, 0, 3)
     for rebuilt in _rebuilt(a):
-        assert type(rebuilt) is Polynomial and rebuilt.coefficients == a.coefficients
-    assert repr(Polynomial((1, 0, -3))) == "Polynomial((1, 0, -3))"
+        assert type(rebuilt) is ArctanRational and rebuilt.primitive == a.primitive
+    assert repr(ArctanRational((1, 0, -3))) == "ArctanRational(primitive=(-1, 0, 3), exponent=0, scale=-1)"
 
 
 def test_rational_functions_are_values():
-    a = ArctanRational(Polynomial((0, -2)), 2)
-    b = ArctanRational(Polynomial((0, -2, 0, -2)), 3)
+    a = ArctanRational((0, -2), 2)
+    b = ArctanRational((0, -2, 0, -2), 3)
     assert a == b and hash(a) == hash(b)
-    assert len({a, b, ArctanRational(Polynomial((0, -2)), 2)}) == 1
-    assert a != ArctanRational(Polynomial((0, -2)), 1)
-    assert ArctanRational(Polynomial((1,)), 1) != Polynomial((1,))
-    assert ArctanRational(Polynomial((1,)), 0) != Polynomial((1,))
-    for field in ("primitive", "exponent", "scale", "numerator"):
+    assert len({a, b, ArctanRational((0, -2), 2)}) == 1
+    assert a != ArctanRational((0, -2), 1)
+    assert ArctanRational(1, 1) != (1,)
+    assert ArctanRational((1,), 0) != (1,)
+    for field in ("primitive", "exponent", "scale", "numerator", "coefficients"):
         with pytest.raises(AttributeError):
             setattr(a, field, 0)
         with pytest.raises(AttributeError):
             delattr(a, field)
-    assert (a.numerator, a.exponent) == (Polynomial((0, -2)), 2)
+    assert (a.numerator, a.coefficients, a.exponent) == (ArctanRational((0, -2)), (0, -2), 2)
     for rebuilt in _rebuilt(a):
         assert type(rebuilt) is ArctanRational
         assert (rebuilt.primitive, rebuilt.exponent, rebuilt.scale) == (a.primitive, 2, -2)
-    assert (a.primitive, a.scale) == (Polynomial((0, 1)), -2)
-    assert repr(a) == "ArctanRational(primitive=Polynomial((0, 1)), exponent=2, scale=-2)"
-    assert repr(ArctanRational(1)) == "ArctanRational(primitive=Polynomial((1,)), exponent=0, scale=1)"
+    assert (a.primitive, a.scale) == ((0, 1), -2)
+    assert repr(a) == "ArctanRational(primitive=(0, 1), exponent=2, scale=-2)"
+    assert repr(ArctanRational(1)) == "ArctanRational(primitive=(1,), exponent=0, scale=1)"
 
 
 @given(small_ars)
 def test_stored_form(r):
     p = r.primitive
-    assert all(type(c) is int for c in p.coefficients)
+    assert type(p) is tuple and all(type(c) is int for c in p)
     assert type(r.scale) is int
-    if p.is_zero():
+    if not p:
         assert (r.exponent, r.scale) == (0, 0)
     else:
-        assert math.gcd(*p.coefficients) == 1 and p.coefficients[-1] > 0
-    assert r.numerator == Polynomial(r.scale * c for c in p.coefficients)
+        assert math.gcd(*p) == 1 and p[-1] > 0
+    assert r.coefficients == r.numerator.coefficients == tuple(r.scale * c for c in p)
     # The form is unique: rebuilding from it or from the full numerator
     # gives the same fields.
-    assert ArctanRational(p, r.exponent, r.scale) == ArctanRational(r.numerator, r.exponent) == r
+    assert ArctanRational(p, r.exponent, r.scale) == ArctanRational(r.coefficients, r.exponent) == r
     assert all(rebuilt == r for rebuilt in _rebuilt(r))
