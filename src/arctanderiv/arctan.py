@@ -93,15 +93,14 @@ def _expanded(p: int, numerators: list[int]) -> ArctanRational:
 
         p! 2^p (-1)^p / (1+x^2)^(p+1) * sum_m c_m x^(p-2m),
 
-    with c_m = alternating_binomial_sum(p, m) = numerators[m] / 4^(p//2).
-    Since 2^p / 4^(p//2) = 2^(p&1), the numerator is the integer prefactor
-    (-1)^p p! 2^(p&1), passed as the scale, times sum_m numerators[m] x^(p-2m),
-    so no Fraction is built and the prefactor is never multiplied in.
+    with c_m = alternating_binomial_sum(p, m) = numerators[m] / 2^p.  The
+    2^p cancels, so the numerator is the integer prefactor (-1)^p p!, passed
+    as the scale, times sum_m numerators[m] x^(p-2m): no Fraction is built
+    and the prefactor is never multiplied in.
     """
     coeffs = [0] * (p + 1)
     coeffs[p::-2] = numerators
-    prefactor = (-1) ** p * (math.factorial(p) << (p & 1))
-    return ArctanRational(coeffs, p + 1, scale=prefactor)
+    return ArctanRational(coeffs, p + 1, scale=(-1) ** p * math.factorial(p))
 
 
 def arctan_derivative_expanded(n: int) -> ArctanRational:

@@ -15,22 +15,24 @@ sum built from it would make the 2F1 check compare the series with itself.
 
 The literal alternating sum has two implementations: one case by
 ``alternating_binomial_sum`` (O(n), binomials read from ``math.comb``), and
-every m of every n by ``_sweep_numerators`` (O(n) additions per n).  The
-literal numerators of one n are the coefficients of the weight polynomial
-shifted by 1; the weight polynomials follow a three-term recurrence
-(Pascal's rule on the anti-diagonals), and the shift is linear, so the
-recurrence runs on the shifted polynomials themselves.  That stream also
-gives the coefficients of the ``prop12`` route in ``arctanderiv.arctan``,
-and every check holds it against a side built another way: Pascal rows
-grown by addition (``check-identity``), the terminating series
-(``check-2f1``) or the quotient-rule oracle (``crosscheck``).  The
-corollary sweep reads no binomial: its weighted sums are the zeroth moments
-of a table that a three-term recurrence fills by shifts and subtractions
-over one lcm (``_weighted_moments``), and its recurrence half reads the
-m = 0 entries of the even rows of ``_sweep_numerators``.  Every case is
-decided by integer equality, by cross-multiplication where the two sides
-have different denominators, and a ``Fraction`` is built only for the
-context of a mismatch.
+every m of every n by ``_sweep_numerators`` (one pass of O(n) additions per
+n).  Both scale the sums of one n by 2^n, the closed form's denominator, so
+the literal numerators of n are (-1)^m C(n+1, 2m+1) when the identity
+holds.  They are the coefficients of the weight polynomial shifted by 1; the
+weight polynomials follow a three-term recurrence (Pascal's rule on the
+anti-diagonals), and the shift is linear, so the recurrence runs on the
+shifted polynomials themselves.  That stream also gives the coefficients of
+the ``prop12`` route in ``arctanderiv.arctan``, and every check holds it
+against a side built another way: Pascal rows grown by addition
+(``check-identity``), the terminating series (``check-2f1``) or the
+quotient-rule oracle (``crosscheck``).  The corollary sweep reads no
+binomial: its weighted sums are the zeroth moments of a table that a
+three-term recurrence fills by shifts and subtractions over one lcm
+(``_weighted_moments``), and its recurrence half reads the m = 0 entries of
+the even rows of ``_sweep_numerators``.  Every case is decided by integer
+equality, by cross-multiplication where the two sides have different
+denominators, and a ``Fraction`` is built only for the context of a
+mismatch.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import Iterator, Sequence
 
 from .polynomial import _rational
@@ -69,13 +71,13 @@ def _require_half_range(n: int, m: int) -> None:
 
 def _sweep_numerators(n_max: int) -> Iterator[tuple[int, list[int]]]:
     """(n, S_n) for n = 0..n_max, where S_n[m] = sum_i C(i, m) w_i is the
-    literal sum of (n, m) times 4^(n//2), m = 0..n//2.
+    literal sum of (n, m) times 2^n, m = 0..n//2.
 
-    S_n(t) = W_n(1 + t) with W_n(t) = sum_i w_i t^i (binomial theorem).
-    Pascal's rule on the anti-diagonals, C(n-i, i) = C(n-1-i, i) +
-    C(n-1-i, i-1), gives W_n = c_n W_{n-1} - t W_{n-2} from W_{-1} = 0 and
-    W_0 = 1, with c_n = 4^(n//2 - (n-1)//2): 4 for even n, 1 for odd n.
-    Substituting 1 + t for t is linear, so S_n = c_n S_{n-1} - (1+t) S_{n-2}:
+    S_n(t) = W_n(1 + t) with W_n(t) = sum_i w_i t^i and weights
+    w_i = (-1)^i 2^(n-2i) C(n-i, i) (binomial theorem).  Pascal's rule on the
+    anti-diagonals, C(n-i, i) = C(n-1-i, i) + C(n-1-i, i-1), gives
+    W_n = 2 W_{n-1} - t W_{n-2} from W_{-1} = 0 and W_0 = 1.  Substituting
+    1 + t for t is linear, so S_n = 2 S_{n-1} - (1+t) S_{n-2}: one pass of
     O(n) additions per n, and no C(i, m), no term ratio and no closed form
     is read.  The yielded rows are the recurrence's state; do not mutate them.
     """
@@ -83,9 +85,9 @@ def _sweep_numerators(n_max: int) -> Iterator[tuple[int, list[int]]]:
     newer = [1]  # S_0
     yield 0, newer
     for n in range(1, n_max + 1):
-        # c_n S_{n-1}, padded to the n//2 + 1 coefficients of S_n.
-        scaled = newer if n & 1 else [v << 2 for v in newer] + [0]
-        older, newer = newer, list(map(sub, map(sub, scaled, older + [0]), [0] + older))
+        # S_{n-1}, padded to the n//2 + 1 coefficients of S_n.
+        top = newer if n & 1 else newer + [0]
+        older, newer = newer, [(a << 1) - b - c for a, b, c in zip(top, older + [0], [0] + older)]
         yield n, newer
 
 
@@ -94,21 +96,20 @@ def alternating_binomial_sum(n: int, m: int) -> Fraction:
 
     It is the coefficient of x^(n-2m) in arctan^(n+1) before the common
     prefactor n! 2^n (-1)^n / (1+x^2)^(n+1).  Accumulated as integers over
-    the common denominator 4^(n//2): term i is C(i, m) times the weight
-    (-1)^i 4^(n//2 - i) C(n-i, i), with every binomial read from
-    ``math.comb``: i runs over [m, n//2], so both stay in range.  O(n) per
-    call.  The sweeps and the ``prop12`` route take the numerators of every m
-    at once from a recurrence on the shifted weight polynomials
+    the common denominator 2^n: term i is C(i, m) times the weight
+    (-1)^i 2^(n-2i) C(n-i, i), with every binomial read from ``math.comb``:
+    i runs over [m, n//2], so both stay in range.  O(n) per call.  The
+    sweeps and the ``prop12`` route take the numerators of every m at once
+    from a recurrence on the shifted weight polynomials
     (``_sweep_numerators``); the tests hold both against term-by-term
     ``Fraction`` oracles.
     """
     _require_half_range(n, m)
-    top = n // 2
     numerator = sum(
-        math.comb(i, m) * (-1) ** i * math.comb(n - i, i) << 2 * (top - i)
-        for i in range(m, top + 1)
+        math.comb(i, m) * (-1) ** i * math.comb(n - i, i) << (n - 2 * i)
+        for i in range(m, n // 2 + 1)
     )
-    return Fraction(numerator, 4**top)
+    return Fraction(numerator, 1 << n)
 
 
 def _pascal_rows() -> Iterator[tuple[int, ...]]:
@@ -137,12 +138,11 @@ def check_binomial_identity(n_max: int) -> CheckReport:
     """Literal sum == closed form for every n <= n_max, 0 <= m <= n//2.
 
     The literal sums of one n come at once from ``_sweep_numerators``; the
-    closed form reads row n+1 of Pascal's triangle, grown by addition.
-    Since 2^n = 4^(n//2) 2^(n&1), a case holds exactly when the literal
-    numerator over 4^(n//2), shifted left by n&1, equals the closed form's
-    numerator over 2^n.  One list comparison decides the whole row of an n
-    and counts its cases; only a row that differs is walked case by case,
-    and both sides become a ``Fraction`` only in the context of a mismatch.
+    closed form reads row n+1 of Pascal's triangle, grown by addition.  Both
+    sides are numerators over 2^n, so a case holds exactly when they are
+    equal.  One list comparison decides the whole row of an n and counts its
+    cases; only a row that differs is walked case by case, and both sides
+    become a ``Fraction`` only in the context of a mismatch.
     """
     if n_max < 0:
         raise ValueError("check_binomial_identity requires n_max >= 0")
@@ -150,11 +150,10 @@ def check_binomial_identity(n_max: int) -> CheckReport:
     closed_rows = itertools.islice(_pascal_rows(), 1, None)
     for (n, numerators), closed_row in zip(_sweep_numerators(n_max), closed_rows):
         closed = [_closed_form_numerator(closed_row, m) for m in range(len(numerators))]
-        literal = [v << 1 for v in numerators] if n & 1 else numerators
-        if literal == closed:
+        if numerators == closed:
             report.cases += len(closed)
             continue
-        for m, (lhs, rhs) in enumerate(zip(literal, closed)):
+        for m, (lhs, rhs) in enumerate(zip(numerators, closed)):
             if lhs == rhs:
                 report.count_case(True)
             else:
@@ -334,7 +333,7 @@ def _upper_parameters(n: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]
 
 
 def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) -> None:
-    # numerator is the literal sum times 4^(n//2).
+    # numerator is the literal sum times 2^n.
     # Series form of the literal sum: 2F1(m - n/2, m - n/2 + 1/2; m - n; 1)
     # times (-1)^m / (m! 4^m) * (n - 2m + 1)_m.  Exactly one upper parameter
     # is a nonpositive integer (which one depends on the parity of n), so the
@@ -351,10 +350,10 @@ def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) ->
     series_num, series_den = _terminating_2f1(a, b, (m - n, 1), index)
     series_num *= (-1) ** m * math.perm(n - m, m)
     series_den *= math.factorial(m) << 2 * m
-    if series_num << 2 * (n // 2) == numerator * series_den:
+    if series_num << n == numerator * series_den:
         report.count_case(True)
     else:
-        series, literal = Fraction(series_num, series_den), Fraction(numerator, 4 ** (n // 2))
+        series, literal = Fraction(series_num, series_den), Fraction(numerator, 1 << n)
         report.count_case(False, n=n, m=m, kind="value", series=series, literal=literal)
 
 

@@ -296,12 +296,17 @@ def perturb_sweep_numerator(monkeypatch, wrong_n, wrong_m):
     monkeypatch.setattr(identities, "_sweep_numerators", wrong_numerators)
 
 
-def test_identity_mismatch_context_has_both_exact_values(capsys, monkeypatch):
-    # The literal numerator is off by one at (n, m) = (37, 5) only.
-    wrong_n, wrong_m = 37, 5
+# One wrong literal numerator at an odd and at an even order.
+WRONG_CASES = pytest.mark.parametrize("wrong_n, wrong_m", [(37, 5), (38, 5)])
+
+
+@WRONG_CASES
+def test_identity_mismatch_context_has_both_exact_values(capsys, monkeypatch, wrong_n, wrong_m):
+    # The literal numerator is off by one at (wrong_n, wrong_m) only, and a
+    # numerator of order n is worth 1/2^n.
     perturb_sweep_numerator(monkeypatch, wrong_n, wrong_m)
     true = Fraction((-1) ** wrong_m * comb(wrong_n + 1, 2 * wrong_m + 1), 2**wrong_n)
-    wrong = true + Fraction(1, 4 ** (wrong_n // 2))
+    wrong = true + Fraction(1, 2**wrong_n)
     context = {"n": wrong_n, "m": wrong_m, "lhs": str(wrong), "rhs": str(true)}
 
     report = identities.check_binomial_identity(60)
@@ -313,7 +318,7 @@ def test_identity_mismatch_context_has_both_exact_values(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines() == [
         "check-identity: n_max=60 cases=961 FAIL (1 mismatches)",
-        f"  MISMATCH n=37 m=5 lhs={wrong} rhs={true}",
+        f"  MISMATCH n={wrong_n} m={wrong_m} lhs={wrong} rhs={true}",
     ]
     code, out, _ = run_cli(capsys, "check-identity", "60", "--format=json")
     assert code == 1
@@ -338,14 +343,17 @@ def assert_one_mismatch(capsys, argv, cases, context, text):
     assert out.splitlines()[1] == f"{check},{n_max},{cases},1,False"
 
 
-def test_2f1_value_mismatch_context(capsys, monkeypatch):
-    # The literal numerator is off by one at (n, m) = (37, 5) only, so the
+@WRONG_CASES
+def test_2f1_value_mismatch_context(capsys, monkeypatch, wrong_n, wrong_m):
+    # The literal numerator is off by one at (wrong_n, wrong_m) only, so the
     # value case fails there and its truncation-index case still passes.
-    perturb_sweep_numerator(monkeypatch, 37, 5)
-    true = Fraction(-(comb(38, 11)), 2**37)
-    wrong = true + Fraction(1, 4**18)
-    context = {"n": 37, "m": 5, "kind": "value", "series": str(true), "literal": str(wrong)}
-    text = f"  MISMATCH n=37 m=5 kind=value series={true} literal={wrong}"
+    perturb_sweep_numerator(monkeypatch, wrong_n, wrong_m)
+    true = Fraction((-1) ** wrong_m * comb(wrong_n + 1, 2 * wrong_m + 1), 2**wrong_n)
+    wrong = true + Fraction(1, 2**wrong_n)
+    context = {
+        "n": wrong_n, "m": wrong_m, "kind": "value", "series": str(true), "literal": str(wrong)
+    }
+    text = f"  MISMATCH n={wrong_n} m={wrong_m} kind=value series={true} literal={wrong}"
     assert identities.check_hypergeometric_sweep(60).failures == [context]
     assert_one_mismatch(capsys, ("check-2f1", "60"), 1922, context, text)
 

@@ -191,7 +191,7 @@ def test_sweep_values_match_single_calls_and_oracles():
     for n, numerators in identities._sweep_numerators(300):
         assert len(numerators) == n // 2 + 1
         for m, numerator in enumerate(numerators):
-            value = Fraction(numerator, 4 ** (n // 2))
+            value = Fraction(numerator, 1 << n)
             assert value == alternating_binomial_sum(n, m)
             if m in (0, n // 4, n // 2):
                 assert value == alternating_sum_literal(n, m)
@@ -204,9 +204,9 @@ def test_sweep_values_match_single_calls_and_oracles():
 
 
 def literal_weights(n):
-    """The weights (-1)^i 4^(n//2 - i) C(n-i, i) of the literal sum, from
-    math.comb."""
-    return [(-1) ** i * 4 ** (n // 2 - i) * math.comb(n - i, i) for i in range(n // 2 + 1)]
+    """The weights (-1)^i 2^(n - 2i) C(n-i, i) of the literal sum times 2^n,
+    from math.comb."""
+    return [(-1) ** i * 2 ** (n - 2 * i) * math.comb(n - i, i) for i in range(n // 2 + 1)]
 
 
 def test_sweep_numerators_match_taylor_shift_oracle():
@@ -226,13 +226,13 @@ def test_taylor_shift_matches_literal_binomial_sums(weights):
 
 
 def test_taylor_shift_past_1024():
-    # Past n = 1024, where the batch sums once switched from cached rows to
-    # math.comb.
+    # A large odd order, where row n of the recurrence must be the closed
+    # form's numerators (-1)^m C(n+1, 2m+1) over 2^n exactly.
     n, numerators = next(itertools.islice(identities._sweep_numerators(1201), 1201, None))
     assert n == 1201
     assert len(numerators) == n // 2 + 1
     for m, numerator in enumerate(numerators):
-        value = Fraction(numerator, 4 ** (n // 2))
+        value = Fraction(numerator, 1 << n)
         assert value == alternating_binomial_closed_form(n, m)
         if m in (0, n // 4, n // 2):
             assert value == alternating_binomial_sum(n, m) == alternating_sum_literal(n, m)
