@@ -13,7 +13,7 @@ for exact agreement.
 ``crosscheck`` holds each of the first three against the oracle.  All routes
 take n = the derivative order of arctan itself (n >= 1).
 
-Only ``polynomial`` is imported with this module.  A route imports
+Only ``digits`` and ``polynomial`` are imported with this module.  A route imports
 ``composition``, ``identities`` or ``reports`` when it runs, and reads their
 kernels from those modules then, so that ``closed`` and ``oracle`` compile
 none of them and a rebinding of a kernel in its home module reaches every
@@ -27,7 +27,8 @@ from collections import deque
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .polynomial import ArctanRational, _rational, exact_str
+from .digits import exact_str
+from .polynomial import ArctanRational, _rational
 
 if TYPE_CHECKING:
     from .reports import CheckReport

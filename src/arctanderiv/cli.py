@@ -9,6 +9,10 @@ the check function its subparser named.
 
 Building the parser imports no route module: each command imports the module
 that it runs when it runs, so a command compiles only the modules it uses.
+``main`` builds the subparser of the one command it runs, from the same
+table (``COMMANDS``) as the full parser.  Only the commands that read, build
+or print a rational import ``fractions`` (and with it ``decimal``) and
+``polynomial``; the identity sweeps run on integers and load neither.
 
 ``main(argv)`` is the in-process API: it returns the exit code, touches no
 file descriptor and leaves the garbage collector alone.  A process enters
@@ -31,11 +35,14 @@ import importlib
 import re
 import sys
 import time
-from decimal import Decimal
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .polynomial import ArctanRational, Term, exact_str
+from .digits import exact_str
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .polynomial import Term
 
 __all__ = ["main", "build_parser"]
 
@@ -48,16 +55,30 @@ _INTEGER = r"[+-]?[0-9]+"
 _INTEGER_RE = re.compile(_INTEGER + r"\Z")
 _RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?\Z")
 _MAX_DIGITS = 4300  # int()'s default digit limit; no order or size this long can run
+_DIGIT_RUN = 640  # the lowest int <- str digit limit Python allows
+
+
+def _integer(text: str) -> int:
+    """int(text) for an ASCII integer of any length, with no int <- str
+    digit limit: a text of more than _DIGIT_RUN digits is read as two
+    halves, hi 10^h + lo."""
+    digits = text.lstrip("+-")
+    if len(digits) <= _DIGIT_RUN:
+        return int(text)
+    half = len(digits) // 2
+    value = _integer(digits[:-half]) * 10**half + _integer(digits[-half:])
+    return -value if text[0] == "-" else value
 
 
 def _rational(text: str) -> Fraction:
-    """CLI rational syntax: integer p or p/q, sign allowed on p only.  The
-    digits are read through Decimal, which has no int <- str digit limit."""
+    """CLI rational syntax: integer p or p/q, sign allowed on p only."""
+    from fractions import Fraction
+
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} (expected p or p/q)")
     numerator, _, denominator = text.partition("/")
     try:
-        return Fraction(int(Decimal(numerator)), int(Decimal(denominator or 1)))
+        return Fraction(_integer(numerator), _integer(denominator or "1"))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
@@ -76,7 +97,7 @@ def _natural(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if len(text.lstrip("+-")) > _MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits: too large to compute")
-    value = int(Decimal(text))
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -190,6 +211,7 @@ def _emit(
 
 def cmd_qpoly(args: argparse.Namespace) -> int:
     from . import arctan
+    from .polynomial import ArctanRational
 
     poly = ArctanRational(arctan.q_polynomial(args.n))
     _emit(
@@ -250,10 +272,12 @@ def cmd_derive(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     """Run the sweep that the subcommand names in ``args.check``, a (module,
     function) pair, with its cost on stderr so that stdout repeats exactly;
-    exit 1 on a mismatch.  The cost follows the written result, so a result
-    that could not be written leaves only its error on stderr.  The function
-    is read from its module now, so a rebinding of the module attribute
-    before the command runs takes effect."""
+    exit 1 on a mismatch.  The cost is written in the result's format: a
+    text line, one json object on one line (a rate over no elapsed time is
+    null) or a csv header and row.  It follows the written result, so a
+    result that could not be written leaves only its error on stderr.  The
+    function is read from its module now, so a rebinding of the module
+    attribute before the command runs takes effect."""
     module, name = args.check
     check = getattr(importlib.import_module(f".{module}", __package__), name)
     points = () if getattr(args, "points", None) is None else (args.points,)
@@ -273,24 +297,38 @@ def cmd_check(args: argparse.Namespace) -> int:
         ("check", "n_max", "cases", "failures", "passed"),
         [(report.check, args.n_max, report.cases, report.mismatches, report.passed)],
     )
-    rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else "inf"
-    print(f"{report.check}: elapsed_s={elapsed:.3f} cases_per_s={rate}", file=sys.stderr)
+    elapsed_s = f"{elapsed:.3f}"
+    rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else None
+    if args.format == "json":
+        import json
+
+        cost = (
+            f'{{"check": {json.dumps(report.check)}, "elapsed_s": {elapsed_s}, '
+            f'"cases_per_s": {rate or "null"}}}'
+        )
+    elif args.format == "csv":
+        cost = f"check,elapsed_s,cases_per_s\n{report.check},{elapsed_s},{rate or 'inf'}"
+    else:
+        cost = f"{report.check}: elapsed_s={elapsed_s} cases_per_s={rate or 'inf'}"
+    print(cost, file=sys.stderr)
     return 0 if report.passed else 1
 
 
 BENCH_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
-BENCH_POINT = Fraction(1, 2)
+BENCH_POINT = (1, 2)  # the pointwise routes' x = 1/2, as (numerator, denominator)
 BENCH_HEADER = ("method", "n", "micros")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
     from . import arctan
 
     rows = []
     buckets = [n for n in BENCH_BUCKETS if n <= args.n_max]
     for name, function in METHODS.items():
         route = getattr(arctan, function)
-        point = (BENCH_POINT,) if name in POINTWISE_METHODS else ()
+        point = (Fraction(*BENCH_POINT),) if name in POINTWISE_METHODS else ()
         for n in buckets:
             start = time.perf_counter()
             route(n, *point)
@@ -317,58 +355,87 @@ class _Parser(argparse.ArgumentParser):
         file.flush()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _sweep(help_text: str, default: int, function: str) -> tuple:
+    """The table entry of an identity sweep: ``function`` in ``identities``."""
+    n_max = {"type": _order, "nargs": "?", "default": default}
+    return help_text, {"n_max": n_max}, {"func": cmd_check, "check": ("identities", function)}
+
+
+# Every command, in the order of the help: its help text, its arguments as
+# add_argument keywords by name, and its defaults.  Each also takes --format.
+COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
+    "qpoly": (
+        "print the numerator polynomial family member q_n",
+        {"n": {"type": _order}},
+        {"func": cmd_qpoly},
+    ),
+    "derive": (
+        "compute the n-th derivative of arctan",
+        {
+            "n": {"type": _positive},
+            "--method": {"choices": METHODS, "default": "closed"},
+            "--x": {"type": _rational, "default": None, "help": "evaluate at x = p/q"},
+        },
+        {"func": cmd_derive},
+    ),
+    "check-identity": _sweep(
+        "alternating binomial sum vs closed form", 200, "check_binomial_identity"
+    ),
+    "check-corollary": _sweep(
+        "weighted binomial sum vs parity closed form", 200, "check_weighted_identity"
+    ),
+    "check-2f1": _sweep(
+        "literal sums vs terminating hypergeometric form", 60, "check_hypergeometric_sweep"
+    ),
+    "crosscheck": (
+        "all four derivative routes against each other",
+        {
+            "n_max": {"type": _positive, "nargs": "?", "default": 50},
+            # Without --points, crosscheck takes its own DEFAULT_SAMPLE_POINTS.
+            "--points": {"type": _rational_list, "help": "comma-separated rational sample points"},
+        },
+        {"func": cmd_check, "check": ("arctan", "crosscheck")},
+    ),
+    "bench": (
+        "wall-clock timing table per method and n",
+        {"n_max": {"type": _natural, "nargs": "?", "default": 100}},
+        {"func": cmd_bench},
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` (a key of COMMANDS)
+    a parser that holds that command's subparser only and parses its
+    arguments the same way.
+
+    The one-command parser names every command in its usage line, as the
+    full parser's choices do, so its usage errors print the same text.  The
+    full parser keeps argparse's own name for the command argument, which
+    its messages for a missing or an unknown command print."""
     parser = _Parser(
         prog="arctanderiv",
         description="Exact arctan derivatives by four methods, with exact identity sweeps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=FORMATS, default="text")
-
-    p = sub.add_parser("qpoly", help="print the numerator polynomial family member q_n")
-    p.add_argument("n", type=_order)
-    add_format(p)
-    p.set_defaults(func=cmd_qpoly)
-
-    p = sub.add_parser("derive", help="compute the n-th derivative of arctan")
-    p.add_argument("n", type=_positive)
-    p.add_argument("--method", choices=METHODS, default="closed")
-    p.add_argument("--x", type=_rational, default=None, help="evaluate at x = p/q")
-    add_format(p)
-    p.set_defaults(func=cmd_derive, parser=p)
-
-    for name, help_text, default, function in (
-        ("check-identity", "alternating binomial sum vs closed form", 200,
-         "check_binomial_identity"),
-        ("check-corollary", "weighted binomial sum vs parity closed form", 200,
-         "check_weighted_identity"),
-        ("check-2f1", "literal sums vs terminating hypergeometric form", 60,
-         "check_hypergeometric_sweep"),
-    ):
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, arguments, defaults = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("n_max", type=_order, nargs="?", default=default)
-        add_format(p)
-        p.set_defaults(func=cmd_check, check=("identities", function))
-
-    p = sub.add_parser("crosscheck", help="all four derivative routes against each other")
-    p.add_argument("n_max", type=_positive, nargs="?", default=50)
-    # Without --points, crosscheck takes its own DEFAULT_SAMPLE_POINTS.
-    p.add_argument("--points", type=_rational_list, help="comma-separated rational sample points")
-    add_format(p)
-    p.set_defaults(func=cmd_check, check=("arctan", "crosscheck"))
-
-    p = sub.add_parser("bench", help="wall-clock timing table per method and n")
-    p.add_argument("n_max", type=_natural, nargs="?", default=100)
-    add_format(p)
-    p.set_defaults(func=cmd_bench)
-
+        for argument, keywords in arguments.items():
+            p.add_argument(argument, **keywords)
+        p.add_argument("--format", choices=FORMATS, default="text")
+        p.set_defaults(**defaults, parser=p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command that ``argv`` (default: ``sys.argv[1:]``) names and
+    return its exit code.  Only that command's subparser is built; anything
+    else (``--help``, no command or an unknown one) gets the full parser."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         # --help writes and flushes inside parse_args.
         args = parser.parse_args(argv)

@@ -1,0 +1,76 @@
+"""The exact decimal text of an int or a ``Fraction`` at any size.
+
+str() and Decimal() of an int cost time quadratic in its length, and from
+Python 3.11 str() refuses more than sys.get_int_max_str_digits() digits
+(4300 by default, never below 640 when set).  An int of at most
+_DIRECT_BITS bits is printed by str() directly: 2048 bits is at most 617
+digits, under any limit.  A longer one is split in binary and joined as an
+exact ``Decimal``, so ``decimal`` is imported only when such an int is
+converted, and a process that prints only small numbers never loads it.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from decimal import Context, Decimal
+    from fractions import Fraction
+
+__all__ = ["exact_str"]
+
+_DIRECT_BITS = 2048
+
+
+@functools.lru_cache(maxsize=None)
+def _exact() -> Context:
+    """Exact decimal arithmetic on integers: no rounding at any size
+    (Inexact traps if one ever would)."""
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact
+
+    return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
+@functools.lru_cache(maxsize=None)
+def _two_power(j: int) -> Decimal:
+    """2^(2^j) as an exact Decimal, by repeated squaring."""
+    if not j:
+        return _decimal(2)
+    root = _two_power(j - 1)
+    return _exact().multiply(root, root)
+
+
+def _decimal(n: int) -> Decimal:
+    """n as an exact Decimal, in time below quadratic in its length.
+
+    Above _DIRECT_BITS bits, n = hi 2^w + lo with w = 2^j the largest power
+    of two below the bit length of n, 0 <= lo < 2^w and hi = n >> w (a floor,
+    so the sign stays with hi); both halves are converted the same way and
+    joined by one exact multiply-add with the cached 2^w.
+    """
+    exact = _exact()
+    bits = n.bit_length()
+    if bits <= _DIRECT_BITS:
+        return exact.create_decimal(n)
+    j = (bits - 1).bit_length() - 1
+    hi = n >> (1 << j)
+    lo = n - (hi << (1 << j))
+    return exact.add(exact.multiply(_decimal(hi), _two_power(j)), _decimal(lo))
+
+
+def exact_str(value: int | Fraction) -> str:
+    """str(value) for an int or a Fraction of any size, with no int -> str
+    digit limit and no call to sys.set_int_max_str_digits: by str() up to
+    _DIRECT_BITS bits, through _decimal above.
+
+    >>> from fractions import Fraction
+    >>> exact_str(Fraction(-3, 4)), exact_str(7)
+    ('-3/4', '7')
+    >>> exact_str(-(10**5000)) == "-1" + "0" * 5000
+    True
+    """
+    if value.denominator != 1:
+        return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
+    n = value.numerator
+    return str(n) if n.bit_length() <= _DIRECT_BITS else str(_decimal(n))

@@ -32,19 +32,22 @@ three-term recurrence fills by shifts and subtractions over one lcm
 the even rows of ``_sweep_numerators``.  Every case is decided by integer
 equality, by cross-multiplication where the two sides have different
 denominators, and a ``Fraction`` is built only for the context of a
-mismatch.
+mismatch.  ``fractions`` and ``polynomial`` are imported only where a
+rational is built or checked (``_fraction`` and ``_parameter``), so a sweep
+that passes loads neither.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from operator import add
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .polynomial import _rational
 from .reports import CheckReport
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "NonTerminatingSeriesError",
@@ -62,6 +65,14 @@ __all__ = [
 
 class NonTerminatingSeriesError(ArithmeticError):
     """No upper series parameter truncates the series within the term bound."""
+
+
+def _fraction(numerator: int, denominator: int = 1) -> Fraction:
+    """Fraction(numerator, denominator), with ``fractions`` imported only when
+    a value is built, so a sweep that passes never loads it."""
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator)
 
 
 def _require_half_range(n: int, m: int) -> None:
@@ -109,7 +120,7 @@ def alternating_binomial_sum(n: int, m: int) -> Fraction:
         math.comb(i, m) * (-1) ** i * math.comb(n - i, i) << (n - 2 * i)
         for i in range(m, n // 2 + 1)
     )
-    return Fraction(numerator, 1 << n)
+    return _fraction(numerator, 1 << n)
 
 
 def _pascal_rows() -> Iterator[tuple[int, ...]]:
@@ -131,7 +142,7 @@ def _closed_form_numerator(row: Sequence[int], m: int) -> int:
 def alternating_binomial_closed_form(n: int, m: int) -> Fraction:
     """(-1)^m 2^(-n) C(n+1, 2m+1)."""
     _require_half_range(n, m)
-    return Fraction((-1) ** m * math.comb(n + 1, 2 * m + 1), 1 << n)
+    return _fraction((-1) ** m * math.comb(n + 1, 2 * m + 1), 1 << n)
 
 
 def check_binomial_identity(n_max: int) -> CheckReport:
@@ -157,7 +168,7 @@ def check_binomial_identity(n_max: int) -> CheckReport:
             if lhs == rhs:
                 report.count_case(True)
             else:
-                lhs, rhs = Fraction(lhs, 1 << n), Fraction(rhs, 1 << n)
+                lhs, rhs = _fraction(lhs, 1 << n), _fraction(rhs, 1 << n)
                 report.count_case(False, n=n, m=m, lhs=lhs, rhs=rhs)
     return report
 
@@ -176,7 +187,7 @@ def weighted_binomial_sum(n: int) -> Fraction:
         (-1) ** i * math.comb(2 * n + 1 - i, i) * (lcm // (n + 1 - i)) << 2 * (n - i)
         for i in range(n + 1)
     )
-    return Fraction(numerator, lcm << 2 * n)
+    return _fraction(numerator, lcm << 2 * n)
 
 
 def _weighted_moments(n_max: int) -> Iterator[tuple[int, int, int]]:
@@ -212,8 +223,8 @@ def weighted_binomial_closed_form(n: int) -> Fraction:
     if n < 0:
         raise ValueError("requires n >= 0")
     if n % 2:
-        return Fraction(0)
-    return Fraction(1, 4**n * (n + 1))
+        return _fraction(0)
+    return _fraction(1, 4**n * (n + 1))
 
 
 def check_weighted_identity(n_max: int) -> CheckReport:
@@ -236,7 +247,7 @@ def check_weighted_identity(n_max: int) -> CheckReport:
         if moment == (0 if n & 1 else lcm // (n + 1)):
             report.count_case(True)
         else:
-            lhs = Fraction(moment, lcm << 2 * n)
+            lhs = _fraction(moment, lcm << 2 * n)
             report.count_case(False, n=n, lhs=lhs, rhs=weighted_binomial_closed_form(n))
     # The recurrence needs s_0..s_{n_max//2 + 1}, which passes n_max at 0.
     rows = _sweep_numerators(2 * (n_max // 2 + 1))
@@ -245,8 +256,8 @@ def check_weighted_identity(n_max: int) -> CheckReport:
         if following - prefix == 2:
             report.count_case(True)
         else:
-            difference = Fraction(following - prefix, 4 ** (j + 1))
-            expected = Fraction(2, 4 ** (j + 1))
+            difference = _fraction(following - prefix, 4 ** (j + 1))
+            expected = _fraction(2, 4 ** (j + 1))
             report.count_case(False, recurrence_j=j, difference=difference, expected=expected)
     return report
 
@@ -269,6 +280,8 @@ def truncation_index(a: int | Fraction, b: int | Fraction) -> int | None:
 def _parameter(value: int | Fraction) -> tuple[int, int]:
     """A caller's series parameter, checked, as its lowest-terms (numerator,
     denominator) pair, the form the series kernels take."""
+    from .polynomial import _rational
+
     value = _rational(value, "a series parameter")
     return value.numerator, value.denominator
 
@@ -296,7 +309,7 @@ def terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> 
     (TypeError otherwise).
     """
     a, b, c = _parameter(a), _parameter(b), _parameter(c)
-    return Fraction(*_terminating_2f1(a, b, c, _truncation_index(a, b)))
+    return _fraction(*_terminating_2f1(a, b, c, _truncation_index(a, b)))
 
 
 def _terminating_2f1(
@@ -353,7 +366,7 @@ def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) ->
     if series_num << n == numerator * series_den:
         report.count_case(True)
     else:
-        series, literal = Fraction(series_num, series_den), Fraction(numerator, 1 << n)
+        series, literal = _fraction(series_num, series_den), _fraction(numerator, 1 << n)
         report.count_case(False, n=n, m=m, kind="value", series=series, literal=literal)
 
 

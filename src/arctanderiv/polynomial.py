@@ -1,5 +1,5 @@
 """The rational-function form scale * P(x) / (1+x^2)^k in which every
-arctan derivative lives, and the exact text form of its numbers at any size.
+arctan derivative lives, printed at any size through ``digits``.
 
 Coefficients, scales and exponents are ``int`` only (every arctan numerator
 is an integer polynomial), so all symbolic work is integer arithmetic and
@@ -14,65 +14,15 @@ synthetic division, with additions only.
 
 from __future__ import annotations
 
-import functools
 import math
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .digits import _decimal, _exact, exact_str
+
 Term = tuple[int, str]
 
-__all__ = ["ArctanRational", "exact_str"]
-
-# Exact decimal arithmetic on integers: no rounding at any size (Inexact
-# traps if one ever would).
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
-
-# str() and Decimal() of an int cost time quadratic in its length, and from
-# Python 3.11 str() refuses more than sys.get_int_max_str_digits() digits
-# (4300 by default, never below 640 when set).  An int of at most this many
-# bits (617 digits) is converted directly; a longer one is split in binary.
-_DIRECT_BITS = 2048
-
-
-@functools.lru_cache(maxsize=None)
-def _two_power(j: int) -> Decimal:
-    """2^(2^j) as an exact Decimal, by repeated squaring."""
-    if not j:
-        return Decimal(2)
-    root = _two_power(j - 1)
-    return _EXACT.multiply(root, root)
-
-
-def _decimal(n: int) -> Decimal:
-    """n as an exact Decimal, in time below quadratic in its length.
-
-    Above _DIRECT_BITS bits, n = hi 2^w + lo with w = 2^j the largest power
-    of two below the bit length of n, 0 <= lo < 2^w and hi = n >> w (a floor,
-    so the sign stays with hi); both halves are converted the same way and
-    joined by one exact multiply-add with the cached 2^w.
-    """
-    bits = n.bit_length()
-    if bits <= _DIRECT_BITS:
-        return Decimal(n)
-    j = (bits - 1).bit_length() - 1
-    hi = n >> (1 << j)
-    lo = n - (hi << (1 << j))
-    return _EXACT.add(_EXACT.multiply(_decimal(hi), _two_power(j)), _decimal(lo))
-
-
-def exact_str(value: int | Fraction) -> str:
-    """str(value) for an int or a Fraction of any size, through _decimal, with
-    no int -> str digit limit and no call to sys.set_int_max_str_digits.
-
-    >>> exact_str(Fraction(-3, 4)), exact_str(7)
-    ('-3/4', '7')
-    >>> exact_str(-(10**5000)) == "-1" + "0" * 5000
-    True
-    """
-    if value.denominator != 1:
-        return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
-    return str(_decimal(value.numerator))
+__all__ = ["ArctanRational"]
 
 
 def _repr(value: object) -> str:
@@ -300,11 +250,11 @@ class ArctanRational(_Value):
         printed as the exact Decimal product, so the product is never formed
         as an int and never converted by the quadratic int -> str.
         """
-        factor = _decimal(self.scale)
+        factor, multiply = _decimal(self.scale), _exact().multiply
         for power in powers:
             c = self.primitive[power]
             if c:
-                yield power, str(_EXACT.multiply(factor, _decimal(c)))
+                yield power, str(multiply(factor, _decimal(c)))
 
     def terms(self) -> Iterator[Term]:
         """(power, text) for each nonzero coefficient of the numerator

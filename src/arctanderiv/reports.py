@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any
 
-from .polynomial import exact_str
+from .digits import exact_str
 
 __all__ = ["CheckReport", "FAILURES_KEPT"]
 
@@ -13,8 +12,12 @@ _JSON_SAFE = (bool, int, str, type(None))
 
 
 def _rendered(value: Any) -> Any:
+    """A failure context's value, JSON-safe; it runs only for a mismatch, so
+    a sweep that passes never imports ``fractions``."""
     if isinstance(value, _JSON_SAFE):
         return value
+    from fractions import Fraction
+
     return exact_str(value) if isinstance(value, Fraction) else str(value)
 
 

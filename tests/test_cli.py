@@ -22,7 +22,7 @@ from arctanderiv import (
     composition,
     identities,
 )
-from arctanderiv.cli import FORMATS, _emit, build_parser, main
+from arctanderiv.cli import COMMANDS, FORMATS, _emit, build_parser, main
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
     arctan_numerator,
@@ -438,11 +438,24 @@ def test_mismatch_past_the_digit_limit_exits_one(capsys, monkeypatch):
     ids=lambda argv: argv[0],
 )
 def test_check_reports_its_cost_on_stderr(capsys, argv):
-    for fmt in FORMATS:
-        code, out, err = run_cli(capsys, *argv, f"--format={fmt}")
-        assert code == 0
-        assert re.fullmatch(rf"{argv[0]}: elapsed_s=\d+\.\d{{3}} cases_per_s=(\d+|inf)\n", err)
-        assert "elapsed" not in out
+    # The cost is written in the result's format: a text line, one json
+    # object on one line, or a csv header and row.
+    elapsed, rate = r"\d+\.\d{3}", r"(\d+|inf)"
+    code, out, err = run_cli(capsys, *argv, "--format=text")
+    assert code == 0
+    assert re.fullmatch(rf"{argv[0]}: elapsed_s={elapsed} cases_per_s={rate}\n", err)
+    assert "elapsed" not in out
+    code, out, err = run_cli(capsys, *argv, "--format=json")
+    assert code == 0
+    json_rate = r"(\d+|null)"
+    line = rf'\{{"check": "{argv[0]}", "elapsed_s": {elapsed}, "cases_per_s": {json_rate}\}}\n'
+    assert re.fullmatch(line, err)
+    assert json.loads(err)["check"] == argv[0]
+    assert "elapsed" not in out
+    code, out, err = run_cli(capsys, *argv, "--format=csv")
+    assert code == 0
+    assert re.fullmatch(rf"check,elapsed_s,cases_per_s\n{argv[0]},{elapsed},{rate}\n", err)
+    assert "elapsed" not in out
 
 
 def run_fresh(code, *argv):
@@ -483,8 +496,8 @@ RUN_AS_MAIN = (
     "except SystemExit as exc:\n"
     "    assert exc.code == 0, exc.code"
 )
-ROUTE = {"cli", "polynomial", "arctan"}
-SWEEP = {"cli", "polynomial", "identities", "reports"}
+ROUTE = {"cli", "digits", "polynomial", "arctan"}
+SWEEP = {"cli", "digits", "identities", "reports"}
 
 
 MODULES_RUN = {
@@ -508,7 +521,29 @@ def test_each_command_loads_only_the_modules_it_runs(command):
 
 def test_building_the_parser_loads_no_route_module():
     code = "import sys, arctanderiv, arctanderiv.cli as cli\ncli.build_parser()"
-    assert loaded_modules(code) == {"cli", "polynomial"}
+    assert loaded_modules(code) == {"cli", "digits"}
+
+
+# The sweeps run on integers: a passing one, in any format, and the parser
+# load no rational, no decimal and no polynomial.
+RATIONAL_STACK = ("fractions", "decimal", "arctanderiv.polynomial")
+SWEEPS = [
+    f"{name} 30 --format={fmt}"
+    for name in ("check-identity", "check-corollary", "check-2f1")
+    for fmt in FORMATS
+]
+
+
+@pytest.mark.parametrize("command", [*SWEEPS, "build_parser"])
+def test_sweeps_and_the_parser_load_no_rational_stack(command):
+    if command == "build_parser":
+        code, argv = "import sys, arctanderiv.cli as cli\ncli.build_parser()", ()
+    else:
+        code, argv = RUN_AS_MAIN, command.split()
+    probe = code + f"\nprint(*[m for m in {RATIONAL_STACK!r} if m in sys.modules])"
+    result = run_fresh(probe, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == ""
 
 
 # An atexit handler runs before the interpreter's shutdown collections; this
@@ -803,6 +838,82 @@ def test_integer_arguments_past_the_digit_limit_exit_two(capsys, command):
 def test_bench_takes_any_n_max_of_at_most_4300_digits():
     # bench only caps its sizes by n_max, so it runs past sys.maxsize.
     assert build_parser().parse_args(["bench", str(10**20)]).n_max == 10**20
+
+
+def test_integer_arguments_read_under_the_lowest_digit_limit(capsys, monkeypatch):
+    # 640 is the lowest int <-> str digit limit Python allows.  An order of
+    # 640 or 641 digits is read exactly (leading zeros included) and refused
+    # past sys.maxsize with the same message; bench takes 4300 digits.
+    expected = run_cli(capsys, "qpoly", "3")
+    too_large = f"error: argument n: more than {sys.maxsize}: too large to compute\n"
+    with digit_limit(640):
+        for digits in (640, 641):
+            assert run_cli(capsys, "qpoly", "3".rjust(digits, "0")) == expected
+            code, out, err = run_cli(capsys, "qpoly", "1" * digits)
+            assert (code, out) == (2, "")
+            assert err.endswith(too_large)
+            code, out, err = run_cli(capsys, "qpoly", "-" + "1" * digits)
+            assert (code, out) == (2, "")
+            assert err.endswith("error: argument n: must be >= 0\n")
+        # A signed rational numerator past the limit: arctan'(x) = q^2 / (p^2 + q^2).
+        p = -(10**700)
+        code, out, err = run_cli(capsys, "derive", "1", "--x=-1" + "0" * 700 + "/7", "--format=csv")
+        with digit_limit(0):
+            assert out == f"n,method,x,value\n1,closed,{p}/7,{Fraction(49, p * p + 49)}\n"
+        monkeypatch.setattr("arctanderiv.cli.BENCH_BUCKETS", (1, 2))
+        code, out, err = run_cli(capsys, "bench", "9" * 4300, "--format=json")
+        assert (code, err) == (0, "")
+        assert json.loads(out, parse_int=str)["n_max"] == "9" * 4300
+
+
+# Usage errors and help that the one-command parser of ``main`` must print
+# exactly as the full parser does.
+USAGE_CASES = [
+    "derive 5 --bogus",
+    "check-identity 5 extra",
+    "crosscheck 3 --points=",
+    "derive --help",
+    "--help",
+    "",
+    "nope",
+    *(f"{name} --help" for name in COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES)
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    argv = argv.split()
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = (full.value.code, *capsys.readouterr())
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_a_missing_or_unknown_command_is_named_command(capsys):
+    # argparse names the command argument by its dest; a metavar would
+    # replace the name in these two messages.
+    code, _, err = run_cli(capsys)
+    assert code == 2
+    assert err.endswith("arctanderiv: error: the following arguments are required: command\n")
+    code, _, err = run_cli(capsys, "nope")
+    assert code == 2
+    assert "arctanderiv: error: argument command: invalid choice: 'nope'" in err
+
+
+@pytest.mark.parametrize("argv", ["derive 5 --bogus", "check-identity 5 extra"])
+def test_unrecognized_arguments_print_the_usage_of_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert "{" + ",".join(COMMANDS) + "}" in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_one_command_parser_holds_that_command_only(capsys, command):
+    other = next(name for name in COMMANDS if name != command)
+    with pytest.raises(SystemExit) as refused:
+        build_parser(command).parse_args([other, "3"])
+    assert refused.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_malformed_arguments_exit_two(capsys):

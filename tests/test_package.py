@@ -12,6 +12,7 @@ from arctanderiv import (
     combinatorics,
     composition,
     crosscheck,
+    digits,
     faa_di_bruno,
     identities,
     polynomial,
@@ -23,7 +24,7 @@ from arctanderiv import (
     weighted_binomial_sum,
 )
 
-LIBRARY_MODULES = (arctan, combinatorics, composition, identities, polynomial, reports)
+LIBRARY_MODULES = (arctan, combinatorics, composition, digits, identities, polynomial, reports)
 
 
 def test_package_exports_every_module_name_once():

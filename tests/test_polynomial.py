@@ -17,6 +17,7 @@ from arctanderiv import (
     arctan_derivative_closed,
     exact_str,
 )
+from arctanderiv.digits import _DIRECT_BITS
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
     difference_quotient_derivative,
@@ -142,6 +143,16 @@ def test_exact_str_at_split_widths():
         for n in ((1 << w) - 1, 1 << w, (1 << w) + 1):
             _check_exact_str(n, -3)
             _check_exact_str(-7, -n)
+    # Up to _DIRECT_BITS bits exact_str is str(): that must hold under the
+    # lowest digit limit Python allows, 640, as must the split path above it.
+    assert 2**_DIRECT_BITS < 10**640
+    with digit_limit(640):
+        for bits in (_DIRECT_BITS - 1, _DIRECT_BITS, _DIRECT_BITS + 1):
+            for n in ((1 << bits) - 1, 1 << (bits - 1)):
+                for signed in (n, -n):
+                    assert signed.bit_length() == bits
+                    _check_exact_str(signed, -3)
+                    _check_exact_str(-7, signed)
 
 
 def test_text_rendering():
