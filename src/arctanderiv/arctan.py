@@ -13,7 +13,9 @@ for exact agreement.
 ``crosscheck`` holds each of the first three against the oracle.  All routes
 take n = the derivative order of arctan itself (n >= 1).
 
-Only ``digits`` and ``polynomial`` are imported with this module.  A route imports
+Only ``digits`` and ``polynomial`` are imported with this module, and
+``fractions`` only where a point is read or a ``Fraction`` built:
+``DEFAULT_SAMPLE_POINTS`` is made on its first read.  A route imports
 ``composition``, ``identities`` or ``reports`` when it runs, and reads their
 kernels from those modules then, so that ``closed`` and ``oracle`` compile
 none of them and a rebinding of a kernel in its home module reaches every
@@ -23,14 +25,16 @@ route.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .digits import exact_str
 from .polynomial import ArctanRational, _rational
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .reports import CheckReport
 
 __all__ = [
@@ -43,14 +47,28 @@ __all__ = [
     "crosscheck",
 ]
 
-DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...] = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(3, 7),
-)
+DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...]
+
+
+def __getattr__(name: str):
+    """DEFAULT_SAMPLE_POINTS, the points ``crosscheck`` takes by default,
+    built on its first read (PEP 562) and then bound as a module global, so
+    that every later read gets the same tuple and a route that takes no
+    point never imports ``fractions``."""
+    if name != "DEFAULT_SAMPLE_POINTS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    global DEFAULT_SAMPLE_POINTS
+    DEFAULT_SAMPLE_POINTS = (
+        Fraction(0),
+        Fraction(1),
+        Fraction(-1),
+        Fraction(1, 2),
+        Fraction(-1, 2),
+        Fraction(3, 7),
+    )
+    return DEFAULT_SAMPLE_POINTS
 
 
 def _require_order(n: int) -> None:
@@ -139,8 +157,9 @@ def arctan_derivative_oracle(n: int) -> ArctanRational:
     return value
 
 
-def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
-    """Exact agreement of all four routes for every n <= n_max.
+def crosscheck(n_max: int, sample_points=None) -> CheckReport:
+    """Exact agreement of all four routes for every n <= n_max, at
+    ``sample_points`` (by default DEFAULT_SAMPLE_POINTS).
 
     The closed and expanded forms must equal the quotient-rule oracle
     structurally (same primitive part, exponent and scale); the jet route must
@@ -162,10 +181,14 @@ def crosscheck(n_max: int, sample_points=DEFAULT_SAMPLE_POINTS) -> CheckReport:
     the case passes when a d == b c.  Both values become a ``Fraction`` only
     in the context of a mismatch.
     """
+    from fractions import Fraction
+
     from . import composition, identities, reports
 
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
+    if sample_points is None:
+        sample_points = sys.modules[__name__].DEFAULT_SAMPLE_POINTS
     points = tuple(_rational(p, "a sample point") for p in sample_points)
     report = reports.CheckReport(
         "crosscheck", {"n_max": n_max, "points": [exact_str(p) for p in points]}

@@ -10,9 +10,14 @@ the check function its subparser named.
 Building the parser imports no route module: each command imports the module
 that it runs when it runs, so a command compiles only the modules it uses.
 ``main`` builds the subparser of the one command it runs, from the same
-table (``COMMANDS``) as the full parser.  Only the commands that read, build
-or print a rational import ``fractions`` (and with it ``decimal``) and
-``polynomial``; the identity sweeps run on integers and load neither.
+table (``COMMANDS``) as the full parser.  The identity sweeps run on
+integers and load neither ``fractions`` nor ``polynomial``.  ``derive``
+reads ``--x`` as a lowest-terms int pair (``_ratio``) and evaluates the
+symbolic routes there by ``ArctanRational._evaluate`` and one gcd, so only
+``--method=fdb``, ``crosscheck`` and ``bench`` build a ``Fraction``; and
+``decimal`` loads only for a number wider than ``digits._DIRECT_BITS``
+bits.  ``json`` is imported only to quote a string that holds a character
+json escapes (``_quote``): no command prints one.
 
 ``main(argv)`` is the in-process API: it returns the exit code, touches no
 file descriptor and leaves the garbage collector alone.  A process enters
@@ -37,7 +42,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .digits import exact_str
+from .digits import _ratio_str, exact_str
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -70,24 +75,28 @@ def _integer(text: str) -> int:
     return -value if text[0] == "-" else value
 
 
-def _rational(text: str) -> Fraction:
-    """CLI rational syntax: integer p or p/q, sign allowed on p only."""
-    from fractions import Fraction
+def _ratio(text: str) -> tuple[int, int]:
+    """CLI rational syntax, integer p or p/q with a sign allowed on p only,
+    as the lowest-terms pair (p, q), q > 0, that Fraction(p, q) holds."""
+    import math
 
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} (expected p or p/q)")
     numerator, _, denominator = text.partition("/")
-    try:
-        return Fraction(_integer(numerator), _integer(denominator or "1"))
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
+    p, q = _integer(numerator), _integer(denominator or "1")
+    if not q:
+        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}")
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
+    from fractions import Fraction
+
     pieces = text.split(",")
     if any(not piece for piece in pieces):
         raise argparse.ArgumentTypeError("expected a comma-separated list of rationals")
-    return tuple(_rational(piece) for piece in pieces)
+    return tuple(Fraction(*_ratio(piece)) for piece in pieces)
 
 
 def _natural(text: str) -> int:
@@ -132,7 +141,21 @@ def _term_dicts(terms: Iterable[Term]) -> Iterator[dict[str, object]]:
         yield {"power": power, "numerator": _Number(numerator), "denominator": 1}
 
 
-def _json(value: object, indent: str, quote: Callable[[object], str]) -> Iterator[str]:
+def _quote(value: object) -> str:
+    """json.dumps(value) for a string, a bool or None; ``json`` is imported
+    only for a string that it would escape, which no command prints."""
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    # json.dumps writes printable ASCII without " or \ as it is.
+    if type(value) is str and value.isascii() and value.isprintable():
+        if '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    import json
+
+    return json.dumps(value)
+
+
+def _json(value: object, indent: str) -> Iterator[str]:
     """json.dumps(value, indent=2) in pieces, for dicts, lists and iterators
     of them, strings, ints, ``_Number`` texts, bools and None.  Ints are
     rendered by ``exact_str``, so they have no digit limit, and an iterator
@@ -144,7 +167,7 @@ def _json(value: object, indent: str, quote: Callable[[object], str]) -> Iterato
     elif isinstance(value, (dict, list, Iterator)):
         if isinstance(value, dict):
             opening, closing = "{", "}"
-            items = ((quote(key) + ": ", item) for key, item in value.items())
+            items = ((_quote(key) + ": ", item) for key, item in value.items())
         else:
             opening, closing = "[", "]"
             items = (("", item) for item in value)
@@ -152,11 +175,11 @@ def _json(value: object, indent: str, quote: Callable[[object], str]) -> Iterato
         before = opening
         for prefix, item in items:
             yield f"{before}\n{inner}{prefix}"
-            yield from _json(item, inner, quote)
+            yield from _json(item, inner)
             before = ","
         yield opening + closing if before == opening else f"\n{indent}{closing}"
     else:
-        yield quote(value)
+        yield _quote(value)
 
 
 def _csv_field(value: object) -> str:
@@ -199,8 +222,7 @@ def _emit(
             write(",".join(map(_csv_field, row)) + "\n")
     else:
         if fmt == "json":
-            import json
-            text = _json(document(), "", json.dumps)
+            text = _json(document(), "")
         for piece in text:
             write(piece)
         write("\n")
@@ -240,7 +262,9 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
     route = getattr(arctan, METHODS[args.method])
     if args.method in POINTWISE_METHODS:
-        value = route(args.n, args.x)
+        from fractions import Fraction
+
+        value = exact_str(route(args.n, Fraction(*args.x)))
     else:
         result = route(args.n)
         if args.x is None:
@@ -257,8 +281,13 @@ def cmd_derive(args: argparse.Namespace) -> int:
                 ((power, numerator, 1, result.exponent) for power, numerator in result.terms()),
             )
             return 0
-        value = result.evaluate(args.x)
-    x, value = exact_str(args.x), exact_str(value)
+        import math
+
+        # The unreduced value; its denominator (p^2 + q^2)^k q^j is positive.
+        top, bottom = result._evaluate(*args.x)
+        g = math.gcd(top, bottom)
+        value = _ratio_str(top // g, bottom // g)
+    x = _ratio_str(*args.x)
     _emit(
         args.format,
         (value,),
@@ -300,10 +329,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     elapsed_s = f"{elapsed:.3f}"
     rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else None
     if args.format == "json":
-        import json
-
         cost = (
-            f'{{"check": {json.dumps(report.check)}, "elapsed_s": {elapsed_s}, '
+            f'{{"check": {_quote(report.check)}, "elapsed_s": {elapsed_s}, '
             f'"cases_per_s": {rate or "null"}}}'
         )
     elif args.format == "csv":
@@ -374,7 +401,7 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
         {
             "n": {"type": _positive},
             "--method": {"choices": METHODS, "default": "closed"},
-            "--x": {"type": _rational, "default": None, "help": "evaluate at x = p/q"},
+            "--x": {"type": _ratio, "default": None, "help": "evaluate at x = p/q"},
         },
         {"func": cmd_derive},
     ),

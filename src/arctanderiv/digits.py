@@ -1,4 +1,5 @@
-"""The exact decimal text of an int or a ``Fraction`` at any size.
+"""The exact decimal text of an int, a ``Fraction`` or a lowest-terms
+(numerator, denominator) pair at any size.
 
 str() and Decimal() of an int cost time quadratic in its length, and from
 Python 3.11 str() refuses more than sys.get_int_max_str_digits() digits
@@ -7,6 +8,8 @@ _DIRECT_BITS bits is printed by str() directly: 2048 bits is at most 617
 digits, under any limit.  A longer one is split in binary and joined as an
 exact ``Decimal``, so ``decimal`` is imported only when such an int is
 converted, and a process that prints only small numbers never loads it.
+``polynomial`` prints a wide numerator in the same exact context, each
+coefficient from the Decimal of the one before it.
 """
 
 from __future__ import annotations
@@ -70,7 +73,11 @@ def exact_str(value: int | Fraction) -> str:
     >>> exact_str(-(10**5000)) == "-1" + "0" * 5000
     True
     """
-    if value.denominator != 1:
-        return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
-    n = value.numerator
-    return str(n) if n.bit_length() <= _DIRECT_BITS else str(_decimal(n))
+    return _ratio_str(value.numerator, value.denominator)
+
+
+def _ratio_str(numerator: int, denominator: int = 1) -> str:
+    """exact_str(Fraction(numerator, denominator)) for a lowest-terms pair
+    with denominator > 0, without building the Fraction."""
+    text = str(numerator) if numerator.bit_length() <= _DIRECT_BITS else str(_decimal(numerator))
+    return text if denominator == 1 else f"{text}/{_ratio_str(denominator)}"

@@ -29,12 +29,12 @@ quotient-rule oracle (``crosscheck``).  The corollary sweep reads no
 binomial: its weighted sums are the zeroth moments of a table that a
 three-term recurrence fills by shifts and subtractions over one lcm
 (``_weighted_moments``), and its recurrence half reads the m = 0 entries of
-the even rows of ``_sweep_numerators``.  Every case is decided by integer
-equality, by cross-multiplication where the two sides have different
-denominators, and a ``Fraction`` is built only for the context of a
-mismatch.  ``fractions`` and ``polynomial`` are imported only where a
-rational is built or checked (``_fraction`` and ``_parameter``), so a sweep
-that passes loads neither.
+the even rows of ``_sweep_numerators``, run on rows cut to that one entry.
+Every case is decided by integer equality, by cross-multiplication where
+the two sides have different denominators, and a ``Fraction`` is built only
+for the context of a mismatch.  ``fractions`` and ``polynomial`` are
+imported only where a rational is built or checked (``_fraction`` and
+``_parameter``), so a sweep that passes loads neither.
 """
 
 from __future__ import annotations
@@ -80,9 +80,10 @@ def _require_half_range(n: int, m: int) -> None:
         raise ValueError("requires 0 <= m <= n//2")
 
 
-def _sweep_numerators(n_max: int) -> Iterator[tuple[int, list[int]]]:
+def _sweep_numerators(n_max: int, width: int | None = None) -> Iterator[tuple[int, list[int]]]:
     """(n, S_n) for n = 0..n_max, where S_n[m] = sum_i C(i, m) w_i is the
-    literal sum of (n, m) times 2^n, m = 0..n//2.
+    literal sum of (n, m) times 2^n, m = 0..n//2; with ``width``, only the
+    first ``width`` entries of each row.
 
     S_n(t) = W_n(1 + t) with W_n(t) = sum_i w_i t^i and weights
     w_i = (-1)^i 2^(n-2i) C(n-i, i) (binomial theorem).  Pascal's rule on the
@@ -90,14 +91,18 @@ def _sweep_numerators(n_max: int) -> Iterator[tuple[int, list[int]]]:
     W_n = 2 W_{n-1} - t W_{n-2} from W_{-1} = 0 and W_0 = 1.  Substituting
     1 + t for t is linear, so S_n = 2 S_{n-1} - (1+t) S_{n-2}: one pass of
     O(n) additions per n, and no C(i, m), no term ratio and no closed form
-    is read.  The yielded rows are the recurrence's state; do not mutate them.
+    is read.  Entry m of S_n reads only entries <= m of S_{n-1} and S_{n-2},
+    so rows cut to ``width`` entries are prefixes of the full rows, at
+    O(width) additions per n.  The yielded rows are the recurrence's state;
+    do not mutate them.
     """
     older: list[int] = []  # S_{-1}
     newer = [1]  # S_0
     yield 0, newer
     for n in range(1, n_max + 1):
-        # S_{n-1}, padded to the n//2 + 1 coefficients of S_n.
-        top = newer if n & 1 else newer + [0]
+        # S_{n-1}, padded to the n//2 + 1 coefficients of S_n unless cut.
+        grows = not n & 1 and (width is None or len(newer) < width)
+        top = newer + [0] if grows else newer
         older, newer = newer, [(a << 1) - b - c for a, b, c in zip(top, older + [0], [0] + older)]
         yield n, newer
 
@@ -249,8 +254,9 @@ def check_weighted_identity(n_max: int) -> CheckReport:
         else:
             lhs = _fraction(moment, lcm << 2 * n)
             report.count_case(False, n=n, lhs=lhs, rhs=weighted_binomial_closed_form(n))
-    # The recurrence needs s_0..s_{n_max//2 + 1}, which passes n_max at 0.
-    rows = _sweep_numerators(2 * (n_max // 2 + 1))
+    # The recurrence needs s_0..s_{n_max//2 + 1}, which passes n_max at 0,
+    # and reads entry 0 of each row only.
+    rows = _sweep_numerators(2 * (n_max // 2 + 1), 1)
     prefix_sums = [numerators[0] for n, numerators in rows if not n & 1]
     for j, (prefix, following) in enumerate(zip(prefix_sums, prefix_sums[1:])):
         if following - prefix == 2:

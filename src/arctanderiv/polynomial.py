@@ -10,15 +10,23 @@ which stores, differentiates, evaluates and prints them; a plain polynomial
 is an ``ArctanRational`` at exponent 0.  The only divisor ever needed is
 1+x^2, which ``ArctanRational`` detects by P(i) = 0 and removes by
 synthetic division, with additions only.
+
+``fractions`` is imported only where a ``Fraction`` is read or built
+(``_rational``, ``evaluate`` and the repr of a ``Fraction`` field), and
+``decimal`` only to print a numerator wider than ``digits._DIRECT_BITS``
+bits, so the CLI's symbolic results and its values at x (which it takes
+from ``_evaluate`` as an int pair) load neither unless they need them.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .digits import _decimal, _exact, exact_str
+from .digits import _DIRECT_BITS, _decimal, _exact, exact_str
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Term = tuple[int, str]
 
@@ -29,11 +37,13 @@ def _repr(value: object) -> str:
     """repr(value), with the ints of an int, tuple or Fraction by exact_str."""
     if type(value) is int:
         return exact_str(value)
+    if type(value) is tuple:
+        return f"({', '.join(map(_repr, value))}{',' * (len(value) == 1)})"
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return f"Fraction({exact_str(value.numerator)}, {exact_str(value.denominator)})"
-    if type(value) is not tuple:
-        return repr(value)
-    return f"({', '.join(map(_repr, value))}{',' * (len(value) == 1)})"
+    return repr(value)
 
 
 def _immutable(self, name, *value):
@@ -86,10 +96,14 @@ def _ints(values: Iterable[int], what: str) -> list[int]:
 
 def _rational(value: int | Fraction, what: str) -> Fraction:
     """value as a Fraction; any type but int or Fraction raises TypeError."""
+    from fractions import Fraction
+
     if type(value) is int or isinstance(value, Fraction):
         return Fraction(value)
     raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
 
+
+_RATIO_BITS = 64  # the widest reduced ratio of coefficients that _terms steps by
 
 _LEAF = 64  # the longest coefficient run that _homogeneous sums by Horner's scheme
 
@@ -215,6 +229,8 @@ class ArctanRational(_Value):
         P is evaluated in int, and the scale is multiplied in once, into the
         one Fraction formed at the end.
         """
+        from fractions import Fraction
+
         x = _rational(x, "a point")
         return Fraction(*self._evaluate(x.numerator, x.denominator))
 
@@ -246,15 +262,39 @@ class ArctanRational(_Value):
         """(power, text) for each nonzero coefficient of the numerator
         scale * P, in the order of powers.
 
-        The scale is converted to Decimal once, and each coefficient is
-        printed as the exact Decimal product, so the product is never formed
-        as an int and never converted by the quadratic int -> str.
+        When the widest product scale * c has at most _DIRECT_BITS bits,
+        each is printed by str().  Otherwise each is printed from an exact
+        Decimal, never formed as an int and never converted by the quadratic
+        int -> str.  The first is the product of the Decimals of the scale
+        and c.  Each next one, for c', comes from the one before: with
+        g = gcd(c, c'), scale c' = (scale c) (c'/g) / (c/g) exactly, one
+        multiply and one exact division by ints, each linear in the digits,
+        when both reduced factors have at most _RATIO_BITS bits; else the
+        full product again.  Every arctan numerator takes the short step:
+        consecutive coefficients of q_(n-1) differ by the factor
+        -(n-k-1)(n-k-2) / ((k+2)(k+3)).
         """
-        factor, multiply = _decimal(self.scale), _exact().multiply
+        coeffs, scale = self.primitive, self.scale
+        if (scale * max(coeffs, key=abs, default=0)).bit_length() <= _DIRECT_BITS:
+            for power in powers:
+                c = coeffs[power]
+                if c:
+                    yield power, str(scale * c)
+            return
+        exact, factor = _exact(), _decimal(scale)
+        before = 0
         for power in powers:
-            c = self.primitive[power]
-            if c:
-                yield power, str(multiply(factor, _decimal(c)))
+            c = coeffs[power]
+            if not c:
+                continue
+            g = math.gcd(c, before)
+            up, down = c // g, before // g
+            if before and max(up.bit_length(), down.bit_length()) <= _RATIO_BITS:
+                value = exact.divide_int(exact.multiply(value, up), down)
+            else:
+                value = exact.multiply(factor, _decimal(c))
+            before = c
+            yield power, str(value)
 
     def terms(self) -> Iterator[Term]:
         """(power, text) for each nonzero coefficient of the numerator

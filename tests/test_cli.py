@@ -22,7 +22,7 @@ from arctanderiv import (
     composition,
     identities,
 )
-from arctanderiv.cli import COMMANDS, FORMATS, _emit, build_parser, main
+from arctanderiv.cli import COMMANDS, FORMATS, _emit, _quote, build_parser, main
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
     arctan_numerator,
@@ -283,11 +283,12 @@ def test_mismatch_report_is_bounded(capsys, monkeypatch):
 def perturb_sweep_numerator(monkeypatch, wrong_n, wrong_m):
     """Make the literal numerator that the sweeps compare at (wrong_n, wrong_m)
     one too large.  The perturbed row is a copy, so the recurrence behind
-    ``_sweep_numerators`` carries on from the true numerators."""
+    ``_sweep_numerators`` carries on from the true numerators; a row width
+    is passed on."""
     numerators_of = identities._sweep_numerators
 
-    def wrong_numerators(n_max):
-        for n, numerators in numerators_of(n_max):
+    def wrong_numerators(n_max, *width):
+        for n, numerators in numerators_of(n_max, *width):
             if n == wrong_n:
                 numerators = list(numerators)
                 numerators[wrong_m] += 1
@@ -534,16 +535,62 @@ SWEEPS = [
 ]
 
 
+def loaded_of(names, code, *argv):
+    """Those of the modules ``names`` in sys.modules after ``code`` runs
+    with ``argv`` in a fresh ``python -S`` process."""
+    probe = code + f"\nprint(*[m for m in {names!r} if m in sys.modules])"
+    result = run_fresh(probe, *argv)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
 @pytest.mark.parametrize("command", [*SWEEPS, "build_parser"])
 def test_sweeps_and_the_parser_load_no_rational_stack(command):
     if command == "build_parser":
         code, argv = "import sys, arctanderiv.cli as cli\ncli.build_parser()", ()
     else:
         code, argv = RUN_AS_MAIN, command.split()
-    probe = code + f"\nprint(*[m for m in {RATIONAL_STACK!r} if m in sys.modules])"
-    result = run_fresh(probe, *argv)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == ""
+    assert loaded_of(RATIONAL_STACK, code, *argv) == set()
+
+
+# A command loads ``fractions``, ``decimal`` and ``json`` only for what its
+# printed result needs: (modules it loads, modules it does not load).  The
+# symbolic routes evaluate at --x in ints, a result narrower than 2048 bits
+# prints by str(), and no command prints a string that json would escape.
+OUTPUT_STACK = ("fractions", "decimal", "json")
+OUTPUT_STACK_LOADED = {
+    "derive 50": ((), OUTPUT_STACK),
+    "derive 50 --x=1/2": ((), OUTPUT_STACK),
+    "derive 50 --method=oracle --format=json": ((), OUTPUT_STACK),
+    "qpoly 3 --format=json": ((), OUTPUT_STACK),
+    "derive 1500": (("decimal",), ("fractions", "json")),
+    "derive 50 --method=fdb --x=1/2": (("fractions",), ("json",)),
+    **{
+        f"{command} --format=json": ((), ("json",))
+        for command in ("check-identity 30", "check-corollary 30", "check-2f1 30", "crosscheck 5")
+    },
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_STACK_LOADED)
+def test_each_command_loads_only_the_output_stack_it_needs(command):
+    loaded, not_loaded = OUTPUT_STACK_LOADED[command]
+    modules = loaded_of(OUTPUT_STACK, RUN_AS_MAIN, *command.split())
+    assert set(loaded) <= modules and not modules & set(not_loaded), modules
+
+
+# Characters that json.dumps escapes: a quote, a backslash, control
+# characters, DEL, non-ASCII, a lone surrogate and an astral character.
+JSON_ESCAPED = st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\U0001f600"]
+)
+
+
+@given(st.text() | st.text(st.characters(max_codepoint=127)), JSON_ESCAPED, st.integers(0, 100))
+def test_quote_is_json_dumps(text, escaped, where):
+    where %= len(text) + 1
+    for value in (text, text[:where] + escaped + text[where:], True, False, None):
+        assert _quote(value) == json.dumps(value)
 
 
 # An atexit handler runs before the interpreter's shutdown collections; this
@@ -772,6 +819,35 @@ def test_symbolic_derive_prints_past_the_digit_limit(capsys):
             assert (code, err) == (0, "")
             want = expected[fmt].replace('"method": null', f'"method": "{method}"')
             assert out == want, (method, fmt)
+
+
+def test_derive_3000_prints_what_the_list_renderer_prints(capsys):
+    # Past 2048 bits each coefficient is printed from the one before; the
+    # expected output comes from rendered_rational, which shares no code
+    # with that path and prints each coefficient by str() with the digit
+    # limit lifted.
+    n = 3000
+    numerator = arctan_numerator(n)
+    text, terms = rendered_rational([numerator.get(power, 0) for power in range(n)], n, 1)
+    items = ",".join(
+        f'\n    {{\n      "power": {power},\n      "numerator": {c},\n'
+        '      "denominator": 1\n    }'
+        for power, c in terms
+    )
+    expected = {
+        "text": text + "\n",
+        "json": f'{{\n  "n": {n},\n  "method": "closed",\n  "numerator": [{items}\n  ],\n'
+        f'  "denominator_exponent": {n}\n}}\n',
+        "csv": "power,numerator,denominator,denominator_exponent\n"
+        + "".join(f"{power},{c},1,{n}\n" for power, c in terms),
+    }
+    for fmt in FORMATS:
+        code, out, err = run_at_default_digit_limit(capsys, "derive", str(n), f"--format={fmt}")
+        assert (code, err) == (0, "")
+        # Named, so that a failure reports where the outputs part instead of
+        # diffing megabytes.
+        same = out == expected[fmt]
+        assert same, (fmt, len(os.path.commonprefix([out, expected[fmt]])))
 
 
 @pytest.mark.parametrize("n", [1600, 2000])

@@ -209,6 +209,13 @@ def literal_weights(n):
     return [(-1) ** i * 2 ** (n - 2 * i) * math.comb(n - i, i) for i in range(n // 2 + 1)]
 
 
+def test_cut_rows_are_prefixes_of_full_rows():
+    full = list(identities._sweep_numerators(300))
+    for width in (1, 2, 3):
+        cut = list(identities._sweep_numerators(300, width))
+        assert cut == [(n, numerators[:width]) for n, numerators in full], width
+
+
 def test_sweep_numerators_match_taylor_shift_oracle():
     # The recurrence on shifted polynomials against shifting each n's own
     # weights.

@@ -321,7 +321,7 @@ _big = st.integers(2040, 7000).flatmap(lambda bits: st.integers(-(1 << bits), 1 
 
 
 @st.composite
-def rendering_cases(draw):
+def _mixed_coefficients(draw):
     """Coefficients with a content above 1 (or 1), a leading coefficient of
     either sign, inner, trailing or all zeros, some of them past the 2048
     bits that ``_decimal`` converts directly, times (1+x^2)^j; an exponent
@@ -334,7 +334,50 @@ def rendering_cases(draw):
     return coeffs, draw(st.integers(0, 3)), draw(st.just(0) | small | _big)
 
 
-@settings(max_examples=80, deadline=None)
+_wide_factor = st.integers(65, 200).flatmap(lambda bits: st.integers(1 << (bits - 1), 1 << bits))
+_factor = st.integers(-9, 9).filter(bool) | _wide_factor | _wide_factor.map(lambda c: -c)
+
+
+@st.composite
+def _coefficient_runs(draw):
+    """A run of coefficients for the step of ``_terms`` that prints each one
+    from the one before: c_(k+1) / c_k = a_k / b_k, with each factor small
+    or, for the full product, past 64 bits, as c_k = base a_0 ... a_(k-1)
+    b_k ... b_(K-1).  Zeros may come between them, and a run of one is a lone
+    coefficient; the base and the scale put the products past 2048 bits."""
+    steps = draw(st.lists(st.tuples(_factor, _factor), max_size=6))
+    base = draw(_big.filter(bool))
+    coeffs = []
+    for k in range(len(steps) + 1):
+        coeffs += [0] * draw(st.integers(0, 2))
+        c = base
+        for j, (a, b) in enumerate(steps):
+            c *= a if j < k else b
+        coeffs.append(c)
+    return coeffs, draw(st.integers(0, 3)), draw(st.integers(-12, 12).filter(bool) | _big)
+
+
+@st.composite
+def _widest_at_the_switch(draw):
+    """Coefficients whose widest product scale * c has exactly _DIRECT_BITS
+    or _DIRECT_BITS + 1 bits, where ``_terms`` switches from str() to
+    Decimal."""
+    bits = draw(st.sampled_from((_DIRECT_BITS, _DIRECT_BITS + 1)))
+    scale = draw(st.integers(1, 1 << 40))
+    widest = draw(st.integers(-(-(1 << (bits - 1)) // scale), ((1 << bits) - 1) // scale))
+    assert (scale * widest).bit_length() == bits
+    coeffs = draw(st.lists(st.integers(-widest, widest), max_size=5))
+    coeffs.insert(draw(st.integers(0, len(coeffs))), draw(st.sampled_from((widest, -widest))))
+    return coeffs, draw(st.integers(0, 3)), draw(st.sampled_from((scale, -scale)))
+
+
+def rendering_cases():
+    """Numerators for the renderer: mixed coefficients, runs with small or
+    wide ratios past 2048 bits, and widest products at the switch."""
+    return _mixed_coefficients() | _coefficient_runs() | _widest_at_the_switch()
+
+
+@settings(max_examples=200, deadline=None)
 @given(rendering_cases())
 def test_rendering_matches_list_oracle(case):
     coeffs, exponent, scale = case
