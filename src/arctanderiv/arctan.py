@@ -14,12 +14,12 @@ for exact agreement.
 take n = the derivative order of arctan itself (n >= 1).
 
 Only ``digits`` and ``polynomial`` are imported with this module, and
-``fractions`` only where a point is read or a ``Fraction`` built:
-``DEFAULT_SAMPLE_POINTS`` is made on its first read.  A route imports
-``composition``, ``identities`` or ``reports`` when it runs, and reads their
-kernels from those modules then, so that ``closed`` and ``oracle`` compile
-none of them and a rebinding of a kernel in its home module reaches every
-route.
+``fractions`` only where a ``Fraction`` is built: ``DEFAULT_SAMPLE_POINTS``
+is made from int pairs on its first read, and a passing ``crosscheck`` runs
+on int pairs end to end.  A route imports ``composition``, ``identities`` or
+``reports`` when it runs, and reads their kernels from those modules then,
+so that ``closed`` and ``oracle`` compile none of them and a rebinding of a
+kernel in its home module reaches every route.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from collections import deque
 from typing import TYPE_CHECKING
 
-from .digits import exact_str
+from .digits import _ratio_str
 from .polynomial import ArctanRational, _rational
 
 if TYPE_CHECKING:
@@ -48,27 +48,38 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...]
+_DEFAULT_POINTS = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (3, 7))
 
 
 def __getattr__(name: str):
-    """DEFAULT_SAMPLE_POINTS, the points ``crosscheck`` takes by default,
-    built on its first read (PEP 562) and then bound as a module global, so
-    that every later read gets the same tuple and a route that takes no
-    point never imports ``fractions``."""
+    """DEFAULT_SAMPLE_POINTS, the pairs _DEFAULT_POINTS that ``crosscheck``
+    takes by default as Fractions, built on its first read (PEP 562) and
+    then bound as a module global, so that every later read gets the same
+    tuple and no route imports ``fractions`` for it."""
     if name != "DEFAULT_SAMPLE_POINTS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from fractions import Fraction
 
     global DEFAULT_SAMPLE_POINTS
-    DEFAULT_SAMPLE_POINTS = (
-        Fraction(0),
-        Fraction(1),
-        Fraction(-1),
-        Fraction(1, 2),
-        Fraction(-1, 2),
-        Fraction(3, 7),
-    )
+    DEFAULT_SAMPLE_POINTS = tuple([Fraction(*x) for x in _DEFAULT_POINTS])
     return DEFAULT_SAMPLE_POINTS
+
+
+def _pair(x: int | Fraction | tuple[int, int]) -> tuple[int, int]:
+    """A sample point as its lowest-terms pair (p, q), q > 0: from an int, a
+    ``Fraction`` or such a pair.  A Fraction exists only once ``fractions``
+    is loaded, so it is looked for only then."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int:
+        if x[1] < 1 or math.gcd(*x) != 1:
+            raise ValueError(f"a sample point pair must be in lowest terms, q > 0: {x!r}")
+        return x
+    fractions = sys.modules.get("fractions")
+    if fractions and isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
+    what = type(x).__name__
+    raise TypeError(f"a sample point must be int or Fraction (or an int pair), not {what}")
 
 
 def _require_order(n: int) -> None:
@@ -159,7 +170,8 @@ def arctan_derivative_oracle(n: int) -> ArctanRational:
 
 def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     """Exact agreement of all four routes for every n <= n_max, at
-    ``sample_points`` (by default DEFAULT_SAMPLE_POINTS).
+    ``sample_points`` (by default DEFAULT_SAMPLE_POINTS): ints, Fractions
+    or lowest-terms (p, q) pairs, q > 0, as the CLI reads them.
 
     The closed and expanded forms must equal the quotient-rule oracle
     structurally (same primitive part, exponent and scale); the jet route must
@@ -169,9 +181,10 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     The oracle and the literal numerators (row p = n - 1 of
     ``_sweep_numerators``, O(n) additions per order) are streamed alongside
     the n loop.  The reciprocal jet is built once per sample point, at order
-    n_max - 1: a shorter reciprocal jet is a prefix of a longer one, so each
-    n gets the value a jet of exactly that order gives.  Every reciprocal
-    jet has T_k = (-1)^k, so one row of chain-rule weights per order,
+    n_max - 1, in ints (``composition._reciprocal_square_jet``): a shorter
+    reciprocal jet is a prefix of a longer one, so each n gets the value a
+    jet of exactly that order gives.  Every reciprocal jet has
+    T_k = (-1)^k, so one row of chain-rule weights per order,
     (-1)^(n-1-k) C(n-1-k, k) from ``composition._chain_weights``, serves all
     the points.
 
@@ -181,19 +194,15 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     the case passes when a d == b c.  Both values become a ``Fraction`` only
     in the context of a mismatch.
     """
-    from fractions import Fraction
-
     from . import composition, identities, reports
 
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
-    if sample_points is None:
-        sample_points = sys.modules[__name__].DEFAULT_SAMPLE_POINTS
-    points = tuple(_rational(p, "a sample point") for p in sample_points)
+    points = [_pair(x) for x in (_DEFAULT_POINTS if sample_points is None else sample_points)]
     report = reports.CheckReport(
-        "crosscheck", {"n_max": n_max, "points": [exact_str(p) for p in points]}
+        "crosscheck", {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
     )
-    jets = [composition.DerivativeJet.of_reciprocal(1 + x * x, n_max - 1) for x in points]
+    jets = [composition._reciprocal_square_jet(*x, n_max - 1) for x in points]
     oracle = ArctanRational(1, 1)
     for p, numerators in identities._sweep_numerators(n_max - 1):
         n = p + 1
@@ -207,20 +216,20 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
         report.count_case(
             expanded == oracle, n=n, pair="expanded vs oracle", expanded=expanded, oracle=oracle
         )
-        weights = list(composition._chain_weights(n - 1, jets[0].numerators)) if jets else ()
-        for x, jet in zip(points, jets):
-            top, bottom = composition._square_chain_rule(
-                n - 1, x.numerator, x.denominator, jet.ratio, weights
-            )
-            expected_top, expected_bottom = oracle._evaluate(x.numerator, x.denominator)
+        weights = list(composition._chain_weights(n - 1, jets[0][0])) if jets else ()
+        for x, (_, ratio) in zip(points, jets):
+            top, bottom = composition._square_chain_rule(n - 1, *x, ratio, weights)
+            expected_top, expected_bottom = oracle._evaluate(*x)
             if top * expected_bottom == expected_top * bottom:
                 report.count_case(True)
             else:
+                from fractions import Fraction
+
                 report.count_case(
                     False,
                     n=n,
                     pair="pointwise vs oracle",
-                    point=x,
+                    point=_ratio_str(*x),
                     pointwise=Fraction(top, bottom),
                     oracle=Fraction(expected_top, expected_bottom),
                 )

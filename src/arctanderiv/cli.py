@@ -3,21 +3,24 @@ verification sweeps, and a timing table.
 
 Every result is printed by one emitter, ``_emit``, as text, a json document
 or a csv table, streamed to stdout term by term, with every number rendered
-at any size by ``exact_str`` (no int -> str digit limit).  The four sweeps (``check-identity``, ``check-corollary``,
-``check-2f1`` and ``crosscheck``) share one command, ``cmd_check``, which runs
-the check function its subparser named.
+at any size by ``exact_str`` (no int -> str digit limit).  The four sweeps
+(``check-identity``, ``check-corollary``, ``check-2f1`` and ``crosscheck``)
+share one command, ``cmd_check``, which runs the check function its
+subparser named.
 
 Building the parser imports no route module: each command imports the module
 that it runs when it runs, so a command compiles only the modules it uses.
 ``main`` builds the subparser of the one command it runs, from the same
 table (``COMMANDS``) as the full parser.  The identity sweeps run on
 integers and load neither ``fractions`` nor ``polynomial``.  ``derive``
-reads ``--x`` as a lowest-terms int pair (``_ratio``) and evaluates the
-symbolic routes there by ``ArctanRational._evaluate`` and one gcd, so only
-``--method=fdb``, ``crosscheck`` and ``bench`` build a ``Fraction``; and
-``decimal`` loads only for a number wider than ``digits._DIRECT_BITS``
-bits.  ``json`` is imported only to quote a string that holds a character
-json escapes (``_quote``): no command prints one.
+reads ``--x``, and ``crosscheck`` its ``--points``, as lowest-terms int
+pairs (``_ratio``); ``derive`` evaluates the symbolic routes there by
+``ArctanRational._evaluate`` and one gcd, and ``crosscheck`` decides every
+case in ints, so only ``--method=fdb``, ``bench`` and a failing
+``crosscheck`` build a ``Fraction``; ``decimal`` loads only for a number
+wider than ``digits._DIRECT_BITS`` bits, and ``json`` only to quote a
+string that holds a character json escapes (``_quote``): no command prints
+one.
 
 ``main(argv)`` is the in-process API: it returns the exit code, touches no
 file descriptor and leaves the garbage collector alone.  A process enters
@@ -45,8 +48,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 from .digits import _ratio_str, exact_str
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .polynomial import Term
 
 __all__ = ["main", "build_parser"]
@@ -90,13 +91,11 @@ def _ratio(text: str) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _rational_list(text: str) -> tuple[Fraction, ...]:
-    from fractions import Fraction
-
+def _rational_list(text: str) -> tuple[tuple[int, int], ...]:
     pieces = text.split(",")
     if any(not piece for piece in pieces):
         raise argparse.ArgumentTypeError("expected a comma-separated list of rationals")
-    return tuple(Fraction(*_ratio(piece)) for piece in pieces)
+    return tuple(map(_ratio, pieces))
 
 
 def _natural(text: str) -> int:

@@ -10,15 +10,20 @@ are indifferent to how the underlying functions are represented.  Contents:
   vanish beyond order two: binomial weights C(n-k, k), and n! once,
 * the same specialization's coefficient family rebuilt by a differentiation
   recurrence, as an independent derivation of its factorial weights.
+
+``fractions`` is imported only where a ``Fraction`` is built: ``crosscheck``
+runs ``_reciprocal_square_jet`` and ``_square_chain_rule``, both in ints.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .polynomial import _ints, _rational, _Value
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "MultiplicityVector",
@@ -74,6 +79,7 @@ class DerivativeJet(_Value):
     with r/t stores the same values), so equality and hash compare the point
     and the values, not the stored fields.
 
+    >>> from fractions import Fraction
     >>> DerivativeJet.of_reciprocal(Fraction(-5, 4), 2)
     DerivativeJet(point=Fraction(-5, 4), numerators=(1, -1, 1), ratio=Fraction(-4, 5))
     >>> DerivativeJet.of_values(1, (Fraction(1, 2), Fraction(-1, 3), 1)).numerators
@@ -97,6 +103,8 @@ class DerivativeJet(_Value):
     def of_values(cls, point: int | Fraction, values: Iterable[int | Fraction]) -> DerivativeJet:
         """The jet with these values, stored over L, the lcm of the
         denominators of F_k = v_k/k!: r = 1/L and T_k = F_k L^(k+1)."""
+        from fractions import Fraction
+
         taylor = [_rational(v, "a jet value") / math.factorial(k) for k, v in enumerate(values)]
         common = math.lcm(*(f.denominator for f in taylor))
         numerators = [int(f * common ** (k + 1)) for k, f in enumerate(taylor)]
@@ -104,6 +112,8 @@ class DerivativeJet(_Value):
 
     def _taylor(self) -> list[Fraction]:
         """The Taylor coefficients f^(k)(point)/k! = T_k r^(k+1)."""
+        from fractions import Fraction
+
         c, d = self.ratio.numerator, self.ratio.denominator
         return [Fraction(t * c ** (k + 1), d ** (k + 1)) for k, t in enumerate(self.numerators)]
 
@@ -154,7 +164,7 @@ def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction
         raise ValueError("the f jet must be taken at the value of g")
     if n == 0:
         return f_taylor[0]
-    total = Fraction(0)
+    total = 0
     for vec in multiplicity_vectors(n):
         order = sum(vec)
         multinomial = math.factorial(order) // math.prod(map(math.factorial, vec))
@@ -194,9 +204,12 @@ def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fracti
         raise ValueError("derivative order must be >= 0")
     if f_jet.order < n:
         raise ValueError(f"square_chain_rule needs a jet of order >= {n}")
+    from fractions import Fraction
+
     x = _rational(x, "a point")
+    ratio = f_jet.ratio.numerator, f_jet.ratio.denominator
     weights = _chain_weights(n, f_jet.numerators)
-    return Fraction(*_square_chain_rule(n, x.numerator, x.denominator, f_jet.ratio, weights))
+    return Fraction(*_square_chain_rule(n, x.numerator, x.denominator, ratio, weights))
 
 
 def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:
@@ -213,14 +226,22 @@ def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:
         binomial = binomial * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * max(n - k, 1))
 
 
+def _reciprocal_square_jet(p: int, q: int, order: int) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """``DerivativeJet.of_reciprocal(1 + x^2, order)`` at x = p/q in lowest
+    terms, q > 0, as its numerators (-1)^k and its ratio 1/(1 + x^2) as the
+    pair (q^2, p^2 + q^2), in lowest terms since gcd(p, q) = 1."""
+    return tuple([-1 if k & 1 else 1 for k in range(order + 1)]), (q * q, p * p + q * q)
+
+
 def _square_chain_rule(
-    n: int, p: int, q: int, ratio: Fraction, weights: Iterable[int]
+    n: int, p: int, q: int, ratio: tuple[int, int], weights: Iterable[int]
 ) -> tuple[int, int]:
     """square_chain_rule(n, p/q, f_jet) as an unreduced (numerator,
-    denominator) pair of ints, for q > 0, the jet's ratio and the weights
-    ``_chain_weights(n, f_jet.numerators)``; ``crosscheck`` holds it against
-    the oracle's own kernel, ``ArctanRational._evaluate``."""
-    c, d = ratio.numerator, ratio.denominator
+    denominator) pair of ints, for q > 0, the jet's ratio as a (c, d) pair
+    with d > 0 and the weights ``_chain_weights(n, f_jet.numerators)``;
+    ``crosscheck`` holds it against the oracle's own kernel,
+    ``ArctanRational._evaluate``."""
+    c, d = ratio
     half = n // 2
     p_step, q_step = 4 * p * p * c, q * q * d
     common = math.gcd(p_step, q_step)

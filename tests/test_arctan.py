@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arctanderiv
 from arctanderiv import (
@@ -276,6 +279,56 @@ def test_crosscheck_renders_points_past_the_digit_limit():
     report = crosscheck(2, [point])
     assert report.passed
     assert report.parameters["points"] == [exact_str(point)]
+
+
+# Points of small height and of crosscheck's benchmark heights (numerator
+# and denominator 40-60), negative points, 0 and a point past the
+# int -> str digit limit.
+POINTS = (
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    | st.builds(Fraction, st.integers(40, 60) | st.integers(-60, -40), st.integers(40, 60))
+    | st.sampled_from([Fraction(0), Fraction(10**4400 + 1, 3)])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.lists(POINTS, max_size=4))
+def test_crosscheck_reads_fractions_ints_and_pairs_alike(n, points):
+    # The CLI hands crosscheck lowest-terms (p, q) pairs; a library caller
+    # may give Fractions or ints.  Every spelling gives the same report.
+    if any(x.numerator.bit_length() > 64 for x in points):
+        n = min(n, 3)  # each order at a 4400-digit point costs tens of ms
+    expected = crosscheck(n, points).to_dict()
+    assert expected["passed"], expected
+    integral = [x.numerator if x.denominator == 1 else x for x in points]
+    pairs = [(x.numerator, x.denominator) for x in points]
+    assert crosscheck(n, integral).to_dict() == expected
+    assert crosscheck(n, tuple(pairs)).to_dict() == expected
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (0.5, TypeError),
+        ("1/3", TypeError),
+        (Decimal("0.5"), TypeError),
+        (True, TypeError),
+        ((1, 2, 3), TypeError),
+        ((1,), TypeError),
+        ([1, 2], TypeError),
+        ((1.0, 2), TypeError),
+        ((True, 2), TypeError),
+        ((1, Fraction(2)), TypeError),
+        ((1, 0), ValueError),
+        ((1, -2), ValueError),
+        ((2, 4), ValueError),
+        ((0, 2), ValueError),
+    ],
+    ids=repr,
+)
+def test_crosscheck_rejects_other_points(bad, error):
+    with pytest.raises(error, match="sample point"):
+        crosscheck(3, [Fraction(1, 2), bad])
 
 
 def test_crosscheck_requires_positive_bound():

@@ -428,6 +428,91 @@ def test_mismatch_past_the_digit_limit_exits_one(capsys, monkeypatch):
     assert out.splitlines()[1] == "crosscheck,2,6,2,False"
 
 
+# A wrong jet value at n = 2 and 4 for x = -47/53: the failure lines that
+# crosscheck prints, points and values as p/q in lowest terms.
+WRONG_JET_FAILURES = [
+    {
+        "n": 2,
+        "pair": "pointwise vs oracle",
+        "point": "-47/53",
+        "pointwise": "19587381/12590162",
+        "oracle": "6997219/12590162",
+    },
+    {
+        "n": 4,
+        "pair": "pointwise vs oracle",
+        "point": "-47/53",
+        "pointwise": "21938375442661/39628044796561",
+        "oracle": "-17689669353900/39628044796561",
+    },
+]
+
+
+def test_crosscheck_prints_a_wrong_jet_value_in_every_format(capsys, monkeypatch):
+    square_chain_rule = composition._square_chain_rule
+
+    def wrong(order, p, q, ratio, weights):
+        top, bottom = square_chain_rule(order, p, q, ratio, weights)
+        return (top + bottom if (order + 1) % 2 == 0 and q == 53 else top), bottom
+
+    monkeypatch.setattr(composition, "_square_chain_rule", wrong)
+    argv = ("crosscheck", "4", "--points=0,-47/53")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == (
+        "crosscheck: n_max=4 points=0,-47/53 cases=16 FAIL (2 mismatches)\n"
+        + "".join(
+            "  MISMATCH " + " ".join(f"{k}={v}" for k, v in failure.items()) + "\n"
+            for failure in WRONG_JET_FAILURES
+        )
+    )
+    code, out, _ = run_cli(capsys, *argv, "--format=json")
+    assert code == 1
+    document = {
+        "check": "crosscheck",
+        "n_max": 4,
+        "points": ["0", "-47/53"],
+        "cases": 16,
+        "mismatches": 2,
+        "failures": WRONG_JET_FAILURES,
+        "passed": False,
+    }
+    assert out == json.dumps(document, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, *argv, "--format=csv")
+    assert code == 1
+    assert out == "check,n_max,cases,failures,passed\ncrosscheck,4,16,2,False\n"
+
+
+def test_a_wrong_jet_ratio_fails_that_point_only(capsys, monkeypatch):
+    # The int reciprocal jet's ratio off by one at x = -47/53 only: exactly
+    # that point's pointwise cases fail, one per order, in every format.
+    reciprocal_jet = composition._reciprocal_square_jet
+
+    def wrong(p, q, order):
+        numerators, (c, d) = reciprocal_jet(p, q, order)
+        return numerators, (c + 1 if (p, q) == (-47, 53) else c, d)
+
+    monkeypatch.setattr(composition, "_reciprocal_square_jet", wrong)
+    argv = ("crosscheck", "12", "--points=0,1/2,-47/53,3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "crosscheck: n_max=12 points=0,1/2,-47/53,3 cases=72 FAIL (12 mismatches)"
+    assert [line.split()[1:5] for line in lines[1:]] == [
+        [f"n={n}", "pair=pointwise", "vs", "oracle"] for n in range(1, 13)
+    ]
+    assert all(" point=-47/53 " in line for line in lines[1:])
+    code, out, _ = run_cli(capsys, *argv, "--format=json")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert [(f["n"], f["pair"], f["point"]) for f in failures] == [
+        (n, "pointwise vs oracle", "-47/53") for n in range(1, 13)
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--format=csv")
+    assert code == 1
+    assert out == "check,n_max,cases,failures,passed\ncrosscheck,12,72,12,False\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -555,8 +640,9 @@ def test_sweeps_and_the_parser_load_no_rational_stack(command):
 
 # A command loads ``fractions``, ``decimal`` and ``json`` only for what its
 # printed result needs: (modules it loads, modules it does not load).  The
-# symbolic routes evaluate at --x in ints, a result narrower than 2048 bits
-# prints by str(), and no command prints a string that json would escape.
+# symbolic routes evaluate at --x in ints, a passing crosscheck runs on int
+# pairs, a result narrower than 2048 bits prints by str(), and no command
+# prints a string that json would escape.
 OUTPUT_STACK = ("fractions", "decimal", "json")
 OUTPUT_STACK_LOADED = {
     "derive 50": ((), OUTPUT_STACK),
@@ -567,7 +653,13 @@ OUTPUT_STACK_LOADED = {
     "derive 50 --method=fdb --x=1/2": (("fractions",), ("json",)),
     **{
         f"{command} --format=json": ((), ("json",))
-        for command in ("check-identity 30", "check-corollary 30", "check-2f1 30", "crosscheck 5")
+        for command in ("check-identity 30", "check-corollary 30", "check-2f1 30")
+    },
+    "crosscheck 5": ((), OUTPUT_STACK),
+    "crosscheck 5 --format=json": ((), OUTPUT_STACK),
+    **{
+        f"crosscheck 40 --points=0,1/2,-47/53 --format={fmt}": ((), OUTPUT_STACK)
+        for fmt in FORMATS
     },
 }
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arctanderiv import (
     DerivativeJet,
@@ -13,7 +15,7 @@ from arctanderiv import (
     square_chain_coefficients,
     square_chain_rule,
 )
-from arctanderiv.composition import _chain_weights, _square_chain_rule
+from arctanderiv.composition import _chain_weights, _reciprocal_square_jet, _square_chain_rule
 from oracles import (
     euler_partition_count,
     nth_derivative_value,
@@ -341,13 +343,29 @@ def test_square_chain_rule_takes_a_weight_row_or_its_stream():
         cases.append((x, DerivativeJet.of_reciprocal(1 + x * x, 30)))
     for x, jet in cases:
         p, q = x.numerator, x.denominator
+        ratio = jet.ratio.numerator, jet.ratio.denominator
         for n in range(31):
             row = list(_chain_weights(n, jet.numerators))
             assert len(row) == n // 2 + 1
-            pair = _square_chain_rule(n, p, q, jet.ratio, row)
+            pair = _square_chain_rule(n, p, q, ratio, row)
             stream = _chain_weights(n, jet.numerators)
-            assert pair == _square_chain_rule(n, p, q, jet.ratio, stream)
+            assert pair == _square_chain_rule(n, p, q, ratio, stream)
             assert Fraction(*pair) == square_chain_rule_unreduced(n, x, jet), (x, n)
+
+
+@given(
+    st.fractions()
+    | st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**300))
+    | st.just(Fraction(0)),
+    st.integers(0, 40),
+)
+def test_reciprocal_square_jet_is_the_reciprocal_jet_in_ints(x, order):
+    # crosscheck's int jet of y -> 1/y at 1 + x^2 stores what the public jet
+    # stores: the numerators (-1)^k and the ratio in lowest terms.
+    jet = DerivativeJet.of_reciprocal(1 + x * x, order)
+    numerators, ratio = _reciprocal_square_jet(x.numerator, x.denominator, order)
+    assert numerators == jet.numerators
+    assert ratio == (jet.ratio.numerator, jet.ratio.denominator)
 
 
 def test_coefficient_recurrence_small_cases():
