@@ -8,10 +8,15 @@ at any size by ``exact_str`` (no int -> str digit limit).  The four sweeps
 share one command, ``cmd_check``, which runs the check function its
 subparser named.
 
-Building the parser imports no route module: each command imports the module
-that it runs when it runs, so a command compiles only the modules it uses.
-``main`` builds the subparser of the one command it runs, from the same
-table (``COMMANDS``) as the full parser.  The identity sweeps run on
+One table, ``COMMANDS``, declares every command and its arguments.  ``main``
+reads a plain command line (``_read``: a command, its positionals, then
+options written ``--name=value`` in full) straight from that table, with
+the same readers and choices, so ``argparse`` (and the ``gettext`` and
+``locale`` that it loads) is imported only for help, a usage error or
+another spelling.  For those, ``main`` builds the subparser of the one
+command named, from the same table as the full parser.  Building the parser imports no
+route module: each command imports the module that it runs when it runs,
+so a command compiles only the modules it uses.  The identity sweeps run on
 integers and load neither ``fractions`` nor ``polynomial``.  ``derive``
 reads ``--x``, and ``crosscheck`` its ``--points``, as lowest-terms int
 pairs (``_ratio``); ``derive`` evaluates the symbolic routes there by
@@ -38,16 +43,19 @@ a write that fails does so inside ``main``, which can still report it.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import re
 import sys
 import time
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .digits import _ratio_str, exact_str
 
 if TYPE_CHECKING:
+    import argparse
+    from argparse import Namespace
+
     from .polynomial import Term
 
 __all__ = ["main", "build_parser"]
@@ -62,6 +70,10 @@ _INTEGER_RE = re.compile(_INTEGER + r"\Z")
 _RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?\Z")
 _MAX_DIGITS = 4300  # int()'s default digit limit; no order or size this long can run
 _DIGIT_RUN = 640  # the lowest int <- str digit limit Python allows
+
+
+class _Refused(ValueError):
+    """A value that a reader refuses, with the message argparse prints."""
 
 
 def _integer(text: str) -> int:
@@ -82,11 +94,11 @@ def _ratio(text: str) -> tuple[int, int]:
     import math
 
     if not _RATIONAL_RE.match(text):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r} (expected p or p/q)")
+        raise _Refused(f"not a rational: {text!r} (expected p or p/q)")
     numerator, _, denominator = text.partition("/")
     p, q = _integer(numerator), _integer(denominator or "1")
     if not q:
-        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}")
+        raise _Refused(f"zero denominator: {text!r}")
     g = math.gcd(p, q)
     return p // g, q // g
 
@@ -94,7 +106,7 @@ def _ratio(text: str) -> tuple[int, int]:
 def _rational_list(text: str) -> tuple[tuple[int, int], ...]:
     pieces = text.split(",")
     if any(not piece for piece in pieces):
-        raise argparse.ArgumentTypeError("expected a comma-separated list of rationals")
+        raise _Refused("expected a comma-separated list of rationals")
     return tuple(map(_ratio, pieces))
 
 
@@ -102,12 +114,12 @@ def _natural(text: str) -> int:
     """A nonnegative integer of at most 4300 digits: bench's n_max, which
     only caps the table's sizes, takes any such value."""
     if not _INTEGER_RE.match(text):
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise _Refused(f"not an integer: {text!r}")
     if len(text.lstrip("+-")) > _MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits: too large to compute")
+        raise _Refused(f"more than {_MAX_DIGITS} digits: too large to compute")
     value = _integer(text)
     if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+        raise _Refused("must be >= 0")
     return value
 
 
@@ -116,14 +128,14 @@ def _order(text: str) -> int:
     sys.maxsize can run."""
     value = _natural(text)
     if value > sys.maxsize:
-        raise argparse.ArgumentTypeError(f"more than {sys.maxsize}: too large to compute")
+        raise _Refused(f"more than {sys.maxsize}: too large to compute")
     return value
 
 
 def _positive(text: str) -> int:
     value = _order(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise _Refused("must be >= 1")
     return value
 
 
@@ -230,7 +242,7 @@ def _emit(
     out.flush()
 
 
-def cmd_qpoly(args: argparse.Namespace) -> int:
+def cmd_qpoly(args: Namespace) -> int:
     from . import arctan
     from .polynomial import ArctanRational
 
@@ -256,7 +268,7 @@ METHODS: dict[str, str] = {
 POINTWISE_METHODS = frozenset({"fdb"})
 
 
-def cmd_derive(args: argparse.Namespace) -> int:
+def cmd_derive(args: Namespace) -> int:
     from . import arctan
 
     route = getattr(arctan, METHODS[args.method])
@@ -297,7 +309,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: Namespace) -> int:
     """Run the sweep that the subcommand names in ``args.check``, a (module,
     function) pair, with its cost on stderr so that stdout repeats exactly;
     exit 1 on a mismatch.  The cost is written in the result's format: a
@@ -345,7 +357,7 @@ BENCH_POINT = (1, 2)  # the pointwise routes' x = 1/2, as (numerator, denominato
 BENCH_HEADER = ("method", "n", "micros")
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: Namespace) -> int:
     from fractions import Fraction
 
     from . import arctan
@@ -368,17 +380,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows,
     )
     return 0
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with a help writer that raises when the write
-    fails: argparse's own swallows the ``OSError``, so help lost to a full
-    device would exit 0.  Subparsers take the class of their parent."""
-
-    def print_help(self, file=None) -> None:
-        file = file or _stdout()
-        file.write(self.format_help())
-        file.flush()
 
 
 def _sweep(help_text: str, default: int, function: str) -> tuple:
@@ -430,6 +431,27 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
 }
 
 
+def _arguments(command: str) -> dict[str, dict]:
+    """The add_argument keywords of every argument of ``command`` by name,
+    its own from COMMANDS and then --format."""
+    return {**COMMANDS[command][1], "--format": {"choices": FORMATS, "default": "text"}}
+
+
+def _argparse_type(reader: Callable[[str], object]) -> Callable[[str], object]:
+    """``reader`` as an argparse type: a refusal becomes an
+    ``ArgumentTypeError``, whose message argparse prints as it is, instead
+    of "invalid <reader> value"."""
+    import argparse
+
+    def read(text: str) -> object:
+        try:
+            return reader(text)
+        except _Refused as refused:
+            raise argparse.ArgumentTypeError(str(refused)) from None
+
+    return read
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or with ``command`` (a key of COMMANDS)
     a parser that holds that command's subparser only and parses its
@@ -438,35 +460,102 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     The one-command parser names every command in its usage line, as the
     full parser's choices do, so its usage errors print the same text.  The
     full parser keeps argparse's own name for the command argument, which
-    its messages for a missing or an unknown command print."""
-    parser = _Parser(
+    its messages for a missing or an unknown command print.  Its help writer
+    raises when the write fails: argparse's own swallows the ``OSError``, so
+    help lost to a full device would exit 0."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):  # subparsers take this class too
+        def print_help(self, file=None) -> None:
+            file = file or _stdout()
+            file.write(self.format_help())
+            file.flush()
+
+    parser = Parser(
         prog="arctanderiv",
         description="Exact arctan derivatives by four methods, with exact identity sweeps.",
     )
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in COMMANDS if command is None else (command,):
-        help_text, arguments, defaults = COMMANDS[name]
+        help_text, _, defaults = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        for argument, keywords in arguments.items():
+        for argument, keywords in _arguments(name).items():
+            if "type" in keywords:
+                keywords = {**keywords, "type": _argparse_type(keywords["type"])}
             p.add_argument(argument, **keywords)
-        p.add_argument("--format", choices=FORMATS, default="text")
         p.set_defaults(**defaults, parser=p)
     return parser
 
 
+def _needs_x(args: Namespace) -> bool:
+    """Whether ``args`` asks derive for a pointwise route without its point."""
+    return args.command == "derive" and args.method in POINTWISE_METHODS and args.x is None
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace that the parser makes of a plain command line, without
+    argparse, and without its ``parser``; None for any other ``argv``.
+
+    A plain command line is a command, its positionals, none of them
+    starting with ``-``, and then its options, each at most once and
+    written ``--name=value`` with ``name`` in full.  Each value goes through
+    its argument's reader or choices, and one that is refused makes the
+    line not plain, so argparse reads it and prints the error."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, *given = argv
+    arguments = _arguments(command)
+    count = next((i for i, text in enumerate(given) if text.startswith("-")), len(given))
+    names = [name for name in arguments if not name.startswith("-")]
+    if count > len(names):
+        return None
+    texts = dict(zip(names, given[:count]))
+    for text in given[count:]:
+        name, equals, value = text.partition("=")
+        if not (equals and name.startswith("--") and name in arguments) or name in texts:
+            return None
+        texts[name] = value
+    namespace: dict[str, object] = {"command": command}
+    for name, keywords in arguments.items():
+        dest = name.lstrip("-")
+        if name not in texts:
+            if not (name.startswith("-") or keywords.get("nargs") == "?"):
+                return None
+            namespace[dest] = keywords.get("default")
+            continue
+        try:
+            value = keywords.get("type", str)(texts[name])
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        namespace[dest] = value
+    args = SimpleNamespace(**namespace, **COMMANDS[command][2])
+    return None if _needs_x(args) else args
+
+
+def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> Namespace:
+    """``parser``'s namespace of ``argv``; a usage error or help exits."""
+    # --help writes and flushes inside parse_args.
+    args = parser.parse_args(argv)
+    if _needs_x(args):
+        args.parser.error(f"--method={args.method} evaluates pointwise and needs --x")
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the command that ``argv`` (default: ``sys.argv[1:]``) names and
-    return its exit code.  Only that command's subparser is built; anything
-    else (``--help``, no command or an unknown one) gets the full parser."""
+    return its exit code.  A plain command line is read without argparse
+    (``_read``); anything else gets the parser, built with the subparser of
+    the command that ``argv[0]`` names only, or in full for ``--help``, no
+    command or an unknown one."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        # --help writes and flushes inside parse_args.
-        args = parser.parse_args(argv)
-        if args.command == "derive" and args.method in POINTWISE_METHODS and args.x is None:
-            args.parser.error(f"--method={args.method} evaluates pointwise and needs --x")
+        args = _read(argv)
+        if args is None:
+            args = _parse(build_parser(argv[0] if argv and argv[0] in COMMANDS else None), argv)
         return args.func(args)
     except (MemoryError, OverflowError) as exc:
         # An order that passes the parser but whose lists the process cannot

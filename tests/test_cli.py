@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -22,7 +23,18 @@ from arctanderiv import (
     composition,
     identities,
 )
-from arctanderiv.cli import COMMANDS, FORMATS, _emit, _quote, build_parser, main
+from arctanderiv.cli import (
+    COMMANDS,
+    FORMATS,
+    METHODS,
+    POINTWISE_METHODS,
+    _emit,
+    _parse,
+    _quote,
+    _read,
+    build_parser,
+    main,
+)
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
     arctan_numerator,
@@ -671,6 +683,65 @@ def test_each_command_loads_only_the_output_stack_it_needs(command):
     assert set(loaded) <= modules and not modules & set(not_loaded), modules
 
 
+# A plain command line is read without argparse, which loads only for help
+# and usage errors.  One shape of each benchmark operation, in every format
+# as the benchmark writes it, runs through the entry point in one fresh
+# process; each prints the argparse modules loaded by then.
+ARGPARSE = ("argparse", "gettext", "locale")
+PLAIN_SHAPES = [
+    command + ("" if fmt == "text" else f" --format={fmt}")
+    for command in (
+        "derive 50",
+        *(
+            f"derive 50 --method={method}{x}"
+            for method in METHODS
+            for x in ("", " --x=1/2")
+            if x or method not in POINTWISE_METHODS
+        ),
+        "check-identity 30",
+        "check-corollary 30",
+        "check-2f1 30",
+        "crosscheck 40 --points=0,1/2,-47/53",
+        "qpoly 3",
+        "bench 2",
+    )
+    for fmt in FORMATS
+]
+ARGPARSE_PROBE = (
+    "import io, runpy, sys\n"
+    "lines, sys.stdout = sys.argv[1:], io.StringIO()\n"
+    "for line in lines:\n"
+    "    sys.argv = ['arctanderiv', *line.split()]\n"
+    "    try:\n"
+    "        runpy.run_module('arctanderiv', run_name='__main__')\n"
+    "    except SystemExit as exc:\n"
+    "        code = exc.code\n"
+    f"    loaded = [m for m in {ARGPARSE!r} if m in sys.modules]\n"
+    "    print(line, code, *loaded, sep=';', file=sys.__stdout__)\n"
+)
+
+
+def argparse_loaded(*lines):
+    """(exit code, argparse modules loaded by then) after each command line
+    of ``lines`` runs, in turn, in one fresh ``python -S`` process."""
+    result = run_fresh(ARGPARSE_PROBE, *lines)
+    assert result.returncode == 0, result.stderr
+    printed = (line.split(";") for line in result.stdout.splitlines())
+    return {line: (int(code), loaded) for line, code, *loaded in printed}
+
+
+def test_plain_command_lines_load_no_argparse():
+    assert argparse_loaded(*PLAIN_SHAPES) == {line: (0, []) for line in PLAIN_SHAPES}
+
+
+@pytest.mark.parametrize(
+    "line, code", [("--help", 0), ("derive 0", 2), ("derive 5 --bogus", 2), ("derive 5 --meth=prop12", 0)]
+)
+def test_help_and_usage_errors_load_argparse(line, code):
+    loaded_code, loaded = argparse_loaded(line)[line]
+    assert loaded_code == code and "argparse" in loaded
+
+
 # Characters that json.dumps escapes: a quote, a backslash, control
 # characters, DEL, non-ASCII, a lone surrogate and an astral character.
 JSON_ESCAPED = st.sampled_from(
@@ -1034,12 +1105,16 @@ def test_integer_arguments_read_under_the_lowest_digit_limit(capsys, monkeypatch
         assert json.loads(out, parse_int=str)["n_max"] == "9" * 4300
 
 
-# Usage errors and help that the one-command parser of ``main`` must print
-# exactly as the full parser does.
+# Usage errors and help that ``main`` must print exactly as the full parser
+# does.
 USAGE_CASES = [
     "derive 5 --bogus",
     "check-identity 5 extra",
     "crosscheck 3 --points=",
+    # Refused by the plain reader, then read by the parser.
+    "derive 5 --x=1/0",
+    "crosscheck 3 --points=1,,",
+    "derive 3 --method=fdb",
     "derive --help",
     "--help",
     "",
@@ -1052,9 +1127,76 @@ USAGE_CASES = [
 def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
     argv = argv.split()
     with pytest.raises(SystemExit) as full:
-        build_parser().parse_args(argv)
+        _parse(build_parser(), argv)
     expected = (full.value.code, *capsys.readouterr())
     assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("derive 0", "argument n: must be >= 1"),
+        ("derive 5 --x=1/0", "argument --x: zero denominator: '1/0'"),
+        ("crosscheck 3 --points=1,,", "argument --points: expected a comma-separated list of rationals"),
+        ("qpoly x", "argument n: not an integer: 'x'"),
+        (f"check-2f1 {sys.maxsize + 1}", f"argument n_max: more than {sys.maxsize}: too large to compute"),
+    ],
+)
+def test_a_refused_value_prints_its_reader_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: {message}\n")
+
+
+def full_parse(argv):
+    """The full parser's namespace of ``argv`` as a dict without ``parser``,
+    or None when it exits for help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(_parse(build_parser(), argv))
+        except SystemExit:
+            return None
+    return {name: value for name, value in args.items() if name != "parser"}
+
+
+# Pieces of argv: option names spelled in full or abbreviated, written with
+# = or with a space; values that the readers take and refuse; -h, --help and
+# --.  Options repeat, and positionals go missing or come extra, by chance.
+OPTIONS = sorted({name for _, arguments, _ in COMMANDS.values() for name in arguments if name[0] == "-"})
+ARGUMENTS = st.sampled_from(
+    [
+        *("5", "30", "0", "+3", "1/2", "-1/2", "355/113", "2/4", "0,1/2,-47/53", *METHODS, *FORMATS),
+        *("1/0", "", "x", "1,,", "9" * 4301, str(sys.maxsize + 1), "-h", "--help", "--"),
+    ]
+)
+
+
+@st.composite
+def option(draw):
+    name = draw(st.sampled_from([*OPTIONS, "--format"]))
+    if draw(st.booleans()):
+        name = name[: draw(st.integers(3, len(name)))]
+    value = draw(ARGUMENTS)
+    return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+
+@given(
+    st.sampled_from([*COMMANDS, "nope", None]),
+    st.lists(ARGUMENTS.map(lambda text: [text]) | option(), max_size=4),
+)
+def test_the_plain_reader_reads_what_the_full_parser_reads(command, pieces):
+    argv = [command] * (command is not None) + [text for piece in pieces for text in piece]
+    plain, full = _read(argv), full_parse(argv)
+    if plain is not None:
+        assert vars(plain) == full
+    if full is None:
+        assert plain is None
+
+
+@pytest.mark.parametrize("line", PLAIN_SHAPES)
+def test_the_plain_reader_reads_every_benchmark_shape(line):
+    plain = _read(line.split())
+    assert plain is not None and vars(plain) == full_parse(line.split())
 
 
 def test_a_missing_or_unknown_command_is_named_command(capsys):
