@@ -6,31 +6,29 @@ for exact agreement.
   literal sums alternating_binomial_sum(n-1, m) as coefficients, taken from
   ``identities._sweep_numerators``; this module keeps no copy of the sum.
 * pointwise: chain rule for 1/(1 + x^2) = reciprocal composed with 1 + x^2,
-  evaluated at a point through derivative jets.
+  evaluated at a point through derivative jets, in ints (``_pointwise``).
 * oracle: brute-force repeated quotient-rule differentiation, the ground
   truth the other three are measured against.
 
 ``crosscheck`` holds each of the first three against the oracle.  All routes
 take n = the derivative order of arctan itself (n >= 1).
 
-Only ``digits`` and ``polynomial`` are imported with this module, and
-``fractions`` only where a ``Fraction`` is built: ``DEFAULT_SAMPLE_POINTS``
-is made from int pairs on its first read, and a passing ``crosscheck`` runs
-on int pairs end to end.  A route imports ``composition``, ``identities`` or
-``reports`` when it runs, and reads their kernels from those modules then,
-so that ``closed`` and ``oracle`` compile none of them and a rebinding of a
-kernel in its home module reaches every route.
+Only ``digits`` and ``polynomial`` are imported with this module.  A route
+imports ``composition``, ``identities`` or ``reports`` when it runs, and
+reads their kernels from those modules then, so that ``closed`` and
+``oracle`` compile none of them and a rebinding of a kernel in its home
+module reaches every route.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from typing import TYPE_CHECKING
 
-from .digits import _ratio_str
-from .polynomial import ArctanRational, _rational
+from . import digits
+from .digits import _fraction, _ratio_str
+from .polynomial import ArctanRational
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,31 +53,22 @@ def __getattr__(name: str):
     """DEFAULT_SAMPLE_POINTS, the pairs _DEFAULT_POINTS that ``crosscheck``
     takes by default as Fractions, built on its first read (PEP 562) and
     then bound as a module global, so that every later read gets the same
-    tuple and no route imports ``fractions`` for it."""
+    tuple and no route builds a ``Fraction`` for it."""
     if name != "DEFAULT_SAMPLE_POINTS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from fractions import Fraction
-
     global DEFAULT_SAMPLE_POINTS
-    DEFAULT_SAMPLE_POINTS = tuple([Fraction(*x) for x in _DEFAULT_POINTS])
+    DEFAULT_SAMPLE_POINTS = tuple([_fraction(*x) for x in _DEFAULT_POINTS])
     return DEFAULT_SAMPLE_POINTS
 
 
 def _pair(x: int | Fraction | tuple[int, int]) -> tuple[int, int]:
-    """A sample point as its lowest-terms pair (p, q), q > 0: from an int, a
-    ``Fraction`` or such a pair.  A Fraction exists only once ``fractions``
-    is loaded, so it is looked for only then."""
-    if type(x) is int:
-        return x, 1
+    """A sample point as its lowest-terms pair (p, q), q > 0: from such a
+    pair, as the CLI reads it, or from an int or a ``Fraction``."""
     if type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int:
         if x[1] < 1 or math.gcd(*x) != 1:
             raise ValueError(f"a sample point pair must be in lowest terms, q > 0: {x!r}")
         return x
-    fractions = sys.modules.get("fractions")
-    if fractions and isinstance(x, fractions.Fraction):
-        return x.numerator, x.denominator
-    what = type(x).__name__
-    raise TypeError(f"a sample point must be int or Fraction (or an int pair), not {what}")
+    return digits._pair(x, "a sample point")
 
 
 def _require_order(n: int) -> None:
@@ -143,19 +132,28 @@ def arctan_derivative_expanded(n: int) -> ArctanRational:
 
 
 def arctan_derivative_pointwise(n: int, x: int | Fraction) -> Fraction:
-    """arctan^(n)(x) for one rational x, through derivative jets.
+    """arctan^(n)(x) for one rational x, through derivative jets, by
+    :func:`_pointwise`."""
+    _require_order(n)
+    return _fraction(*_pointwise(n, *digits._pair(x, "a point")))
+
+
+def _pointwise(n: int, p: int, q: int) -> tuple[int, int]:
+    """arctan^(n)(p/q), n >= 1, for a lowest-terms pair with q > 0, as an
+    unreduced (numerator, denominator) pair of ints, the denominator > 0.
 
     arctan' = 1/(1 + x^2) is the reciprocal composed with a + x^2 (a = 1), so
     arctan^(n) is the (n-1)-st derivative of that composition: build the jet
     of y -> 1/y at 1 + x^2 and apply the specialized chain rule, a sum on
-    the binomial weights C(n-1-k, k) with (n-1)! multiplied in once.
+    the binomial weights C(n-1-k, k) with (n-1)! multiplied in once.  These
+    are the int kernels of ``DerivativeJet.of_reciprocal`` and
+    ``square_chain_rule``, the ones ``crosscheck`` holds against the oracle.
     """
     from . import composition
 
-    _require_order(n)
-    at = _rational(x, "a point")
-    jet = composition.DerivativeJet.of_reciprocal(1 + at * at, n - 1)
-    return composition.square_chain_rule(n - 1, at, jet)
+    numerators, ratio = composition._reciprocal_square_jet(p, q, n - 1)
+    weights = composition._chain_weights(n - 1, numerators)
+    return composition._square_chain_rule(n - 1, p, q, ratio, weights)
 
 
 def arctan_derivative_oracle(n: int) -> ArctanRational:
@@ -180,13 +178,14 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
 
     The oracle and the literal numerators (row p = n - 1 of
     ``_sweep_numerators``, O(n) additions per order) are streamed alongside
-    the n loop.  The reciprocal jet is built once per sample point, at order
-    n_max - 1, in ints (``composition._reciprocal_square_jet``): a shorter
-    reciprocal jet is a prefix of a longer one, so each n gets the value a
-    jet of exactly that order gives.  Every reciprocal jet has
-    T_k = (-1)^k, so one row of chain-rule weights per order,
-    (-1)^(n-1-k) C(n-1-k, k) from ``composition._chain_weights``, serves all
-    the points.
+    the n loop.  The jet route runs the kernels of :func:`_pointwise`, the
+    route that ``derive --method=fdb`` prints, with two savings.  The
+    reciprocal jet is built once per sample point, at order n_max - 1
+    (``composition._reciprocal_square_jet``): a shorter reciprocal jet is a
+    prefix of a longer one, so each n gets the value a jet of exactly that
+    order gives.  Every reciprocal jet has T_k = (-1)^k, so one row of
+    chain-rule weights per order, (-1)^(n-1-k) C(n-1-k, k) from
+    ``composition._chain_weights``, serves all the points.
 
     A pointwise case is decided in integers: the jet route and the oracle
     each give an unreduced (numerator, denominator) pair, from their own
@@ -223,14 +222,12 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
             if top * expected_bottom == expected_top * bottom:
                 report.count_case(True)
             else:
-                from fractions import Fraction
-
                 report.count_case(
                     False,
                     n=n,
                     pair="pointwise vs oracle",
                     point=_ratio_str(*x),
-                    pointwise=Fraction(top, bottom),
-                    oracle=Fraction(expected_top, expected_bottom),
+                    pointwise=_fraction(top, bottom),
+                    oracle=_fraction(expected_top, expected_bottom),
                 )
     return report

@@ -17,15 +17,12 @@ another spelling.  For those, ``main`` builds the subparser of the one
 command named, from the same table as the full parser.  Building the parser imports no
 route module: each command imports the module that it runs when it runs,
 so a command compiles only the modules it uses.  The identity sweeps run on
-integers and load neither ``fractions`` nor ``polynomial``.  ``derive``
-reads ``--x``, and ``crosscheck`` its ``--points``, as lowest-terms int
-pairs (``_ratio``); ``derive`` evaluates the symbolic routes there by
-``ArctanRational._evaluate`` and one gcd, and ``crosscheck`` decides every
-case in ints, so only ``--method=fdb``, ``bench`` and a failing
-``crosscheck`` build a ``Fraction``; ``decimal`` loads only for a number
-wider than ``digits._DIRECT_BITS`` bits, and ``json`` only to quote a
-string that holds a character json escapes (``_quote``): no command prints
-one.
+integers and load no ``polynomial``.  ``derive`` reads ``--x``, and
+``crosscheck`` its ``--points``, as lowest-terms int pairs (``_ratio``);
+``derive`` computes its value at x by every route as an unreduced int
+pair and prints it after one gcd, and ``crosscheck`` decides every case in
+ints.  ``json`` loads only to quote a string that holds a character json
+escapes (``_quote``): no command prints one.
 
 ``main(argv)`` is the in-process API: it returns the exit code, touches no
 file descriptor and leaves the garbage collector alone.  A process enters
@@ -44,13 +41,14 @@ a write that fails does so inside ``main``, which can still report it.
 from __future__ import annotations
 
 import importlib
+import math
 import re
 import sys
 import time
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .digits import _ratio_str, exact_str
+from .digits import _fraction, _ratio_str, exact_str
 
 if TYPE_CHECKING:
     import argparse
@@ -91,8 +89,6 @@ def _integer(text: str) -> int:
 def _ratio(text: str) -> tuple[int, int]:
     """CLI rational syntax, integer p or p/q with a sign allowed on p only,
     as the lowest-terms pair (p, q), q > 0, that Fraction(p, q) holds."""
-    import math
-
     if not _RATIONAL_RE.match(text):
         raise _Refused(f"not a rational: {text!r} (expected p or p/q)")
     numerator, _, denominator = text.partition("/")
@@ -269,15 +265,16 @@ POINTWISE_METHODS = frozenset({"fdb"})
 
 
 def cmd_derive(args: Namespace) -> int:
+    """Print a route's symbolic result, or its value at --x: the pointwise
+    route's by its int kernel, ``arctan._pointwise``, the others' by
+    ``ArctanRational._evaluate``, each an unreduced pair whose denominator
+    is positive."""
     from . import arctan
 
-    route = getattr(arctan, METHODS[args.method])
     if args.method in POINTWISE_METHODS:
-        from fractions import Fraction
-
-        value = exact_str(route(args.n, Fraction(*args.x)))
+        top, bottom = arctan._pointwise(args.n, *args.x)
     else:
-        result = route(args.n)
+        result = getattr(arctan, METHODS[args.method])(args.n)
         if args.x is None:
             _emit(
                 args.format,
@@ -292,12 +289,9 @@ def cmd_derive(args: Namespace) -> int:
                 ((power, numerator, 1, result.exponent) for power, numerator in result.terms()),
             )
             return 0
-        import math
-
-        # The unreduced value; its denominator (p^2 + q^2)^k q^j is positive.
         top, bottom = result._evaluate(*args.x)
-        g = math.gcd(top, bottom)
-        value = _ratio_str(top // g, bottom // g)
+    g = math.gcd(top, bottom)
+    value = _ratio_str(top // g, bottom // g)
     x = _ratio_str(*args.x)
     _emit(
         args.format,
@@ -358,15 +352,13 @@ BENCH_HEADER = ("method", "n", "micros")
 
 
 def cmd_bench(args: Namespace) -> int:
-    from fractions import Fraction
-
     from . import arctan
 
     rows = []
     buckets = [n for n in BENCH_BUCKETS if n <= args.n_max]
     for name, function in METHODS.items():
         route = getattr(arctan, function)
-        point = (Fraction(*BENCH_POINT),) if name in POINTWISE_METHODS else ()
+        point = (_fraction(*BENCH_POINT),) if name in POINTWISE_METHODS else ()
         for n in buckets:
             start = time.perf_counter()
             route(n, *point)

@@ -11,8 +11,10 @@ are indifferent to how the underlying functions are represented.  Contents:
 * the same specialization's coefficient family rebuilt by a differentiation
   recurrence, as an independent derivation of its factorial weights.
 
-``fractions`` is imported only where a ``Fraction`` is built: ``crosscheck``
-runs ``_reciprocal_square_jet`` and ``_square_chain_rule``, both in ints.
+The public jets and rules take and return ``Fraction`` values; the kernels
+under them, ``_reciprocal_square_jet``, ``_chain_weights`` and
+``_square_chain_rule``, run in ints, and ``arctan`` runs its pointwise
+route, the one ``crosscheck`` checks, on those kernels alone.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .polynomial import _ints, _rational, _Value
+from .digits import _fraction, _pair
+from .polynomial import _ints, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -95,27 +98,24 @@ class DerivativeJet(_Value):
         numerators = _ints(numerators, "a jet numerator")
         if not numerators:
             raise ValueError("a jet needs at least the order-0 value")
-        object.__setattr__(self, "point", _rational(point, "a jet point"))
+        object.__setattr__(self, "point", _fraction(*_pair(point, "a jet point")))
         object.__setattr__(self, "numerators", tuple(numerators))
-        object.__setattr__(self, "ratio", _rational(ratio, "a jet ratio"))
+        object.__setattr__(self, "ratio", _fraction(*_pair(ratio, "a jet ratio")))
 
     @classmethod
     def of_values(cls, point: int | Fraction, values: Iterable[int | Fraction]) -> DerivativeJet:
         """The jet with these values, stored over L, the lcm of the
         denominators of F_k = v_k/k!: r = 1/L and T_k = F_k L^(k+1)."""
-        from fractions import Fraction
-
-        taylor = [_rational(v, "a jet value") / math.factorial(k) for k, v in enumerate(values)]
+        pairs = [_pair(v, "a jet value") for v in values]
+        taylor = [_fraction(p, q * math.factorial(k)) for k, (p, q) in enumerate(pairs)]
         common = math.lcm(*(f.denominator for f in taylor))
         numerators = [int(f * common ** (k + 1)) for k, f in enumerate(taylor)]
-        return cls(point, numerators, Fraction(1, common))
+        return cls(point, numerators, _fraction(1, common))
 
     def _taylor(self) -> list[Fraction]:
         """The Taylor coefficients f^(k)(point)/k! = T_k r^(k+1)."""
-        from fractions import Fraction
-
         c, d = self.ratio.numerator, self.ratio.denominator
-        return [Fraction(t * c ** (k + 1), d ** (k + 1)) for k, t in enumerate(self.numerators)]
+        return [_fraction(t * c ** (k + 1), d ** (k + 1)) for k, t in enumerate(self.numerators)]
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -138,10 +138,10 @@ class DerivativeJet(_Value):
         """Jet of y -> 1/y: f^(k)(y0)/k! = (-1)^k / y0^(k+1), stored as
         T_k = (-1)^k and r = 1/y0.  T_k depends on k only and r on y0 only,
         so the order-k jet is the first k+1 values of any longer one."""
-        y0 = _rational(point, "a jet point")
-        if y0 == 0:
+        p, q = _pair(point, "a jet point")
+        if p == 0:
             raise ZeroDivisionError("reciprocal jet undefined at 0")
-        return cls(y0, [-1 if k & 1 else 1 for k in range(order + 1)], 1 / y0)
+        return cls(_fraction(p, q), [-1 if k & 1 else 1 for k in range(order + 1)], _fraction(q, p))
 
 
 def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction:
@@ -204,12 +204,10 @@ def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fracti
         raise ValueError("derivative order must be >= 0")
     if f_jet.order < n:
         raise ValueError(f"square_chain_rule needs a jet of order >= {n}")
-    from fractions import Fraction
-
-    x = _rational(x, "a point")
+    p, q = _pair(x, "a point")
     ratio = f_jet.ratio.numerator, f_jet.ratio.denominator
     weights = _chain_weights(n, f_jet.numerators)
-    return Fraction(*_square_chain_rule(n, x.numerator, x.denominator, ratio, weights))
+    return _fraction(*_square_chain_rule(n, p, q, ratio, weights))
 
 
 def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:

@@ -1,5 +1,15 @@
-"""The exact decimal text of an int, a ``Fraction`` or a lowest-terms
-(numerator, denominator) pair at any size.
+"""The package's one number boundary: the exact decimal text of an int, a
+``Fraction`` or a lowest-terms (numerator, denominator) pair at any size,
+and the only place where a ``Fraction`` is read or built.
+
+Every caller's rational, an int or a ``Fraction``, is read by ``_pair``
+into its lowest-terms (numerator, denominator) pair of ints, the form the
+kernels take, and every ``Fraction`` that the library returns, stores or
+reports is built by ``_fraction``.  A ``Fraction`` exists only once
+``fractions`` is loaded, so ``_pair`` looks for the class in
+``sys.modules`` and never imports it, and ``_fraction`` holds the
+package's only runtime ``from fractions import Fraction``: a command that
+reads and prints ints only never loads ``fractions``.
 
 str() and Decimal() of an int cost time quadratic in its length, and from
 Python 3.11 str() refuses more than sys.get_int_max_str_digits() digits
@@ -15,6 +25,7 @@ coefficient from the Decimal of the one before it.
 from __future__ import annotations
 
 import functools
+import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -24,6 +35,25 @@ if TYPE_CHECKING:
 __all__ = ["exact_str"]
 
 _DIRECT_BITS = 2048
+
+
+def _pair(value: int | Fraction, what: str) -> tuple[int, int]:
+    """value, an int or a ``Fraction``, as its lowest-terms pair (p, q),
+    q > 0; any other type, bool included, raises TypeError."""
+    if type(value) is int:
+        return value, 1
+    fractions = sys.modules.get("fractions")
+    if fractions and isinstance(value, fractions.Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
+
+
+def _fraction(numerator: int, denominator: int = 1) -> Fraction:
+    """Fraction(numerator, denominator), importing ``fractions`` on the first
+    call."""
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator)
 
 
 @functools.lru_cache(maxsize=None)

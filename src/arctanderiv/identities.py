@@ -32,9 +32,7 @@ three-term recurrence fills by shifts and subtractions over one lcm
 the even rows of ``_sweep_numerators``, run on rows cut to that one entry.
 Every case is decided by integer equality, by cross-multiplication where
 the two sides have different denominators, and a ``Fraction`` is built only
-for the context of a mismatch.  ``fractions`` and ``polynomial`` are
-imported only where a rational is built or checked (``_fraction`` and
-``_parameter``), so a sweep that passes loads neither.
+for the context of a mismatch.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ import math
 from operator import add
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from .digits import _fraction, _pair
 from .reports import CheckReport
 
 if TYPE_CHECKING:
@@ -65,14 +64,6 @@ __all__ = [
 
 class NonTerminatingSeriesError(ArithmeticError):
     """No upper series parameter truncates the series within the term bound."""
-
-
-def _fraction(numerator: int, denominator: int = 1) -> Fraction:
-    """Fraction(numerator, denominator), with ``fractions`` imported only when
-    a value is built, so a sweep that passes never loads it."""
-    from fractions import Fraction
-
-    return Fraction(numerator, denominator)
 
 
 def _require_half_range(n: int, m: int) -> None:
@@ -280,16 +271,7 @@ def truncation_index(a: int | Fraction, b: int | Fraction) -> int | None:
     integer q, so the last surviving term has index -q; half-integers never
     reach zero.  a and b are ``int`` or ``Fraction`` (TypeError otherwise).
     """
-    return _truncation_index(_parameter(a), _parameter(b))
-
-
-def _parameter(value: int | Fraction) -> tuple[int, int]:
-    """A caller's series parameter, checked, as its lowest-terms (numerator,
-    denominator) pair, the form the series kernels take."""
-    from .polynomial import _rational
-
-    value = _rational(value, "a series parameter")
-    return value.numerator, value.denominator
+    return _truncation_index(_pair(a, "a series parameter"), _pair(b, "a series parameter"))
 
 
 def _truncation_index(a: tuple[int, int], b: tuple[int, int]) -> int | None:
@@ -314,7 +296,7 @@ def terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> 
     holds for any rational a, b and c, each an ``int`` or a ``Fraction``
     (TypeError otherwise).
     """
-    a, b, c = _parameter(a), _parameter(b), _parameter(c)
+    a, b, c = [_pair(v, "a series parameter") for v in (a, b, c)]
     return _fraction(*_terminating_2f1(a, b, c, _truncation_index(a, b)))
 
 

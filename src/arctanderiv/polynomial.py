@@ -9,13 +9,9 @@ itself, as a plain list or tuple, and hands them to ``ArctanRational``,
 which stores, differentiates, evaluates and prints them; a plain polynomial
 is an ``ArctanRational`` at exponent 0.  The only divisor ever needed is
 1+x^2, which ``ArctanRational`` detects by P(i) = 0 and removes by
-synthetic division, with additions only.
-
-``fractions`` is imported only where a ``Fraction`` is read or built
-(``_rational``, ``evaluate`` and the repr of a ``Fraction`` field), and
-``decimal`` only to print a numerator wider than ``digits._DIRECT_BITS``
-bits, so the CLI's symbolic results and its values at x (which it takes
-from ``_evaluate`` as an int pair) load neither unless they need them.
+synthetic division, with additions only.  ``evaluate`` reads its point by
+``digits._pair`` and computes on that int pair by ``_evaluate``, which the
+CLI and ``crosscheck`` call directly.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .digits import _DIRECT_BITS, _decimal, _exact, exact_str
+from .digits import _DIRECT_BITS, _decimal, _exact, _fraction, _pair, exact_str
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -33,17 +29,14 @@ Term = tuple[int, str]
 __all__ = ["ArctanRational"]
 
 
-def _repr(value: object) -> str:
-    """repr(value), with the ints of an int, tuple or Fraction by exact_str."""
+def _repr(value: int | tuple | Fraction) -> str:
+    """repr(value) of a field, an int, a tuple of ints or a Fraction, with
+    its ints by exact_str."""
     if type(value) is int:
         return exact_str(value)
     if type(value) is tuple:
         return f"({', '.join(map(_repr, value))}{',' * (len(value) == 1)})"
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        return f"Fraction({exact_str(value.numerator)}, {exact_str(value.denominator)})"
-    return repr(value)
+    return f"Fraction({exact_str(value.numerator)}, {exact_str(value.denominator)})"
 
 
 def _immutable(self, name, *value):
@@ -92,15 +85,6 @@ def _ints(values: Iterable[int], what: str) -> list[int]:
     if wrong:
         raise TypeError(f"{what} must be int, not {wrong.pop().__name__}")
     return values
-
-
-def _rational(value: int | Fraction, what: str) -> Fraction:
-    """value as a Fraction; any type but int or Fraction raises TypeError."""
-    from fractions import Fraction
-
-    if type(value) is int or isinstance(value, Fraction):
-        return Fraction(value)
-    raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
 
 
 _RATIO_BITS = 64  # the widest reduced ratio of coefficients that _terms steps by
@@ -229,10 +213,7 @@ class ArctanRational(_Value):
         P is evaluated in int, and the scale is multiplied in once, into the
         one Fraction formed at the end.
         """
-        from fractions import Fraction
-
-        x = _rational(x, "a point")
-        return Fraction(*self._evaluate(x.numerator, x.denominator))
+        return _fraction(*self._evaluate(*_pair(x, "a point")))
 
     def _evaluate(self, p: int, q: int) -> tuple[int, int]:
         """evaluate(p/q) as an unreduced (numerator, denominator) pair of

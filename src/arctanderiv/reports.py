@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .digits import exact_str
+from .digits import _pair, _ratio_str
 
 __all__ = ["CheckReport", "FAILURES_KEPT"]
 
@@ -12,13 +12,14 @@ _JSON_SAFE = (bool, int, str, type(None))
 
 
 def _rendered(value: Any) -> Any:
-    """A failure context's value, JSON-safe; it runs only for a mismatch, so
-    a sweep that passes never imports ``fractions``."""
+    """A failure context's value, JSON-safe: a ``Fraction`` by its exact
+    text, any other value that json cannot hold by str()."""
     if isinstance(value, _JSON_SAFE):
         return value
-    from fractions import Fraction
-
-    return exact_str(value) if isinstance(value, Fraction) else str(value)
+    try:
+        return _ratio_str(*_pair(value, "a context value"))
+    except TypeError:
+        return str(value)
 
 
 FAILURES_KEPT = 20
@@ -30,7 +31,7 @@ class CheckReport:
     contexts of the first FAILURES_KEPT mismatches.
 
     Failure contexts are flat dicts of JSON-safe values (exact rationals are
-    rendered as "p/q" strings by ``exact_str``, at any size), so a report
+    rendered as "p/q" strings by ``digits``, at any size), so a report
     serializes as-is.  Memory stays bounded when every case fails, because
     later mismatches are counted without being rendered.
     """

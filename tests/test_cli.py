@@ -523,6 +523,13 @@ def test_a_wrong_jet_ratio_fails_that_point_only(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv, "--format=csv")
     assert code == 1
     assert out == "check,n_max,cases,failures,passed\ncrosscheck,12,72,12,False\n"
+    # derive --method=fdb prints from the same kernel: its value is wrong at
+    # -47/53 and still right at 1/2.
+    for x, differs in (("-47/53", True), ("1/2", False)):
+        closed = run_cli(capsys, "derive", "12", "--method=closed", f"--x={x}")
+        fdb = run_cli(capsys, "derive", "12", "--method=fdb", f"--x={x}")
+        assert closed[0] == fdb[0] == 0
+        assert (fdb[1] != closed[1]) is differs, x
 
 
 @pytest.mark.parametrize(
@@ -651,10 +658,10 @@ def test_sweeps_and_the_parser_load_no_rational_stack(command):
 
 
 # A command loads ``fractions``, ``decimal`` and ``json`` only for what its
-# printed result needs: (modules it loads, modules it does not load).  The
-# symbolic routes evaluate at --x in ints, a passing crosscheck runs on int
-# pairs, a result narrower than 2048 bits prints by str(), and no command
-# prints a string that json would escape.
+# printed result needs: (modules it loads, modules it does not load).  Every
+# route evaluates at --x in ints, a passing crosscheck runs on int pairs, a
+# result narrower than 2048 bits prints by str(), and no command prints a
+# string that json would escape.
 OUTPUT_STACK = ("fractions", "decimal", "json")
 OUTPUT_STACK_LOADED = {
     "derive 50": ((), OUTPUT_STACK),
@@ -662,7 +669,7 @@ OUTPUT_STACK_LOADED = {
     "derive 50 --method=oracle --format=json": ((), OUTPUT_STACK),
     "qpoly 3 --format=json": ((), OUTPUT_STACK),
     "derive 1500": (("decimal",), ("fractions", "json")),
-    "derive 50 --method=fdb --x=1/2": (("fractions",), ("json",)),
+    "derive 50 --method=fdb --x=1/2": ((), OUTPUT_STACK),
     **{
         f"{command} --format=json": ((), ("json",))
         for command in ("check-identity 30", "check-corollary 30", "check-2f1 30")

@@ -1,5 +1,7 @@
+import ast
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +86,25 @@ def test_negative_orders_raise(entry):
     with pytest.raises(ValueError, match=">= 0"):
         NEGATIVE_ORDERS[entry](-1)
     NEGATIVE_ORDERS[entry](0)
+
+
+def runtime_imports(node):
+    """The modules that ``node`` imports, outside ``if TYPE_CHECKING:`` blocks."""
+    if isinstance(node, ast.Import):
+        yield from (alias.name for alias in node.names)
+    elif isinstance(node, ast.ImportFrom):
+        yield node.module
+    type_checking = isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+    for child in node.orelse if type_checking else ast.iter_child_nodes(node):
+        yield from runtime_imports(child)
+
+
+def test_only_digits_imports_fractions():
+    # Every Fraction is read or built by digits._pair and digits._fraction.
+    sources = Path(arctanderiv.__file__).parent.glob("*.py")
+    importers = {
+        source.name
+        for source in sources
+        if "fractions" in runtime_imports(ast.parse(source.read_text()))
+    }
+    assert importers == {"digits.py"}
