@@ -45,20 +45,9 @@ __all__ = [
     "crosscheck",
 ]
 
-DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...]
-_DEFAULT_POINTS = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (3, 7))
-
-
-def __getattr__(name: str):
-    """DEFAULT_SAMPLE_POINTS, the pairs _DEFAULT_POINTS that ``crosscheck``
-    takes by default as Fractions, built on its first read (PEP 562) and
-    then bound as a module global, so that every later read gets the same
-    tuple and no route builds a ``Fraction`` for it."""
-    if name != "DEFAULT_SAMPLE_POINTS":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global DEFAULT_SAMPLE_POINTS
-    DEFAULT_SAMPLE_POINTS = tuple([_fraction(*x) for x in _DEFAULT_POINTS])
-    return DEFAULT_SAMPLE_POINTS
+# crosscheck's sample points by default: 0, 1, -1, 1/2, -1/2 and 3/7 as
+# lowest-terms (p, q) pairs.
+DEFAULT_SAMPLE_POINTS = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (3, 7))
 
 
 def _pair(x: int | Fraction | tuple[int, int]) -> tuple[int, int]:
@@ -197,7 +186,7 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
 
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
-    points = [_pair(x) for x in (_DEFAULT_POINTS if sample_points is None else sample_points)]
+    points = [_pair(x) for x in (DEFAULT_SAMPLE_POINTS if sample_points is None else sample_points)]
     report = reports.CheckReport(
         "crosscheck", {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
     )

@@ -13,10 +13,10 @@ reads a plain command line (``_read``: a command, its positionals, then
 options written ``--name=value`` in full) straight from that table, with
 the same readers and choices, so ``argparse`` (and the ``gettext`` and
 ``locale`` that it loads) is imported only for help, a usage error or
-another spelling.  For those, ``main`` builds the subparser of the one
-command named, from the same table as the full parser.  Building the parser imports no
-route module: each command imports the module that it runs when it runs,
-so a command compiles only the modules it uses.  The identity sweeps run on
+another spelling.  For those, ``main`` builds the one parser of every
+command from the same table.  Building the parser imports no route
+module: each command imports the module that it runs when it runs, so a
+command compiles only the modules it uses.  The identity sweeps run on
 integers and load no ``polynomial``.  ``derive`` reads ``--x``, and
 ``crosscheck`` its ``--points``, as lowest-terms int pairs (``_ratio``);
 ``derive`` computes its value at x by every route as an unreduced int
@@ -48,7 +48,7 @@ import time
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .digits import _fraction, _ratio_str, exact_str
+from .digits import _ratio_str, exact_str
 
 if TYPE_CHECKING:
     import argparse
@@ -253,28 +253,29 @@ def cmd_qpoly(args: Namespace) -> int:
     return 0
 
 
-# The derive routes, by the name of their function in ``arctan``; a route in
-# POINTWISE_METHODS takes the point after n, and needs --x.
+# The routes of derive and bench, by the name of their function in
+# ``arctan``; a route in POINTWISE_METHODS takes the point after n as a
+# lowest-terms int pair, and needs --x.
 METHODS: dict[str, str] = {
     "closed": "arctan_derivative_closed",
     "prop12": "arctan_derivative_expanded",
     "oracle": "arctan_derivative_oracle",
-    "fdb": "arctan_derivative_pointwise",
+    "fdb": "_pointwise",
 }
 POINTWISE_METHODS = frozenset({"fdb"})
 
 
 def cmd_derive(args: Namespace) -> int:
     """Print a route's symbolic result, or its value at --x: the pointwise
-    route's by its int kernel, ``arctan._pointwise``, the others' by
-    ``ArctanRational._evaluate``, each an unreduced pair whose denominator
-    is positive."""
+    route's from its int kernel, the others' by ``ArctanRational._evaluate``,
+    each an unreduced pair whose denominator is positive."""
     from . import arctan
 
+    route = getattr(arctan, METHODS[args.method])
     if args.method in POINTWISE_METHODS:
-        top, bottom = arctan._pointwise(args.n, *args.x)
+        top, bottom = route(args.n, *args.x)
     else:
-        result = getattr(arctan, METHODS[args.method])(args.n)
+        result = route(args.n)
         if args.x is None:
             _emit(
                 args.format,
@@ -358,7 +359,7 @@ def cmd_bench(args: Namespace) -> int:
     buckets = [n for n in BENCH_BUCKETS if n <= args.n_max]
     for name, function in METHODS.items():
         route = getattr(arctan, function)
-        point = (_fraction(*BENCH_POINT),) if name in POINTWISE_METHODS else ()
+        point = BENCH_POINT if name in POINTWISE_METHODS else ()
         for n in buckets:
             start = time.perf_counter()
             route(n, *point)
@@ -444,15 +445,9 @@ def _argparse_type(reader: Callable[[str], object]) -> Callable[[str], object]:
     return read
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with ``command`` (a key of COMMANDS)
-    a parser that holds that command's subparser only and parses its
-    arguments the same way.
-
-    The one-command parser names every command in its usage line, as the
-    full parser's choices do, so its usage errors print the same text.  The
-    full parser keeps argparse's own name for the command argument, which
-    its messages for a missing or an unknown command print.  Its help writer
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in COMMANDS, which reads help, usage
+    errors and the spellings that ``_read`` leaves to it.  Its help writer
     raises when the write fails: argparse's own swallows the ``OSError``, so
     help lost to a full device would exit 0."""
     import argparse
@@ -467,10 +462,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="arctanderiv",
         description="Exact arctan derivatives by four methods, with exact identity sweeps.",
     )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help_text, _, defaults = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, defaults) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for argument, keywords in _arguments(name).items():
             if "type" in keywords:
@@ -527,10 +520,10 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     return None if _needs_x(args) else args
 
 
-def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> Namespace:
-    """``parser``'s namespace of ``argv``; a usage error or help exits."""
+def _parse(argv: Sequence[str]) -> Namespace:
+    """The parser's namespace of ``argv``; a usage error or help exits."""
     # --help writes and flushes inside parse_args.
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if _needs_x(args):
         args.parser.error(f"--method={args.method} evaluates pointwise and needs --x")
     return args
@@ -539,15 +532,13 @@ def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> Namespace:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the command that ``argv`` (default: ``sys.argv[1:]``) names and
     return its exit code.  A plain command line is read without argparse
-    (``_read``); anything else gets the parser, built with the subparser of
-    the command that ``argv[0]`` names only, or in full for ``--help``, no
-    command or an unknown one."""
+    (``_read``); anything else gets the parser (``_parse``)."""
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _read(argv)
         if args is None:
-            args = _parse(build_parser(argv[0] if argv and argv[0] in COMMANDS else None), argv)
+            args = _parse(argv)
         return args.func(args)
     except (MemoryError, OverflowError) as exc:
         # An order that passes the parser but whose lists the process cannot

@@ -103,7 +103,7 @@ def exact_str(value: int | Fraction) -> str:
     >>> exact_str(-(10**5000)) == "-1" + "0" * 5000
     True
     """
-    return _ratio_str(value.numerator, value.denominator)
+    return _ratio_str(*_pair(value, "a value"))
 
 
 def _ratio_str(numerator: int, denominator: int = 1) -> str:

@@ -180,15 +180,14 @@ def test_crosscheck_mixed_points():
     assert report.cases == 12 * (2 + len(points))
 
 
-def test_default_sample_points_are_built_once():
-    # The default points are made on their first read and then kept, so
-    # the package root, the module and crosscheck's default share one tuple.
+def test_default_sample_points_are_the_pairs_crosscheck_reads():
     points = arctan.DEFAULT_SAMPLE_POINTS
-    assert arctanderiv.DEFAULT_SAMPLE_POINTS is points is arctan.DEFAULT_SAMPLE_POINTS
-    expected = tuple(map(Fraction, ("0", "1", "-1", "1/2", "-1/2", "3/7")))
-    assert points == expected and all(type(x) is Fraction for x in points)
+    assert arctanderiv.DEFAULT_SAMPLE_POINTS is points
+    assert points == ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (3, 7))
+    fractions = tuple(Fraction(*x) for x in points)
     for n in (1, 12):
-        assert crosscheck(n).to_dict() == crosscheck(n, points).to_dict()
+        report = crosscheck(n).to_dict()
+        assert report == crosscheck(n, points).to_dict() == crosscheck(n, fractions).to_dict()
 
 
 def test_crosscheck_without_points():

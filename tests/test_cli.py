@@ -659,9 +659,10 @@ def test_sweeps_and_the_parser_load_no_rational_stack(command):
 
 # A command loads ``fractions``, ``decimal`` and ``json`` only for what its
 # printed result needs: (modules it loads, modules it does not load).  Every
-# route evaluates at --x in ints, a passing crosscheck runs on int pairs, a
-# result narrower than 2048 bits prints by str(), and no command prints a
-# string that json would escape.
+# route evaluates at --x in ints, a passing crosscheck runs on int pairs,
+# bench times the pointwise route at an int pair, a result narrower than
+# 2048 bits prints by str(), and no command prints a string that json would
+# escape.
 OUTPUT_STACK = ("fractions", "decimal", "json")
 OUTPUT_STACK_LOADED = {
     "derive 50": ((), OUTPUT_STACK),
@@ -680,6 +681,7 @@ OUTPUT_STACK_LOADED = {
         f"crosscheck 40 --points=0,1/2,-47/53 --format={fmt}": ((), OUTPUT_STACK)
         for fmt in FORMATS
     },
+    **{f"bench 2 --format={fmt}": ((), OUTPUT_STACK) for fmt in FORMATS},
 }
 
 
@@ -1112,7 +1114,7 @@ def test_integer_arguments_read_under_the_lowest_digit_limit(capsys, monkeypatch
         assert json.loads(out, parse_int=str)["n_max"] == "9" * 4300
 
 
-# Usage errors and help that ``main`` must print exactly as the full parser
+# Usage errors and help that ``main`` must print exactly as the parser
 # does.
 USAGE_CASES = [
     "derive 5 --bogus",
@@ -1131,10 +1133,10 @@ USAGE_CASES = [
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES)
-def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+def test_main_prints_what_the_parser_prints(capsys, argv):
     argv = argv.split()
     with pytest.raises(SystemExit) as full:
-        _parse(build_parser(), argv)
+        _parse(argv)
     expected = (full.value.code, *capsys.readouterr())
     assert run_cli(capsys, *argv) == expected
 
@@ -1160,7 +1162,7 @@ def full_parse(argv):
     or None when it exits for help or a usage error."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            args = vars(_parse(build_parser(), argv))
+            args = vars(_parse(argv))
         except SystemExit:
             return None
     return {name: value for name, value in args.items() if name != "parser"}
@@ -1222,15 +1224,6 @@ def test_unrecognized_arguments_print_the_usage_of_every_command(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert "{" + ",".join(COMMANDS) + "}" in err
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_the_one_command_parser_holds_that_command_only(capsys, command):
-    other = next(name for name in COMMANDS if name != command)
-    with pytest.raises(SystemExit) as refused:
-        build_parser(command).parse_args([other, "3"])
-    assert refused.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_malformed_arguments_exit_two(capsys):

@@ -15,6 +15,7 @@ from arctanderiv import (
     composition,
     crosscheck,
     digits,
+    exact_str,
     faa_di_bruno,
     identities,
     polynomial,
@@ -55,6 +56,7 @@ ENTRY_POINTS = {
     "terminating_2f1 a": lambda x: terminating_2f1(x, -2, 1),
     "terminating_2f1 b": lambda x: terminating_2f1(-2, x, 1),
     "terminating_2f1 c": lambda x: terminating_2f1(-2, 1, x),
+    "exact_str": exact_str,
 }
 
 
