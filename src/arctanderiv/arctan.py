@@ -50,7 +50,7 @@ __all__ = [
 DEFAULT_SAMPLE_POINTS = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (3, 7))
 
 
-def _pair(x: int | Fraction | tuple[int, int]) -> tuple[int, int]:
+def _point(x: int | Fraction | tuple[int, int]) -> tuple[int, int]:
     """A sample point as its lowest-terms pair (p, q), q > 0: from such a
     pair, as the CLI reads it, or from an int or a ``Fraction``."""
     if type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int:
@@ -73,19 +73,17 @@ def q_polynomial(n: int) -> tuple[int, ...]:
                  C(n+1, k+1) (-1)^(k/2) x^(n-k).
 
     Only even k contribute, so q_n has parity (-1)^n; the k = 0 term makes the
-    leading coefficient (-1)^n (n+1).  Row n+1 of Pascal's triangle is built
-    in place by row[j] = row[j-1] (n+2-j) / j, exact at every step, which
-    costs far less than one ``math.comb`` call per entry.
+    leading coefficient (-1)^n (n+1).  Each next term down follows by the
+    term ratio c_(k+2) / c_k = -(n-k)(n-k-1) / ((k+2)(k+3)), exact at every
+    step, so no binomial and no Pascal row is built.
     """
     if n < 0:
         raise ValueError("q_polynomial requires n >= 0")
-    row = [1] * (n + 2)
-    for j in range(1, n + 2):
-        row[j] = row[j - 1] * (n + 2 - j) // j
-    sign = (-1) ** n
     coeffs = [0] * (n + 1)
+    c = -(n + 1) if n & 1 else n + 1
     for k in range(0, n + 1, 2):
-        coeffs[n - k] = sign * row[k + 1] * (-1) ** (k // 2)
+        coeffs[n - k] = c
+        c = -c * (n - k) * (n - k - 1) // ((k + 2) * (k + 3))
     return tuple(coeffs)
 
 
@@ -186,7 +184,7 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
 
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
-    points = [_pair(x) for x in (DEFAULT_SAMPLE_POINTS if sample_points is None else sample_points)]
+    points = list(map(_point, DEFAULT_SAMPLE_POINTS if sample_points is None else sample_points))
     report = reports.CheckReport(
         "crosscheck", {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
     )

@@ -70,10 +70,6 @@ _MAX_DIGITS = 4300  # int()'s default digit limit; no order or size this long ca
 _DIGIT_RUN = 640  # the lowest int <- str digit limit Python allows
 
 
-class _Refused(ValueError):
-    """A value that a reader refuses, with the message argparse prints."""
-
-
 def _integer(text: str) -> int:
     """int(text) for an ASCII integer of any length, with no int <- str
     digit limit: a text of more than _DIGIT_RUN digits is read as two
@@ -90,11 +86,11 @@ def _ratio(text: str) -> tuple[int, int]:
     """CLI rational syntax, integer p or p/q with a sign allowed on p only,
     as the lowest-terms pair (p, q), q > 0, that Fraction(p, q) holds."""
     if not _RATIONAL_RE.match(text):
-        raise _Refused(f"not a rational: {text!r} (expected p or p/q)")
+        raise ValueError(f"not a rational: {text!r} (expected p or p/q)")
     numerator, _, denominator = text.partition("/")
     p, q = _integer(numerator), _integer(denominator or "1")
     if not q:
-        raise _Refused(f"zero denominator: {text!r}")
+        raise ValueError(f"zero denominator: {text!r}")
     g = math.gcd(p, q)
     return p // g, q // g
 
@@ -102,7 +98,7 @@ def _ratio(text: str) -> tuple[int, int]:
 def _rational_list(text: str) -> tuple[tuple[int, int], ...]:
     pieces = text.split(",")
     if any(not piece for piece in pieces):
-        raise _Refused("expected a comma-separated list of rationals")
+        raise ValueError("expected a comma-separated list of rationals")
     return tuple(map(_ratio, pieces))
 
 
@@ -110,12 +106,12 @@ def _natural(text: str) -> int:
     """A nonnegative integer of at most 4300 digits: bench's n_max, which
     only caps the table's sizes, takes any such value."""
     if not _INTEGER_RE.match(text):
-        raise _Refused(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {text!r}")
     if len(text.lstrip("+-")) > _MAX_DIGITS:
-        raise _Refused(f"more than {_MAX_DIGITS} digits: too large to compute")
+        raise ValueError(f"more than {_MAX_DIGITS} digits: too large to compute")
     value = _integer(text)
     if value < 0:
-        raise _Refused("must be >= 0")
+        raise ValueError("must be >= 0")
     return value
 
 
@@ -124,14 +120,14 @@ def _order(text: str) -> int:
     sys.maxsize can run."""
     value = _natural(text)
     if value > sys.maxsize:
-        raise _Refused(f"more than {sys.maxsize}: too large to compute")
+        raise ValueError(f"more than {sys.maxsize}: too large to compute")
     return value
 
 
 def _positive(text: str) -> int:
     value = _order(text)
     if value < 1:
-        raise _Refused("must be >= 1")
+        raise ValueError("must be >= 1")
     return value
 
 
@@ -209,7 +205,7 @@ def _stdout():
 def _emit(
     fmt: str,
     text: Iterable[str],
-    document: Callable[[], dict] | None,
+    document: dict | None,
     header: Sequence[str],
     rows: Iterable[Sequence[object]],
 ) -> None:
@@ -217,9 +213,10 @@ def _emit(
     streamed to stdout piece by piece, term by term or row by row.
 
     Only the requested format's payload is rendered: the text pieces are
-    written, ``document`` is called and ``rows`` is iterated only for their
-    own format, so a large value is converted once and never held whole as
-    one output string.
+    written, ``document`` is walked and ``rows`` is iterated only for their
+    own format.  A document's costly parts are lazy iterators, such as
+    ``_term_dicts(...)``, so a large value is converted once and never held
+    whole as one output string.
     """
     out = _stdout()
     write = out.write
@@ -229,7 +226,7 @@ def _emit(
             write(",".join(map(_csv_field, row)) + "\n")
     else:
         if fmt == "json":
-            text = _json(document(), "")
+            text = _json(document, "")
         for piece in text:
             write(piece)
         write("\n")
@@ -246,7 +243,7 @@ def cmd_qpoly(args: Namespace) -> int:
     _emit(
         args.format,
         poly.text(),
-        lambda: {"n": args.n, "terms": _term_dicts(poly.terms())},
+        {"n": args.n, "terms": _term_dicts(poly.terms())},
         TERM_HEADER,
         ((power, numerator, 1) for power, numerator in poly.terms()),
     )
@@ -280,7 +277,7 @@ def cmd_derive(args: Namespace) -> int:
             _emit(
                 args.format,
                 result.text(),
-                lambda: {
+                {
                     "n": args.n,
                     "method": args.method,
                     "numerator": _term_dicts(result.terms()),
@@ -297,7 +294,7 @@ def cmd_derive(args: Namespace) -> int:
     _emit(
         args.format,
         (value,),
-        lambda: {"n": args.n, "method": args.method, "x": x, "value": value},
+        {"n": args.n, "method": args.method, "x": x, "value": value},
         ("n", "method", "x", "value"),
         [(args.n, args.method, x, value)],
     )
@@ -328,7 +325,7 @@ def cmd_check(args: Namespace) -> int:
     _emit(
         args.format,
         ("\n".join(lines),),
-        report.to_dict,
+        report.to_dict(),
         ("check", "n_max", "cases", "failures", "passed"),
         [(report.check, args.n_max, report.cases, report.mismatches, report.passed)],
     )
@@ -368,7 +365,7 @@ def cmd_bench(args: Namespace) -> int:
     _emit(
         args.format,
         ("\n".join(f"{name} n={n} micros={micros}" for name, n, micros in rows),),
-        lambda: {"n_max": args.n_max, "rows": [dict(zip(BENCH_HEADER, row)) for row in rows]},
+        {"n_max": args.n_max, "rows": (dict(zip(BENCH_HEADER, row)) for row in rows)},
         BENCH_HEADER,
         rows,
     )
@@ -431,15 +428,16 @@ def _arguments(command: str) -> dict[str, dict]:
 
 
 def _argparse_type(reader: Callable[[str], object]) -> Callable[[str], object]:
-    """``reader`` as an argparse type: a refusal becomes an
-    ``ArgumentTypeError``, whose message argparse prints as it is, instead
-    of "invalid <reader> value"."""
+    """``reader`` as an argparse type: its ``ValueError``, always a refusal
+    of its own (each reader checks the syntax before ``int`` runs), becomes
+    an ``ArgumentTypeError`` with the same message, which argparse prints as
+    it is, instead of "invalid <reader> value"."""
     import argparse
 
     def read(text: str) -> object:
         try:
             return reader(text)
-        except _Refused as refused:
+        except ValueError as refused:
             raise argparse.ArgumentTypeError(str(refused)) from None
 
     return read

@@ -35,6 +35,21 @@ def test_q_polynomial_rejects_negative():
         q_polynomial(-1)
 
 
+@pytest.mark.parametrize("n", [1499, 9999])
+def test_q_polynomial_matches_binomial_formula_at_large_n(n):
+    # q_n = (-1)^n sum over even k of C(n+1, k+1) (-1)^(k/2) x^(n-k), each C
+    # from math.comb, as tests/test_cli.py checks qpoly for n <= 80.  At
+    # n = 9999, where one math.comb per term would take seconds, every 50th k
+    # and the last: q_polynomial steps each term from the one before, so a
+    # wrong step shows at the next k checked.
+    q = q_polynomial(n)
+    assert len(q) == n + 1
+    assert not any(q[1 - n % 2 :: 2])
+    ks = range(0, n + 1, 2) if n < 2000 else [*range(0, n + 1, 50), n - n % 2]
+    for k in ks:
+        assert q[n - k] == (-1) ** (n + k // 2) * math.comb(n + 1, k + 1), k
+
+
 def test_q_polynomial_structure():
     for n in range(101):
         q = q_polynomial(n)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from arctanderiv import composition
+from arctanderiv import arctan, composition, polynomial
 from arctanderiv.cli import main
 
 SWEEPS = (
@@ -36,16 +36,76 @@ def chain_weights_at_order_9(chain_weights):
     return list(chain_weights(9, numerators))
 
 
+def ratio_plus_one_at_minus_47_53(reciprocal_square_jet):
+    def wrong(p, q, order):
+        numerators, (c, d) = reciprocal_square_jet(p, q, order)
+        return numerators, (c + 1 if (p, q) == (-47, 53) else c, d)
+
+    return wrong
+
+
+def leading_sign_flipped_at_6(q_polynomial):
+    def wrong(n):
+        coeffs = list(q_polynomial(n))
+        if n == 6:
+            coeffs[-1] = -coeffs[-1]
+        return tuple(coeffs)
+
+    return wrong
+
+
+def plus_one_for_5_coefficients(homogeneous):
+    def wrong(coeffs, p, q, powers):
+        value = homogeneous(coeffs, p, q, powers)
+        return value + 1 if len(coeffs) == 5 else value
+
+    return wrong
+
+
 # kernel: (home module, fault, a probe of the kernel's output, the exit codes
-# of SWEEPS, and crosscheck's mismatches as (n, pair, point)).  arctan^(10)(0)
-# is 0 whatever the weights, so x = 0 cannot see the _chain_weights fault.
+# of SWEEPS, crosscheck's mismatch count and its kept mismatches as (n, pair,
+# point), the point None for a symbolic pair).  arctan^(10)(0) is 0 whatever
+# the weights, so x = 0 cannot see the _chain_weights fault.  The
+# _homogeneous fault reaches the oracle's value through the 5 coefficients of
+# R in q_8 = R(x^2) and q_9 = x R(x^2), and x = 0 sees it at n = 9 only.
 FAULTS = {
     "_chain_weights": (
         composition,
         last_weight_plus_one_at_order_9,
         chain_weights_at_order_9,
         (0, 0, 0, 1),
+        2,
         [(10, "pointwise vs oracle", "1/2"), (10, "pointwise vs oracle", "-47/53")],
+    ),
+    "_reciprocal_square_jet": (
+        composition,
+        ratio_plus_one_at_minus_47_53,
+        lambda jet: jet(-47, 53, 3),
+        (0, 0, 0, 1),
+        40,
+        [(n, "pointwise vs oracle", "-47/53") for n in range(1, 21)],
+    ),
+    "q_polynomial": (
+        arctan,
+        leading_sign_flipped_at_6,
+        lambda q_polynomial: q_polynomial(6),
+        (0, 0, 0, 1),
+        1,
+        [(7, "closed vs oracle", None)],
+    ),
+    "_homogeneous": (
+        polynomial,
+        plus_one_for_5_coefficients,
+        lambda homogeneous: homogeneous((1, 2, 3, 4, 5), 1, 2, {}),
+        (0, 0, 0, 1),
+        5,
+        [
+            (9, "pointwise vs oracle", "0"),
+            (9, "pointwise vs oracle", "1/2"),
+            (9, "pointwise vs oracle", "-47/53"),
+            (10, "pointwise vs oracle", "1/2"),
+            (10, "pointwise vs oracle", "-47/53"),
+        ],
     ),
 }
 
@@ -56,7 +116,7 @@ def run(capsys, line):
 
 
 def patch(monkeypatch, kernel):
-    module, fault, probe, _, _ = FAULTS[kernel]
+    module, fault, probe, *_ = FAULTS[kernel]
     true = getattr(module, kernel)
     monkeypatch.setattr(module, kernel, fault(true))
     assert probe(getattr(module, kernel)) != probe(true)
@@ -64,12 +124,23 @@ def patch(monkeypatch, kernel):
 
 @pytest.mark.parametrize("kernel", FAULTS)
 def test_each_fault_is_caught_by_the_checks_of_its_row(capsys, monkeypatch, kernel):
-    *_, exits, mismatches = FAULTS[kernel]
+    *_, exits, count, mismatches = FAULTS[kernel]
     patch(monkeypatch, kernel)
     results = [run(capsys, f"{line} --format=json") for line in SWEEPS]
     assert tuple(code for code, _ in results) == exits
-    failures = json.loads(results[-1][1])["failures"]
-    assert [(f["n"], f["pair"], f["point"]) for f in failures] == mismatches
+    report = json.loads(results[-1][1])
+    assert report["mismatches"] == count
+    assert [(f["n"], f["pair"], f.get("point")) for f in report["failures"]] == mismatches
+
+
+def derive_differs(capsys, n, route, x):
+    """Whether ``derive n`` by ``route`` prints other than by closed, at x
+    or, for x None, symbolically; both exit 0."""
+    at = "" if x is None else f" --x={x}"
+    closed = run(capsys, f"derive {n} --method=closed{at}")
+    other = run(capsys, f"derive {n} --method={route}{at}")
+    assert closed[0] == other[0] == 0
+    return other[1] != closed[1]
 
 
 def test_a_wrong_chain_weight_changes_what_fdb_prints_where_crosscheck_sees_it(
@@ -77,7 +148,19 @@ def test_a_wrong_chain_weight_changes_what_fdb_prints_where_crosscheck_sees_it(
 ):
     patch(monkeypatch, "_chain_weights")
     for x, differs in (("0", False), ("1/2", True), ("-47/53", True)):
-        closed = run(capsys, f"derive 10 --method=closed --x={x}")
-        fdb = run(capsys, f"derive 10 --method=fdb --x={x}")
-        assert closed[0] == fdb[0] == 0
-        assert (fdb[1] != closed[1]) is differs, x
+        assert derive_differs(capsys, 10, "fdb", x) is differs, x
+
+
+def test_a_wrong_jet_ratio_changes_what_fdb_prints_at_that_point_only(capsys, monkeypatch):
+    # derive --method=fdb prints from the same kernel: its value is wrong at
+    # -47/53 and still right at 1/2.
+    patch(monkeypatch, "_reciprocal_square_jet")
+    for x, differs in (("-47/53", True), ("1/2", False)):
+        assert derive_differs(capsys, 12, "fdb", x) is differs, x
+
+
+def test_a_wrong_q_6_changes_what_closed_prints_where_crosscheck_sees_it(capsys, monkeypatch):
+    # q_6(0) = -1 is its constant term, which the fault leaves alone.
+    patch(monkeypatch, "q_polynomial")
+    for x, differs in ((None, True), ("0", False), ("1/2", True), ("-47/53", True)):
+        assert derive_differs(capsys, 7, "oracle", x) is differs, x
