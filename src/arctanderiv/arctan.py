@@ -22,6 +22,7 @@ module reaches every route.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from typing import TYPE_CHECKING
@@ -122,25 +123,28 @@ def arctan_derivative_pointwise(n: int, x: int | Fraction) -> Fraction:
     """arctan^(n)(x) for one rational x, through derivative jets, by
     :func:`_pointwise`."""
     _require_order(n)
-    return _fraction(*_pointwise(n, *digits._pair(x, "a point")))
+    return _fraction(*_pointwise(n, [digits._pair(x, "a point")])[0])
 
 
-def _pointwise(n: int, p: int, q: int) -> tuple[int, int]:
-    """arctan^(n)(p/q), n >= 1, for a lowest-terms pair with q > 0, as an
-    unreduced (numerator, denominator) pair of ints, the denominator > 0.
+def _pointwise(n: int, points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """arctan^(n), n >= 1, at each lowest-terms pair p/q, q > 0, of
+    ``points``, as unreduced (numerator, denominator) int pairs, denominators > 0.
 
     arctan' = 1/(1 + x^2) is the reciprocal composed with a + x^2 (a = 1), so
     arctan^(n) is the (n-1)-st derivative of that composition: build the jet
     of y -> 1/y at 1 + x^2 and apply the specialized chain rule, a sum on
     the binomial weights C(n-1-k, k) with (n-1)! multiplied in once.  These
     are the int kernels of ``DerivativeJet.of_reciprocal`` and
-    ``square_chain_rule``, the ones ``crosscheck`` holds against the oracle.
+    ``square_chain_rule``.  The jet's numerators (-1)^k are the same at
+    every point, so one row of weights serves all the points: it streams
+    for one point and is buffered once for several.
     """
     from . import composition
 
-    numerators, ratio = composition._reciprocal_square_jet(p, q, n - 1)
-    weights = composition._chain_weights(n - 1, numerators)
-    return composition._square_chain_rule(n - 1, p, q, ratio, weights)
+    numerators, ratios = composition._reciprocal_square_jets(n - 1, points)
+    rows = itertools.tee(composition._chain_weights(n - 1, numerators), len(points))
+    chain_rule = composition._square_chain_rule
+    return [chain_rule(n - 1, *x, ratio, row) for x, ratio, row in zip(points, ratios, rows)]
 
 
 def arctan_derivative_oracle(n: int) -> ArctanRational:
@@ -165,22 +169,16 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
 
     The oracle and the literal numerators (row p = n - 1 of
     ``_sweep_numerators``, O(n) additions per order) are streamed alongside
-    the n loop.  The jet route runs the kernels of :func:`_pointwise`, the
-    route that ``derive --method=fdb`` prints, with two savings.  The
-    reciprocal jet is built once per sample point, at order n_max - 1
-    (``composition._reciprocal_square_jet``): a shorter reciprocal jet is a
-    prefix of a longer one, so each n gets the value a jet of exactly that
-    order gives.  Every reciprocal jet has T_k = (-1)^k, so one row of
-    chain-rule weights per order, (-1)^(n-1-k) C(n-1-k, k) from
-    ``composition._chain_weights``, serves all the points.
+    the n loop, and the jet route is :func:`_pointwise`, the route that
+    ``derive --method=fdb`` prints, at every order.
 
     A pointwise case is decided in integers: the jet route and the oracle
     each give an unreduced (numerator, denominator) pair, from their own
-    kernels (``_square_chain_rule`` and ``ArctanRational._evaluate``), and
+    kernels (``_pointwise`` and ``ArctanRational._evaluate``), and
     the case passes when a d == b c.  Both values become a ``Fraction`` only
     in the context of a mismatch.
     """
-    from . import composition, identities, reports
+    from . import identities, reports
 
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
@@ -188,7 +186,6 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     report = reports.CheckReport(
         "crosscheck", {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
     )
-    jets = [composition._reciprocal_square_jet(*x, n_max - 1) for x in points]
     oracle = ArctanRational(1, 1)
     for p, numerators in identities._sweep_numerators(n_max - 1):
         n = p + 1
@@ -202,9 +199,7 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
         report.count_case(
             expanded == oracle, n=n, pair="expanded vs oracle", expanded=expanded, oracle=oracle
         )
-        weights = list(composition._chain_weights(n - 1, jets[0][0])) if jets else ()
-        for x, (_, ratio) in zip(points, jets):
-            top, bottom = composition._square_chain_rule(n - 1, *x, ratio, weights)
+        for x, (top, bottom) in zip(points, _pointwise(n, points)):
             expected_top, expected_bottom = oracle._evaluate(*x)
             if top * expected_bottom == expected_top * bottom:
                 report.count_case(True)

@@ -251,8 +251,8 @@ def cmd_qpoly(args: Namespace) -> int:
 
 
 # The routes of derive and bench, by the name of their function in
-# ``arctan``; a route in POINTWISE_METHODS takes the point after n as a
-# lowest-terms int pair, and needs --x.
+# ``arctan``; a route in POINTWISE_METHODS takes a list of lowest-terms int
+# pairs after n, returns one value per pair, and needs --x.
 METHODS: dict[str, str] = {
     "closed": "arctan_derivative_closed",
     "prop12": "arctan_derivative_expanded",
@@ -270,7 +270,7 @@ def cmd_derive(args: Namespace) -> int:
 
     route = getattr(arctan, METHODS[args.method])
     if args.method in POINTWISE_METHODS:
-        top, bottom = route(args.n, *args.x)
+        top, bottom = route(args.n, [args.x])[0]
     else:
         result = route(args.n)
         if args.x is None:
@@ -356,7 +356,7 @@ def cmd_bench(args: Namespace) -> int:
     buckets = [n for n in BENCH_BUCKETS if n <= args.n_max]
     for name, function in METHODS.items():
         route = getattr(arctan, function)
-        point = BENCH_POINT if name in POINTWISE_METHODS else ()
+        point = ([BENCH_POINT],) if name in POINTWISE_METHODS else ()
         for n in buckets:
             start = time.perf_counter()
             route(n, *point)

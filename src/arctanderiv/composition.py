@@ -12,9 +12,10 @@ are indifferent to how the underlying functions are represented.  Contents:
   recurrence, as an independent derivation of its factorial weights.
 
 The public jets and rules take and return ``Fraction`` values; the kernels
-under them, ``_reciprocal_square_jet``, ``_chain_weights`` and
-``_square_chain_rule``, run in ints, and ``arctan`` runs its pointwise
-route, the one ``crosscheck`` checks, on those kernels alone.
+under them, ``_reciprocal_square_jets``, ``_chain_weights`` and
+``_square_chain_rule``, run in ints.  ``arctan._pointwise``, the route that
+``derive --method=fdb`` prints and ``crosscheck`` checks, runs on those
+kernels alone.
 """
 
 from __future__ import annotations
@@ -216,19 +217,23 @@ def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:
     / ((k+1)(n-k)), which gives 0 after the last weight (n - k = 0 only at
     n = 0).  The module imports nothing from ``identities``, whose binomial
     rows the sweeps check: this route is checked against the quotient-rule
-    oracle.  ``crosscheck`` keeps one list per order for all its points; a
-    single sum streams them (the list would be about as large as the sum)."""
+    oracle.  ``arctan._pointwise`` buffers one row for all its points; for
+    one point it streams (the list would be about as large as the sum)."""
     binomial = 1
     for k in range(n // 2 + 1):
         yield binomial * numerators[n - k]
         binomial = binomial * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * max(n - k, 1))
 
 
-def _reciprocal_square_jet(p: int, q: int, order: int) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """``DerivativeJet.of_reciprocal(1 + x^2, order)`` at x = p/q in lowest
-    terms, q > 0, as its numerators (-1)^k and its ratio 1/(1 + x^2) as the
-    pair (q^2, p^2 + q^2), in lowest terms since gcd(p, q) = 1."""
-    return tuple([-1 if k & 1 else 1 for k in range(order + 1)]), (q * q, p * p + q * q)
+def _reciprocal_square_jets(
+    order: int, points: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """``DerivativeJet.of_reciprocal(1 + x^2, order)`` at each lowest-terms
+    x = p/q, q > 0, of ``points``: the numerators (-1)^k once, since they do
+    not depend on the point, and each ratio 1/(1 + x^2) as the pair
+    (q^2, p^2 + q^2), in lowest terms since gcd(p, q) = 1."""
+    numerators = ((1, -1) * (order // 2 + 1))[: order + 1]
+    return numerators, [(q * q, p * p + q * q) for p, q in points]
 
 
 def _square_chain_rule(
@@ -237,8 +242,8 @@ def _square_chain_rule(
     """square_chain_rule(n, p/q, f_jet) as an unreduced (numerator,
     denominator) pair of ints, for q > 0, the jet's ratio as a (c, d) pair
     with d > 0 and the weights ``_chain_weights(n, f_jet.numerators)``;
-    ``crosscheck`` holds it against the oracle's own kernel,
-    ``ArctanRational._evaluate``."""
+    ``crosscheck`` holds it, through ``arctan._pointwise``, against the
+    oracle's own kernel, ``ArctanRational._evaluate``."""
     c, d = ratio
     half = n // 2
     p_step, q_step = 4 * p * p * c, q * q * d

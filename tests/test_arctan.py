@@ -158,6 +158,25 @@ def test_pointwise_matches_gaussian_integer_oracle():
             assert arctan_derivative_pointwise(n, x) == gaussian_derivative_value(n, x), (n, x)
 
 
+POINTWISE_POINTS = [(0, 1), (1, 2), (-47, 53), (355, 113), (1, 10**50)]
+
+
+def test_pointwise_at_many_points_is_pointwise_at_each():
+    # One weight row, buffered for several points, gives each point the
+    # pair that a row streamed for that point alone gives.
+    for n in range(1, 61):
+        alone = [arctan._pointwise(n, [x])[0] for x in POINTWISE_POINTS]
+        assert arctan._pointwise(n, POINTWISE_POINTS) == alone, n
+
+
+def test_pointwise_at_no_points_is_empty():
+    for n in (1, 2, 17):
+        assert arctan._pointwise(n, []) == []
+        report = crosscheck(n, [])
+        assert report.passed
+        assert report.cases == 2 * n
+
+
 def test_oracle_small_cases():
     assert arctan_derivative_oracle(1) == ArctanRational(1, 1)
     assert arctan_derivative_oracle(2) == ArctanRational((0, -2), 2)

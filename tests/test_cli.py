@@ -500,13 +500,14 @@ def test_a_wrong_jet_ratio_fails_that_point_only(capsys, monkeypatch):
     # that point's pointwise cases fail, one per order, in the text and csv
     # formats.  tests/test_faults.py holds the json failures, and what
     # derive --method=fdb prints, in the same fault's row.
-    reciprocal_jet = composition._reciprocal_square_jet
+    reciprocal_jets = composition._reciprocal_square_jets
 
-    def wrong(p, q, order):
-        numerators, (c, d) = reciprocal_jet(p, q, order)
-        return numerators, (c + 1 if (p, q) == (-47, 53) else c, d)
+    def wrong(order, points):
+        numerators, ratios = reciprocal_jets(order, points)
+        ratios = [(c + 1 if x == (-47, 53) else c, d) for x, (c, d) in zip(points, ratios)]
+        return numerators, ratios
 
-    monkeypatch.setattr(composition, "_reciprocal_square_jet", wrong)
+    monkeypatch.setattr(composition, "_reciprocal_square_jets", wrong)
     argv = ("crosscheck", "12", "--points=0,1/2,-47/53,3")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1

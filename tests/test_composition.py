@@ -15,7 +15,7 @@ from arctanderiv import (
     square_chain_coefficients,
     square_chain_rule,
 )
-from arctanderiv.composition import _chain_weights, _reciprocal_square_jet, _square_chain_rule
+from arctanderiv.composition import _chain_weights, _reciprocal_square_jets, _square_chain_rule
 from oracles import (
     euler_partition_count,
     nth_derivative_value,
@@ -334,8 +334,8 @@ def test_chain_weights_are_binomials():
 
 
 def test_square_chain_rule_takes_a_weight_row_or_its_stream():
-    # crosscheck keeps one list of weights per order for all its points; a
-    # single call streams them.  Both give the unreduced sum's value.
+    # arctan._pointwise buffers one row of weights for several points and
+    # streams it for one.  Both give the unreduced sum's value.
     rng = random.Random(43)
     randoms = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
     cases = [(x, _random_jet(rng, 30)) for x in randoms]
@@ -354,18 +354,25 @@ def test_square_chain_rule_takes_a_weight_row_or_its_stream():
 
 
 @given(
-    st.fractions()
-    | st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**300))
-    | st.just(Fraction(0)),
+    st.lists(
+        st.fractions()
+        | st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**300))
+        | st.just(Fraction(0)),
+        min_size=1,
+        max_size=4,
+    ),
     st.integers(0, 40),
 )
-def test_reciprocal_square_jet_is_the_reciprocal_jet_in_ints(x, order):
-    # crosscheck's int jet of y -> 1/y at 1 + x^2 stores what the public jet
-    # stores: the numerators (-1)^k and the ratio in lowest terms.
-    jet = DerivativeJet.of_reciprocal(1 + x * x, order)
-    numerators, ratio = _reciprocal_square_jet(x.numerator, x.denominator, order)
-    assert numerators == jet.numerators
-    assert ratio == (jet.ratio.numerator, jet.ratio.denominator)
+def test_reciprocal_square_jets_are_the_reciprocal_jets_in_ints(xs, order):
+    # The int jets of y -> 1/y at 1 + x^2 store what the public jets store:
+    # the numerators (-1)^k, shared by every point, and each point's ratio
+    # in lowest terms.
+    numerators, ratios = _reciprocal_square_jets(order, [(x.numerator, x.denominator) for x in xs])
+    assert len(ratios) == len(xs)
+    for x, ratio in zip(xs, ratios):
+        jet = DerivativeJet.of_reciprocal(1 + x * x, order)
+        assert numerators == jet.numerators
+        assert ratio == (jet.ratio.numerator, jet.ratio.denominator)
 
 
 def test_coefficient_recurrence_small_cases():

@@ -32,14 +32,33 @@ def last_weight_plus_one_at_order_9(chain_weights):
 
 
 def chain_weights_at_order_9(chain_weights):
-    numerators, _ = composition._reciprocal_square_jet(1, 2, 9)
+    numerators, _ = composition._reciprocal_square_jets(9, [(1, 2)])
     return list(chain_weights(9, numerators))
 
 
-def ratio_plus_one_at_minus_47_53(reciprocal_square_jet):
-    def wrong(p, q, order):
-        numerators, (c, d) = reciprocal_square_jet(p, q, order)
-        return numerators, (c + 1 if (p, q) == (-47, 53) else c, d)
+def ratio_plus_one_at_minus_47_53(reciprocal_square_jets):
+    def wrong(order, points):
+        numerators, ratios = reciprocal_square_jets(order, points)
+        ratios = [(c + 1 if x == (-47, 53) else c, d) for x, (c, d) in zip(points, ratios)]
+        return numerators, ratios
+
+    return wrong
+
+
+def ratio_plus_one_below_order_10(reciprocal_square_jets):
+    def wrong(order, points):
+        numerators, ratios = reciprocal_square_jets(order, points)
+        return numerators, [(c + 1, d) if order < 10 else (c, d) for c, d in ratios]
+
+    return wrong
+
+
+def one_power_of_d_too_few(square_chain_rule):
+    # d^n in the denominator where d^(n+1) belongs: d = p^2 + q^2 is 1 at
+    # x = 0, so that point cannot see it.
+    def wrong(n, p, q, ratio, weights):
+        top, bottom = square_chain_rule(n, p, q, ratio, weights)
+        return top, bottom // ratio[1]
 
     return wrong
 
@@ -62,31 +81,59 @@ def plus_one_for_5_coefficients(homogeneous):
     return wrong
 
 
-# kernel: (home module, fault, a probe of the kernel's output, the exit codes
-# of SWEEPS, crosscheck's mismatch count and its kept mismatches as (n, pair,
-# point), the point None for a symbolic pair).  arctan^(10)(0) is 0 whatever
-# the weights, so x = 0 cannot see the _chain_weights fault.  The
-# _homogeneous fault reaches the oracle's value through the 5 coefficients of
-# R in q_8 = R(x^2) and q_9 = x R(x^2), and x = 0 sees it at n = 9 only.
+# row: (home module, kernel, fault, a probe of the kernel's output, the exit
+# codes of SWEEPS, crosscheck's mismatch count and its kept mismatches as
+# (n, pair, point), the point None for a symbolic pair).  arctan^(10)(0) is
+# 0 whatever the weights, so x = 0 cannot see the _chain_weights fault.  The
+# ratio fault below order 10 fails every point at n <= 10 but the even n
+# at x = 0, where arctan^(n)(0) = 0.  The _homogeneous fault reaches the
+# oracle's value through the 5 coefficients of R in q_8 = R(x^2) and
+# q_9 = x R(x^2), and x = 0 sees it at n = 9 only.
 FAULTS = {
     "_chain_weights": (
         composition,
+        "_chain_weights",
         last_weight_plus_one_at_order_9,
         chain_weights_at_order_9,
         (0, 0, 0, 1),
         2,
         [(10, "pointwise vs oracle", "1/2"), (10, "pointwise vs oracle", "-47/53")],
     ),
-    "_reciprocal_square_jet": (
+    "_reciprocal_square_jets": (
         composition,
+        "_reciprocal_square_jets",
         ratio_plus_one_at_minus_47_53,
-        lambda jet: jet(-47, 53, 3),
+        lambda jets: jets(3, [(-47, 53)]),
         (0, 0, 0, 1),
         40,
         [(n, "pointwise vs oracle", "-47/53") for n in range(1, 21)],
     ),
+    "_reciprocal_square_jets below order 10": (
+        composition,
+        "_reciprocal_square_jets",
+        ratio_plus_one_below_order_10,
+        lambda jets: jets(3, [(1, 2)]),
+        (0, 0, 0, 1),
+        25,
+        [
+            (n, "pointwise vs oracle", x)
+            for n in range(1, 9)
+            for x in ("0", "1/2", "-47/53")
+            if n & 1 or x != "0"
+        ],
+    ),
+    "_square_chain_rule": (
+        composition,
+        "_square_chain_rule",
+        one_power_of_d_too_few,
+        lambda rule: rule(1, 1, 2, (4, 5), [-1]),
+        (0, 0, 0, 1),
+        80,
+        [(n, "pointwise vs oracle", x) for n in range(1, 11) for x in ("1/2", "-47/53")],
+    ),
     "q_polynomial": (
         arctan,
+        "q_polynomial",
         leading_sign_flipped_at_6,
         lambda q_polynomial: q_polynomial(6),
         (0, 0, 0, 1),
@@ -95,6 +142,7 @@ FAULTS = {
     ),
     "_homogeneous": (
         polynomial,
+        "_homogeneous",
         plus_one_for_5_coefficients,
         lambda homogeneous: homogeneous((1, 2, 3, 4, 5), 1, 2, {}),
         (0, 0, 0, 1),
@@ -115,17 +163,17 @@ def run(capsys, line):
     return code, capsys.readouterr().out
 
 
-def patch(monkeypatch, kernel):
-    module, fault, probe, *_ = FAULTS[kernel]
+def patch(monkeypatch, row):
+    module, kernel, fault, probe, *_ = FAULTS[row]
     true = getattr(module, kernel)
     monkeypatch.setattr(module, kernel, fault(true))
     assert probe(getattr(module, kernel)) != probe(true)
 
 
-@pytest.mark.parametrize("kernel", FAULTS)
-def test_each_fault_is_caught_by_the_checks_of_its_row(capsys, monkeypatch, kernel):
-    *_, exits, count, mismatches = FAULTS[kernel]
-    patch(monkeypatch, kernel)
+@pytest.mark.parametrize("row", FAULTS)
+def test_each_fault_is_caught_by_the_checks_of_its_row(capsys, monkeypatch, row):
+    *_, exits, count, mismatches = FAULTS[row]
+    patch(monkeypatch, row)
     results = [run(capsys, f"{line} --format=json") for line in SWEEPS]
     assert tuple(code for code, _ in results) == exits
     report = json.loads(results[-1][1])
@@ -154,7 +202,7 @@ def test_a_wrong_chain_weight_changes_what_fdb_prints_where_crosscheck_sees_it(
 def test_a_wrong_jet_ratio_changes_what_fdb_prints_at_that_point_only(capsys, monkeypatch):
     # derive --method=fdb prints from the same kernel: its value is wrong at
     # -47/53 and still right at 1/2.
-    patch(monkeypatch, "_reciprocal_square_jet")
+    patch(monkeypatch, "_reciprocal_square_jets")
     for x, differs in (("-47/53", True), ("1/2", False)):
         assert derive_differs(capsys, 12, "fdb", x) is differs, x
 

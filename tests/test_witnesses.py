@@ -124,7 +124,8 @@ WITNESSES = {
     ),
     "the jet route vs the oracle's value (crosscheck)": (
         (
-            "composition._reciprocal_square_jet",
+            "arctan._pointwise",
+            "composition._reciprocal_square_jets",
             "composition._chain_weights",
             "composition._square_chain_rule",
         ),
