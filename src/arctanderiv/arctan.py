@@ -22,7 +22,6 @@ module reaches every route.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from typing import TYPE_CHECKING
@@ -137,14 +136,16 @@ def _pointwise(n: int, points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     are the int kernels of ``DerivativeJet.of_reciprocal`` and
     ``square_chain_rule``.  The jet's numerators (-1)^k are the same at
     every point, so one row of weights serves all the points: it streams
-    for one point and is buffered once for several.
+    for one point, and several points read one list of it.
     """
     from . import composition
 
     numerators, ratios = composition._reciprocal_square_jets(n - 1, points)
-    rows = itertools.tee(composition._chain_weights(n - 1, numerators), len(points))
+    weights = composition._chain_weights(n - 1, numerators)
+    if len(points) > 1:
+        weights = list(weights)
     chain_rule = composition._square_chain_rule
-    return [chain_rule(n - 1, *x, ratio, row) for x, ratio, row in zip(points, ratios, rows)]
+    return [chain_rule(n - 1, *x, ratio, weights) for x, ratio in zip(points, ratios)]
 
 
 def arctan_derivative_oracle(n: int) -> ArctanRational:

@@ -15,7 +15,7 @@ The public jets and rules take and return ``Fraction`` values; the kernels
 under them, ``_reciprocal_square_jets``, ``_chain_weights`` and
 ``_square_chain_rule``, run in ints.  ``arctan._pointwise``, the route that
 ``derive --method=fdb`` prints and ``crosscheck`` checks, runs on those
-kernels alone.
+kernels alone, with one row of ``_chain_weights`` per call for all points.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:
     / ((k+1)(n-k)), which gives 0 after the last weight (n - k = 0 only at
     n = 0).  The module imports nothing from ``identities``, whose binomial
     rows the sweeps check: this route is checked against the quotient-rule
-    oracle.  ``arctan._pointwise`` buffers one row for all its points; for
-    one point it streams (the list would be about as large as the sum)."""
+    oracle.  ``arctan._pointwise`` lists one row for all its points; for
+    one point it streams the row (a list is about as large as the sum)."""
     binomial = 1
     for k in range(n // 2 + 1):
         yield binomial * numerators[n - k]

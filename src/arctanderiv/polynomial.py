@@ -92,26 +92,22 @@ _RATIO_BITS = 64  # the widest reduced ratio of coefficients that _terms steps b
 _LEAF = 64  # the longest coefficient run that _homogeneous sums by Horner's scheme
 
 
-def _homogeneous(coeffs: tuple[int, ...], p: int, q: int, powers: dict) -> int:
+def _homogeneous(coeffs: tuple[int, ...], p: int, q: int) -> int:
     """q^d P(p/q) for the d + 1 ascending coefficients of P (the last may be
     zero), by Horner's scheme in p up to _LEAF of them.  Above, P = A + x^h B
     with A the first h, and q^d P(p/q) = q^(d-h+1) A_hom + p^h B_hom, where
     A_hom and B_hom are the same form of each half, evaluated the same way.
-    The halves at one depth have at most two lengths, so ``powers`` keeps
-    (p^h, q^(d-h+1)) per length for the call.  Below quadratic time."""
+    Below quadratic time."""
     size = len(coeffs)
     if size > _LEAF:
         half = size // 2
-        if size not in powers:
-            powers[size] = p**half, q ** (size - half)
-        p_power, q_power = powers[size]
-        low = _homogeneous(coeffs[:half], p, q, powers)
-        return q_power * low + p_power * _homogeneous(coeffs[half:], p, q, powers)
+        low = _homogeneous(coeffs[:half], p, q)
+        return q ** (size - half) * low + p**half * _homogeneous(coeffs[half:], p, q)
     value = coeffs[-1]
     q_power = 1
     for c in reversed(coeffs[:-1]):
         q_power *= q
-        value = value * p + c * q_power if c else value * p
+        value = value * p + c * q_power
     return value
 
 
@@ -226,9 +222,9 @@ class ArctanRational(_Value):
         degree = len(coeffs) - 1
         odd = degree & 1
         if any(coeffs[1 - odd :: 2]):
-            top = _homogeneous(coeffs, p, q, {})
+            top = _homogeneous(coeffs, p, q)
         else:
-            top = _homogeneous(coeffs[odd::2], p * p, q * q, {})
+            top = _homogeneous(coeffs[odd::2], p * p, q * q)
             if odd:
                 top *= p
         bottom = (p * p + q * q) ** k

@@ -1,5 +1,5 @@
 """A fault matrix: each row is a minimal fault in one kernel, patched in its
-home module, and the checks expected to catch it.
+home module or class, and the checks expected to catch it.
 
 Every row runs the four sweeps in-process at small sizes and asserts their
 exit codes, the mismatches that ``crosscheck`` reports and that the faulty
@@ -74,21 +74,50 @@ def leading_sign_flipped_at_6(q_polynomial):
 
 
 def plus_one_for_5_coefficients(homogeneous):
-    def wrong(coeffs, p, q, powers):
-        value = homogeneous(coeffs, p, q, powers)
+    def wrong(coeffs, p, q):
+        value = homogeneous(coeffs, p, q)
         return value + 1 if len(coeffs) == 5 else value
 
     return wrong
 
 
-# row: (home module, kernel, fault, a probe of the kernel's output, the exit
-# codes of SWEEPS, crosscheck's mismatch count and its kept mismatches as
-# (n, pair, point), the point None for a symbolic pair).  arctan^(10)(0) is
-# 0 whatever the weights, so x = 0 cannot see the _chain_weights fault.  The
-# ratio fault below order 10 fails every point at n <= 10 but the even n
-# at x = 0, where arctan^(n)(0) = 0.  The _homogeneous fault reaches the
-# oracle's value through the 5 coefficients of R in q_8 = R(x^2) and
-# q_9 = x R(x^2), and x = 0 sees it at n = 9 only.
+def odd_numerator_without_its_p(evaluate):
+    # The parity branch, P = x R(x^2), leaves out the factor p of
+    # p R_hom(p^2, q^2): at x = 0/1 the top is then scale R(0), not 0.
+    # x = 1/2 cannot see it, since p = 1 there.
+    def wrong(self, p, q):
+        top, bottom = evaluate(self, p, q)
+        coeffs = self.primitive
+        if len(coeffs) % 2 or any(coeffs[::2]):
+            return top, bottom
+        return (top // p if p else self.scale * coeffs[1]), bottom
+
+    return wrong
+
+
+def constant_plus_one_out_of_exponent_5(derivative):
+    def wrong(self):
+        value = derivative(self)
+        if self.exponent != 5:
+            return value
+        constant, *rest = value.coefficients
+        return polynomial.ArctanRational((constant + 1, *rest), value.exponent)
+
+    return wrong
+
+
+# row: (home module or class, kernel, fault, a probe of the kernel's output,
+# the exit codes of SWEEPS, crosscheck's mismatch count and its kept
+# mismatches as (n, pair, point), the point None for a symbolic pair).
+# arctan^(10)(0) is 0 whatever the weights, so x = 0 cannot see the
+# _chain_weights fault.  The ratio fault below order 10 fails every point at
+# n <= 10 but the even n at x = 0, where arctan^(n)(0) = 0.  The _homogeneous
+# fault reaches the oracle's value through the 5 coefficients of R in
+# q_8 = R(x^2) and q_9 = x R(x^2), and x = 0 sees it at n = 9 only.  The
+# _evaluate fault fails every even n, whose numerator is odd, at 0 and at
+# -47/53.  The derivative fault adds the even 1/(1+x^2)^6 to the oracle's
+# arctan^(6), so it reaches every oracle value from n = 6 on, but at x = 0
+# only at even n.
 FAULTS = {
     "_chain_weights": (
         composition,
@@ -144,7 +173,7 @@ FAULTS = {
         polynomial,
         "_homogeneous",
         plus_one_for_5_coefficients,
-        lambda homogeneous: homogeneous((1, 2, 3, 4, 5), 1, 2, {}),
+        lambda homogeneous: homogeneous((1, 2, 3, 4, 5), 1, 2),
         (0, 0, 0, 1),
         5,
         [
@@ -155,6 +184,35 @@ FAULTS = {
             (10, "pointwise vs oracle", "-47/53"),
         ],
     ),
+    "ArctanRational._evaluate": (
+        polynomial.ArctanRational,
+        "_evaluate",
+        odd_numerator_without_its_p,
+        lambda evaluate: evaluate(arctan.arctan_derivative_closed(2), 0, 1),
+        (0, 0, 0, 1),
+        40,
+        [(n, "pointwise vs oracle", x) for n in range(2, 21, 2) for x in ("0", "-47/53")],
+    ),
+    "ArctanRational.derivative": (
+        polynomial.ArctanRational,
+        "derivative",
+        constant_plus_one_out_of_exponent_5,
+        lambda derivative: derivative(arctan.arctan_derivative_closed(5)),
+        (0, 0, 0, 1),
+        158,
+        [
+            (n, pair, x)
+            for n in range(6, 11)
+            for pair, x in (
+                ("closed vs oracle", None),
+                ("expanded vs oracle", None),
+                ("pointwise vs oracle", "0"),
+                ("pointwise vs oracle", "1/2"),
+                ("pointwise vs oracle", "-47/53"),
+            )
+            if n not in (7, 9) or x != "0"
+        ][:20],
+    ),
 }
 
 
@@ -164,10 +222,10 @@ def run(capsys, line):
 
 
 def patch(monkeypatch, row):
-    module, kernel, fault, probe, *_ = FAULTS[row]
-    true = getattr(module, kernel)
-    monkeypatch.setattr(module, kernel, fault(true))
-    assert probe(getattr(module, kernel)) != probe(true)
+    home, kernel, fault, probe, *_ = FAULTS[row]
+    true = getattr(home, kernel)
+    monkeypatch.setattr(home, kernel, fault(true))
+    assert probe(getattr(home, kernel)) != probe(true)
 
 
 @pytest.mark.parametrize("row", FAULTS)

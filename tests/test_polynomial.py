@@ -77,7 +77,7 @@ def homogeneous_cases(draw):
     """Coefficients of a length around the leaf size of the split and its
     doublings, with the odd or even ones zeroed or neither, one run of
     zeros, and a point p/q."""
-    size = draw(st.sampled_from((1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257)))
+    size = draw(st.sampled_from((1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 513, 1025)))
     rng = draw(st.randoms(use_true_random=False))
     coeffs = [rng.choice((-1, 1)) * rng.randint(1, 10**9) for _ in range(size)]
     parity = draw(st.sampled_from((0, 1, None)))

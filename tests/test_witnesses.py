@@ -209,8 +209,8 @@ def test_the_graph_sees_a_witness_joined_to_its_route():
     kernel = "def _square_chain_rule("
     assert kernel in sources["composition"]
     joins = {
-        "module attribute": "from . import polynomial\n    polynomial._homogeneous((1,), 1, 1, {})",
-        "imported name": "from .polynomial import _homogeneous\n    _homogeneous((1,), 1, 1, {})",
+        "module attribute": "from . import polynomial\n    polynomial._homogeneous((1,), 1, 1)",
+        "imported name": "from .polynomial import _homogeneous\n    _homogeneous((1,), 1, 1)",
     }
     row = "the jet route vs the oracle's value (crosscheck)"
     for how, join in joins.items():
