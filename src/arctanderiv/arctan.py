@@ -14,10 +14,9 @@ for exact agreement.
 take n = the derivative order of arctan itself (n >= 1).
 
 Only ``digits`` and ``polynomial`` are imported with this module.  A route
-imports ``composition``, ``identities`` or ``reports`` when it runs, and
-reads their kernels from those modules then, so that ``closed`` and
-``oracle`` compile none of them and a rebinding of a kernel in its home
-module reaches every route.
+imports ``composition`` or ``identities`` when it runs, and reads their
+kernels from those modules then, so that ``closed`` and ``oracle`` compile
+neither and a rebinding of a kernel in its home module reaches every route.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .polynomial import ArctanRational
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .reports import CheckReport
+    from .identities import CheckReport
 
 __all__ = [
     "DEFAULT_SAMPLE_POINTS",
@@ -179,12 +178,12 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     the case passes when a d == b c.  Both values become a ``Fraction`` only
     in the context of a mismatch.
     """
-    from . import identities, reports
+    from . import identities
 
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
     points = list(map(_point, DEFAULT_SAMPLE_POINTS if sample_points is None else sample_points))
-    report = reports.CheckReport(
+    report = identities.CheckReport(
         "crosscheck", {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
     )
     oracle = ArctanRational(1, 1)

@@ -592,7 +592,7 @@ RUN_AS_MAIN = (
     "    assert exc.code == 0, exc.code"
 )
 ROUTE = {"cli", "digits", "polynomial", "arctan"}
-SWEEP = {"cli", "digits", "identities", "reports"}
+SWEEP = {"cli", "digits", "identities"}
 
 
 MODULES_RUN = {

@@ -1,16 +1,17 @@
 """A fault matrix: each row is a minimal fault in one kernel, patched in its
 home module or class, and the checks expected to catch it.
 
-Every row runs the four sweeps in-process at small sizes and asserts their
-exit codes, the mismatches that ``crosscheck`` reports and that the faulty
-kernel's output differs from the true one, so that no row is vacuous.
+Every row runs the four sweeps in-process at small sizes and asserts which
+of them fail, the mismatches that each failing sweep reports and that the
+faulty kernel's output differs from the true one, so that no row is vacuous.
 """
 
 import json
+import math
 
 import pytest
 
-from arctanderiv import arctan, composition, polynomial
+from arctanderiv import arctan, composition, identities, polynomial
 from arctanderiv.cli import main
 
 SWEEPS = (
@@ -106,9 +107,71 @@ def constant_plus_one_out_of_exponent_5(derivative):
     return wrong
 
 
+def entry_1_of_row_20_plus_one(sweep_numerators):
+    # On a copy: the yielded row is the recurrence's state, so the rows after
+    # it stay right.  Rows cut to width 1 have no entry 1.
+    def wrong(n_max, width=None):
+        for n, row in sweep_numerators(n_max, width):
+            yield n, [row[0], row[1] + 1, *row[2:]] if n == 20 and len(row) > 1 else row
+
+    return wrong
+
+
+def entry_5_of_row_21_plus_one(pascal_rows):
+    def wrong():
+        for row in pascal_rows():
+            yield row[:5] + (row[5] + 1,) + row[6:] if len(row) == 22 else row
+
+    return wrong
+
+
+def plus_one_at_20_2(closed_form_numerator):
+    # Row n + 1 of Pascal's triangle has n + 2 entries.
+    def wrong(row, m):
+        value = closed_form_numerator(row, m)
+        return value + 1 if (len(row), m) == (22, 2) else value
+
+    return wrong
+
+
+def moment_plus_one_at_10(weighted_moments):
+    def wrong(n_max):
+        for n, lcm, moment in weighted_moments(n_max):
+            yield n, lcm, moment + 1 if n == 10 else moment
+
+    return wrong
+
+
+def value_plus_one_at_c_minus_15_index_5(terminating_2f1):
+    def wrong(a, b, c, last):
+        numerator, denominator = terminating_2f1(a, b, c, last)
+        if (c, last) == ((-15, 1), 5):
+            numerator += denominator
+        return numerator, denominator
+
+    return wrong
+
+
+def one_past_when_an_upper_parameter_is_minus_5(truncation_index):
+    def wrong(a, b):
+        index = truncation_index(a, b)
+        return index + 1 if (-5, 1) in (a, b) else index
+
+    return wrong
+
+
+# The fields of a kept mismatch that a row asserts, per sweep; a field that
+# a mismatch does not carry reads None.
+KEPT = {
+    "check-identity": ("n", "m"),
+    "check-corollary": ("n",),
+    "check-2f1": ("n", "m", "kind"),
+    "crosscheck": ("n", "pair", "point"),
+}
+
 # row: (home module or class, kernel, fault, a probe of the kernel's output,
-# the exit codes of SWEEPS, crosscheck's mismatch count and its kept
-# mismatches as (n, pair, point), the point None for a symbolic pair).
+# and for each sweep of SWEEPS that fails, its mismatch count and its kept
+# mismatches by their KEPT fields).  The other sweeps must pass.
 # arctan^(10)(0) is 0 whatever the weights, so x = 0 cannot see the
 # _chain_weights fault.  The ratio fault below order 10 fails every point at
 # n <= 10 but the even n at x = 0, where arctan^(n)(0) = 0.  The _homogeneous
@@ -117,101 +180,166 @@ def constant_plus_one_out_of_exponent_5(derivative):
 # _evaluate fault fails every even n, whose numerator is odd, at 0 and at
 # -47/53.  The derivative fault adds the even 1/(1+x^2)^6 to the oracle's
 # arctan^(6), so it reaches every oracle value from n = 6 on, but at x = 0
-# only at even n.
+# only at even n.  Row 20 of _sweep_numerators is crosscheck's expansion of
+# order 21; check-corollary reads its rows cut to width 1.  The 2F1 fault
+# hits the cases (n, m) with m - n = -15 and n//2 - m = 5.  The truncation
+# fault hits the one case of each n >= 10 whose integer upper parameter,
+# m - n/2 or m - n/2 + 1/2, is -5; the extra term it sums carries
+# (-5)_6 = 0, so every value still holds.
 FAULTS = {
     "_chain_weights": (
         composition,
         "_chain_weights",
         last_weight_plus_one_at_order_9,
         chain_weights_at_order_9,
-        (0, 0, 0, 1),
-        2,
-        [(10, "pointwise vs oracle", "1/2"), (10, "pointwise vs oracle", "-47/53")],
+        {
+            "crosscheck": (
+                2,
+                [(10, "pointwise vs oracle", "1/2"), (10, "pointwise vs oracle", "-47/53")],
+            ),
+        },
     ),
     "_reciprocal_square_jets": (
         composition,
         "_reciprocal_square_jets",
         ratio_plus_one_at_minus_47_53,
         lambda jets: jets(3, [(-47, 53)]),
-        (0, 0, 0, 1),
-        40,
-        [(n, "pointwise vs oracle", "-47/53") for n in range(1, 21)],
+        {"crosscheck": (40, [(n, "pointwise vs oracle", "-47/53") for n in range(1, 21)])},
     ),
     "_reciprocal_square_jets below order 10": (
         composition,
         "_reciprocal_square_jets",
         ratio_plus_one_below_order_10,
         lambda jets: jets(3, [(1, 2)]),
-        (0, 0, 0, 1),
-        25,
-        [
-            (n, "pointwise vs oracle", x)
-            for n in range(1, 9)
-            for x in ("0", "1/2", "-47/53")
-            if n & 1 or x != "0"
-        ],
+        {
+            "crosscheck": (
+                25,
+                [
+                    (n, "pointwise vs oracle", x)
+                    for n in range(1, 9)
+                    for x in ("0", "1/2", "-47/53")
+                    if n & 1 or x != "0"
+                ],
+            ),
+        },
     ),
     "_square_chain_rule": (
         composition,
         "_square_chain_rule",
         one_power_of_d_too_few,
         lambda rule: rule(1, 1, 2, (4, 5), [-1]),
-        (0, 0, 0, 1),
-        80,
-        [(n, "pointwise vs oracle", x) for n in range(1, 11) for x in ("1/2", "-47/53")],
+        {
+            "crosscheck": (
+                80,
+                [(n, "pointwise vs oracle", x) for n in range(1, 11) for x in ("1/2", "-47/53")],
+            ),
+        },
     ),
     "q_polynomial": (
         arctan,
         "q_polynomial",
         leading_sign_flipped_at_6,
         lambda q_polynomial: q_polynomial(6),
-        (0, 0, 0, 1),
-        1,
-        [(7, "closed vs oracle", None)],
+        {"crosscheck": (1, [(7, "closed vs oracle", None)])},
     ),
     "_homogeneous": (
         polynomial,
         "_homogeneous",
         plus_one_for_5_coefficients,
         lambda homogeneous: homogeneous((1, 2, 3, 4, 5), 1, 2),
-        (0, 0, 0, 1),
-        5,
-        [
-            (9, "pointwise vs oracle", "0"),
-            (9, "pointwise vs oracle", "1/2"),
-            (9, "pointwise vs oracle", "-47/53"),
-            (10, "pointwise vs oracle", "1/2"),
-            (10, "pointwise vs oracle", "-47/53"),
-        ],
+        {
+            "crosscheck": (
+                5,
+                [
+                    (9, "pointwise vs oracle", "0"),
+                    (9, "pointwise vs oracle", "1/2"),
+                    (9, "pointwise vs oracle", "-47/53"),
+                    (10, "pointwise vs oracle", "1/2"),
+                    (10, "pointwise vs oracle", "-47/53"),
+                ],
+            ),
+        },
     ),
     "ArctanRational._evaluate": (
         polynomial.ArctanRational,
         "_evaluate",
         odd_numerator_without_its_p,
         lambda evaluate: evaluate(arctan.arctan_derivative_closed(2), 0, 1),
-        (0, 0, 0, 1),
-        40,
-        [(n, "pointwise vs oracle", x) for n in range(2, 21, 2) for x in ("0", "-47/53")],
+        {
+            "crosscheck": (
+                40,
+                [(n, "pointwise vs oracle", x) for n in range(2, 21, 2) for x in ("0", "-47/53")],
+            ),
+        },
     ),
     "ArctanRational.derivative": (
         polynomial.ArctanRational,
         "derivative",
         constant_plus_one_out_of_exponent_5,
         lambda derivative: derivative(arctan.arctan_derivative_closed(5)),
-        (0, 0, 0, 1),
-        158,
-        [
-            (n, pair, x)
-            for n in range(6, 11)
-            for pair, x in (
-                ("closed vs oracle", None),
-                ("expanded vs oracle", None),
-                ("pointwise vs oracle", "0"),
-                ("pointwise vs oracle", "1/2"),
-                ("pointwise vs oracle", "-47/53"),
-            )
-            if n not in (7, 9) or x != "0"
-        ][:20],
+        {
+            "crosscheck": (
+                158,
+                [
+                    (n, pair, x)
+                    for n in range(6, 11)
+                    for pair, x in (
+                        ("closed vs oracle", None),
+                        ("expanded vs oracle", None),
+                        ("pointwise vs oracle", "0"),
+                        ("pointwise vs oracle", "1/2"),
+                        ("pointwise vs oracle", "-47/53"),
+                    )
+                    if n not in (7, 9) or x != "0"
+                ][:20],
+            ),
+        },
+    ),
+    "_sweep_numerators": (
+        identities,
+        "_sweep_numerators",
+        entry_1_of_row_20_plus_one,
+        lambda sweep_numerators: list(sweep_numerators(20)),
+        {
+            "check-identity": (1, [(20, 1)]),
+            "check-2f1": (1, [(20, 1, "value")]),
+            "crosscheck": (1, [(21, "expanded vs oracle", None)]),
+        },
+    ),
+    "_pascal_rows": (
+        identities,
+        "_pascal_rows",
+        entry_5_of_row_21_plus_one,
+        lambda pascal_rows: [row for row, _ in zip(pascal_rows(), range(22))],
+        {"check-identity": (1, [(20, 2)])},
+    ),
+    "_closed_form_numerator": (
+        identities,
+        "_closed_form_numerator",
+        plus_one_at_20_2,
+        lambda numerator: numerator([math.comb(21, k) for k in range(22)], 2),
+        {"check-identity": (1, [(20, 2)])},
+    ),
+    "_weighted_moments": (
+        identities,
+        "_weighted_moments",
+        moment_plus_one_at_10,
+        lambda weighted_moments: list(weighted_moments(10)),
+        {"check-corollary": (1, [(10,)])},
+    ),
+    "_terminating_2f1": (
+        identities,
+        "_terminating_2f1",
+        value_plus_one_at_c_minus_15_index_5,
+        lambda terminating_2f1: terminating_2f1((-5, 1), (-9, 2), (-15, 1), 5),
+        {"check-2f1": (2, [(19, 4, "value"), (20, 5, "value")])},
+    ),
+    "_truncation_index": (
+        identities,
+        "_truncation_index",
+        one_past_when_an_upper_parameter_is_minus_5,
+        lambda truncation_index: truncation_index((-5, 1), (-9, 2)),
+        {"check-2f1": (31, [(n, (n - 10) // 2, "truncation index") for n in range(10, 30)])},
     ),
 }
 
@@ -230,13 +358,18 @@ def patch(monkeypatch, row):
 
 @pytest.mark.parametrize("row", FAULTS)
 def test_each_fault_is_caught_by_the_checks_of_its_row(capsys, monkeypatch, row):
-    *_, exits, count, mismatches = FAULTS[row]
+    *_, caught = FAULTS[row]
     patch(monkeypatch, row)
-    results = [run(capsys, f"{line} --format=json") for line in SWEEPS]
-    assert tuple(code for code, _ in results) == exits
-    report = json.loads(results[-1][1])
-    assert report["mismatches"] == count
-    assert [(f["n"], f["pair"], f.get("point")) for f in report["failures"]] == mismatches
+    reports = {}
+    for line in SWEEPS:
+        code, out = run(capsys, f"{line} --format=json")
+        report = json.loads(out)
+        assert code == (not report["passed"]), line
+        if code:
+            fields = KEPT[report["check"]]
+            kept = [tuple(f.get(field) for field in fields) for f in report["failures"]]
+            reports[report["check"]] = (report["mismatches"], kept)
+    assert reports == caught
 
 
 def derive_differs(capsys, n, route, x):

@@ -19,7 +19,6 @@ from arctanderiv import (
     faa_di_bruno,
     identities,
     polynomial,
-    reports,
     square_chain_rule,
     terminating_2f1,
     truncation_index,
@@ -27,7 +26,7 @@ from arctanderiv import (
     weighted_binomial_sum,
 )
 
-LIBRARY_MODULES = (arctan, combinatorics, composition, digits, identities, polynomial, reports)
+LIBRARY_MODULES = (arctan, combinatorics, composition, digits, identities, polynomial)
 
 
 def test_package_exports_every_module_name_once():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from arctanderiv import CheckReport
-from arctanderiv.reports import FAILURES_KEPT
+from arctanderiv.identities import FAILURES_KEPT
 from oracles import DEFAULT_DIGIT_LIMIT, digit_limit
 
 
