@@ -174,9 +174,8 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
 
     A pointwise case is decided in integers: the jet route and the oracle
     each give an unreduced (numerator, denominator) pair, from their own
-    kernels (``_pointwise`` and ``ArctanRational._evaluate``), and
-    the case passes when a d == b c.  Both values become a ``Fraction`` only
-    in the context of a mismatch.
+    kernels (``_pointwise`` and ``ArctanRational._evaluate``), and the case
+    passes when a d == b c; a mismatch reports the point and both pairs.
     """
     from . import identities
 
@@ -208,8 +207,8 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
                     False,
                     n=n,
                     pair="pointwise vs oracle",
-                    point=_ratio_str(*x),
-                    pointwise=_fraction(top, bottom),
-                    oracle=_fraction(expected_top, expected_bottom),
+                    point=x,
+                    pointwise=(top, bottom),
+                    oracle=(expected_top, expected_bottom),
                 )
     return report

@@ -20,9 +20,9 @@ command compiles only the modules it uses.  The identity sweeps run on
 integers and load no ``polynomial``.  ``derive`` reads ``--x``, and
 ``crosscheck`` its ``--points``, as lowest-terms int pairs (``_ratio``);
 ``derive`` computes its value at x by every route as an unreduced int
-pair and prints it after one gcd, and ``crosscheck`` decides every case in
-ints.  ``json`` loads only to quote a string that holds a character json
-escapes (``_quote``): no command prints one.
+pair and prints its lowest terms (``digits._lowest``), and ``crosscheck``
+decides every case in ints.  ``json`` loads only to quote a string that
+holds a character json escapes (``_quote``): no command prints one.
 
 ``main(argv)`` is the in-process API: it returns the exit code, touches no
 file descriptor and leaves the garbage collector alone.  A process enters
@@ -41,14 +41,13 @@ a write that fails does so inside ``main``, which can still report it.
 from __future__ import annotations
 
 import importlib
-import math
 import re
 import sys
 import time
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .digits import _ratio_str, exact_str
+from .digits import _lowest, _ratio_str, exact_str
 
 if TYPE_CHECKING:
     import argparse
@@ -91,8 +90,7 @@ def _ratio(text: str) -> tuple[int, int]:
     p, q = _integer(numerator), _integer(denominator or "1")
     if not q:
         raise ValueError(f"zero denominator: {text!r}")
-    g = math.gcd(p, q)
-    return p // g, q // g
+    return _lowest(p, q)
 
 
 def _rational_list(text: str) -> tuple[tuple[int, int], ...]:
@@ -288,8 +286,7 @@ def cmd_derive(args: Namespace) -> int:
             )
             return 0
         top, bottom = result._evaluate(*args.x)
-    g = math.gcd(top, bottom)
-    value = _ratio_str(top // g, bottom // g)
+    value = _ratio_str(*_lowest(top, bottom))
     x = _ratio_str(*args.x)
     _emit(
         args.format,

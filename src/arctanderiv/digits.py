@@ -4,12 +4,12 @@ and the only place where a ``Fraction`` is read or built.
 
 Every caller's rational, an int or a ``Fraction``, is read by ``_pair``
 into its lowest-terms (numerator, denominator) pair of ints, the form the
-kernels take, and every ``Fraction`` that the library returns, stores or
-reports is built by ``_fraction``.  A ``Fraction`` exists only once
-``fractions`` is loaded, so ``_pair`` looks for the class in
-``sys.modules`` and never imports it, and ``_fraction`` holds the
-package's only runtime ``from fractions import Fraction``: a command that
-reads and prints ints only never loads ``fractions``.
+kernels take and the checks report, ``_lowest`` reduces any int pair, and
+``_fraction`` builds every ``Fraction`` the library returns or stores.  A
+``Fraction`` exists only once ``fractions`` is loaded, so ``_pair`` looks
+for the class in ``sys.modules`` and never imports it, and ``_fraction``
+holds the package's only runtime ``from fractions import Fraction``: a
+command that reads and prints ints only never loads ``fractions``.
 
 str() and Decimal() of an int cost time quadratic in its length, and from
 Python 3.11 str() refuses more than sys.get_int_max_str_digits() digits
@@ -25,6 +25,7 @@ coefficient from the Decimal of the one before it.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -46,6 +47,12 @@ def _pair(value: int | Fraction, what: str) -> tuple[int, int]:
     if fractions and isinstance(value, fractions.Fraction):
         return value.numerator, value.denominator
     raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
+
+
+def _lowest(p: int, q: int) -> tuple[int, int]:
+    """p/q, q != 0, as its lowest-terms pair, the sign on the numerator."""
+    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    return p // g, q // g
 
 
 def _fraction(numerator: int, denominator: int = 1) -> Fraction:

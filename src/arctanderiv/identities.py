@@ -32,8 +32,8 @@ three-term recurrence fills by shifts and subtractions over one lcm
 (``_weighted_moments``), and its recurrence half reads the m = 0 entries of
 the even rows of ``_sweep_numerators``, run on rows cut to that one entry.
 Every case is decided by integer equality, by cross-multiplication where
-the two sides have different denominators, and a ``Fraction`` is built only
-for the context of a mismatch.
+the two sides have different denominators, and a mismatch reports the int
+pairs it compared, reduced only in a context that the report keeps.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 from operator import add
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from .digits import _fraction, _pair, _ratio_str
+from .digits import _fraction, _lowest, _pair, _ratio_str
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -68,14 +68,13 @@ _JSON_SAFE = (bool, int, str, type(None))
 
 
 def _rendered(value: Any) -> Any:
-    """A failure context's value, JSON-safe: a ``Fraction`` by its exact
-    text, any other value that json cannot hold by str()."""
+    """A failure context's value, JSON-safe: an int pair by the exact text
+    of its lowest terms, any other value that json cannot hold by str()."""
     if isinstance(value, _JSON_SAFE):
         return value
-    try:
-        return _ratio_str(*_pair(value, "a context value"))
-    except TypeError:
-        return str(value)
+    if type(value) is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is int:
+        return _ratio_str(*_lowest(*value))
+    return str(value)
 
 
 FAILURES_KEPT = 20
@@ -86,10 +85,10 @@ class CheckReport:
     """Outcome of one sweep: parameters, case and mismatch counts, and the
     contexts of the first FAILURES_KEPT mismatches.
 
-    Failure contexts are flat dicts of JSON-safe values (exact rationals are
-    rendered as "p/q" strings by ``digits``, at any size), so a report
-    serializes as-is.  Memory stays bounded when every case fails, because
-    later mismatches are counted without being rendered.
+    A context holds a rational as an int (numerator, denominator) pair.  A
+    kept context is reduced and rendered JSON-safe ("p/q" by ``digits``, at
+    any size), so a report serializes as-is; later mismatches are only
+    counted, so time and memory stay bounded when every case fails.
     """
 
     def __init__(self, check: str, parameters: dict[str, Any]) -> None:
@@ -217,8 +216,8 @@ def check_binomial_identity(n_max: int) -> CheckReport:
     closed form reads row n+1 of Pascal's triangle, grown by addition.  Both
     sides are numerators over 2^n, so a case holds exactly when they are
     equal.  One list comparison decides the whole row of an n and counts its
-    cases; only a row that differs is walked case by case, and both sides
-    become a ``Fraction`` only in the context of a mismatch.
+    cases; only a row that differs is walked case by case, and a mismatch
+    reports both sides as pairs over 2^n.
     """
     if n_max < 0:
         raise ValueError("check_binomial_identity requires n_max >= 0")
@@ -233,8 +232,7 @@ def check_binomial_identity(n_max: int) -> CheckReport:
             if lhs == rhs:
                 report.count_case(True)
             else:
-                lhs, rhs = _fraction(lhs, 1 << n), _fraction(rhs, 1 << n)
-                report.count_case(False, n=n, m=m, lhs=lhs, rhs=rhs)
+                report.count_case(False, n=n, m=m, lhs=(lhs, 1 << n), rhs=(rhs, 1 << n))
     return report
 
 
@@ -283,13 +281,16 @@ def _weighted_moments(n_max: int) -> Iterator[tuple[int, int, int]]:
         yield n, lcm, newer[0]
 
 
+def _weighted_closed_numerator(n: int, lcm: int) -> int:
+    """The weighted sum's closed form times 4^n lcm, for an lcm that n+1 divides."""
+    return 0 if n & 1 else lcm // (n + 1)
+
+
 def weighted_binomial_closed_form(n: int) -> Fraction:
     """0 for odd n; 4^(-n)/(n+1) for even n."""
     if n < 0:
         raise ValueError("requires n >= 0")
-    if n % 2:
-        return _fraction(0)
-    return _fraction(1, 4**n * (n + 1))
+    return _fraction(_weighted_closed_numerator(n, n + 1), (n + 1) << 2 * n)
 
 
 def check_weighted_identity(n_max: int) -> CheckReport:
@@ -309,11 +310,11 @@ def check_weighted_identity(n_max: int) -> CheckReport:
         raise ValueError("check_weighted_identity requires n_max >= 0")
     report = CheckReport("check-corollary", {"n_max": n_max})
     for n, lcm, moment in _weighted_moments(n_max):
-        if moment == (0 if n & 1 else lcm // (n + 1)):
+        closed = _weighted_closed_numerator(n, lcm)
+        if moment == closed:
             report.count_case(True)
         else:
-            lhs = _fraction(moment, lcm << 2 * n)
-            report.count_case(False, n=n, lhs=lhs, rhs=weighted_binomial_closed_form(n))
+            report.count_case(False, n=n, lhs=(moment, lcm << 2 * n), rhs=(closed, lcm << 2 * n))
     # The recurrence needs s_0..s_{n_max//2 + 1}, which passes n_max at 0,
     # and reads entry 0 of each row only.
     rows = _sweep_numerators(2 * (n_max // 2 + 1), 1)
@@ -322,8 +323,7 @@ def check_weighted_identity(n_max: int) -> CheckReport:
         if following - prefix == 2:
             report.count_case(True)
         else:
-            difference = _fraction(following - prefix, 4 ** (j + 1))
-            expected = _fraction(2, 4 ** (j + 1))
+            difference, expected = (following - prefix, 4 ** (j + 1)), (2, 4 ** (j + 1))
             report.count_case(False, recurrence_j=j, difference=difference, expected=expected)
     return report
 
@@ -423,7 +423,7 @@ def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) ->
     if series_num << n == numerator * series_den:
         report.count_case(True)
     else:
-        series, literal = _fraction(series_num, series_den), _fraction(numerator, 1 << n)
+        series, literal = (series_num, series_den), (numerator, 1 << n)
         report.count_case(False, n=n, m=m, kind="value", series=series, literal=literal)
 
 

@@ -682,6 +682,43 @@ def test_each_command_loads_only_the_output_stack_it_needs(command):
     assert set(loaded) <= modules and not modules & set(not_loaded), modules
 
 
+# A failing sweep reports the int pairs it compared, and its report reduces
+# and prints only those it keeps: each sweep, with one of its kernels made
+# wrong on every case, exits 1 and loads neither ``fractions`` nor ``json``.
+# Each entry: the kernel's module and name, and its wrong value.
+FAILING_SWEEPS = {
+    "check-identity 30": ("identities", "_closed_form_numerator", "value + 1"),
+    "check-corollary 30": ("identities", "_weighted_closed_numerator", "value + 1"),
+    "check-2f1 30": ("identities", "_terminating_2f1", "(value[0] + value[1], value[1])"),
+    "crosscheck 40 --points=0,1/2,-47/53": (
+        "composition",
+        "_square_chain_rule",
+        "(value[0] + value[1], value[1])",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", FAILING_SWEEPS)
+def test_a_failing_sweep_loads_no_fractions_and_no_json(command):
+    module, kernel, wrong = FAILING_SWEEPS[command]
+    probe = (
+        "import sys\n"
+        f"from arctanderiv import cli, {module}\n"
+        f"def wrong(*args, true={module}.{kernel}):\n"
+        "    value = true(*args)\n"
+        f"    return {wrong}\n"
+        f"{module}.{kernel} = wrong\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, *[m for m in ('fractions', 'json') if m in sys.modules])"
+    )
+    result = run_fresh(probe, *command.split(), "--format=json")
+    assert result.returncode == 0, result.stderr
+    *report, loaded = result.stdout.splitlines()
+    assert loaded == "1"
+    report = json.loads("\n".join(report))
+    assert report["mismatches"] > len(report["failures"]) == identities.FAILURES_KEPT
+
+
 # A plain command line is read without argparse, which loads only for help
 # and usage errors.  One shape of each benchmark operation, in every format
 # as the benchmark writes it, runs through the entry point in one fresh

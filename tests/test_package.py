@@ -109,3 +109,23 @@ def test_only_digits_imports_fractions():
         if "fractions" in runtime_imports(ast.parse(source.read_text()))
     }
     assert importers == {"digits.py"}
+
+
+def test_the_checks_build_no_fraction():
+    # The checks compare and report int pairs: in identities and arctan, a
+    # Fraction is built only by a public function that returns one.
+    callers = {
+        f"{module.__name__.rsplit('.', 1)[-1]}.{node.name}"
+        for module in (arctan, identities)
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(name, ast.Name) and name.id == "_fraction" for name in ast.walk(node))
+    }
+    assert callers == {
+        "identities.alternating_binomial_sum",
+        "identities.alternating_binomial_closed_form",
+        "identities.weighted_binomial_sum",
+        "identities.weighted_binomial_closed_form",
+        "identities.terminating_2f1",
+        "arctan.arctan_derivative_pointwise",
+    }

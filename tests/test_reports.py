@@ -34,5 +34,15 @@ def test_failure_context_renders_past_the_digit_limit():
     # 4401 digits over 3: str() would raise under the default digit limit.
     report = CheckReport("crosscheck", {"n_max": 1})
     with digit_limit(DEFAULT_DIGIT_LIMIT):
-        report.count_case(False, n=1, pointwise=Fraction(10**4400 + 1, 3))
+        report.count_case(False, n=1, pointwise=(10**4400 + 1, 3))
     assert report.failures == [{"n": 1, "pointwise": "1" + "0" * 4399 + "1/3"}]
+
+
+def test_a_kept_int_pair_renders_in_lowest_terms_and_any_other_value_by_str():
+    report = CheckReport("sweep", {})
+    report.count_case(False, a=(6, -4), b=(0, -5), c=(12, 4), d=Fraction(-3, 2), e=(1, 2, 3))
+    report.count_case(False, a=(True, 2), b=(1.5, 2), c=[1, 2])
+    assert report.failures == [
+        {"a": "-3/2", "b": "0", "c": "3", "d": "-3/2", "e": "(1, 2, 3)"},
+        {"a": "(True, 2)", "b": "(1.5, 2)", "c": "[1, 2]"},
+    ]

@@ -138,6 +138,7 @@ WITNESSES = {
     "literal sums vs the terminating series (check-2f1)": (
         ("identities._sweep_numerators",),
         (
+            "identities._hypergeometric_case",
             "identities._terminating_2f1",
             "identities._upper_parameters",
             "identities._truncation_index",
@@ -145,7 +146,7 @@ WITNESSES = {
     ),
     "weighted moments vs the parity closed form (check-corollary)": (
         ("identities._weighted_moments",),
-        ("identities.weighted_binomial_closed_form",),
+        ("identities._weighted_closed_numerator",),
     ),
     "chain-rule weights vs the binomial rows that the sweeps check": ("composition", "identities"),
 }
