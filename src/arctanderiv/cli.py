@@ -3,10 +3,10 @@ verification sweeps, and a timing table.
 
 Every result is printed by one emitter, ``_emit``, as text, a json document
 or a csv table, streamed to stdout term by term, with every number rendered
-at any size by ``exact_str`` (no int -> str digit limit).  The four sweeps
-(``check-identity``, ``check-corollary``, ``check-2f1`` and ``crosscheck``)
-share one command, ``cmd_check``, which runs the check function its
-subparser named.
+at any size by ``exact_str`` (no int -> str digit limit).  The handlers
+live in ``commands``; the four sweeps (``check-identity``,
+``check-corollary``, ``check-2f1`` and ``crosscheck``) share one,
+``cmd_check``, which runs the check function its subparser named.
 
 One table, ``COMMANDS``, declares every command and its arguments.  ``main``
 reads a plain command line (``_read``: a command, its positionals, then
@@ -14,14 +14,14 @@ options written ``--name=value`` in full) straight from that table, with
 the same readers and choices, so ``argparse`` (and the ``gettext`` and
 ``locale`` that it loads) is imported only for help, a usage error or
 another spelling.  For those, ``main`` builds the one parser of every
-command from the same table.  Building the parser imports no route
-module: each command imports the module that it runs when it runs, so a
-command compiles only the modules it uses.  The identity sweeps run on
-integers and load no ``polynomial``.  ``derive`` reads ``--x``, and
-``crosscheck`` its ``--points``, as lowest-terms int pairs (``_ratio``);
-``derive`` computes its value at x by every route as an unreduced int
-pair and prints its lowest terms (``digits._lowest``), and ``crosscheck``
-decides every case in ints.  ``json`` loads only to quote a string that
+command from the same table.  Building the parser imports no route module
+and no handler: each command imports its handler, and the module that it
+runs, when it runs, so a command compiles only the modules it uses.  The
+identity sweeps run on integers and load no ``polynomial``.  ``derive``
+reads ``--x``, and ``crosscheck`` its ``--points``, as lowest-terms int
+pairs (``_ratio``); ``derive`` computes its value at x by every route as
+an unreduced int pair and prints its lowest terms (``digits._lowest``),
+and ``crosscheck`` decides every case in ints.  ``json`` loads only to quote a string that
 holds a character json escapes (``_quote``): no command prints one.
 
 ``main(argv)`` is the in-process API: it returns the exit code, touches no
@@ -43,11 +43,10 @@ from __future__ import annotations
 import importlib
 import re
 import sys
-import time
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .digits import _lowest, _ratio_str, exact_str
+from .digits import _lowest, exact_str
 
 if TYPE_CHECKING:
     import argparse
@@ -233,21 +232,6 @@ def _emit(
     out.flush()
 
 
-def cmd_qpoly(args: Namespace) -> int:
-    from . import arctan
-    from .polynomial import ArctanRational
-
-    poly = ArctanRational(arctan.q_polynomial(args.n))
-    _emit(
-        args.format,
-        poly.text(),
-        {"n": args.n, "terms": _term_dicts(poly.terms())},
-        TERM_HEADER,
-        ((power, numerator, 1) for power, numerator in poly.terms()),
-    )
-    return 0
-
-
 # The routes of derive and bench, by the name of their function in
 # ``arctan``; a route in POINTWISE_METHODS takes a list of lowest-terms int
 # pairs after n, returns one value per pair, and needs --x.
@@ -260,128 +244,27 @@ METHODS: dict[str, str] = {
 POINTWISE_METHODS = frozenset({"fdb"})
 
 
-def cmd_derive(args: Namespace) -> int:
-    """Print a route's symbolic result, or its value at --x: the pointwise
-    route's from its int kernel, the others' by ``ArctanRational._evaluate``,
-    each an unreduced pair whose denominator is positive."""
-    from . import arctan
-
-    route = getattr(arctan, METHODS[args.method])
-    if args.method in POINTWISE_METHODS:
-        top, bottom = route(args.n, [args.x])[0]
-    else:
-        result = route(args.n)
-        if args.x is None:
-            _emit(
-                args.format,
-                result.text(),
-                {
-                    "n": args.n,
-                    "method": args.method,
-                    "numerator": _term_dicts(result.terms()),
-                    "denominator_exponent": result.exponent,
-                },
-                (*TERM_HEADER, "denominator_exponent"),
-                ((power, numerator, 1, result.exponent) for power, numerator in result.terms()),
-            )
-            return 0
-        top, bottom = result._evaluate(*args.x)
-    value = _ratio_str(*_lowest(top, bottom))
-    x = _ratio_str(*args.x)
-    _emit(
-        args.format,
-        (value,),
-        {"n": args.n, "method": args.method, "x": x, "value": value},
-        ("n", "method", "x", "value"),
-        [(args.n, args.method, x, value)],
-    )
-    return 0
-
-
-def cmd_check(args: Namespace) -> int:
-    """Run the sweep that the subcommand names in ``args.check``, a (module,
-    function) pair, with its cost on stderr so that stdout repeats exactly;
-    exit 1 on a mismatch.  The cost is written in the result's format: a
-    text line, one json object on one line (a rate over no elapsed time is
-    null) or a csv header and row.  It follows the written result, so a
-    result that could not be written leaves only its error on stderr.  The
-    function is read from its module now, so a rebinding of the module
-    attribute before the command runs takes effect."""
-    module, name = args.check
-    check = getattr(importlib.import_module(f".{module}", __package__), name)
-    points = () if getattr(args, "points", None) is None else (args.points,)
-    start = time.perf_counter()
-    report = check(args.n_max, *points)
-    elapsed = time.perf_counter() - start
-    lines = [report.summary()]
-    for failure in report.failures:
-        lines.append("  MISMATCH " + " ".join(f"{k}={v}" for k, v in failure.items()))
-    hidden = report.mismatches - len(report.failures)
-    if hidden:
-        lines.append(f"  ... {hidden} more mismatches not shown")
-    _emit(
-        args.format,
-        ("\n".join(lines),),
-        report.to_dict(),
-        ("check", "n_max", "cases", "failures", "passed"),
-        [(report.check, args.n_max, report.cases, report.mismatches, report.passed)],
-    )
-    elapsed_s = f"{elapsed:.3f}"
-    rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else None
-    if args.format == "json":
-        cost = (
-            f'{{"check": {_quote(report.check)}, "elapsed_s": {elapsed_s}, '
-            f'"cases_per_s": {rate or "null"}}}'
-        )
-    elif args.format == "csv":
-        cost = f"check,elapsed_s,cases_per_s\n{report.check},{elapsed_s},{rate or 'inf'}"
-    else:
-        cost = f"{report.check}: elapsed_s={elapsed_s} cases_per_s={rate or 'inf'}"
-    print(cost, file=sys.stderr)
-    return 0 if report.passed else 1
-
-
-BENCH_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
-BENCH_POINT = (1, 2)  # the pointwise routes' x = 1/2, as (numerator, denominator)
-BENCH_HEADER = ("method", "n", "micros")
-
-
-def cmd_bench(args: Namespace) -> int:
-    from . import arctan
-
-    rows = []
-    buckets = [n for n in BENCH_BUCKETS if n <= args.n_max]
-    for name, function in METHODS.items():
-        route = getattr(arctan, function)
-        point = ([BENCH_POINT],) if name in POINTWISE_METHODS else ()
-        for n in buckets:
-            start = time.perf_counter()
-            route(n, *point)
-            elapsed = time.perf_counter() - start
-            rows.append((name, n, int(elapsed * 1_000_000)))
-    _emit(
-        args.format,
-        ("\n".join(f"{name} n={n} micros={micros}" for name, n, micros in rows),),
-        {"n_max": args.n_max, "rows": (dict(zip(BENCH_HEADER, row)) for row in rows)},
-        BENCH_HEADER,
-        rows,
-    )
-    return 0
+def _resolve(pair: tuple[str, str]) -> Callable:
+    """The function a (module, function) pair names, read from its module now."""
+    module, name = pair
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def _sweep(help_text: str, default: int, function: str) -> tuple:
     """The table entry of an identity sweep: ``function`` in ``identities``."""
     n_max = {"type": _order, "nargs": "?", "default": default}
-    return help_text, {"n_max": n_max}, {"func": cmd_check, "check": ("identities", function)}
+    defaults = {"handler": ("commands", "cmd_check"), "check": ("identities", function)}
+    return help_text, {"n_max": n_max}, defaults
 
 
 # Every command, in the order of the help: its help text, its arguments as
-# add_argument keywords by name, and its defaults.  Each also takes --format.
+# add_argument keywords by name, and its defaults, its handler's (module,
+# function) pair among them.  Each also takes --format.
 COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
     "qpoly": (
         "print the numerator polynomial family member q_n",
         {"n": {"type": _order}},
-        {"func": cmd_qpoly},
+        {"handler": ("commands", "cmd_qpoly")},
     ),
     "derive": (
         "compute the n-th derivative of arctan",
@@ -390,7 +273,7 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
             "--method": {"choices": METHODS, "default": "closed"},
             "--x": {"type": _ratio, "default": None, "help": "evaluate at x = p/q"},
         },
-        {"func": cmd_derive},
+        {"handler": ("commands", "cmd_derive")},
     ),
     "check-identity": _sweep(
         "alternating binomial sum vs closed form", 200, "check_binomial_identity"
@@ -408,12 +291,12 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
             # Without --points, crosscheck takes its own DEFAULT_SAMPLE_POINTS.
             "--points": {"type": _rational_list, "help": "comma-separated rational sample points"},
         },
-        {"func": cmd_check, "check": ("arctan", "crosscheck")},
+        {"handler": ("commands", "cmd_check"), "check": ("arctan", "crosscheck")},
     ),
     "bench": (
         "wall-clock timing table per method and n",
         {"n_max": {"type": _natural, "nargs": "?", "default": 100}},
-        {"func": cmd_bench},
+        {"handler": ("commands", "cmd_bench")},
     ),
 }
 
@@ -534,7 +417,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _read(argv)
         if args is None:
             args = _parse(argv)
-        return args.func(args)
+        return _resolve(args.handler)(args)
     except (MemoryError, OverflowError) as exc:
         # An order that passes the parser but whose lists the process cannot
         # hold, or whose length does not fit an index.

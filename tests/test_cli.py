@@ -32,6 +32,7 @@ from arctanderiv.cli import (
     _parse,
     _quote,
     _read,
+    _resolve,
     build_parser,
     main,
 )
@@ -583,16 +584,23 @@ def loaded_modules(code, *argv):
     return {name.removeprefix("arctanderiv.") for name in result.stdout.splitlines()[-1].split()}
 
 
-RUN_AS_MAIN = (
-    "import runpy, sys\n"
-    "sys.argv[0] = 'arctanderiv'\n"
-    "try:\n"
-    "    runpy.run_module('arctanderiv', run_name='__main__')\n"
-    "except SystemExit as exc:\n"
-    "    assert exc.code == 0, exc.code"
-)
-ROUTE = {"cli", "digits", "polynomial", "arctan"}
-SWEEP = {"cli", "digits", "identities"}
+def run_as_main(code):
+    """A probe that runs the entry point with its argv and asserts that it
+    exits with ``code``."""
+    return (
+        "import runpy, sys\n"
+        "sys.argv[0] = 'arctanderiv'\n"
+        "try:\n"
+        "    runpy.run_module('arctanderiv', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        f"    assert exc.code == {code}, exc.code"
+    )
+
+
+RUN_AS_MAIN = run_as_main(0)
+# Every command runs its handler from ``commands``.
+ROUTE = {"cli", "commands", "digits", "polynomial", "arctan"}
+SWEEP = {"cli", "commands", "digits", "identities"}
 
 
 MODULES_RUN = {
@@ -617,6 +625,19 @@ def test_each_command_loads_only_the_modules_it_runs(command):
 def test_building_the_parser_loads_no_route_module():
     code = "import sys, arctanderiv, arctanderiv.cli as cli\ncli.build_parser()"
     assert loaded_modules(code) == {"cli", "digits"}
+
+
+@pytest.mark.parametrize("line, code", [("derive --help", 0), ("derive 0", 2)])
+def test_help_and_usage_errors_load_no_handler(line, code):
+    assert loaded_modules(run_as_main(code), *line.split()) == {"cli", "digits"}
+
+
+def test_every_handler_and_check_pair_resolves():
+    # A renamed handler or sweep fails here, not in a user's command.
+    for command, (_, _, defaults) in COMMANDS.items():
+        assert callable(_resolve(defaults["handler"])), command
+        if "check" in defaults:
+            assert callable(_resolve(defaults["check"])), command
 
 
 # The sweeps run on integers: a passing one, in any format, and the parser
@@ -1136,7 +1157,7 @@ def test_integer_arguments_read_under_the_lowest_digit_limit(capsys, monkeypatch
         code, out, err = run_cli(capsys, "derive", "1", "--x=-1" + "0" * 700 + "/7", "--format=csv")
         with digit_limit(0):
             assert out == f"n,method,x,value\n1,closed,{p}/7,{Fraction(49, p * p + 49)}\n"
-        monkeypatch.setattr("arctanderiv.cli.BENCH_BUCKETS", (1, 2))
+        monkeypatch.setattr("arctanderiv.commands.BENCH_BUCKETS", (1, 2))
         code, out, err = run_cli(capsys, "bench", "9" * 4300, "--format=json")
         assert (code, err) == (0, "")
         assert json.loads(out, parse_int=str)["n_max"] == "9" * 4300
