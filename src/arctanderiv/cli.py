@@ -253,18 +253,18 @@ def _resolve(pair: tuple[str, str]) -> Callable:
 def _sweep(help_text: str, default: int, function: str) -> tuple:
     """The table entry of an identity sweep: ``function`` in ``identities``."""
     n_max = {"type": _order, "nargs": "?", "default": default}
-    defaults = {"handler": ("commands", "cmd_check"), "check": ("identities", function)}
+    defaults = {"handler": "cmd_check", "check": ("identities", function)}
     return help_text, {"n_max": n_max}, defaults
 
 
 # Every command, in the order of the help: its help text, its arguments as
-# add_argument keywords by name, and its defaults, its handler's (module,
-# function) pair among them.  Each also takes --format.
+# add_argument keywords by name, and its defaults, among them the name of its
+# handler in ``commands``.  Each also takes --format.
 COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
     "qpoly": (
         "print the numerator polynomial family member q_n",
         {"n": {"type": _order}},
-        {"handler": ("commands", "cmd_qpoly")},
+        {"handler": "cmd_qpoly"},
     ),
     "derive": (
         "compute the n-th derivative of arctan",
@@ -273,7 +273,7 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
             "--method": {"choices": METHODS, "default": "closed"},
             "--x": {"type": _ratio, "default": None, "help": "evaluate at x = p/q"},
         },
-        {"handler": ("commands", "cmd_derive")},
+        {"handler": "cmd_derive"},
     ),
     "check-identity": _sweep(
         "alternating binomial sum vs closed form", 200, "check_binomial_identity"
@@ -291,12 +291,12 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
             # Without --points, crosscheck takes its own DEFAULT_SAMPLE_POINTS.
             "--points": {"type": _rational_list, "help": "comma-separated rational sample points"},
         },
-        {"handler": ("commands", "cmd_check"), "check": ("arctan", "crosscheck")},
+        {"handler": "cmd_check", "check": ("arctan", "crosscheck")},
     ),
     "bench": (
         "wall-clock timing table per method and n",
         {"n_max": {"type": _natural, "nargs": "?", "default": 100}},
-        {"handler": ("commands", "cmd_bench")},
+        {"handler": "cmd_bench"},
     ),
 }
 
@@ -417,7 +417,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _read(argv)
         if args is None:
             args = _parse(argv)
-        return _resolve(args.handler)(args)
+        return _resolve(("commands", args.handler))(args)
     except (MemoryError, OverflowError) as exc:
         # An order that passes the parser but whose lists the process cannot
         # hold, or whose length does not fit an index.

@@ -1,7 +1,7 @@
-"""The command handlers, which ``cli.COMMANDS`` names by (module, function)
-pairs and ``cli.main`` resolves when a command runs: help, usage errors
-and building the parser never compile this module.  Each handler imports
-the module it runs, prints through ``cli._emit`` and returns the exit code.
+"""The command handlers, which ``cli.COMMANDS`` names and ``cli.main``
+resolves when a command runs: help, usage errors and building the parser
+never compile this module.  Each handler imports the module it runs,
+prints through ``cli._emit`` and returns the exit code.
 """
 
 from __future__ import annotations

@@ -635,7 +635,7 @@ def test_help_and_usage_errors_load_no_handler(line, code):
 def test_every_handler_and_check_pair_resolves():
     # A renamed handler or sweep fails here, not in a user's command.
     for command, (_, _, defaults) in COMMANDS.items():
-        assert callable(_resolve(defaults["handler"])), command
+        assert callable(_resolve(("commands", defaults["handler"]))), command
         if "check" in defaults:
             assert callable(_resolve(defaults["check"])), command
 
