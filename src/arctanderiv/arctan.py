@@ -3,15 +3,15 @@ for exact agreement.
 
 * closed: (n-1)! q_{n-1}(x) / (1+x^2)^n with the integer polynomial family q.
 * expanded (``prop12``): the alternating-binomial expansion, with the
-  literal sums alternating_binomial_sum(n-1, m) as coefficients, taken from
-  ``identities._sweep_numerators``; this module keeps no copy of the sum.
+  literal sums alternating_binomial_sum(n-1, m) as coefficients, streamed
+  from ``identities._sweep_numerators`` by ``_prop12_orders``.
 * pointwise: chain rule for 1/(1 + x^2) = reciprocal composed with 1 + x^2,
   evaluated at a point through derivative jets, in ints (``_pointwise``).
-* oracle: brute-force repeated quotient-rule differentiation, the ground
-  truth the other three are measured against.
+* oracle: brute-force repeated quotient-rule differentiation, streamed by
+  ``_oracle_orders``: the ground truth the other three are measured against.
 
-``crosscheck`` holds each of the first three against the oracle.  All routes
-take n = the derivative order of arctan itself (n >= 1).
+``crosscheck`` holds the first three against the oracle, order by order on
+those streams.  All routes take n = the derivative order of arctan itself (n >= 1).
 
 Only ``digits`` and ``polynomial`` are imported with this module.  A route
 imports ``composition`` or ``identities`` when it runs, and reads their
@@ -22,8 +22,7 @@ neither and a rebinding of a kernel in its home module reaches every route.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Iterator
 
 from . import digits
 from .digits import _fraction, _ratio_str
@@ -44,8 +43,7 @@ __all__ = [
     "crosscheck",
 ]
 
-# crosscheck's sample points by default: 0, 1, -1, 1/2, -1/2 and 3/7 as
-# lowest-terms (p, q) pairs.
+# crosscheck's sample points by default, as lowest-terms (p, q) pairs.
 DEFAULT_SAMPLE_POINTS = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (3, 7))
 
 
@@ -93,33 +91,41 @@ def arctan_derivative_closed(n: int) -> ArctanRational:
     return ArctanRational(q_polynomial(n - 1), n, scale=math.factorial(n - 1))
 
 
-def _expanded(p: int, numerators: list[int]) -> ArctanRational:
-    """arctan^(p+1) assembled from the alternating-binomial expansion:
+def _expanded(n: int, numerators: list[int]) -> ArctanRational:
+    """arctan^(n) from the alternating-binomial expansion of order p = n - 1:
 
         p! 2^p (-1)^p / (1+x^2)^(p+1) * sum_m c_m x^(p-2m),
 
     with c_m = alternating_binomial_sum(p, m) = numerators[m] / 2^p.  The
     2^p cancels, so the numerator is the integer prefactor (-1)^p p!, passed
     as the scale, times sum_m numerators[m] x^(p-2m): no Fraction is built
-    and the prefactor is never multiplied in.
+    and the prefactor is never multiplied in.  The row sets the degree.
     """
-    coeffs = [0] * (p + 1)
-    coeffs[p::-2] = numerators
-    return ArctanRational(coeffs, p + 1, scale=(-1) ** p * math.factorial(p))
+    coeffs = [0] * (2 * len(numerators) - (n & 1))
+    coeffs[::-2] = numerators
+    return ArctanRational(coeffs, n, scale=(-1) ** (n - 1) * math.factorial(n - 1))
+
+
+def _prop12_orders(n_max: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, row n - 1 of ``identities._sweep_numerators``) for n = 1..n_max."""
+    from . import identities
+
+    return ((p + 1, numerators) for p, numerators in identities._sweep_numerators(n_max - 1))
+
+
+def _order(orders: Iterator[tuple[int, Any]], n: int) -> Any:
+    """The value that an order stream labels n, n >= 1, read no further."""
+    _require_order(n)
+    return next(value for order, value in orders if order == n)
 
 
 def arctan_derivative_expanded(n: int) -> ArctanRational:
-    """arctan^(n) assembled by :func:`_expanded` from the literal numerators
-    of expansion order n - 1, the last row of ``identities._sweep_numerators(n - 1)``."""
-    from . import identities
-
-    _require_order(n)
-    return _expanded(n - 1, deque(identities._sweep_numerators(n - 1), maxlen=1)[0][1])
+    """arctan^(n) by :func:`_expanded` from order n of :func:`_prop12_orders`."""
+    return _expanded(n, _order(_prop12_orders(n), n))
 
 
 def arctan_derivative_pointwise(n: int, x: int | Fraction) -> Fraction:
-    """arctan^(n)(x) for one rational x, through derivative jets, by
-    :func:`_pointwise`."""
+    """arctan^(n)(x) at one rational x, through derivative jets, by :func:`_pointwise`."""
     _require_order(n)
     return _fraction(*_pointwise(n, [digits._pair(x, "a point")])[0])
 
@@ -147,14 +153,18 @@ def _pointwise(n: int, points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [chain_rule(n - 1, *x, ratio, weights) for x, ratio in zip(points, ratios)]
 
 
-def arctan_derivative_oracle(n: int) -> ArctanRational:
-    """Brute force: differentiate 1/(1+x^2) through n-1 quotient-rule steps,
-    each on the primitive part P, with the content moved into the scale."""
-    _require_order(n)
+def _oracle_orders(n_max: int) -> Iterator[tuple[int, ArctanRational]]:
+    """(n, arctan^(n)) for n = 1..n_max, n_max >= 1, by quotient-rule steps from 1/(1+x^2)."""
     value = ArctanRational(1, 1)
-    for _ in range(n - 1):
+    yield 1, value
+    for n in range(2, n_max + 1):
         value = value.derivative()
-    return value
+        yield n, value
+
+
+def arctan_derivative_oracle(n: int) -> ArctanRational:
+    """arctan^(n), order n of :func:`_oracle_orders`."""
+    return _order(_oracle_orders(n), n)
 
 
 def crosscheck(n_max: int, sample_points=None) -> CheckReport:
@@ -164,18 +174,14 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
 
     The closed and expanded forms must equal the quotient-rule oracle
     structurally (same primitive part, exponent and scale); the jet route must
-    match the oracle's value at every sample point.  Results are keyed by n,
-    so the report does not depend on evaluation order.
+    match the oracle's value at every sample point.  Each order comes from
+    what ``derive`` prints from: ``_oracle_orders``, ``_prop12_orders`` and ``_pointwise``.
+    A stream that stops short is one mismatch of kind "coverage": the last order
+    must be n_max and the cases n_max (2 + len(points)).
 
-    The oracle and the literal numerators (row p = n - 1 of
-    ``_sweep_numerators``, O(n) additions per order) are streamed alongside
-    the n loop, and the jet route is :func:`_pointwise`, the route that
-    ``derive --method=fdb`` prints, at every order.
-
-    A pointwise case is decided in integers: the jet route and the oracle
-    each give an unreduced (numerator, denominator) pair, from their own
-    kernels (``_pointwise`` and ``ArctanRational._evaluate``), and the case
-    passes when a d == b c; a mismatch reports the point and both pairs.
+    A pointwise case is decided in integers: ``_pointwise`` and the oracle's
+    ``ArctanRational._evaluate`` each give an unreduced (numerator, denominator)
+    pair, and the case passes when a d == b c; a mismatch reports the point and both pairs.
     """
     from . import identities
 
@@ -185,13 +191,10 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     report = identities.CheckReport(
         "crosscheck", {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
     )
-    oracle = ArctanRational(1, 1)
-    for p, numerators in identities._sweep_numerators(n_max - 1):
-        n = p + 1
-        if n > 1:
-            oracle = oracle.derivative()
+    n = 0
+    for (n, oracle), (order, numerators) in zip(_oracle_orders(n_max), _prop12_orders(n_max)):
         closed = arctan_derivative_closed(n)
-        expanded = _expanded(p, numerators)
+        expanded = _expanded(order, numerators)
         report.count_case(
             closed == oracle, n=n, pair="closed vs oracle", closed=closed, oracle=oracle
         )
@@ -211,4 +214,7 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
                     pointwise=(top, bottom),
                     oracle=(expected_top, expected_bottom),
                 )
+    cases = n_max * (2 + len(points))
+    if n != n_max or report.cases != cases:
+        report.count_case(False, n=n, kind="coverage", cases=report.cases, expected=cases)
     return report

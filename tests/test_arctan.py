@@ -320,9 +320,55 @@ def test_crosscheck_reports_a_wrong_literal_numerator(monkeypatch):
     assert (first["n"], first["pair"]) == (bad_p + 1, "expanded vs oracle")
 
 
+def counted(monkeypatch, home, name) -> list:
+    """Replace ``home.name`` by a wrapper that records each call in the list returned."""
+    calls, function = [], getattr(home, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(home, name, wrapper)
+    return calls
+
+
+def test_printed_routes_build_one_value_per_order_they_step(monkeypatch):
+    # The prop12 stream yields rows, not values: an _expanded per order
+    # would make arctan_derivative_expanded(400) several times slower.
+    expanded = counted(monkeypatch, arctan, "_expanded")
+    derivative = counted(monkeypatch, ArctanRational, "derivative")
+    arctan_derivative_expanded(50)
+    assert (len(expanded), len(derivative)) == (1, 0)
+    arctan_derivative_oracle(50)
+    assert (len(expanded), len(derivative)) == (1, 49)
+
+
+def stops_at_order_8(oracle_orders):
+    return lambda n_max: oracle_orders(min(n_max, 8))
+
+
+def drops_the_last_point(pointwise):
+    return lambda n, points: pointwise(n, points)[:-1]
+
+
+@pytest.mark.parametrize(
+    "kernel, fault, n, cases",
+    [("_oracle_orders", stops_at_order_8, 8, 32), ("_pointwise", drops_the_last_point, 10, 30)],
+)
+def test_crosscheck_reports_a_short_sweep_as_one_coverage_mismatch(
+    monkeypatch, kernel, fault, n, cases
+):
+    # Every case that a shortened sweep reaches passes; the shortfall must
+    # still fail it.
+    monkeypatch.setattr(arctan, kernel, fault(getattr(arctan, kernel)))
+    report = crosscheck(10, (0, Fraction(1, 2)))
+    assert (report.cases, report.mismatches) == (cases + 1, 1)
+    assert report.failures == [{"n": n, "kind": "coverage", "cases": cases, "expected": 40}]
+
+
 def test_expanded_rows_of_one_stream_match_single_orders():
-    for p, numerators in identities._sweep_numerators(80):
-        assert arctan._expanded(p, numerators) == arctan_derivative_expanded(p + 1), p
+    for n, numerators in arctan._prop12_orders(81):
+        assert arctan._expanded(n, numerators) == arctan_derivative_expanded(n), n
 
 
 def test_crosscheck_renders_points_past_the_digit_limit():

@@ -137,6 +137,21 @@ def constant_plus_one_out_of_exponent_5(derivative):
     return wrong
 
 
+def one_order_ahead(orders):
+    # Order n + 1 labelled n: the labels stay right, the values do not.
+    def wrong(n_max):
+        return ((n - 1, value) for n, value in orders(n_max + 1) if n > 1)
+
+    return wrong
+
+
+def two_orders_short(orders):
+    def wrong(n_max):
+        return orders(n_max - 2)
+
+    return wrong
+
+
 def entry_1_of_row_20_plus_one(sweep_numerators):
     # On a copy: the yielded row is the recurrence's state, so the rows after
     # it stay right.  Rows cut to width 1 have no entry 1.
@@ -207,6 +222,16 @@ KEPT = {
     "crosscheck": ("n", "pair", "point"),
 }
 
+# The cases of one crosscheck order at SWEEPS' points, by their KEPT fields
+# after n.
+PAIRS = (
+    ("closed vs oracle", None),
+    ("expanded vs oracle", None),
+    ("pointwise vs oracle", "0"),
+    ("pointwise vs oracle", "1/2"),
+    ("pointwise vs oracle", "-47/53"),
+)
+
 # row: (home module or class, kernel, fault, a probe of the kernel's output,
 # and for each sweep of SWEEPS that fails, its mismatch count and its kept
 # mismatches by their KEPT fields).  The other sweeps must pass.
@@ -231,6 +256,12 @@ KEPT = {
 # value, so only a structural case can see it: the expansion passes its sign
 # in the scale (-1)^(n-1) (n-1)!, which is negative at even n, while the
 # closed form and the oracle keep a positive scale and leave their sign in P.
+# A route's order stream one order ahead fails every case that reads it:
+# the oracle's fail at x = 0 too, since exactly one of arctan^(n)(0) and
+# arctan^(n+1)(0) is 0; the expansion's longer rows, at even n, give a
+# numerator of higher degree, not an error.  A stream that stops two orders
+# short is one mismatch of kind "coverage" at the last order reached, with
+# no pair and no point.
 FAULTS = {
     "_chain_weights": (
         composition,
@@ -328,13 +359,7 @@ FAULTS = {
                 [
                     (n, pair, x)
                     for n in range(6, 11)
-                    for pair, x in (
-                        ("closed vs oracle", None),
-                        ("expanded vs oracle", None),
-                        ("pointwise vs oracle", "0"),
-                        ("pointwise vs oracle", "1/2"),
-                        ("pointwise vs oracle", "-47/53"),
-                    )
+                    for pair, x in PAIRS
                     if n not in (7, 9) or x != "0"
                 ][:20],
             ),
@@ -351,13 +376,7 @@ FAULTS = {
                 [
                     (n, pair, x)
                     for n in range(2, 7)
-                    for pair, x in (
-                        ("closed vs oracle", None),
-                        ("expanded vs oracle", None),
-                        ("pointwise vs oracle", "0"),
-                        ("pointwise vs oracle", "1/2"),
-                        ("pointwise vs oracle", "-47/53"),
-                    )
+                    for pair, x in PAIRS
                     if (n, pair) != (2, "closed vs oracle") and (n & 1 or x != "0")
                 ][:20],
             ),
@@ -369,6 +388,27 @@ FAULTS = {
         sign_left_in_p,
         lambda init: canonical_form(init, (0, -2), 1),
         {"crosscheck": (20, [(n, "expanded vs oracle", None) for n in range(2, 41, 2)])},
+    ),
+    "_oracle_orders": (
+        arctan,
+        "_oracle_orders",
+        one_order_ahead,
+        lambda orders: list(orders(3)),
+        {"crosscheck": (200, [(n, pair, x) for n in range(1, 5) for pair, x in PAIRS])},
+    ),
+    "_prop12_orders": (
+        arctan,
+        "_prop12_orders",
+        one_order_ahead,
+        lambda orders: list(orders(3)),
+        {"crosscheck": (40, [(n, "expanded vs oracle", None) for n in range(1, 21)])},
+    ),
+    "_prop12_orders stopping short": (
+        arctan,
+        "_prop12_orders",
+        two_orders_short,
+        lambda orders: list(orders(3)),
+        {"crosscheck": (1, [(38, None, None)])},
     ),
     "_sweep_numerators": (
         identities,

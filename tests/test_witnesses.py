@@ -119,8 +119,8 @@ WITNESSES = {
         ("polynomial.ArctanRational.derivative",),
     ),
     "prop12 vs the oracle (crosscheck)": (
-        ("arctan.arctan_derivative_expanded", "arctan._expanded", "identities._sweep_numerators"),
-        ("arctan.arctan_derivative_oracle", "polynomial.ArctanRational.derivative"),
+        ("arctan.arctan_derivative_expanded", "arctan._prop12_orders", "arctan._expanded"),
+        ("arctan.arctan_derivative_oracle", "arctan._oracle_orders"),
     ),
     "the jet route vs the oracle's value (crosscheck)": (
         (
@@ -157,6 +157,10 @@ MODULE_ROWS = [row for row, (left, _) in WITNESSES.items() if type(left) is str]
 # false.
 ALLOWED = {
     "arctan._require_order": "the n >= 1 guard: it raises or returns, and computes no value",
+    "arctan._order": (
+        "the selection of order n from a route's stream, by which derive prints "
+        "prop12 and the oracle: it picks an order and computes no value"
+    ),
     "polynomial.ArctanRational.__init__": (
         "the one canonical form, shared on purpose so that equal values compare "
         "equal; crosscheck's pointwise cases see a fault in it, since the jet "
@@ -201,6 +205,26 @@ def test_a_module_imports_nothing_from_its_witness(graph, row):
 def test_every_allowed_entry_is_shared_by_a_row(graph):
     used = set().union(*(shared(graph, row) for row in FUNCTION_ROWS))
     assert ALLOWED.keys() <= used
+
+
+# The routes that derive prints from one order stream each, and the kernels
+# that only those streams step.
+STREAMS = {
+    "arctan.arctan_derivative_oracle": "arctan._oracle_orders",
+    "arctan.arctan_derivative_expanded": "arctan._prop12_orders",
+}
+STREAM_KERNELS = {"polynomial.ArctanRational.derivative", "identities._sweep_numerators"}
+
+
+def test_crosscheck_runs_the_streams_that_derive_prints(graph):
+    # A second copy of a stream, in crosscheck or in a printed route, steps
+    # a kernel itself: the check would then hold a copy, not what derive prints.
+    checked = reachable(graph, ["arctan.crosscheck"])
+    for route, stream in STREAMS.items():
+        assert stream in checked, stream
+        assert stream in reachable(graph, [route]), route
+    for caller in ("arctan.crosscheck", *STREAMS):
+        assert not graph[caller] & STREAM_KERNELS, caller
 
 
 def test_the_graph_sees_a_witness_joined_to_its_route():
