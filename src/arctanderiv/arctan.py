@@ -176,8 +176,8 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     structurally (same primitive part, exponent and scale); the jet route must
     match the oracle's value at every sample point.  Each order comes from
     what ``derive`` prints from: ``_oracle_orders``, ``_prop12_orders`` and ``_pointwise``.
-    A stream that stops short is one mismatch of kind "coverage": the last order
-    must be n_max and the cases n_max (2 + len(points)).
+    The report is closed at n_max (2 + len(points)) cases, so a stream that
+    stops short is one mismatch of kind "coverage" (``CheckReport.close``).
 
     A pointwise case is decided in integers: ``_pointwise`` and the oracle's
     ``ArctanRational._evaluate`` each give an unreduced (numerator, denominator)
@@ -188,9 +188,8 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
     points = list(map(_point, DEFAULT_SAMPLE_POINTS if sample_points is None else sample_points))
-    report = identities.CheckReport(
-        "crosscheck", {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
-    )
+    parameters = {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
+    report = identities.CheckReport("crosscheck", parameters, n_max * (2 + len(points)))
     n = 0
     for (n, oracle), (order, numerators) in zip(_oracle_orders(n_max), _prop12_orders(n_max)):
         closed = arctan_derivative_closed(n)
@@ -214,7 +213,4 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
                     pointwise=(top, bottom),
                     oracle=(expected_top, expected_bottom),
                 )
-    cases = n_max * (2 + len(points))
-    if n != n_max or report.cases != cases:
-        report.count_case(False, n=n, kind="coverage", cases=report.cases, expected=cases)
-    return report
+    return report.close(n)

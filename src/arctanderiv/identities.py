@@ -91,9 +91,10 @@ class CheckReport:
     counted, so time and memory stay bounded when every case fails.
     """
 
-    def __init__(self, check: str, parameters: dict[str, Any]) -> None:
+    def __init__(self, check: str, parameters: dict[str, Any], expected: int) -> None:
         self.check = check
         self.parameters = parameters
+        self.expected = expected
         self.cases = self.mismatches = 0
         self.failures: list[dict[str, Any]] = []
 
@@ -109,6 +110,13 @@ class CheckReport:
             self.mismatches += 1
             if len(self.failures) < FAILURES_KEPT:
                 self.failures.append({k: _rendered(v) for k, v in context.items()})
+
+    def close(self, n: int) -> CheckReport:
+        """End a sweep whose kernel's last n was ``n``: one mismatch of kind
+        "coverage" unless n is n_max and the cases number ``expected``."""
+        if n != self.parameters["n_max"] or self.cases != self.expected:
+            self.count_case(False, n=n, kind="coverage", cases=self.cases, expected=self.expected)
+        return self
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -221,8 +229,9 @@ def check_binomial_identity(n_max: int) -> CheckReport:
     """
     if n_max < 0:
         raise ValueError("check_binomial_identity requires n_max >= 0")
-    report = CheckReport("check-identity", {"n_max": n_max})
+    report = CheckReport("check-identity", {"n_max": n_max}, (n_max // 2 + 1) * ((n_max + 3) // 2))
     closed_rows = itertools.islice(_pascal_rows(), 1, None)
+    n = -1
     for (n, numerators), closed_row in zip(_sweep_numerators(n_max), closed_rows):
         closed = [_closed_form_numerator(closed_row, m) for m in range(len(numerators))]
         if numerators == closed:
@@ -233,7 +242,7 @@ def check_binomial_identity(n_max: int) -> CheckReport:
                 report.count_case(True)
             else:
                 report.count_case(False, n=n, m=m, lhs=(lhs, 1 << n), rhs=(rhs, 1 << n))
-    return report
+    return report.close(n)
 
 
 def weighted_binomial_sum(n: int) -> Fraction:
@@ -308,7 +317,8 @@ def check_weighted_identity(n_max: int) -> CheckReport:
     """
     if n_max < 0:
         raise ValueError("check_weighted_identity requires n_max >= 0")
-    report = CheckReport("check-corollary", {"n_max": n_max})
+    report = CheckReport("check-corollary", {"n_max": n_max}, n_max + 1 + n_max // 2 + 1)
+    n = -1
     for n, lcm, moment in _weighted_moments(n_max):
         closed = _weighted_closed_numerator(n, lcm)
         if moment == closed:
@@ -325,7 +335,7 @@ def check_weighted_identity(n_max: int) -> CheckReport:
         else:
             difference, expected = (following - prefix, 4 ** (j + 1)), (2, 4 ** (j + 1))
             report.count_case(False, recurrence_j=j, difference=difference, expected=expected)
-    return report
+    return report.close(n)
 
 
 MAX_TERMS = 10**6
@@ -438,8 +448,9 @@ def check_hypergeometric_sweep(n_max: int) -> CheckReport:
     """
     if n_max < 0:
         raise ValueError("check_hypergeometric_sweep requires n_max >= 0")
-    report = CheckReport("check-2f1", {"n_max": n_max})
+    report = CheckReport("check-2f1", {"n_max": n_max}, 2 * (n_max // 2 + 1) * ((n_max + 3) // 2))
+    n = -1
     for n, numerators in _sweep_numerators(n_max):
         for m, numerator in enumerate(numerators):
             _hypergeometric_case(n, m, report, numerator)
-    return report
+    return report.close(n)

@@ -357,6 +357,25 @@ def assert_one_mismatch(capsys, argv, cases, context, text):
     assert out.splitlines()[1] == f"{check},{n_max},{cases},1,False"
 
 
+@pytest.mark.parametrize(
+    "check, kernel, cases, expected",
+    [
+        ("check-identity", "_sweep_numerators", 0, 256),
+        ("check-corollary", "_weighted_moments", 16, 47),
+        ("check-2f1", "_sweep_numerators", 0, 512),
+    ],
+)
+def test_a_kernel_that_yields_no_row_fails_by_one_coverage_mismatch(
+    capsys, monkeypatch, check, kernel, cases, expected
+):
+    # No n is reached, so the report closes at n = -1.  check-corollary
+    # still runs the 16 recurrence steps, which read no moment.
+    monkeypatch.setattr(identities, kernel, lambda *args: iter(()))
+    context = {"n": -1, "kind": "coverage", "cases": cases, "expected": expected}
+    text = f"  MISMATCH n=-1 kind=coverage cases={cases} expected={expected}"
+    assert_one_mismatch(capsys, (check, "30"), cases + 1, context, text)
+
+
 @WRONG_CASES
 def test_2f1_value_mismatch_context(capsys, monkeypatch, wrong_n, wrong_m):
     # The literal numerator is off by one at (wrong_n, wrong_m) only, so the
@@ -705,23 +724,27 @@ def test_each_command_loads_only_the_output_stack_it_needs(command):
 
 # A failing sweep reports the int pairs it compared, and its report reduces
 # and prints only those it keeps: each sweep, with one of its kernels made
-# wrong on every case, exits 1 and loads neither ``fractions`` nor ``json``.
-# Each entry: the kernel's module and name, and its wrong value.
+# wrong on every case, exits 1 and loads neither ``fractions`` nor ``json``;
+# so does a sweep whose kernel yields no row, which fails by one mismatch of
+# kind coverage.  Each entry: the kernel's module and name, its wrong value,
+# and the mismatches the sweep counts.
 FAILING_SWEEPS = {
-    "check-identity 30": ("identities", "_closed_form_numerator", "value + 1"),
-    "check-corollary 30": ("identities", "_weighted_closed_numerator", "value + 1"),
-    "check-2f1 30": ("identities", "_terminating_2f1", "(value[0] + value[1], value[1])"),
+    "check-identity 30": ("identities", "_closed_form_numerator", "value + 1", 256),
+    "check-corollary 30": ("identities", "_weighted_closed_numerator", "value + 1", 31),
+    "check-2f1 30": ("identities", "_terminating_2f1", "(value[0] + value[1], value[1])", 256),
     "crosscheck 40 --points=0,1/2,-47/53": (
         "composition",
         "_square_chain_rule",
         "(value[0] + value[1], value[1])",
+        120,
     ),
+    "check-2f1 20": ("identities", "_sweep_numerators", "iter(())", 1),
 }
 
 
 @pytest.mark.parametrize("command", FAILING_SWEEPS)
 def test_a_failing_sweep_loads_no_fractions_and_no_json(command):
-    module, kernel, wrong = FAILING_SWEEPS[command]
+    module, kernel, wrong, mismatches = FAILING_SWEEPS[command]
     probe = (
         "import sys\n"
         f"from arctanderiv import cli, {module}\n"
@@ -737,7 +760,8 @@ def test_a_failing_sweep_loads_no_fractions_and_no_json(command):
     *report, loaded = result.stdout.splitlines()
     assert loaded == "1"
     report = json.loads("\n".join(report))
-    assert report["mismatches"] > len(report["failures"]) == identities.FAILURES_KEPT
+    assert report["mismatches"] == mismatches
+    assert len(report["failures"]) == min(mismatches, identities.FAILURES_KEPT)
 
 
 # A plain command line is read without argparse, which loads only for help

@@ -146,8 +146,18 @@ def one_order_ahead(orders):
 
 
 def two_orders_short(orders):
-    def wrong(n_max):
-        return orders(n_max - 2)
+    # A row width, where the kernel takes one, is passed on.
+    def wrong(n_max, *width):
+        return orders(n_max - 2, *width)
+
+    return wrong
+
+
+def last_entry_cut(sweep_numerators):
+    # A row of one entry keeps it, so rows cut to width 1 stay right.
+    def wrong(n_max, width=None):
+        for n, row in sweep_numerators(n_max, width):
+            yield n, row[:-1] if len(row) > 1 else row
 
     return wrong
 
@@ -261,7 +271,13 @@ PAIRS = (
 # arctan^(n+1)(0) is 0; the expansion's longer rows, at even n, give a
 # numerator of higher degree, not an error.  A stream that stops two orders
 # short is one mismatch of kind "coverage" at the last order reached, with
-# no pair and no point.
+# no pair and no point.  So is a kernel that leaves out cases: every case it
+# reaches holds, and each sweep that it shortens fails by one coverage
+# mismatch, with no m, at the last n its kernel reached.  check-corollary
+# reads _sweep_numerators' rows up to n = 2 (n_max//2 + 1), cut to width 1,
+# so rows cut by their last entry leave it whole, and two rows short leave
+# its moments whole but its recurrence one step short; crosscheck sees the
+# cut rows as wrong expansions from order 3, whose row first has two entries.
 FAULTS = {
     "_chain_weights": (
         composition,
@@ -421,6 +437,29 @@ FAULTS = {
             "crosscheck": (1, [(21, "expanded vs oracle", None)]),
         },
     ),
+    "_sweep_numerators stopping short": (
+        identities,
+        "_sweep_numerators",
+        two_orders_short,
+        lambda sweep_numerators: list(sweep_numerators(3)),
+        {
+            "check-identity": (1, [(58, None)]),
+            "check-corollary": (1, [(60,)]),
+            "check-2f1": (1, [(38, None, "coverage")]),
+            "crosscheck": (1, [(38, None, None)]),
+        },
+    ),
+    "_sweep_numerators rows cut by their last entry": (
+        identities,
+        "_sweep_numerators",
+        last_entry_cut,
+        lambda sweep_numerators: list(sweep_numerators(3)),
+        {
+            "check-identity": (1, [(60, None)]),
+            "check-2f1": (1, [(40, None, "coverage")]),
+            "crosscheck": (38, [(n, "expanded vs oracle", None) for n in range(3, 23)]),
+        },
+    ),
     "_pascal_rows": (
         identities,
         "_pascal_rows",
@@ -441,6 +480,13 @@ FAULTS = {
         moment_plus_one_at_10,
         lambda weighted_moments: list(weighted_moments(10)),
         {"check-corollary": (1, [(10,)])},
+    ),
+    "_weighted_moments stopping short": (
+        identities,
+        "_weighted_moments",
+        two_orders_short,
+        lambda weighted_moments: list(weighted_moments(3)),
+        {"check-corollary": (1, [(58,)])},
     ),
     "_weighted_closed_numerator": (
         identities,

@@ -13,6 +13,7 @@ from arctanderiv import (
     check_binomial_identity,
     check_hypergeometric_sweep,
     check_weighted_identity,
+    crosscheck,
     identities,
     terminating_2f1,
     truncation_index,
@@ -58,6 +59,33 @@ def test_identity_sweep_case_counts():
     report = check_binomial_identity(4)
     assert report.passed
     assert report.cases == 9
+
+
+def test_each_sweep_closes_at_the_cases_it_visits():
+    # A report closes at a count computed from n_max and the point count
+    # alone; it must be the number of cases that the sweep's loops visit:
+    # one per (n, m) for check-identity, two (index and value) for
+    # check-2f1, one per n and one per recurrence step j for check-corollary,
+    # and for crosscheck two structural cases and one per point at each order.
+    points = (0, Fraction(1, 2), Fraction(-47, 53))
+    for n_max in range(41):
+        pairs = sum(1 for n in range(n_max + 1) for m in range(n // 2 + 1))
+        steps = sum(1 for n in range(n_max + 1)) + sum(1 for j in range(n_max // 2 + 1))
+        reports = [
+            (check_binomial_identity(n_max), pairs),
+            (check_hypergeometric_sweep(n_max), 2 * pairs),
+            (check_weighted_identity(n_max), steps),
+        ]
+        if n_max:
+            reports += [
+                (crosscheck(n_max, points[:k]), sum(2 + k for n in range(1, n_max + 1)))
+                for k in range(len(points) + 1)
+            ]
+        for report, cases in reports:
+            assert (report.expected, report.cases, report.passed) == (cases, cases, True), (
+                report.check,
+                n_max,
+            )
 
 
 @pytest.mark.parametrize(
