@@ -8,7 +8,7 @@ names (``__all__``) of each module below.
 The re-export is lazy (PEP 562 module ``__getattr__``), so that a CLI
 command compiles only the modules it runs.  Importing the package loads
 none of them.  The name of a library module, such as ``arctanderiv.arctan``,
-imports just that module.  Any other name first imports all six, binds
+imports just that module.  Any other name first imports all eight, binds
 their public names here and sets ``__all__``, in the order of ``_MODULES``.
 """
 
@@ -16,7 +16,16 @@ import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("arctan", "combinatorics", "composition", "digits", "identities", "polynomial")
+_MODULES = (
+    "arctan",
+    "combinatorics",
+    "composition",
+    "digits",
+    "hypergeometric",
+    "identities",
+    "polynomial",
+    "reports",
+)
 
 
 def __getattr__(name: str):

@@ -4,7 +4,7 @@ for exact agreement.
 * closed: (n-1)! q_{n-1}(x) / (1+x^2)^n with the integer polynomial family q.
 * expanded (``prop12``): the alternating-binomial expansion, with the
   literal sums alternating_binomial_sum(n-1, m) as coefficients, streamed
-  from ``identities._sweep_numerators`` by ``_prop12_orders``.
+  from ``combinatorics._sweep_numerators`` by ``_prop12_orders``.
 * pointwise: chain rule for 1/(1 + x^2) = reciprocal composed with 1 + x^2,
   evaluated at a point through derivative jets, in ints (``_pointwise``).
 * oracle: brute-force repeated quotient-rule differentiation, streamed by
@@ -14,9 +14,11 @@ for exact agreement.
 those streams.  All routes take n = the derivative order of arctan itself (n >= 1).
 
 Only ``digits`` and ``polynomial`` are imported with this module.  A route
-imports ``composition`` or ``identities`` when it runs, and reads their
+imports ``composition`` or ``combinatorics`` when it runs, and reads their
 kernels from those modules then, so that ``closed`` and ``oracle`` compile
 neither and a rebinding of a kernel in its home module reaches every route.
+``crosscheck`` fills a ``reports.CheckReport`` and compiles no
+``identities``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .polynomial import ArctanRational
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .identities import CheckReport
+    from .reports import CheckReport
 
 __all__ = [
     "DEFAULT_SAMPLE_POINTS",
@@ -107,10 +109,10 @@ def _expanded(n: int, numerators: list[int]) -> ArctanRational:
 
 
 def _prop12_orders(n_max: int) -> Iterator[tuple[int, list[int]]]:
-    """(n, row n - 1 of ``identities._sweep_numerators``) for n = 1..n_max."""
-    from . import identities
+    """(n, row n - 1 of ``combinatorics._sweep_numerators``) for n = 1..n_max."""
+    from . import combinatorics
 
-    return ((p + 1, numerators) for p, numerators in identities._sweep_numerators(n_max - 1))
+    return ((p + 1, numerators) for p, numerators in combinatorics._sweep_numerators(n_max - 1))
 
 
 def _order(orders: Iterator[tuple[int, Any]], n: int) -> Any:
@@ -183,13 +185,13 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     ``ArctanRational._evaluate`` each give an unreduced (numerator, denominator)
     pair, and the case passes when a d == b c; a mismatch reports the point and both pairs.
     """
-    from . import identities
+    from . import reports
 
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
     points = list(map(_point, DEFAULT_SAMPLE_POINTS if sample_points is None else sample_points))
     parameters = {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
-    report = identities.CheckReport("crosscheck", parameters, n_max * (2 + len(points)))
+    report = reports.CheckReport("crosscheck", parameters, n_max * (2 + len(points)))
     n = 0
     for (n, oracle), (order, numerators) in zip(_oracle_orders(n_max), _prop12_orders(n_max)):
         closed = arctan_derivative_closed(n)

@@ -1,12 +1,12 @@
 """Command-line surface: polynomial queries, derivatives by any route, exact
 verification sweeps, and a timing table.
 
-Every result is printed by one emitter, ``_emit``, as text, a json document
-or a csv table, streamed to stdout term by term, with every number rendered
-at any size by ``exact_str`` (no int -> str digit limit).  The handlers
-live in ``commands``; the four sweeps (``check-identity``,
-``check-corollary``, ``check-2f1`` and ``crosscheck``) share one,
-``cmd_check``, which runs the check function its subparser named.
+Every result is printed by one emitter, ``emit._emit``, as text, a json
+document or a csv table.  The handlers live in ``commands``; the four
+sweeps (``check-identity``, ``check-corollary``, ``check-2f1`` and
+``crosscheck``) share one, ``cmd_check``, which runs the check function its
+subparser named.  Help is written to the stdout that ``emit._stdout``
+gives, so help loads ``emit`` and a usage error does not.
 
 One table, ``COMMANDS``, declares every command and its arguments.  ``main``
 reads a plain command line (``_read``: a command, its positionals, then
@@ -21,8 +21,7 @@ identity sweeps run on integers and load no ``polynomial``.  ``derive``
 reads ``--x``, and ``crosscheck`` its ``--points``, as lowest-terms int
 pairs (``_ratio``); ``derive`` computes its value at x by every route as
 an unreduced int pair and prints its lowest terms (``digits._lowest``),
-and ``crosscheck`` decides every case in ints.  ``json`` loads only to quote a string that
-holds a character json escapes (``_quote``): no command prints one.
+and ``crosscheck`` decides every case in ints.
 
 ``main(argv)`` is the in-process API: it returns the exit code, touches no
 file descriptor and leaves the garbage collector alone.  A process enters
@@ -44,15 +43,13 @@ import importlib
 import re
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .digits import _lowest, exact_str
+from .digits import _lowest
 
 if TYPE_CHECKING:
     import argparse
     from argparse import Namespace
-
-    from .polynomial import Term
 
 __all__ = ["main", "build_parser"]
 
@@ -126,110 +123,6 @@ def _positive(text: str) -> int:
     if value < 1:
         raise ValueError("must be >= 1")
     return value
-
-
-TERM_HEADER = ("power", "numerator", "denominator")
-
-
-class _Number(str):
-    """The text of an integer, written to json as a number."""
-
-
-def _term_dicts(terms: Iterable[Term]) -> Iterator[dict[str, object]]:
-    """json term dicts from (power, text) pairs: every term is an integer."""
-    for power, numerator in terms:
-        yield {"power": power, "numerator": _Number(numerator), "denominator": 1}
-
-
-def _quote(value: object) -> str:
-    """json.dumps(value) for a string, a bool or None; ``json`` is imported
-    only for a string that it would escape, which no command prints."""
-    if value is None or type(value) is bool:
-        return "null" if value is None else "true" if value else "false"
-    # json.dumps writes printable ASCII without " or \ as it is.
-    if type(value) is str and value.isascii() and value.isprintable():
-        if '"' not in value and "\\" not in value:
-            return f'"{value}"'
-    import json
-
-    return json.dumps(value)
-
-
-def _json(value: object, indent: str) -> Iterator[str]:
-    """json.dumps(value, indent=2) in pieces, for dicts, lists and iterators
-    of them, strings, ints, ``_Number`` texts, bools and None.  Ints are
-    rendered by ``exact_str``, so they have no digit limit, and an iterator
-    is written as a list while it is consumed."""
-    if isinstance(value, _Number):
-        yield value
-    elif type(value) is int:
-        yield exact_str(value)
-    elif isinstance(value, (dict, list, Iterator)):
-        if isinstance(value, dict):
-            opening, closing = "{", "}"
-            items = ((_quote(key) + ": ", item) for key, item in value.items())
-        else:
-            opening, closing = "[", "]"
-            items = (("", item) for item in value)
-        inner = indent + "  "
-        before = opening
-        for prefix, item in items:
-            yield f"{before}\n{inner}{prefix}"
-            yield from _json(item, inner)
-            before = ","
-        yield opening + closing if before == opening else f"\n{indent}{closing}"
-    else:
-        yield _quote(value)
-
-
-def _csv_field(value: object) -> str:
-    """str(value), quoted and its quotes doubled if it holds , " CR or LF."""
-    text = str(value)
-    if any(special in text for special in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _stdout():
-    """sys.stdout, for a result or help.  A process started with fd 1 closed
-    has None there: that raises the OSError of a failed write instead."""
-    if sys.stdout is None:
-        import errno
-        raise OSError(errno.EBADF, "stdout is closed")
-    return sys.stdout
-
-
-def _emit(
-    fmt: str,
-    text: Iterable[str],
-    document: dict | None,
-    header: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> None:
-    """Print one result as text, as a json document or as a csv table,
-    streamed to stdout piece by piece, term by term or row by row.
-
-    Only the requested format's payload is rendered: the text pieces are
-    written, ``document`` is walked and ``rows`` is iterated only for their
-    own format.  A document's costly parts are lazy iterators, such as
-    ``_term_dicts(...)``, so a large value is converted once and never held
-    whole as one output string.
-    """
-    out = _stdout()
-    write = out.write
-    if fmt == "csv":
-        write(",".join(map(_csv_field, header)) + "\n")
-        for row in rows:
-            write(",".join(map(_csv_field, row)) + "\n")
-    else:
-        if fmt == "json":
-            text = _json(document, "")
-        for piece in text:
-            write(piece)
-        write("\n")
-    # A result shorter than stdout's buffer would otherwise wait there until
-    # finalization, too late for main to report a failed write.
-    out.flush()
 
 
 # The routes of derive and bench, by the name of their function in
@@ -332,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     class Parser(argparse.ArgumentParser):  # subparsers take this class too
         def print_help(self, file=None) -> None:
+            from .emit import _stdout
+
             file = file or _stdout()
             file.write(self.format_help())
             file.flush()

@@ -1,7 +1,7 @@
 """The command handlers, which ``cli.COMMANDS`` names and ``cli.main``
 resolves when a command runs: help, usage errors and building the parser
 never compile this module.  Each handler imports the module it runs,
-prints through ``cli._emit`` and returns the exit code.
+prints through ``emit._emit`` and returns the exit code.
 """
 
 from __future__ import annotations
@@ -10,8 +10,9 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from .cli import METHODS, POINTWISE_METHODS, TERM_HEADER, _emit, _quote, _resolve, _term_dicts
+from .cli import METHODS, POINTWISE_METHODS, _resolve
 from .digits import _lowest, _ratio_str
+from .emit import TERM_HEADER, _emit, _quote, _term_dicts
 
 if TYPE_CHECKING:
     from argparse import Namespace

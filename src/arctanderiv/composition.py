@@ -215,10 +215,11 @@ def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:
     """C(n-k, k) T_(n-k) for k = 0..n//2, the point-free factors of the
     order-n sum, by the exact update C(n-k-1, k+1) = C(n-k, k) (n-2k)(n-2k-1)
     / ((k+1)(n-k)), which gives 0 after the last weight (n - k = 0 only at
-    n = 0).  The module imports nothing from ``identities``, whose binomial
-    rows the sweeps check: this route is checked against the quotient-rule
-    oracle.  ``arctan._pointwise`` lists one row for all its points; for
-    one point it streams the row (a list is about as large as the sum)."""
+    n = 0).  The module imports nothing from ``identities`` or
+    ``combinatorics``, which hold the binomial rows that the sweeps check:
+    this route is checked against the quotient-rule oracle.
+    ``arctan._pointwise`` lists one row for all its points; for one point it
+    streams the row (a list is about as large as the sum)."""
     binomial = 1
     for k in range(n // 2 + 1):
         yield binomial * numerators[n - k]

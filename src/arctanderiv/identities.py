@@ -1,11 +1,11 @@
 """Exact verification of the alternating binomial-sum identities and of their
-terminating Gauss hypergeometric form, and the ``CheckReport`` that every
-check fills, ``crosscheck`` in ``arctanderiv.arctan`` too.
+terminating Gauss hypergeometric form.
 
-Every check here is an exact-equality sweep.  The Gamma function never
-appears: the hypergeometric series is only ever evaluated where it
-terminates, so the classical Gamma-ratio closed form is exercised purely
-through its combinatorial consequence, never numerically.
+Every check here is an exact-equality sweep, and fills a ``CheckReport``
+from ``reports``.  The Gamma function never appears: the hypergeometric
+series (``hypergeometric``) is only ever evaluated where it terminates, so
+the classical Gamma-ratio closed form is exercised purely through its
+combinatorial consequence, never numerically.
 
 The three sums (the alternating sum, the weighted sum and the terminating
 series) accumulate an integer numerator over one common denominator, so no
@@ -16,24 +16,27 @@ sum built from it would make the 2F1 check compare the series with itself.
 
 The literal alternating sum has two implementations: one case by
 ``alternating_binomial_sum`` (O(n), binomials read from ``math.comb``), and
-every m of every n by ``_sweep_numerators`` (one pass of O(n) additions per
-n).  Both scale the sums of one n by 2^n, the closed form's denominator, so
-the literal numerators of n are (-1)^m C(n+1, 2m+1) when the identity
-holds.  They are the coefficients of the weight polynomial shifted by 1; the
-weight polynomials follow a three-term recurrence (Pascal's rule on the
-anti-diagonals), and the shift is linear, so the recurrence runs on the
-shifted polynomials themselves.  That stream also gives the coefficients of
-the ``prop12`` route in ``arctanderiv.arctan``, and every check holds it
-against a side built another way: Pascal rows grown by addition
-(``check-identity``), the terminating series (``check-2f1``) or the
-quotient-rule oracle (``crosscheck``).  The corollary sweep reads no
-binomial: its weighted sums are the zeroth moments of a table that a
-three-term recurrence fills by shifts and subtractions over one lcm
-(``_weighted_moments``), and its recurrence half reads the m = 0 entries of
-the even rows of ``_sweep_numerators``, run on rows cut to that one entry.
-Every case is decided by integer equality, by cross-multiplication where
-the two sides have different denominators, and a mismatch reports the int
-pairs it compared, reduced only in a context that the report keeps.
+every m of every n by ``combinatorics._sweep_numerators`` (one pass of O(n)
+additions per n).  Both scale the sums of one n by 2^n, the closed form's
+denominator, so the literal numerators of n are (-1)^m C(n+1, 2m+1) when
+the identity holds.  They are the coefficients of the weight polynomial
+shifted by 1; the weight polynomials follow a three-term recurrence
+(Pascal's rule on the anti-diagonals), and the shift is linear, so the
+recurrence runs on the shifted polynomials themselves.  That stream also
+gives the coefficients of the ``prop12`` route in ``arctanderiv.arctan``,
+and every check holds it against a side built another way: Pascal rows
+grown by addition (``check-identity``), the terminating series
+(``check-2f1``) or the quotient-rule oracle (``crosscheck``).  The
+corollary sweep reads no binomial: its weighted sums are the zeroth moments
+of a table that a three-term recurrence fills by shifts and subtractions
+over one lcm (``_weighted_moments``), and its recurrence half reads the
+m = 0 entries of the even rows of ``_sweep_numerators``, run on rows cut to
+that one entry.  The sweeps read ``_sweep_numerators`` and the series
+kernels from their home modules when they run, so a rebinding there reaches
+every sweep, and only ``check-2f1`` imports ``hypergeometric``.  Every case
+is decided by integer equality, by cross-multiplication where the two sides
+have different denominators, and a mismatch reports the int pairs it
+compared, reduced only in a context that the report keeps.
 """
 
 from __future__ import annotations
@@ -41,137 +44,29 @@ from __future__ import annotations
 import itertools
 import math
 from operator import add
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .digits import _fraction, _lowest, _pair, _ratio_str
+from . import combinatorics
+from .digits import _fraction
+from .reports import CheckReport
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "CheckReport",
-    "FAILURES_KEPT",
-    "NonTerminatingSeriesError",
     "alternating_binomial_sum",
     "alternating_binomial_closed_form",
     "check_binomial_identity",
     "weighted_binomial_sum",
     "weighted_binomial_closed_form",
     "check_weighted_identity",
-    "truncation_index",
-    "terminating_2f1",
     "check_hypergeometric_sweep",
 ]
-
-
-_JSON_SAFE = (bool, int, str, type(None))
-
-
-def _rendered(value: Any) -> Any:
-    """A failure context's value, JSON-safe: an int pair by the exact text
-    of its lowest terms, any other value that json cannot hold by str()."""
-    if isinstance(value, _JSON_SAFE):
-        return value
-    if type(value) is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is int:
-        return _ratio_str(*_lowest(*value))
-    return str(value)
-
-
-FAILURES_KEPT = 20
-"""How many failure contexts a report keeps; later mismatches are only counted."""
-
-
-class CheckReport:
-    """Outcome of one sweep: parameters, case and mismatch counts, and the
-    contexts of the first FAILURES_KEPT mismatches.
-
-    A context holds a rational as an int (numerator, denominator) pair.  A
-    kept context is reduced and rendered JSON-safe ("p/q" by ``digits``, at
-    any size), so a report serializes as-is; later mismatches are only
-    counted, so time and memory stay bounded when every case fails.
-    """
-
-    def __init__(self, check: str, parameters: dict[str, Any], expected: int) -> None:
-        self.check = check
-        self.parameters = parameters
-        self.expected = expected
-        self.cases = self.mismatches = 0
-        self.failures: list[dict[str, Any]] = []
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-    def count_case(self, ok: bool, **context: Any) -> None:
-        """Record one checked case; keep the rendered context of the first
-        FAILURES_KEPT mismatches."""
-        self.cases += 1
-        if not ok:
-            self.mismatches += 1
-            if len(self.failures) < FAILURES_KEPT:
-                self.failures.append({k: _rendered(v) for k, v in context.items()})
-
-    def close(self, n: int) -> CheckReport:
-        """End a sweep whose kernel's last n was ``n``: one mismatch of kind
-        "coverage" unless n is n_max and the cases number ``expected``."""
-        if n != self.parameters["n_max"] or self.cases != self.expected:
-            self.count_case(False, n=n, kind="coverage", cases=self.cases, expected=self.expected)
-        return self
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "check": self.check,
-            **self.parameters,
-            "cases": self.cases,
-            "mismatches": self.mismatches,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
-
-    def summary(self) -> str:
-        """One line; list parameters are comma-joined, as the CLI takes them."""
-        params = " ".join(
-            f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
-            for k, v in self.parameters.items()
-        )
-        status = "PASS" if self.passed else f"FAIL ({self.mismatches} mismatches)"
-        return f"{self.check}: {params} cases={self.cases} {status}"
-
-
-class NonTerminatingSeriesError(ArithmeticError):
-    """No upper series parameter truncates the series within the term bound."""
 
 
 def _require_half_range(n: int, m: int) -> None:
     if n < 0 or m < 0 or m > n // 2:
         raise ValueError("requires 0 <= m <= n//2")
-
-
-def _sweep_numerators(n_max: int, width: int | None = None) -> Iterator[tuple[int, list[int]]]:
-    """(n, S_n) for n = 0..n_max, where S_n[m] = sum_i C(i, m) w_i is the
-    literal sum of (n, m) times 2^n, m = 0..n//2; with ``width``, only the
-    first ``width`` entries of each row.
-
-    S_n(t) = W_n(1 + t) with W_n(t) = sum_i w_i t^i and weights
-    w_i = (-1)^i 2^(n-2i) C(n-i, i) (binomial theorem).  Pascal's rule on the
-    anti-diagonals, C(n-i, i) = C(n-1-i, i) + C(n-1-i, i-1), gives
-    W_n = 2 W_{n-1} - t W_{n-2} from W_{-1} = 0 and W_0 = 1.  Substituting
-    1 + t for t is linear, so S_n = 2 S_{n-1} - (1+t) S_{n-2}: one pass of
-    O(n) additions per n, and no C(i, m), no term ratio and no closed form
-    is read.  Entry m of S_n reads only entries <= m of S_{n-1} and S_{n-2},
-    so rows cut to ``width`` entries are prefixes of the full rows, at
-    O(width) additions per n.  The yielded rows are the recurrence's state;
-    do not mutate them.
-    """
-    older: list[int] = []  # S_{-1}
-    newer = [1]  # S_0
-    yield 0, newer
-    for n in range(1, n_max + 1):
-        # S_{n-1}, padded to the n//2 + 1 coefficients of S_n unless cut.
-        grows = not n & 1 and (width is None or len(newer) < width)
-        top = newer + [0] if grows else newer
-        older, newer = newer, [(a << 1) - b - c for a, b, c in zip(top, older + [0], [0] + older)]
-        yield n, newer
 
 
 def alternating_binomial_sum(n: int, m: int) -> Fraction:
@@ -184,7 +79,7 @@ def alternating_binomial_sum(n: int, m: int) -> Fraction:
     i runs over [m, n//2], so both stay in range.  O(n) per call.  The
     sweeps and the ``prop12`` route take the numerators of every m at once
     from a recurrence on the shifted weight polynomials
-    (``_sweep_numerators``); the tests hold both against term-by-term
+    (``combinatorics._sweep_numerators``); the tests hold both against term-by-term
     ``Fraction`` oracles.
     """
     _require_half_range(n, m)
@@ -232,7 +127,7 @@ def check_binomial_identity(n_max: int) -> CheckReport:
     report = CheckReport("check-identity", {"n_max": n_max}, (n_max // 2 + 1) * ((n_max + 3) // 2))
     closed_rows = itertools.islice(_pascal_rows(), 1, None)
     n = -1
-    for (n, numerators), closed_row in zip(_sweep_numerators(n_max), closed_rows):
+    for (n, numerators), closed_row in zip(combinatorics._sweep_numerators(n_max), closed_rows):
         closed = [_closed_form_numerator(closed_row, m) for m in range(len(numerators))]
         if numerators == closed:
             report.cases += len(closed)
@@ -327,7 +222,7 @@ def check_weighted_identity(n_max: int) -> CheckReport:
             report.count_case(False, n=n, lhs=(moment, lcm << 2 * n), rhs=(closed, lcm << 2 * n))
     # The recurrence needs s_0..s_{n_max//2 + 1}, which passes n_max at 0,
     # and reads entry 0 of each row only.
-    rows = _sweep_numerators(2 * (n_max // 2 + 1), 1)
+    rows = combinatorics._sweep_numerators(2 * (n_max // 2 + 1), 1)
     prefix_sums = [numerators[0] for n, numerators in rows if not n & 1]
     for j, (prefix, following) in enumerate(zip(prefix_sums, prefix_sums[1:])):
         if following - prefix == 2:
@@ -338,72 +233,6 @@ def check_weighted_identity(n_max: int) -> CheckReport:
     return report.close(n)
 
 
-MAX_TERMS = 10**6
-"""A series whose truncation index reaches this bound is treated as not
-terminating."""
-
-
-def truncation_index(a: int | Fraction, b: int | Fraction) -> int | None:
-    """Index of the last nonzero series term, or None when nothing truncates.
-
-    The rising factorial (q)_k first vanishes at k = 1 - q for a nonpositive
-    integer q, so the last surviving term has index -q; half-integers never
-    reach zero.  a and b are ``int`` or ``Fraction`` (TypeError otherwise).
-    """
-    return _truncation_index(_pair(a, "a series parameter"), _pair(b, "a series parameter"))
-
-
-def _truncation_index(a: tuple[int, int], b: tuple[int, int]) -> int | None:
-    """truncation_index on lowest-terms pairs, unchecked, for the sweep."""
-    candidates = [-num for num, den in (a, b) if den == 1 and num <= 0]
-    return min(candidates) if candidates else None
-
-
-def terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> Fraction:
-    """Exact finite value of sum_k (a)_k (b)_k / ((c)_k k!) at argument 1.
-
-    The sum runs k = 0..K with K the truncation index.  Term k = 0 is 1 and
-    needs no division, so c is never touched when K = 0.  Every factor c + k
-    with k < K is checked before the sum starts; a vanishing one is a genuine
-    division by zero and raises.  If neither upper parameter truncates the
-    series within MAX_TERMS terms the series is not finite and no value exists.
-
-    The series is evaluated by backward Horner,
-    1 + r_0 (1 + r_1 (... (1 + r_{K-1}))) with term ratio
-    r_k = (a+k)(b+k) / ((c+k)(k+1)), in integers built from the numerators
-    and denominators of a, b and c, and reduced by one gcd at the end.  It
-    holds for any rational a, b and c, each an ``int`` or a ``Fraction``
-    (TypeError otherwise).
-    """
-    a, b, c = [_pair(v, "a series parameter") for v in (a, b, c)]
-    return _fraction(*_terminating_2f1(a, b, c, _truncation_index(a, b)))
-
-
-def _terminating_2f1(
-    a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], last: int | None
-) -> tuple[int, int]:
-    """terminating_2f1 on lowest-terms pairs, unchecked, with ``last`` the
-    truncation index of a and b, as an unreduced (numerator, denominator)
-    pair of ints; the denominator may be negative."""
-    if last is None or last >= MAX_TERMS:
-        raise NonTerminatingSeriesError(
-            f"no upper parameter truncates the series within {MAX_TERMS} terms"
-        )
-    (a_num, a_den), (b_num, b_den), (c_num, c_den) = a, b, c
-    if c_den == 1 and c_num <= 0 and -c_num < last:
-        raise ZeroDivisionError(f"lower-parameter factor c + {-c_num} vanishes before truncation")
-    # r_k = (a_num + k a_den)(b_num + k b_den) c_den
-    #       / ((c_num + k c_den)(k + 1) a_den b_den)
-    upper_den = a_den * b_den
-    numerator = denominator = 1
-    for k in reversed(range(last)):
-        up = (a_num + k * a_den) * (b_num + k * b_den) * c_den
-        down = (c_num + k * c_den) * (k + 1) * upper_den
-        denominator *= down
-        numerator = numerator * up + denominator
-    return numerator, denominator
-
-
 def _upper_parameters(n: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The upper parameters m - n/2 and m - n/2 + 1/2 of case (n, m) as
     lowest-terms pairs, built without a Fraction: the integer one is the
@@ -412,8 +241,16 @@ def _upper_parameters(n: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]
     return ((top >> 1, 1), (top + 1, 2)) if top & 1 == 0 else ((top, 2), ((top + 1) >> 1, 1))
 
 
-def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) -> None:
-    # numerator is the literal sum times 2^n.
+def _hypergeometric_case(
+    n: int,
+    m: int,
+    report: CheckReport,
+    numerator: int,
+    truncation_index: Callable[..., int | None],
+    terminating_2f1: Callable[..., tuple[int, int]],
+) -> None:
+    # numerator is the literal sum times 2^n; the two kernels are the
+    # unchecked pair kernels of ``hypergeometric``.
     # Series form of the literal sum: 2F1(m - n/2, m - n/2 + 1/2; m - n; 1)
     # times (-1)^m / (m! 4^m) * (n - 2m + 1)_m.  Exactly one upper parameter
     # is a nonpositive integer (which one depends on the parity of n), so the
@@ -421,13 +258,13 @@ def _hypergeometric_case(n: int, m: int, report: CheckReport, numerator: int) ->
     # terms as the literal sum.  The index is computed once and the series
     # runs to it.
     a, b = _upper_parameters(n, m)
-    index, expected = _truncation_index(a, b), n // 2 - m
+    index, expected = truncation_index(a, b), n // 2 - m
     if index == expected:
         report.count_case(True)
     else:
         report.count_case(False, n=n, m=m, kind="truncation index", index=index, expected=expected)
     # The value case, cross-multiplied, with (n - 2m + 1)_m = (n-m)!/(n-2m)!.
-    series_num, series_den = _terminating_2f1(a, b, (m - n, 1), index)
+    series_num, series_den = terminating_2f1(a, b, (m - n, 1), index)
     series_num *= (-1) ** m * math.perm(n - m, m)
     series_den *= math.factorial(m) << 2 * m
     if series_num << n == numerator * series_den:
@@ -446,11 +283,15 @@ def check_hypergeometric_sweep(n_max: int) -> CheckReport:
     negative integer except at n = m = 0, where the series is its bare k = 0
     term, produced before any division by it.
     """
+    from . import hypergeometric
+
     if n_max < 0:
         raise ValueError("check_hypergeometric_sweep requires n_max >= 0")
     report = CheckReport("check-2f1", {"n_max": n_max}, 2 * (n_max // 2 + 1) * ((n_max + 3) // 2))
+    truncation_index = hypergeometric._truncation_index
+    terminating_2f1 = hypergeometric._terminating_2f1
     n = -1
-    for n, numerators in _sweep_numerators(n_max):
+    for n, numerators in combinatorics._sweep_numerators(n_max):
         for m, numerator in enumerate(numerators):
-            _hypergeometric_case(n, m, report, numerator)
+            _hypergeometric_case(n, m, report, numerator, truncation_index, terminating_2f1)
     return report.close(n)

@@ -20,22 +20,24 @@ import arctanderiv
 from arctanderiv import (
     arctan_derivative_closed,
     arctan_derivative_pointwise,
+    combinatorics,
     composition,
+    hypergeometric,
     identities,
+    reports,
 )
 from arctanderiv.cli import (
     COMMANDS,
     FORMATS,
     METHODS,
     POINTWISE_METHODS,
-    _emit,
     _parse,
-    _quote,
     _read,
     _resolve,
     build_parser,
     main,
 )
+from arctanderiv.emit import _emit, _quote
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
     arctan_numerator,
@@ -298,7 +300,7 @@ def perturb_sweep_numerator(monkeypatch, wrong_n, wrong_m):
     one too large.  The perturbed row is a copy, so the recurrence behind
     ``_sweep_numerators`` carries on from the true numerators; a row width
     is passed on."""
-    numerators_of = identities._sweep_numerators
+    numerators_of = combinatorics._sweep_numerators
 
     def wrong_numerators(n_max, *width):
         for n, numerators in numerators_of(n_max, *width):
@@ -307,7 +309,7 @@ def perturb_sweep_numerator(monkeypatch, wrong_n, wrong_m):
                 numerators[wrong_m] += 1
             yield n, numerators
 
-    monkeypatch.setattr(identities, "_sweep_numerators", wrong_numerators)
+    monkeypatch.setattr(combinatorics, "_sweep_numerators", wrong_numerators)
 
 
 # One wrong literal numerator at an odd and at an even order.
@@ -369,11 +371,13 @@ def test_a_kernel_that_yields_no_row_fails_by_one_coverage_mismatch(
     capsys, monkeypatch, check, kernel, cases, expected
 ):
     # No n is reached, so the report closes at n = -1.  check-corollary
-    # still runs the 16 recurrence steps, which read no moment.
-    monkeypatch.setattr(identities, kernel, lambda *args: iter(()))
+    # still runs the 16 recurrence steps, which read no moment.  The
+    # coverage mismatch is not a case: the report counts the cases it ran.
+    home = combinatorics if kernel == "_sweep_numerators" else identities
+    monkeypatch.setattr(home, kernel, lambda *args: iter(()))
     context = {"n": -1, "kind": "coverage", "cases": cases, "expected": expected}
     text = f"  MISMATCH n=-1 kind=coverage cases={cases} expected={expected}"
-    assert_one_mismatch(capsys, (check, "30"), cases + 1, context, text)
+    assert_one_mismatch(capsys, (check, "30"), cases, context, text)
 
 
 @WRONG_CASES
@@ -398,7 +402,7 @@ def test_2f1_truncation_index_mismatch_context(capsys, monkeypatch):
     # case fails.  Other cases share those parameters, so the case is found
     # by its place: the sweep to 60 asks for one index per case, 961 in
     # (n, m) order.
-    truncation_index = identities._truncation_index
+    truncation_index = hypergeometric._truncation_index
     place = sum(n // 2 + 1 for n in range(37)) + 5
     calls = itertools.count()
 
@@ -406,7 +410,7 @@ def test_2f1_truncation_index_mismatch_context(capsys, monkeypatch):
         index = truncation_index(a, b)
         return index + 1 if next(calls) % 961 == place else index
 
-    monkeypatch.setattr(identities, "_truncation_index", wrong_index)
+    monkeypatch.setattr(hypergeometric, "_truncation_index", wrong_index)
     context = {"n": 37, "m": 5, "kind": "truncation index", "index": 14, "expected": 13}
     text = "  MISMATCH n=37 m=5 kind=truncation index index=14 expected=13"
     assert identities.check_hypergeometric_sweep(60).failures == [context]
@@ -617,9 +621,12 @@ def run_as_main(code):
 
 
 RUN_AS_MAIN = run_as_main(0)
-# Every command runs its handler from ``commands``.
-ROUTE = {"cli", "commands", "digits", "polynomial", "arctan"}
-SWEEP = {"cli", "commands", "digits", "identities"}
+# Every command runs its handler from ``commands``, which prints through
+# ``emit``.  The row kernel of prop12 and the sweeps is in ``combinatorics``,
+# and crosscheck fills a ``reports.CheckReport``: neither compiles
+# ``identities``.  Only check-2f1 runs the series of ``hypergeometric``.
+ROUTE = {"cli", "commands", "emit", "digits", "polynomial", "arctan"}
+SWEEP = {"cli", "commands", "emit", "digits", "identities", "combinatorics", "reports"}
 
 
 MODULES_RUN = {
@@ -627,12 +634,12 @@ MODULES_RUN = {
     "derive 50 --x=1/2": ROUTE,
     "qpoly 3": ROUTE,
     "derive 50 --method=fdb --x=1/2": ROUTE | {"composition"},
-    "derive 50 --method=prop12": ROUTE | SWEEP,
+    "derive 50 --method=prop12": ROUTE | {"combinatorics"},
     "check-identity 5": SWEEP,
     "check-corollary 5": SWEEP,
-    "check-2f1 5": SWEEP,
-    "crosscheck 5": ROUTE | SWEEP | {"composition"},
-    "bench 2": ROUTE | SWEEP | {"composition"},
+    "check-2f1 5": SWEEP | {"hypergeometric"},
+    "crosscheck 5": ROUTE | {"composition", "combinatorics", "reports"},
+    "bench 2": ROUTE | {"composition", "combinatorics"},
 }
 
 
@@ -648,7 +655,9 @@ def test_building_the_parser_loads_no_route_module():
 
 @pytest.mark.parametrize("line, code", [("derive --help", 0), ("derive 0", 2)])
 def test_help_and_usage_errors_load_no_handler(line, code):
-    assert loaded_modules(run_as_main(code), *line.split()) == {"cli", "digits"}
+    # Help is written to stdout by ``emit._stdout``; a usage error goes to stderr.
+    written = {"emit"} if line.endswith("--help") else set()
+    assert loaded_modules(run_as_main(code), *line.split()) == {"cli", "digits"} | written
 
 
 def test_every_handler_and_check_pair_resolves():
@@ -731,14 +740,19 @@ def test_each_command_loads_only_the_output_stack_it_needs(command):
 FAILING_SWEEPS = {
     "check-identity 30": ("identities", "_closed_form_numerator", "value + 1", 256),
     "check-corollary 30": ("identities", "_weighted_closed_numerator", "value + 1", 31),
-    "check-2f1 30": ("identities", "_terminating_2f1", "(value[0] + value[1], value[1])", 256),
+    "check-2f1 30": (
+        "hypergeometric",
+        "_terminating_2f1",
+        "(value[0] + value[1], value[1])",
+        256,
+    ),
     "crosscheck 40 --points=0,1/2,-47/53": (
         "composition",
         "_square_chain_rule",
         "(value[0] + value[1], value[1])",
         120,
     ),
-    "check-2f1 20": ("identities", "_sweep_numerators", "iter(())", 1),
+    "check-2f1 20": ("combinatorics", "_sweep_numerators", "iter(())", 1),
 }
 
 
@@ -761,7 +775,7 @@ def test_a_failing_sweep_loads_no_fractions_and_no_json(command):
     assert loaded == "1"
     report = json.loads("\n".join(report))
     assert report["mismatches"] == mismatches
-    assert len(report["failures"]) == min(mismatches, identities.FAILURES_KEPT)
+    assert len(report["failures"]) == min(mismatches, reports.FAILURES_KEPT)
 
 
 # A plain command line is read without argparse, which loads only for help

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from arctanderiv import arctan, composition, identities, polynomial
+from arctanderiv import arctan, combinatorics, composition, hypergeometric, identities, polynomial
 from arctanderiv.cli import main
 
 SWEEPS = (
@@ -427,7 +427,7 @@ FAULTS = {
         {"crosscheck": (1, [(38, None, None)])},
     ),
     "_sweep_numerators": (
-        identities,
+        combinatorics,
         "_sweep_numerators",
         entry_1_of_row_20_plus_one,
         lambda sweep_numerators: list(sweep_numerators(20)),
@@ -438,7 +438,7 @@ FAULTS = {
         },
     ),
     "_sweep_numerators stopping short": (
-        identities,
+        combinatorics,
         "_sweep_numerators",
         two_orders_short,
         lambda sweep_numerators: list(sweep_numerators(3)),
@@ -450,7 +450,7 @@ FAULTS = {
         },
     ),
     "_sweep_numerators rows cut by their last entry": (
-        identities,
+        combinatorics,
         "_sweep_numerators",
         last_entry_cut,
         lambda sweep_numerators: list(sweep_numerators(3)),
@@ -496,14 +496,14 @@ FAULTS = {
         {"check-corollary": (1, [(10,)])},
     ),
     "_terminating_2f1": (
-        identities,
+        hypergeometric,
         "_terminating_2f1",
         value_plus_one_at_c_minus_15_index_5,
         lambda terminating_2f1: terminating_2f1((-5, 1), (-9, 2), (-15, 1), 5),
         {"check-2f1": (2, [(19, 4, "value"), (20, 5, "value")])},
     ),
     "_truncation_index": (
-        identities,
+        hypergeometric,
         "_truncation_index",
         one_past_when_an_upper_parameter_is_minus_5,
         lambda truncation_index: truncation_index((-5, 1), (-9, 2)),

@@ -13,7 +13,9 @@ from arctanderiv import (
     check_binomial_identity,
     check_hypergeometric_sweep,
     check_weighted_identity,
+    combinatorics,
     crosscheck,
+    hypergeometric,
     identities,
     terminating_2f1,
     truncation_index,
@@ -207,16 +209,16 @@ def test_sweep_series_parameters_are_lowest_terms_pairs():
             a, b = Fraction(2 * m - n, 2), Fraction(2 * m - n + 1, 2)
             pairs = identities._upper_parameters(n, m)
             assert pairs == ((a.numerator, a.denominator), (b.numerator, b.denominator))
-            index = identities._truncation_index(*pairs)
+            index = hypergeometric._truncation_index(*pairs)
             assert index == truncation_index(a, b) == n // 2 - m
-            value = identities._terminating_2f1(*pairs, (m - n, 1), index)
+            value = hypergeometric._terminating_2f1(*pairs, (m - n, 1), index)
             assert Fraction(*value) == terminating_2f1(a, b, m - n), (n, m)
 
 
 def test_sweep_values_match_single_calls_and_oracles():
     # At even n = 2j, m = 0 this holds the weight sum s_j = S_{2j}[0] that
     # check-corollary reads against alternating_binomial_sum(2j, 0).
-    for n, numerators in identities._sweep_numerators(300):
+    for n, numerators in combinatorics._sweep_numerators(300):
         assert len(numerators) == n // 2 + 1
         for m, numerator in enumerate(numerators):
             value = Fraction(numerator, 1 << n)
@@ -238,16 +240,16 @@ def literal_weights(n):
 
 
 def test_cut_rows_are_prefixes_of_full_rows():
-    full = list(identities._sweep_numerators(300))
+    full = list(combinatorics._sweep_numerators(300))
     for width in (1, 2, 3):
-        cut = list(identities._sweep_numerators(300, width))
+        cut = list(combinatorics._sweep_numerators(300, width))
         assert cut == [(n, numerators[:width]) for n, numerators in full], width
 
 
 def test_sweep_numerators_match_taylor_shift_oracle():
     # The recurrence on shifted polynomials against shifting each n's own
     # weights.
-    for n, numerators in identities._sweep_numerators(300):
+    for n, numerators in combinatorics._sweep_numerators(300):
         assert numerators == taylor_shift_by_one(literal_weights(n))
     assert n == 300
 
@@ -263,7 +265,7 @@ def test_taylor_shift_matches_literal_binomial_sums(weights):
 def test_taylor_shift_past_1024():
     # A large odd order, where row n of the recurrence must be the closed
     # form's numerators (-1)^m C(n+1, 2m+1) over 2^n exactly.
-    n, numerators = next(itertools.islice(identities._sweep_numerators(1201), 1201, None))
+    n, numerators = next(itertools.islice(combinatorics._sweep_numerators(1201), 1201, None))
     assert n == 1201
     assert len(numerators) == n // 2 + 1
     for m, numerator in enumerate(numerators):

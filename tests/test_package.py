@@ -17,8 +17,10 @@ from arctanderiv import (
     digits,
     exact_str,
     faa_di_bruno,
+    hypergeometric,
     identities,
     polynomial,
+    reports,
     square_chain_rule,
     terminating_2f1,
     truncation_index,
@@ -26,7 +28,16 @@ from arctanderiv import (
     weighted_binomial_sum,
 )
 
-LIBRARY_MODULES = (arctan, combinatorics, composition, digits, identities, polynomial)
+LIBRARY_MODULES = (
+    arctan,
+    combinatorics,
+    composition,
+    digits,
+    hypergeometric,
+    identities,
+    polynomial,
+    reports,
+)
 
 
 def test_package_exports_every_module_name_once():
@@ -112,11 +123,11 @@ def test_only_digits_imports_fractions():
 
 
 def test_the_checks_build_no_fraction():
-    # The checks compare and report int pairs: in identities and arctan, a
+    # The checks compare and report int pairs: in the modules they run, a
     # Fraction is built only by a public function that returns one.
     callers = {
         f"{module.__name__.rsplit('.', 1)[-1]}.{node.name}"
-        for module in (arctan, identities)
+        for module in (arctan, combinatorics, hypergeometric, identities, reports)
         for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
         if isinstance(node, ast.FunctionDef)
         and any(isinstance(name, ast.Name) and name.id == "_fraction" for name in ast.walk(node))
@@ -126,6 +137,20 @@ def test_the_checks_build_no_fraction():
         "identities.alternating_binomial_closed_form",
         "identities.weighted_binomial_sum",
         "identities.weighted_binomial_closed_form",
-        "identities.terminating_2f1",
+        "hypergeometric.terminating_2f1",
         "arctan.arctan_derivative_pointwise",
     }
+
+
+MAX_NODES = 1800
+
+
+def test_no_module_exceeds_the_node_bound():
+    # A process that compiles the package from source peaks while it
+    # compiles its largest module, and the compile's working memory grows
+    # with the module's syntax tree: no module may pass MAX_NODES nodes.
+    sizes = {
+        source.stem: sum(1 for _ in ast.walk(ast.parse(source.read_text())))
+        for source in Path(arctanderiv.__file__).parent.glob("*.py")
+    }
+    assert {name: size for name, size in sizes.items() if size > MAX_NODES} == {}

@@ -132,16 +132,16 @@ WITNESSES = {
         ("polynomial.ArctanRational._evaluate", "polynomial._homogeneous"),
     ),
     "literal sums vs Pascal rows (check-identity)": (
-        ("identities._sweep_numerators",),
+        ("combinatorics._sweep_numerators",),
         ("identities._pascal_rows", "identities._closed_form_numerator"),
     ),
     "literal sums vs the terminating series (check-2f1)": (
-        ("identities._sweep_numerators",),
+        ("combinatorics._sweep_numerators",),
         (
             "identities._hypergeometric_case",
-            "identities._terminating_2f1",
+            "hypergeometric._terminating_2f1",
             "identities._upper_parameters",
-            "identities._truncation_index",
+            "hypergeometric._truncation_index",
         ),
     ),
     "weighted moments vs the parity closed form (check-corollary)": (
@@ -149,6 +149,15 @@ WITNESSES = {
         ("identities._weighted_closed_numerator",),
     ),
     "chain-rule weights vs the binomial rows that the sweeps check": ("composition", "identities"),
+    "chain-rule weights vs the literal sums' row kernel": ("composition", "combinatorics"),
+    "the terminating series vs the sweep that holds it (check-2f1)": (
+        "hypergeometric",
+        "identities",
+    ),
+    "the terminating series vs the literal sums' row kernel (check-2f1)": (
+        "hypergeometric",
+        "combinatorics",
+    ),
 }
 FUNCTION_ROWS = [row for row, (left, _) in WITNESSES.items() if type(left) is tuple]
 MODULE_ROWS = [row for row, (left, _) in WITNESSES.items() if type(left) is str]
@@ -213,7 +222,7 @@ STREAMS = {
     "arctan.arctan_derivative_oracle": "arctan._oracle_orders",
     "arctan.arctan_derivative_expanded": "arctan._prop12_orders",
 }
-STREAM_KERNELS = {"polynomial.ArctanRational.derivative", "identities._sweep_numerators"}
+STREAM_KERNELS = {"polynomial.ArctanRational.derivative", "combinatorics._sweep_numerators"}
 
 
 def test_crosscheck_runs_the_streams_that_derive_prints(graph):
