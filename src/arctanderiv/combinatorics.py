@@ -1,6 +1,5 @@
-"""Exact binomial coefficients in Python ints, and the row kernel
-``_sweep_numerators`` that the identity sweeps and the ``prop12`` route
-share.
+"""The row kernel ``_sweep_numerators`` that the identity sweeps and the
+``prop12`` route share.  The module exports no public name.
 
 The kernel lives here, not in ``identities``, so that ``derive
 --method=prop12`` and ``crosscheck`` compile no sweep.  Its callers read it
@@ -10,24 +9,9 @@ them.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
-__all__ = ["binomial"]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) from ``math.comb``, with C(n, k) = 0 whenever k < 0 or k > n.
-
-    No module of the package calls it: the literal sums in ``identities``
-    never leave 0 <= k <= n and call ``math.comb`` directly.  It serves the
-    public name ``arctanderiv.binomial``.
-    """
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+__all__: list[str] = []
 
 
 def _sweep_numerators(n_max: int, width: int | None = None) -> Iterator[tuple[int, list[int]]]:

@@ -74,18 +74,23 @@ def cmd_derive(args: Namespace) -> int:
 def cmd_check(args: Namespace) -> int:
     """Run the sweep that the subcommand names in ``args.check``, a (module,
     function) pair, with its cost on stderr so that stdout repeats exactly;
-    exit 1 on a mismatch.  The cost is written in the result's format: a
-    text line, one json object on one line (a rate over no elapsed time is
-    null) or a csv header and row.  It follows the written result, so a
-    result that could not be written leaves only its error on stderr."""
+    exit 1 on a mismatch.  Every format prints the kept contexts: a text
+    MISMATCH line, json's ``failures`` or, after csv's summary row, a row
+    ``failure,<i>,<key>,<value>`` per field of context i (from 1).  The
+    cost is timed from the report's construction, after the check's
+    imports, and written in the result's format: a text line, one json
+    object on one line (a rate over no elapsed time is null) or a csv
+    header and row.  It follows the written result, so a result that could
+    not be written leaves only its error on stderr."""
     check = _resolve(args.check)
     points = () if getattr(args, "points", None) is None else (args.points,)
-    start = time.perf_counter()
     report = check(args.n_max, *points)
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - report.started
     lines = [report.summary()]
-    for failure in report.failures:
+    rows = [(report.check, args.n_max, report.cases, report.mismatches, report.passed)]
+    for i, failure in enumerate(report.failures, 1):
         lines.append("  MISMATCH " + " ".join(f"{k}={v}" for k, v in failure.items()))
+        rows += (("failure", i, *field) for field in failure.items())
     hidden = report.mismatches - len(report.failures)
     if hidden:
         lines.append(f"  ... {hidden} more mismatches not shown")
@@ -94,7 +99,7 @@ def cmd_check(args: Namespace) -> int:
         ("\n".join(lines),),
         report.to_dict(),
         ("check", "n_max", "cases", "failures", "passed"),
-        [(report.check, args.n_max, report.cases, report.mismatches, report.passed)],
+        rows,
     )
     elapsed_s = f"{elapsed:.3f}"
     rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else None

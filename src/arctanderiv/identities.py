@@ -283,7 +283,7 @@ def check_hypergeometric_sweep(n_max: int) -> CheckReport:
     negative integer except at n = m = 0, where the series is its bare k = 0
     term, produced before any division by it.
     """
-    from . import hypergeometric
+    from . import hypergeometric  # before the report starts the cost line's clock
 
     if n_max < 0:
         raise ValueError("check_hypergeometric_sweep requires n_max >= 0")

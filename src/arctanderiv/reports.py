@@ -6,6 +6,7 @@ A module of its own, so that ``crosscheck`` compiles no sweep to report.
 
 from __future__ import annotations
 
+import time
 from typing import Any
 
 from .digits import _lowest, _ratio_str
@@ -37,9 +38,13 @@ class CheckReport:
     kept context is reduced and rendered JSON-safe ("p/q" by ``digits``, at
     any size), so a report serializes as-is; later mismatches are only
     counted, so time and memory stay bounded when every case fails.
+    ``started`` is the ``time.perf_counter()`` of its construction, which
+    each check reaches once it has imported what it runs: the CLI's cost
+    line is timed from it.
     """
 
     def __init__(self, check: str, parameters: dict[str, Any], expected: int) -> None:
+        self.started = time.perf_counter()
         self.check = check
         self.parameters = parameters
         self.expected = expected

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import arctanderiv
 from arctanderiv import (
+    arctan,
     arctan_derivative_closed,
     arctan_derivative_pointwise,
     combinatorics,
@@ -344,6 +345,20 @@ def test_identity_mismatch_context_has_both_exact_values(capsys, monkeypatch, wr
     assert out.splitlines()[1] == "check-identity,60,961,1,False"
 
 
+def failure_rows(failures):
+    """The csv rows that a failing check prints after its summary row:
+    ``failure,<i>,<key>,<value>`` for each field of kept context i, from 1."""
+    return [
+        ["failure", str(i), key, str(value)]
+        for i, failure in enumerate(failures, 1)
+        for key, value in failure.items()
+    ]
+
+
+def csv_rows(out):
+    return list(csv.reader(io.StringIO(out)))
+
+
 def assert_one_mismatch(capsys, argv, cases, context, text):
     """The sweep ``argv`` fails exactly one of its cases, with this context,
     in every format."""
@@ -356,7 +371,8 @@ def assert_one_mismatch(capsys, argv, cases, context, text):
     assert json.loads(out)["failures"] == [context]
     code, out, _ = run_cli(capsys, *argv, "--format=csv")
     assert code == 1
-    assert out.splitlines()[1] == f"{check},{n_max},{cases},1,False"
+    summary = [check, n_max, str(cases), "1", "False"]
+    assert csv_rows(out)[1:] == [summary, *failure_rows([context])]
 
 
 @pytest.mark.parametrize(
@@ -462,6 +478,7 @@ def test_mismatch_past_the_digit_limit_exits_one(capsys, monkeypatch):
     code, out, _ = run_at_default_digit_limit(capsys, *argv, "--format=csv")
     assert code == 1
     assert out.splitlines()[1] == "crosscheck,2,6,2,False"
+    assert out.count(f",pointwise,{text}\n") == 2
 
 
 # A wrong jet value at n = 2 and 4 for x = -47/53: the failure lines that
@@ -516,14 +533,17 @@ def test_crosscheck_prints_a_wrong_jet_value_in_every_format(capsys, monkeypatch
     assert out == json.dumps(document, indent=2) + "\n"
     code, out, _ = run_cli(capsys, *argv, "--format=csv")
     assert code == 1
-    assert out == "check,n_max,cases,failures,passed\ncrosscheck,4,16,2,False\n"
+    assert out == "check,n_max,cases,failures,passed\ncrosscheck,4,16,2,False\n" + "".join(
+        ",".join(row) + "\n" for row in failure_rows(WRONG_JET_FAILURES)
+    )
 
 
 def test_a_wrong_jet_ratio_fails_that_point_only(capsys, monkeypatch):
     # The int reciprocal jet's ratio off by one at x = -47/53 only: exactly
-    # that point's pointwise cases fail, one per order, in the text and csv
-    # formats.  tests/test_faults.py holds the json failures, and what
-    # derive --method=fdb prints, in the same fault's row.
+    # that point's pointwise cases fail, one per order, in the text format,
+    # and csv prints json's kept contexts.  tests/test_faults.py holds the
+    # json failures, and what derive --method=fdb prints, in the same
+    # fault's row.
     reciprocal_jets = composition._reciprocal_square_jets
 
     def wrong(order, points):
@@ -541,9 +561,47 @@ def test_a_wrong_jet_ratio_fails_that_point_only(capsys, monkeypatch):
         [f"n={n}", "pair=pointwise", "vs", "oracle"] for n in range(1, 13)
     ]
     assert all(" point=-47/53 " in line for line in lines[1:])
+    code, out, _ = run_cli(capsys, *argv, "--format=json")
+    failures = json.loads(out)["failures"]
+    assert len(failures) == 12
     code, out, _ = run_cli(capsys, *argv, "--format=csv")
     assert code == 1
-    assert out == "check,n_max,cases,failures,passed\ncrosscheck,12,72,12,False\n"
+    assert csv_rows(out) == [
+        ["check", "n_max", "cases", "failures", "passed"],
+        ["crosscheck", "12", "72", "12", "False"],
+        *failure_rows(failures),
+    ]
+
+
+# No printed line, or csv row, of a kept context may reach this many bytes.
+CONTEXT_BYTES = 100
+
+
+def test_a_high_order_symbolic_fault_prints_bounded_contexts(capsys, monkeypatch):
+    # q_polynomial's leading coefficient one too large from n = 30 on fails
+    # closed vs oracle from order 31 on.  A symbolic context names n and pair
+    # only, so no line grows with the values' n^2 digits, and doubling n_max
+    # (10 -> 20 kept contexts) less than quadruples every format's output.
+    q_polynomial = arctan.q_polynomial
+
+    def wrong(n):
+        coeffs = q_polynomial(n)
+        return (*coeffs[:-1], coeffs[-1] + 1) if n >= 30 else coeffs
+
+    monkeypatch.setattr(arctan, "q_polynomial", wrong)
+    outs = {}
+    for n_max in (40, 80):
+        for fmt in FORMATS:
+            argv = ("crosscheck", str(n_max), "--points=1/2", f"--format={fmt}")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 1
+            assert max(map(len, out.splitlines())) < CONTEXT_BYTES
+            outs[fmt, n_max] = out
+        kept = [{"n": n, "pair": "closed vs oracle"} for n in range(31, min(n_max, 50) + 1)]
+        assert json.loads(outs["json", n_max])["failures"] == kept
+        assert csv_rows(outs["csv", n_max])[2:] == failure_rows(kept)
+    for fmt in FORMATS:
+        assert len(outs[fmt, 80]) < 4 * len(outs[fmt, 40]), fmt
 
 
 @pytest.mark.parametrize(
@@ -646,6 +704,42 @@ MODULES_RUN = {
 @pytest.mark.parametrize("command", MODULES_RUN)
 def test_each_command_loads_only_the_modules_it_runs(command):
     assert loaded_modules(RUN_AS_MAIN, *command.split()) == MODULES_RUN[command]
+
+
+def timed_span_imports(line):
+    """The modules that enter sys.modules while the entry point runs
+    ``line`` in a fresh process, from the construction of its check's one
+    ``CheckReport`` to the check's return: the span its cost line times."""
+    module, name = COMMANDS[line.split()[0]][2]["check"]
+    probe = (
+        "import importlib, sys\n"
+        "from arctanderiv import reports\n"
+        f"home = importlib.import_module('arctanderiv.{module}')\n"
+        f"check, init, spans = home.{name}, reports.CheckReport.__init__, []\n"
+        "def noting(self, *args):\n"
+        "    init(self, *args)\n"
+        "    spans.append(set(sys.modules))\n"
+        "def timed(*args):\n"
+        "    report = check(*args)\n"
+        "    spans.append(set(sys.modules) - spans.pop())\n"
+        "    return report\n"
+        f"reports.CheckReport.__init__, home.{name} = noting, timed\n"
+        + RUN_AS_MAIN
+        + "\n[span] = spans\nprint(*sorted(span))"
+    )
+    result = run_fresh(probe, *line.split())
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+CHECKS = [line for line in MODULES_RUN if "check" in line]
+
+
+@pytest.mark.parametrize("line", CHECKS, ids=lambda line: line.split()[0])
+def test_the_cost_line_times_no_import(line):
+    # Each check imports what it runs before it builds its report, whose
+    # construction starts the clock of the cost line.
+    assert timed_span_imports(line) == set()
 
 
 def test_building_the_parser_loads_no_route_module():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arctanderiv import binomial
 from oracles import pascal_triangle
 
 
@@ -18,42 +17,51 @@ def test_factorial_small_values():
     assert math.factorial(10) == product == 3628800
 
 
-def test_binomial_against_pascal_oracle():
+# The package has no binomial of its own: its sums read math.comb, or grow
+# Pascal rows by addition.  These hold math.comb to the oracle's additions
+# and to the conventions those sums rely on.
+
+
+def test_math_comb_against_pascal_oracle():
     table = pascal_triangle(30)
     for n in range(31):
         for k in range(n + 1):
-            assert binomial(n, k) == table[n][k]
-    assert binomial(5, 3) == 10
+            assert math.comb(n, k) == table[n][k]
+    assert math.comb(5, 3) == 10
 
 
-def test_binomial_out_of_range_is_zero():
-    assert binomial(4, 7) == 0
-    assert binomial(4, -1) == 0
+def test_math_comb_past_n_is_zero():
+    assert math.comb(4, 7) == 0
+    assert math.comb(4, 5) == 0
     for n in (0, 3, 17):
-        assert binomial(n, 0) == 1
+        assert math.comb(n, 0) == 1
 
 
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
+def test_math_comb_rejects_negative_arguments():
+    for n, k in ((-1, 0), (4, -1)):
+        with pytest.raises(ValueError):
+            math.comb(n, k)
 
 
 def test_pascal_recurrence_up_to_200():
-    # Exercises the k = 0 edge through the out-of-range convention.
+    # Exercises the k = n edge through math.comb(n - 1, n) = 0.
     for n in range(1, 201):
-        for k in range(n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+        for k in range(1, n + 1):
+            assert math.comb(n, k) == math.comb(n - 1, k - 1) + math.comb(n - 1, k)
 
 
-def test_binomial_beyond_cache_limit():
-    assert binomial(20, 10) == 184756
-    assert binomial(200, 100) == math.comb(200, 100)
-    # Past n = 1024, where binomial once switched from cached rows to math.comb.
+def test_math_comb_rows_past_1024():
+    assert math.comb(20, 10) == 184756
+    assert math.comb(200, 100) == pascal_triangle(200)[200][100]
+    # Each row against the exact term ratio C(n, k+1) = C(n, k) (n-k) / (k+1).
     for n in (1025, 1201, 2000):
-        assert [binomial(n, k) for k in range(n + 1)] == [math.comb(n, k) for k in range(n + 1)]
-        for k in (-1, -n, n + 1, 2 * n):
-            assert binomial(n, k) == 0
-    assert binomial(1025, 512) == binomial(1024, 511) + binomial(1024, 512)
+        row = [1]
+        for k in range(n):
+            row.append(row[-1] * (n - k) // (k + 1))
+        assert [math.comb(n, k) for k in range(n + 1)] == row
+        for k in (n + 1, 2 * n):
+            assert math.comb(n, k) == 0
+    assert math.comb(1025, 512) == math.comb(1024, 511) + math.comb(1024, 512)
 
 
 @given(
