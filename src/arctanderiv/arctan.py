@@ -181,12 +181,15 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     The report is closed at n_max (2 + len(points)) cases, so a stream that
     stops short is one mismatch of kind "coverage" (``CheckReport.close``).
 
-    A symbolic mismatch reports only ``n`` and ``pair``: two whole values
-    would grow as n^2 per context, and ``derive n --method=closed``,
-    ``prop12`` (expanded) and ``oracle`` print them from the same streams.
-    A pointwise case is decided in integers: ``_pointwise`` and the oracle's
-    ``ArctanRational._evaluate`` each give an unreduced (numerator, denominator)
-    pair, and the case passes when a d == b c; a mismatch reports the point and both pairs.
+    Every case is held against the oracle, and its context names the other
+    side by ``route``, the ``derive --method`` that prints it: ``closed``,
+    ``prop12`` (expanded) or ``fdb`` (pointwise).  A symbolic mismatch
+    reports only ``n`` and ``route``: two whole values would grow as n^2 per
+    context, and ``derive n`` by its route and by ``oracle`` prints them from
+    the same streams.  A pointwise case is decided in integers: ``_pointwise``
+    and the oracle's ``ArctanRational._evaluate`` each give an unreduced
+    (numerator, denominator) pair, and the case passes when b and d are
+    nonzero and a d == b c; a mismatch reports the point and both pairs.
     The modules it runs are imported before its report starts the clock.
     """
     from . import combinatorics, composition, reports
@@ -200,17 +203,17 @@ def crosscheck(n_max: int, sample_points=None) -> CheckReport:
     for (n, oracle), (order, numerators) in zip(_oracle_orders(n_max), _prop12_orders(n_max)):
         closed = arctan_derivative_closed(n)
         expanded = _expanded(order, numerators)
-        report.count_case(closed == oracle, n=n, pair="closed vs oracle")
-        report.count_case(expanded == oracle, n=n, pair="expanded vs oracle")
+        report.count_case(closed == oracle, n=n, route="closed")
+        report.count_case(expanded == oracle, n=n, route="prop12")
         for x, (top, bottom) in zip(points, _pointwise(n, points)):
             expected_top, expected_bottom = oracle._evaluate(*x)
-            if top * expected_bottom == expected_top * bottom:
+            if bottom and expected_bottom and top * expected_bottom == expected_top * bottom:
                 report.count_case(True)
             else:
                 report.count_case(
                     False,
                     n=n,
-                    pair="pointwise vs oracle",
+                    route="fdb",
                     point=x,
                     pointwise=(top, bottom),
                     oracle=(expected_top, expected_bottom),

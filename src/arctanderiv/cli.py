@@ -1,12 +1,13 @@
 """Command-line surface: polynomial queries, derivatives by any route, exact
 verification sweeps, and a timing table.
 
-Every result is printed by one emitter, ``emit._emit``, as text, a json
-document or a csv table.  The handlers live in ``commands``; the four
-sweeps (``check-identity``, ``check-corollary``, ``check-2f1`` and
-``crosscheck``) share one, ``cmd_check``, which runs the check function its
-subparser named.  Help is written to the stdout that ``emit._stdout``
-gives, so help loads ``emit`` and a usage error does not.
+This module reads a command line and writes help; ``commands`` runs the
+command and prints its result, as text, a json document or a csv table,
+through its one emitter, ``commands._emit``.  The four sweeps
+(``check-identity``, ``check-corollary``, ``check-2f1`` and ``crosscheck``)
+share one handler, ``cmd_check``, which runs the check function its
+subparser named.  Help and results take stdout from ``_stdout``, so help,
+like a usage error, loads no module beyond this one and ``digits``.
 
 One table, ``COMMANDS``, declares every command and its arguments.  ``main``
 reads a plain command line (``_read``: a command, its positionals, then
@@ -216,6 +217,15 @@ def _argparse_type(reader: Callable[[str], object]) -> Callable[[str], object]:
     return read
 
 
+def _stdout():
+    """sys.stdout, for a result or help.  A process started with fd 1 closed
+    has None there: that raises the OSError of a failed write instead."""
+    if sys.stdout is None:
+        import errno
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command in COMMANDS, which reads help, usage
     errors and the spellings that ``_read`` leaves to it.  Its help writer
@@ -225,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     class Parser(argparse.ArgumentParser):  # subparsers take this class too
         def print_help(self, file=None) -> None:
-            from .emit import _stdout
-
             file = file or _stdout()
             file.write(self.format_help())
             file.flush()

@@ -262,12 +262,13 @@ def _hypergeometric_case(
     if index == expected:
         report.count_case(True)
     else:
-        report.count_case(False, n=n, m=m, kind="truncation index", index=index, expected=expected)
-    # The value case, cross-multiplied, with (n - 2m + 1)_m = (n-m)!/(n-2m)!.
+        report.count_case(False, n=n, m=m, kind="truncation", index=index, expected=expected)
+    # The value case, cross-multiplied, with (n - 2m + 1)_m = (n-m)!/(n-2m)!;
+    # a zero denominator would make any numerator pass.
     series_num, series_den = terminating_2f1(a, b, (m - n, 1), index)
     series_num *= (-1) ** m * math.perm(n - m, m)
     series_den *= math.factorial(m) << 2 * m
-    if series_num << n == numerator * series_den:
+    if series_den and series_num << n == numerator * series_den:
         report.count_case(True)
     else:
         series, literal = (series_num, series_den), (numerator, 1 << n)

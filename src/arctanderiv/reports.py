@@ -18,11 +18,12 @@ _JSON_SAFE = (bool, int, str, type(None))
 
 def _rendered(value: Any) -> Any:
     """A failure context's value, JSON-safe: an int pair by the exact text
-    of its lowest terms, any other value that json cannot hold by str()."""
+    of its lowest terms (one whose denominator is 0 unreduced, as p/0), any
+    other value that json cannot hold by str()."""
     if isinstance(value, _JSON_SAFE):
         return value
     if type(value) is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is int:
-        return _ratio_str(*_lowest(*value))
+        return _ratio_str(*_lowest(*value)) if value[1] else _ratio_str(*value)
     return str(value)
 
 

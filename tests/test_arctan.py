@@ -271,7 +271,7 @@ def test_crosscheck_reports_a_wrong_jet_value(monkeypatch):
     assert report.mismatches == 1
     first = report.failures[0]
     assert (first["n"], first["point"]) == (bad_n, str(bad_point))
-    assert first["pair"] == "pointwise vs oracle"
+    assert first["route"] == "fdb"
 
 
 def test_crosscheck_decides_pointwise_cases_by_value(monkeypatch):
@@ -317,7 +317,7 @@ def test_crosscheck_reports_a_wrong_literal_numerator(monkeypatch):
     report = crosscheck(20, (Fraction(1, 3),))
     assert report.mismatches == 1
     first = report.failures[0]
-    assert (first["n"], first["pair"]) == (bad_p + 1, "expanded vs oracle")
+    assert (first["n"], first["route"]) == (bad_p + 1, "prop12")
 
 
 def counted(monkeypatch, home, name) -> list:

@@ -38,7 +38,7 @@ from arctanderiv.cli import (
     build_parser,
     main,
 )
-from arctanderiv.emit import _emit, _quote
+from arctanderiv.commands import _emit, _quote
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
     arctan_numerator,
@@ -366,6 +366,7 @@ def assert_one_mismatch(capsys, argv, cases, context, text):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert out.splitlines() == [f"{check}: n_max={n_max} cases={cases} FAIL (1 mismatches)", text]
+    assert text.split(" ")[3:] == [f"{key}={value}" for key, value in context.items()]
     code, out, _ = run_cli(capsys, *argv, "--format=json")
     assert code == 1
     assert json.loads(out)["failures"] == [context]
@@ -427,8 +428,8 @@ def test_2f1_truncation_index_mismatch_context(capsys, monkeypatch):
         return index + 1 if next(calls) % 961 == place else index
 
     monkeypatch.setattr(hypergeometric, "_truncation_index", wrong_index)
-    context = {"n": 37, "m": 5, "kind": "truncation index", "index": 14, "expected": 13}
-    text = "  MISMATCH n=37 m=5 kind=truncation index index=14 expected=13"
+    context = {"n": 37, "m": 5, "kind": "truncation", "index": 14, "expected": 13}
+    text = "  MISMATCH n=37 m=5 kind=truncation index=14 expected=13"
     assert identities.check_hypergeometric_sweep(60).failures == [context]
     assert_one_mismatch(capsys, ("check-2f1", "60"), 1922, context, text)
 
@@ -486,14 +487,14 @@ def test_mismatch_past_the_digit_limit_exits_one(capsys, monkeypatch):
 WRONG_JET_FAILURES = [
     {
         "n": 2,
-        "pair": "pointwise vs oracle",
+        "route": "fdb",
         "point": "-47/53",
         "pointwise": "19587381/12590162",
         "oracle": "6997219/12590162",
     },
     {
         "n": 4,
-        "pair": "pointwise vs oracle",
+        "route": "fdb",
         "point": "-47/53",
         "pointwise": "21938375442661/39628044796561",
         "oracle": "-17689669353900/39628044796561",
@@ -557,8 +558,8 @@ def test_a_wrong_jet_ratio_fails_that_point_only(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert lines[0] == "crosscheck: n_max=12 points=0,1/2,-47/53,3 cases=72 FAIL (12 mismatches)"
-    assert [line.split()[1:5] for line in lines[1:]] == [
-        [f"n={n}", "pair=pointwise", "vs", "oracle"] for n in range(1, 13)
+    assert [line.split()[1:3] for line in lines[1:]] == [
+        [f"n={n}", "route=fdb"] for n in range(1, 13)
     ]
     assert all(" point=-47/53 " in line for line in lines[1:])
     code, out, _ = run_cli(capsys, *argv, "--format=json")
@@ -579,7 +580,7 @@ CONTEXT_BYTES = 100
 
 def test_a_high_order_symbolic_fault_prints_bounded_contexts(capsys, monkeypatch):
     # q_polynomial's leading coefficient one too large from n = 30 on fails
-    # closed vs oracle from order 31 on.  A symbolic context names n and pair
+    # the closed route from order 31 on.  A symbolic context names n and route
     # only, so no line grows with the values' n^2 digits, and doubling n_max
     # (10 -> 20 kept contexts) less than quadruples every format's output.
     q_polynomial = arctan.q_polynomial
@@ -597,7 +598,7 @@ def test_a_high_order_symbolic_fault_prints_bounded_contexts(capsys, monkeypatch
             assert code == 1
             assert max(map(len, out.splitlines())) < CONTEXT_BYTES
             outs[fmt, n_max] = out
-        kept = [{"n": n, "pair": "closed vs oracle"} for n in range(31, min(n_max, 50) + 1)]
+        kept = [{"n": n, "route": "closed"} for n in range(31, min(n_max, 50) + 1)]
         assert json.loads(outs["json", n_max])["failures"] == kept
         assert csv_rows(outs["csv", n_max])[2:] == failure_rows(kept)
     for fmt in FORMATS:
@@ -680,11 +681,11 @@ def run_as_main(code):
 
 RUN_AS_MAIN = run_as_main(0)
 # Every command runs its handler from ``commands``, which prints through
-# ``emit``.  The row kernel of prop12 and the sweeps is in ``combinatorics``,
+# its own emitter.  The row kernel of prop12 and the sweeps is in ``combinatorics``,
 # and crosscheck fills a ``reports.CheckReport``: neither compiles
 # ``identities``.  Only check-2f1 runs the series of ``hypergeometric``.
-ROUTE = {"cli", "commands", "emit", "digits", "polynomial", "arctan"}
-SWEEP = {"cli", "commands", "emit", "digits", "identities", "combinatorics", "reports"}
+ROUTE = {"cli", "commands", "digits", "polynomial", "arctan"}
+SWEEP = {"cli", "commands", "digits", "identities", "combinatorics", "reports"}
 
 
 MODULES_RUN = {
@@ -749,9 +750,8 @@ def test_building_the_parser_loads_no_route_module():
 
 @pytest.mark.parametrize("line, code", [("derive --help", 0), ("derive 0", 2)])
 def test_help_and_usage_errors_load_no_handler(line, code):
-    # Help is written to stdout by ``emit._stdout``; a usage error goes to stderr.
-    written = {"emit"} if line.endswith("--help") else set()
-    assert loaded_modules(run_as_main(code), *line.split()) == {"cli", "digits"} | written
+    # Help is written to stdout by ``cli._stdout``; a usage error goes to stderr.
+    assert loaded_modules(run_as_main(code), *line.split()) == {"cli", "digits"}
 
 
 def test_every_handler_and_check_pair_resolves():

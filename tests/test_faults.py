@@ -223,23 +223,36 @@ def one_past_when_an_upper_parameter_is_minus_5(truncation_index):
     return wrong
 
 
+def zero_over_zero_at(case):
+    """A fault that makes a pair kernel give (0, 0) where ``case`` holds of
+    its arguments: cross-multiplied against it, any value would agree."""
+
+    def fault(kernel):
+        def wrong(*args):
+            return (0, 0) if case(*args) else kernel(*args)
+
+        return wrong
+
+    return fault
+
+
 # The fields of a kept mismatch that a row asserts, per sweep; a field that
 # a mismatch does not carry reads None.
 KEPT = {
     "check-identity": ("n", "m"),
     "check-corollary": ("n",),
     "check-2f1": ("n", "m", "kind"),
-    "crosscheck": ("n", "pair", "point"),
+    "crosscheck": ("n", "route", "point"),
 }
 
 # The cases of one crosscheck order at SWEEPS' points, by their KEPT fields
 # after n.
 PAIRS = (
-    ("closed vs oracle", None),
-    ("expanded vs oracle", None),
-    ("pointwise vs oracle", "0"),
-    ("pointwise vs oracle", "1/2"),
-    ("pointwise vs oracle", "-47/53"),
+    ("closed", None),
+    ("prop12", None),
+    ("fdb", "0"),
+    ("fdb", "1/2"),
+    ("fdb", "-47/53"),
 )
 
 # row: (home module or class, kernel, fault, a probe of the kernel's output,
@@ -271,13 +284,17 @@ PAIRS = (
 # arctan^(n+1)(0) is 0; the expansion's longer rows, at even n, give a
 # numerator of higher degree, not an error.  A stream that stops two orders
 # short is one mismatch of kind "coverage" at the last order reached, with
-# no pair and no point.  So is a kernel that leaves out cases: every case it
+# no route and no point.  So is a kernel that leaves out cases: every case it
 # reaches holds, and each sweep that it shortens fails by one coverage
 # mismatch, with no m, at the last n its kernel reached.  check-corollary
 # reads _sweep_numerators' rows up to n = 2 (n_max//2 + 1), cut to width 1,
 # so rows cut by their last entry leave it whole, and two rows short leave
 # its moments whole but its recurrence one step short; crosscheck sees the
 # cut rows as wrong expansions from order 3, whose row first has two entries.
+# A pair kernel that gives 0/0 once agrees with any value when cross-
+# multiplied, so each check requires nonzero denominators: the jet's and the
+# oracle's at order 10 and x = 1/2, the series' at (n, m) = (20, 5), whose
+# upper parameters are -5 and -9/2.
 FAULTS = {
     "_chain_weights": (
         composition,
@@ -287,7 +304,7 @@ FAULTS = {
         {
             "crosscheck": (
                 2,
-                [(10, "pointwise vs oracle", "1/2"), (10, "pointwise vs oracle", "-47/53")],
+                [(10, "fdb", "1/2"), (10, "fdb", "-47/53")],
             ),
         },
     ),
@@ -296,7 +313,7 @@ FAULTS = {
         "_reciprocal_square_jets",
         ratio_plus_one_at_minus_47_53,
         lambda jets: jets(3, [(-47, 53)]),
-        {"crosscheck": (40, [(n, "pointwise vs oracle", "-47/53") for n in range(1, 21)])},
+        {"crosscheck": (40, [(n, "fdb", "-47/53") for n in range(1, 21)])},
     ),
     "_reciprocal_square_jets below order 10": (
         composition,
@@ -307,7 +324,7 @@ FAULTS = {
             "crosscheck": (
                 25,
                 [
-                    (n, "pointwise vs oracle", x)
+                    (n, "fdb", x)
                     for n in range(1, 9)
                     for x in ("0", "1/2", "-47/53")
                     if n & 1 or x != "0"
@@ -323,16 +340,23 @@ FAULTS = {
         {
             "crosscheck": (
                 80,
-                [(n, "pointwise vs oracle", x) for n in range(1, 11) for x in ("1/2", "-47/53")],
+                [(n, "fdb", x) for n in range(1, 11) for x in ("1/2", "-47/53")],
             ),
         },
+    ),
+    "_square_chain_rule 0/0": (
+        composition,
+        "_square_chain_rule",
+        zero_over_zero_at(lambda n, p, q, ratio, weights: (n, p, q) == (9, 1, 2)),
+        lambda rule: rule(9, 1, 2, (4, 5), [-1]),
+        {"crosscheck": (1, [(10, "fdb", "1/2")])},
     ),
     "q_polynomial": (
         arctan,
         "q_polynomial",
         leading_sign_flipped_at_6,
         lambda q_polynomial: q_polynomial(6),
-        {"crosscheck": (1, [(7, "closed vs oracle", None)])},
+        {"crosscheck": (1, [(7, "closed", None)])},
     ),
     "_homogeneous": (
         polynomial,
@@ -343,11 +367,11 @@ FAULTS = {
             "crosscheck": (
                 5,
                 [
-                    (9, "pointwise vs oracle", "0"),
-                    (9, "pointwise vs oracle", "1/2"),
-                    (9, "pointwise vs oracle", "-47/53"),
-                    (10, "pointwise vs oracle", "1/2"),
-                    (10, "pointwise vs oracle", "-47/53"),
+                    (9, "fdb", "0"),
+                    (9, "fdb", "1/2"),
+                    (9, "fdb", "-47/53"),
+                    (10, "fdb", "1/2"),
+                    (10, "fdb", "-47/53"),
                 ],
             ),
         },
@@ -360,9 +384,16 @@ FAULTS = {
         {
             "crosscheck": (
                 40,
-                [(n, "pointwise vs oracle", x) for n in range(2, 21, 2) for x in ("0", "-47/53")],
+                [(n, "fdb", x) for n in range(2, 21, 2) for x in ("0", "-47/53")],
             ),
         },
+    ),
+    "ArctanRational._evaluate 0/0": (
+        polynomial.ArctanRational,
+        "_evaluate",
+        zero_over_zero_at(lambda value, p, q: (value.exponent, p, q) == (10, 1, 2)),
+        lambda evaluate: evaluate(arctan.arctan_derivative_closed(10), 1, 2),
+        {"crosscheck": (1, [(10, "fdb", "1/2")])},
     ),
     "ArctanRational.derivative": (
         polynomial.ArctanRational,
@@ -373,9 +404,9 @@ FAULTS = {
             "crosscheck": (
                 158,
                 [
-                    (n, pair, x)
+                    (n, route, x)
                     for n in range(6, 11)
-                    for pair, x in PAIRS
+                    for route, x in PAIRS
                     if n not in (7, 9) or x != "0"
                 ][:20],
             ),
@@ -390,10 +421,10 @@ FAULTS = {
             "crosscheck": (
                 174,
                 [
-                    (n, pair, x)
+                    (n, route, x)
                     for n in range(2, 7)
-                    for pair, x in PAIRS
-                    if (n, pair) != (2, "closed vs oracle") and (n & 1 or x != "0")
+                    for route, x in PAIRS
+                    if (n, route) != (2, "closed") and (n & 1 or x != "0")
                 ][:20],
             ),
         },
@@ -403,21 +434,21 @@ FAULTS = {
         "__init__",
         sign_left_in_p,
         lambda init: canonical_form(init, (0, -2), 1),
-        {"crosscheck": (20, [(n, "expanded vs oracle", None) for n in range(2, 41, 2)])},
+        {"crosscheck": (20, [(n, "prop12", None) for n in range(2, 41, 2)])},
     ),
     "_oracle_orders": (
         arctan,
         "_oracle_orders",
         one_order_ahead,
         lambda orders: list(orders(3)),
-        {"crosscheck": (200, [(n, pair, x) for n in range(1, 5) for pair, x in PAIRS])},
+        {"crosscheck": (200, [(n, route, x) for n in range(1, 5) for route, x in PAIRS])},
     ),
     "_prop12_orders": (
         arctan,
         "_prop12_orders",
         one_order_ahead,
         lambda orders: list(orders(3)),
-        {"crosscheck": (40, [(n, "expanded vs oracle", None) for n in range(1, 21)])},
+        {"crosscheck": (40, [(n, "prop12", None) for n in range(1, 21)])},
     ),
     "_prop12_orders stopping short": (
         arctan,
@@ -434,7 +465,7 @@ FAULTS = {
         {
             "check-identity": (1, [(20, 1)]),
             "check-2f1": (1, [(20, 1, "value")]),
-            "crosscheck": (1, [(21, "expanded vs oracle", None)]),
+            "crosscheck": (1, [(21, "prop12", None)]),
         },
     ),
     "_sweep_numerators stopping short": (
@@ -457,7 +488,7 @@ FAULTS = {
         {
             "check-identity": (1, [(60, None)]),
             "check-2f1": (1, [(40, None, "coverage")]),
-            "crosscheck": (38, [(n, "expanded vs oracle", None) for n in range(3, 23)]),
+            "crosscheck": (38, [(n, "prop12", None) for n in range(3, 23)]),
         },
     ),
     "_pascal_rows": (
@@ -502,12 +533,19 @@ FAULTS = {
         lambda terminating_2f1: terminating_2f1((-5, 1), (-9, 2), (-15, 1), 5),
         {"check-2f1": (2, [(19, 4, "value"), (20, 5, "value")])},
     ),
+    "_terminating_2f1 0/0": (
+        hypergeometric,
+        "_terminating_2f1",
+        zero_over_zero_at(lambda a, b, c, last: (a, b, c) == ((-5, 1), (-9, 2), (-15, 1))),
+        lambda terminating_2f1: terminating_2f1((-5, 1), (-9, 2), (-15, 1), 5),
+        {"check-2f1": (1, [(20, 5, "value")])},
+    ),
     "_truncation_index": (
         hypergeometric,
         "_truncation_index",
         one_past_when_an_upper_parameter_is_minus_5,
         lambda truncation_index: truncation_index((-5, 1), (-9, 2)),
-        {"check-2f1": (31, [(n, (n - 10) // 2, "truncation index") for n in range(10, 30)])},
+        {"check-2f1": (31, [(n, (n - 10) // 2, "truncation") for n in range(10, 30)])},
     ),
 }
 
@@ -571,3 +609,19 @@ def test_a_wrong_q_6_changes_what_closed_prints_where_crosscheck_sees_it(capsys,
     patch(monkeypatch, "q_polynomial")
     for x, differs in ((None, True), ("0", False), ("1/2", True), ("-47/53", True)):
         assert derive_differs(capsys, 7, "oracle", x) is differs, x
+
+
+@pytest.mark.parametrize("row", FAULTS)
+def test_each_text_mismatch_line_splits_into_its_json_fields(capsys, monkeypatch, row):
+    # Every value of a context is one token, so a text MISMATCH line reads
+    # back, split on spaces, as exactly the key=value fields of json's context.
+    patch(monkeypatch, row)
+    for line in SWEEPS:
+        code, out = run(capsys, line)
+        json_code, document = run(capsys, f"{line} --format=json")
+        assert code == json_code, line
+        mismatches = [text for text in out.splitlines() if text.startswith("  MISMATCH ")]
+        assert [text.split(" ")[3:] for text in mismatches] == [
+            [f"{key}={value}" for key, value in failure.items()]
+            for failure in json.loads(document)["failures"]
+        ], line

@@ -40,6 +40,15 @@ LIBRARY_MODULES = (
 )
 
 
+def test_the_package_is_its_library_modules_and_the_cli():
+    # A library module left out of the root's re-export, or a CLI split into
+    # another module, fails here.
+    files = {source.stem for source in Path(arctanderiv.__file__).parent.glob("*.py")}
+    assert files == {*arctanderiv._MODULES, "cli", "commands", "__main__", "__init__"}
+    names = tuple(module.__name__.rsplit(".", 1)[-1] for module in LIBRARY_MODULES)
+    assert arctanderiv._MODULES == names
+
+
 def test_package_exports_every_module_name_once():
     names = arctanderiv.__all__
     assert len(names) == len(set(names))

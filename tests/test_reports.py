@@ -41,12 +41,15 @@ def test_failure_context_renders_past_the_digit_limit():
 
 
 def test_a_kept_int_pair_renders_in_lowest_terms_and_any_other_value_by_str():
-    report = CheckReport("sweep", {}, 2)
+    # A pair over 0 has no lowest terms: it prints as it is.
+    report = CheckReport("sweep", {}, 3)
     report.count_case(False, a=(6, -4), b=(0, -5), c=(12, 4), d=Fraction(-3, 2), e=(1, 2, 3))
     report.count_case(False, a=(True, 2), b=(1.5, 2), c=[1, 2])
+    report.count_case(False, a=(0, 0), b=(5, 0))
     assert report.failures == [
         {"a": "-3/2", "b": "0", "c": "3", "d": "-3/2", "e": "(1, 2, 3)"},
         {"a": "(True, 2)", "b": "(1.5, 2)", "c": "[1, 2]"},
+        {"a": "0/0", "b": "5/0"},
     ]
 
 
