@@ -16,6 +16,18 @@ import importlib
 
 __version__ = "0.1.0"
 
+# The one table of the routes to arctan^(n), by the name that derive's
+# --method takes, in the order of its help, of bench and of crosscheck's
+# cases: symbolic or pointwise, and the name of what it runs in ``arctan``.
+# A symbolic route runs an order stream (n_max, first=1) of (n, arctan^(n)),
+# n = first..n_max; a pointwise one (n, points), an int pair per point.
+ROUTES = {
+    "closed": ("symbolic", "_closed_orders"),
+    "prop12": ("symbolic", "_prop12_orders"),
+    "oracle": ("symbolic", "_oracle_orders"),
+    "fdb": ("pointwise", "_pointwise"),
+}
+
 _MODULES = (
     "arctan",
     "combinatorics",

@@ -1,17 +1,17 @@
 """Four independent routes to the n-th derivative of arctan, cross-checked
 for exact agreement.
 
-* closed: (n-1)! q_{n-1}(x) / (1+x^2)^n with the integer polynomial family q.
+* closed: (n-1)! q_{n-1}(x) / (1+x^2)^n, streamed by ``_closed_orders``.
 * expanded (``prop12``): the alternating-binomial expansion, with the
   literal sums alternating_binomial_sum(n-1, m) as coefficients, streamed
   from ``combinatorics._sweep_numerators`` by ``_prop12_orders``.
-* pointwise: chain rule for 1/(1 + x^2) = reciprocal composed with 1 + x^2,
-  evaluated at a point through derivative jets, in ints (``_pointwise``).
+* pointwise (``fdb``): chain rule for 1/(1 + x^2) = reciprocal composed with
+  1 + x^2, evaluated at a point through derivative jets, in ints (``_pointwise``).
 * oracle: brute-force repeated quotient-rule differentiation, streamed by
   ``_oracle_orders``: the ground truth the other three are measured against.
 
-``crosscheck`` holds the first three against the oracle, order by order on
-those streams.  All routes take n = the derivative order of arctan itself (n >= 1).
+The package root's ``ROUTES`` names them, and ``crosscheck`` holds each
+against the oracle order by order.  n is the order of arctan^(n), n >= 1.
 
 Only ``digits`` and ``polynomial`` are imported with this module.  A route
 imports ``composition`` or ``combinatorics`` when it runs, and reads their
@@ -24,7 +24,7 @@ neither and a rebinding of a kernel in its home module reaches every route.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import digits
 from .digits import _fraction, _ratio_str
@@ -93,6 +93,11 @@ def arctan_derivative_closed(n: int) -> ArctanRational:
     return ArctanRational(q_polynomial(n - 1), n, scale=math.factorial(n - 1))
 
 
+def _closed_orders(n_max: int, first: int = 1) -> Iterator[tuple[int, ArctanRational]]:
+    """(n, :func:`arctan_derivative_closed` of n) for n = first..n_max."""
+    return ((n, arctan_derivative_closed(n)) for n in range(first, n_max + 1))
+
+
 def _expanded(n: int, numerators: list[int]) -> ArctanRational:
     """arctan^(n) from the alternating-binomial expansion of order p = n - 1:
 
@@ -108,22 +113,25 @@ def _expanded(n: int, numerators: list[int]) -> ArctanRational:
     return ArctanRational(coeffs, n, scale=(-1) ** (n - 1) * math.factorial(n - 1))
 
 
-def _prop12_orders(n_max: int) -> Iterator[tuple[int, list[int]]]:
-    """(n, row n - 1 of ``combinatorics._sweep_numerators``) for n = 1..n_max."""
+def _prop12_orders(n_max: int, first: int = 1) -> Iterator[tuple[int, ArctanRational]]:
+    """(n, :func:`_expanded` of n and row n - 1 of ``combinatorics._sweep_numerators``)
+    for n = first..n_max: the rows below are stepped, not expanded."""
     from . import combinatorics
 
-    return ((p + 1, numerators) for p, numerators in combinatorics._sweep_numerators(n_max - 1))
+    rows = combinatorics._sweep_numerators(n_max - 1)
+    return ((p + 1, _expanded(p + 1, numerators)) for p, numerators in rows if p >= first - 1)
 
 
-def _order(orders: Iterator[tuple[int, Any]], n: int) -> Any:
-    """The value that an order stream labels n, n >= 1, read no further."""
+def _order(orders: Callable[[int, int], Iterator], n: int) -> ArctanRational:
+    """Order n, n >= 1, of the order stream ``orders``, started at n."""
     _require_order(n)
-    return next(value for order, value in orders if order == n)
+    [(_, value)] = orders(n, n)
+    return value
 
 
 def arctan_derivative_expanded(n: int) -> ArctanRational:
-    """arctan^(n) by :func:`_expanded` from order n of :func:`_prop12_orders`."""
-    return _expanded(n, _order(_prop12_orders(n), n))
+    """arctan^(n), order n of :func:`_prop12_orders`."""
+    return _order(_prop12_orders, n)
 
 
 def arctan_derivative_pointwise(n: int, x: int | Fraction) -> Fraction:
@@ -155,67 +163,62 @@ def _pointwise(n: int, points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [chain_rule(n - 1, *x, ratio, weights) for x, ratio in zip(points, ratios)]
 
 
-def _oracle_orders(n_max: int) -> Iterator[tuple[int, ArctanRational]]:
-    """(n, arctan^(n)) for n = 1..n_max, n_max >= 1, by quotient-rule steps from 1/(1+x^2)."""
+def _oracle_orders(n_max: int, first: int = 1) -> Iterator[tuple[int, ArctanRational]]:
+    """(n, arctan^(n)) for n = first..n_max, by quotient-rule steps from 1/(1+x^2)."""
     value = ArctanRational(1, 1)
-    yield 1, value
-    for n in range(2, n_max + 1):
-        value = value.derivative()
-        yield n, value
+    for n in range(1, n_max + 1):
+        if n > 1:
+            value = value.derivative()
+        if n >= first:
+            yield n, value
 
 
 def arctan_derivative_oracle(n: int) -> ArctanRational:
     """arctan^(n), order n of :func:`_oracle_orders`."""
-    return _order(_oracle_orders(n), n)
+    return _order(_oracle_orders, n)
 
 
 def crosscheck(n_max: int, sample_points=None) -> CheckReport:
-    """Exact agreement of all four routes for every n <= n_max, at
-    ``sample_points`` (by default DEFAULT_SAMPLE_POINTS): ints, Fractions
-    or lowest-terms (p, q) pairs, q > 0, as the CLI reads them.
+    """Exact agreement of every route of ``ROUTES`` with the oracle for every
+    n <= n_max, at ``sample_points`` (by default DEFAULT_SAMPLE_POINTS):
+    ints, Fractions or lowest-terms (p, q) pairs, q > 0, as the CLI reads them.
 
-    The closed and expanded forms must equal the quotient-rule oracle
-    structurally (same primitive part, exponent and scale); the jet route must
-    match the oracle's value at every sample point.  Each order comes from
-    what ``derive`` prints from: ``_oracle_orders``, ``_prop12_orders`` and ``_pointwise``.
-    The report is closed at n_max (2 + len(points)) cases, so a stream that
-    stops short is one mismatch of kind "coverage" (``CheckReport.close``).
+    It runs what ``derive`` prints from: each symbolic row's order stream,
+    all side by side, and each pointwise row's function.  At each order, in
+    table order, a symbolic value must equal the oracle's structurally, then
+    a pointwise one the oracle's value at each point.  The report is closed
+    at the count that the table declares, so a stream that stops short, or a
+    row that the loop does not run, is one mismatch of kind "coverage".
 
-    Every case is held against the oracle, and its context names the other
-    side by ``route``, the ``derive --method`` that prints it: ``closed``,
-    ``prop12`` (expanded) or ``fdb`` (pointwise).  A symbolic mismatch
-    reports only ``n`` and ``route``: two whole values would grow as n^2 per
-    context, and ``derive n`` by its route and by ``oracle`` prints them from
-    the same streams.  A pointwise case is decided in integers: ``_pointwise``
-    and the oracle's ``ArctanRational._evaluate`` each give an unreduced
-    (numerator, denominator) pair, and the case passes when b and d are
-    nonzero and a d == b c; a mismatch reports the point and both pairs.
-    The modules it runs are imported before its report starts the clock.
+    A context names its row by ``route``, its ``derive --method``; a symbolic
+    one holds only ``n`` besides, as its two whole values grow as n^2.  A
+    pointwise case is decided in integers: the route and the oracle's
+    ``_evaluate`` give unreduced pairs a/b and c/d, and it passes when b and
+    d are nonzero and a d == b c; a mismatch keeps the point and both pairs.
+    It imports what it runs before its report starts the clock.
     """
-    from . import combinatorics, composition, reports
+    from . import ROUTES, combinatorics, composition, reports
 
     if n_max < 1:
         raise ValueError("crosscheck requires n_max >= 1")
     points = list(map(_point, DEFAULT_SAMPLE_POINTS if sample_points is None else sample_points))
     parameters = {"n_max": n_max, "points": [_ratio_str(*x) for x in points]}
-    report = reports.CheckReport("crosscheck", parameters, n_max * (2 + len(points)))
+    rows = {name: (kind, globals()[function]) for name, (kind, function) in ROUTES.items()}
+    oracle_orders = rows.pop("oracle")[1]
+    symbolic = [(name, run) for name, (kind, run) in rows.items() if kind == "symbolic"]
+    pointwise = [(name, run) for name, (kind, run) in rows.items() if kind == "pointwise"]
+    cases = sum(len(points) if kind == "pointwise" else 1 for kind, _ in rows.values())
+    report = reports.CheckReport("crosscheck", parameters, n_max * cases)
     n = 0
-    for (n, oracle), (order, numerators) in zip(_oracle_orders(n_max), _prop12_orders(n_max)):
-        closed = arctan_derivative_closed(n)
-        expanded = _expanded(order, numerators)
-        report.count_case(closed == oracle, n=n, route="closed")
-        report.count_case(expanded == oracle, n=n, route="prop12")
-        for x, (top, bottom) in zip(points, _pointwise(n, points)):
-            expected_top, expected_bottom = oracle._evaluate(*x)
-            if bottom and expected_bottom and top * expected_bottom == expected_top * bottom:
-                report.count_case(True)
-            else:
-                report.count_case(
-                    False,
-                    n=n,
-                    route="fdb",
-                    point=x,
-                    pointwise=(top, bottom),
-                    oracle=(expected_top, expected_bottom),
-                )
+    for (n, oracle), *values in zip(oracle_orders(n_max), *(run(n_max) for _, run in symbolic)):
+        for (name, _), (_, value) in zip(symbolic, values):
+            report.count_case(value == oracle, n=n, route=name)
+        for name, route in pointwise:
+            for x, (a, b) in zip(points, route(n, points)):
+                c, d = oracle._evaluate(*x)
+                if b and d and a * d == c * b:
+                    report.count_case(True)
+                else:
+                    pairs = {"pointwise": (a, b), "oracle": (c, d)}
+                    report.count_case(False, n=n, route=name, point=x, **pairs)
     return report.close(n)

@@ -9,20 +9,16 @@ share one handler, ``cmd_check``, which runs the check function its
 subparser named.  Help and results take stdout from ``_stdout``, so help,
 like a usage error, loads no module beyond this one and ``digits``.
 
-One table, ``COMMANDS``, declares every command and its arguments.  ``main``
-reads a plain command line (``_read``: a command, its positionals, then
-options written ``--name=value`` in full) straight from that table, with
-the same readers and choices, so ``argparse`` (and the ``gettext`` and
-``locale`` that it loads) is imported only for help, a usage error or
-another spelling.  For those, ``main`` builds the one parser of every
-command from the same table.  Building the parser imports no route module
-and no handler: each command imports its handler, and the module that it
-runs, when it runs, so a command compiles only the modules it uses.  The
-identity sweeps run on integers and load no ``polynomial``.  ``derive``
-reads ``--x``, and ``crosscheck`` its ``--points``, as lowest-terms int
-pairs (``_ratio``); ``derive`` computes its value at x by every route as
-an unreduced int pair and prints its lowest terms (``digits._lowest``),
-and ``crosscheck`` decides every case in ints.
+One table, ``COMMANDS``, declares every command and its arguments, and
+``derive --method`` takes the names of the package root's ``ROUTES``.
+``main`` reads a plain command line (``_read``: a command, its positionals,
+then options written ``--name=value`` in full) straight from that table, so
+``argparse`` (and the ``gettext`` and ``locale`` that it loads) is imported
+only for help, a usage error or another spelling; for those, ``main``
+builds the one parser of every command from the same table.  Neither
+imports a route module or a handler: each command imports its handler, and
+the module that it runs, when it runs.  ``--x`` and ``--points`` are read
+as lowest-terms int pairs (``_ratio``).
 
 ``main(argv)`` is the in-process API: it returns the exit code, touches no
 file descriptor and leaves the garbage collector alone.  A process enters
@@ -46,6 +42,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from . import ROUTES
 from .digits import _lowest
 
 if TYPE_CHECKING:
@@ -126,18 +123,6 @@ def _positive(text: str) -> int:
     return value
 
 
-# The routes of derive and bench, by the name of their function in
-# ``arctan``; a route in POINTWISE_METHODS takes a list of lowest-terms int
-# pairs after n, returns one value per pair, and needs --x.
-METHODS: dict[str, str] = {
-    "closed": "arctan_derivative_closed",
-    "prop12": "arctan_derivative_expanded",
-    "oracle": "arctan_derivative_oracle",
-    "fdb": "_pointwise",
-}
-POINTWISE_METHODS = frozenset({"fdb"})
-
-
 def _resolve(pair: tuple[str, str]) -> Callable:
     """The function a (module, function) pair names, read from its module now."""
     module, name = pair
@@ -164,7 +149,7 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
         "compute the n-th derivative of arctan",
         {
             "n": {"type": _positive},
-            "--method": {"choices": METHODS, "default": "closed"},
+            "--method": {"choices": ROUTES, "default": "closed"},
             "--x": {"type": _ratio, "default": None, "help": "evaluate at x = p/q"},
         },
         {"handler": "cmd_derive"},
@@ -256,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _needs_x(args: Namespace) -> bool:
     """Whether ``args`` asks derive for a pointwise route without its point."""
-    return args.command == "derive" and args.method in POINTWISE_METHODS and args.x is None
+    return args.command == "derive" and ROUTES[args.method][0] == "pointwise" and args.x is None
 
 
 def _read(argv: Sequence[str]) -> SimpleNamespace | None:

@@ -2,7 +2,7 @@
 resolves when a command runs, and the one emitter they print through: help,
 usage errors and building the parser never compile this module.  Each
 handler imports the module it runs, prints through ``_emit`` and returns
-the exit code.
+the exit code; ``derive`` and ``bench`` run the routes by ``_run``.
 
 ``_emit`` prints every result as text, a json document or a csv table,
 streamed to stdout term by term, with every number rendered at any size by
@@ -18,7 +18,8 @@ import sys
 import time
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .cli import METHODS, POINTWISE_METHODS, _resolve, _stdout
+from . import ROUTES
+from .cli import _resolve, _stdout
 from .digits import _lowest, _ratio_str, exact_str
 
 if TYPE_CHECKING:
@@ -137,17 +138,20 @@ def cmd_qpoly(args: Namespace) -> int:
     return 0
 
 
-def cmd_derive(args: Namespace) -> int:
-    """Print a route's symbolic result, or its value at --x: the pointwise
-    route's from its int kernel, the others' by ``ArctanRational._evaluate``,
-    each an unreduced pair whose denominator is positive."""
+def _run(method: str, n: int, x: tuple[int, int] | None):
+    """Order n of ``ROUTES[method]``: a symbolic route's ``ArctanRational``, from its
+    stream started at n, or a pointwise one's value at x, an unreduced int pair."""
     from . import arctan
 
-    route = getattr(arctan, METHODS[args.method])
-    if args.method in POINTWISE_METHODS:
-        top, bottom = route(args.n, [args.x])[0]
-    else:
-        result = route(args.n)
+    kind, name = ROUTES[method]
+    route = getattr(arctan, name)
+    return route(n, [x])[0] if kind == "pointwise" else arctan._order(route, n)
+
+
+def cmd_derive(args: Namespace) -> int:
+    """Print a route's symbolic result, or its value at --x (a symbolic one's by ``_evaluate``)."""
+    result = _run(args.method, args.n, args.x)
+    if ROUTES[args.method][0] != "pointwise":
         if args.x is None:
             _emit(
                 args.format,
@@ -162,8 +166,8 @@ def cmd_derive(args: Namespace) -> int:
                 ((power, numerator, 1, result.exponent) for power, numerator in result.terms()),
             )
             return 0
-        top, bottom = result._evaluate(*args.x)
-    value = _ratio_str(*_lowest(top, bottom))
+        result = result._evaluate(*args.x)
+    value = _ratio_str(*_lowest(*result))
     x = _ratio_str(*args.x)
     _emit(
         args.format,
@@ -226,18 +230,14 @@ BENCH_HEADER = ("method", "n", "micros")
 
 
 def cmd_bench(args: Namespace) -> int:
-    from . import arctan
-
+    from . import arctan  # noqa: F401  compiled before the clock starts
     rows = []
     buckets = [n for n in BENCH_BUCKETS if n <= args.n_max]
-    for name, function in METHODS.items():
-        route = getattr(arctan, function)
-        point = ([BENCH_POINT],) if name in POINTWISE_METHODS else ()
+    for name in ROUTES:
         for n in buckets:
             start = time.perf_counter()
-            route(n, *point)
-            elapsed = time.perf_counter() - start
-            rows.append((name, n, int(elapsed * 1_000_000)))
+            _run(name, n, BENCH_POINT)
+            rows.append((name, n, int((time.perf_counter() - start) * 1_000_000)))
     _emit(
         args.format,
         ("\n".join(f"{name} n={n} micros={micros}" for name, n, micros in rows),),

@@ -208,7 +208,7 @@ def check_weighted_identity(n_max: int) -> CheckReport:
     swept for j <= n_max//2 so the two halves of the argument are checked
     together.  In integers it reads s_{j+1} - s_j = 2, where s_j = 4^j S_j is
     the m = 0 entry of row 2j of ``_sweep_numerators``.  The weighted cases
-    come first, then the recurrence.
+    come first, each passing only over a nonzero lcm, then the recurrence.
     """
     if n_max < 0:
         raise ValueError("check_weighted_identity requires n_max >= 0")
@@ -216,7 +216,7 @@ def check_weighted_identity(n_max: int) -> CheckReport:
     n = -1
     for n, lcm, moment in _weighted_moments(n_max):
         closed = _weighted_closed_numerator(n, lcm)
-        if moment == closed:
+        if lcm and moment == closed:
             report.count_case(True)
         else:
             report.count_case(False, n=n, lhs=(moment, lcm << 2 * n), rhs=(closed, lcm << 2 * n))

@@ -367,8 +367,18 @@ def test_crosscheck_reports_a_short_sweep_as_one_coverage_mismatch(
 
 
 def test_expanded_rows_of_one_stream_match_single_orders():
-    for n, numerators in arctan._prop12_orders(81):
-        assert arctan._expanded(n, numerators) == arctan_derivative_expanded(n), n
+    for n, value in arctan._prop12_orders(81):
+        assert value == arctan_derivative_expanded(n), n
+
+
+@pytest.mark.parametrize("orders", ["_closed_orders", "_prop12_orders", "_oracle_orders"])
+def test_an_order_stream_started_late_is_the_tail_of_the_whole_stream(orders):
+    # derive starts a stream at the order it prints; crosscheck runs it whole.
+    orders = getattr(arctan, orders)
+    whole = list(orders(30))
+    assert [n for n, _ in whole] == list(range(1, 31))
+    assert list(orders(30, 17)) == whole[16:]
+    assert list(orders(30, 31)) == []
 
 
 def test_crosscheck_renders_points_past_the_digit_limit():

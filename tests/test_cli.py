@@ -30,8 +30,6 @@ from arctanderiv import (
 from arctanderiv.cli import (
     COMMANDS,
     FORMATS,
-    METHODS,
-    POINTWISE_METHODS,
     _parse,
     _read,
     _resolve,
@@ -167,6 +165,23 @@ def test_derive_value_json_and_csv(capsys, method):
     code, out, _ = run_cli(capsys, *argv, "--format=csv")
     assert code == 0
     assert out == f"n,method,x,value\n7,{method},-47/53,{value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, kernel, call",
+    [
+        (("--method=closed",), "q_polynomial", (39,)),
+        (("--method=closed", "--x=1/3"), "q_polynomial", (39,)),
+        (("--method=fdb", "--x=1/3"), "_pointwise", (40, [(1, 3)])),
+    ],
+)
+def test_derive_computes_only_the_order_it_prints(capsys, monkeypatch, argv, kernel, call):
+    # closed and fdb compute order n alone: derive must not walk their
+    # streams from order 1, as it must for prop12 and the oracle.
+    calls, run = [], getattr(arctan, kernel)
+    monkeypatch.setattr(arctan, kernel, lambda *args: calls.append(args) or run(*args))
+    assert run_cli(capsys, "derive", "40", *argv)[0] == 0
+    assert calls == [call]
 
 
 def test_derive_usage_errors(capsys):
@@ -883,9 +898,9 @@ PLAIN_SHAPES = [
         "derive 50",
         *(
             f"derive 50 --method={method}{x}"
-            for method in METHODS
+            for method, (kind, _) in arctanderiv.ROUTES.items()
             for x in ("", " --x=1/2")
-            if x or method not in POINTWISE_METHODS
+            if x or kind != "pointwise"
         ),
         "check-identity 30",
         "check-corollary 30",
@@ -1355,7 +1370,7 @@ def full_parse(argv):
 OPTIONS = sorted({name for _, arguments, _ in COMMANDS.values() for name in arguments if name[0] == "-"})
 ARGUMENTS = st.sampled_from(
     [
-        *("5", "30", "0", "+3", "1/2", "-1/2", "355/113", "2/4", "0,1/2,-47/53", *METHODS, *FORMATS),
+        *("5", "30", "0", "+3", "1/2", "-1/2", "355/113", "2/4", "0,1/2,-47/53", *arctanderiv.ROUTES, *FORMATS),
         *("1/0", "", "x", "1,,", "9" * 4301, str(sys.maxsize + 1), "-h", "--help", "--"),
     ]
 )

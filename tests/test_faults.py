@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+import arctanderiv
 from arctanderiv import arctan, combinatorics, composition, hypergeometric, identities, polynomial
 from arctanderiv.cli import main
 
@@ -197,6 +198,27 @@ def moment_plus_one_at_10(weighted_moments):
     return wrong
 
 
+def lcm_zero_at_10(weighted_moments):
+    # The moment and its common denominator both 0: 0/0, which agrees with
+    # the closed form 0/0 that the zero lcm gives when cross-multiplied.
+    def wrong(n_max):
+        for n, lcm, moment in weighted_moments(n_max):
+            yield (n, 0, 0) if n == 10 else (n, lcm, moment)
+
+    return wrong
+
+
+def kind_misspelt(route):
+    """A fault that misspells the kind of ``route``'s row of the table:
+    crosscheck runs no row of that kind, and still counts its cases."""
+
+    def fault(routes):
+        kind, function = routes[route]
+        return {**routes, route: (kind.upper(), function)}
+
+    return fault
+
+
 def closed_plus_one_at_10(weighted_closed_numerator):
     def wrong(n, lcm):
         value = weighted_closed_numerator(n, lcm)
@@ -294,7 +316,10 @@ PAIRS = (
 # A pair kernel that gives 0/0 once agrees with any value when cross-
 # multiplied, so each check requires nonzero denominators: the jet's and the
 # oracle's at order 10 and x = 1/2, the series' at (n, m) = (20, 5), whose
-# upper parameters are -5 and -9/2.
+# upper parameters are -5 and -9/2, and check-corollary's common denominator
+# at n = 10.  crosscheck is closed at the count that ROUTES declares, so a
+# row that its loop does not run leaves every order short of that row's
+# case: one coverage mismatch at n_max.
 FAULTS = {
     "_chain_weights": (
         composition,
@@ -457,6 +482,13 @@ FAULTS = {
         lambda orders: list(orders(3)),
         {"crosscheck": (1, [(38, None, None)])},
     ),
+    "ROUTES without the prop12 row in crosscheck": (
+        arctanderiv,
+        "ROUTES",
+        kind_misspelt("prop12"),
+        lambda routes: routes["prop12"],
+        {"crosscheck": (1, [(40, None, None)])},
+    ),
     "_sweep_numerators": (
         combinatorics,
         "_sweep_numerators",
@@ -509,6 +541,13 @@ FAULTS = {
         identities,
         "_weighted_moments",
         moment_plus_one_at_10,
+        lambda weighted_moments: list(weighted_moments(10)),
+        {"check-corollary": (1, [(10,)])},
+    ),
+    "_weighted_moments 0/0": (
+        identities,
+        "_weighted_moments",
+        lcm_zero_at_10,
         lambda weighted_moments: list(weighted_moments(10)),
         {"check-corollary": (1, [(10,)])},
     ),

@@ -18,11 +18,14 @@ method call such as ``value.derivative()`` or a property read such as
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import arctanderiv
+from arctanderiv import ROUTES, arctan, crosscheck
+from arctanderiv.cli import main
 
 PACKAGE = Path(arctanderiv.__file__).parent
 
@@ -216,24 +219,48 @@ def test_every_allowed_entry_is_shared_by_a_row(graph):
     assert ALLOWED.keys() <= used
 
 
-# The routes that derive prints from one order stream each, and the kernels
-# that only those streams step.
-STREAMS = {
-    "arctan.arctan_derivative_oracle": "arctan._oracle_orders",
-    "arctan.arctan_derivative_expanded": "arctan._prop12_orders",
-}
+# The kernels that only the order streams step, and the code that runs the
+# rows of ROUTES.
 STREAM_KERNELS = {"polynomial.ArctanRational.derivative", "combinatorics._sweep_numerators"}
+ROW_RUNNERS = (
+    "arctan.crosscheck",
+    "arctan._order",
+    "arctan.arctan_derivative_expanded",
+    "arctan.arctan_derivative_oracle",
+    "commands._run",
+    "commands.cmd_derive",
+    "commands.cmd_bench",
+)
 
 
-def test_crosscheck_runs_the_streams_that_derive_prints(graph):
-    # A second copy of a stream, in crosscheck or in a printed route, steps
-    # a kernel itself: the check would then hold a copy, not what derive prints.
-    checked = reachable(graph, ["arctan.crosscheck"])
-    for route, stream in STREAMS.items():
-        assert stream in checked, stream
-        assert stream in reachable(graph, [route]), route
-    for caller in ("arctan.crosscheck", *STREAMS):
-        assert not graph[caller] & STREAM_KERNELS, caller
+def test_crosscheck_reaches_every_row(graph, monkeypatch, capsys):
+    # The call graph cannot follow a name through the table, so each row's
+    # function in arctan records its calls: crosscheck runs each stream once
+    # and the pointwise function once per order, and derive prints each row
+    # from that same function.
+    reached = []
+
+    def recorder(name, run):
+        def record(*args):
+            reached.append(name)
+            return run(*args)
+
+        return record
+
+    for name, (_, function) in ROUTES.items():
+        monkeypatch.setattr(arctan, function, recorder(name, getattr(arctan, function)))
+    assert crosscheck(5, [(1, 2)]).passed
+    assert Counter(reached) == {"closed": 1, "prop12": 1, "oracle": 1, "fdb": 5}
+    for name, (kind, _) in ROUTES.items():
+        reached.clear()
+        at = ["--x=1/2"] if kind == "pointwise" else []
+        assert main(["derive", "5", f"--method={name}", *at]) == 0
+        assert reached == [name], name
+    capsys.readouterr()
+    # A second copy of a stream, in the code that runs the rows, steps a
+    # kernel itself: the check would then hold a copy, not what derive prints.
+    for runner in ROW_RUNNERS:
+        assert not graph[runner] & STREAM_KERNELS, runner
 
 
 def test_the_graph_sees_a_witness_joined_to_its_route():
