@@ -147,11 +147,13 @@ def _pointwise(n: int, points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     arctan' = 1/(1 + x^2) is the reciprocal composed with a + x^2 (a = 1), so
     arctan^(n) is the (n-1)-st derivative of that composition: build the jet
     of y -> 1/y at 1 + x^2 and apply the specialized chain rule, a sum on
-    the binomial weights C(n-1-k, k) with (n-1)! multiplied in once.  These
-    are the int kernels of ``DerivativeJet.of_reciprocal`` and
-    ``square_chain_rule``.  The jet's numerators (-1)^k are the same at
-    every point, so one row of weights serves all the points: it streams
-    for one point, and several points read one list of it.
+    the binomial weights C(n-1-k, k) with (n-1)! multiplied in once.
+    ``_reciprocal_square_jets`` builds the jets' numerators and ratios
+    itself, not by ``DerivativeJet.of_reciprocal``; only the chain rule runs
+    the int kernels of ``square_chain_rule``, ``_chain_weights`` and
+    ``_square_chain_rule``.  The numerators (-1)^k are the same at every
+    point, so one row of weights serves all the points: it streams for one
+    point, and several points read one list of it.
     """
     from . import composition
 

@@ -107,7 +107,7 @@ def _natural(text: str) -> int:
     return value
 
 
-def _order(text: str) -> int:
+def _size(text: str) -> int:
     """An order or sweep size: the routes index lists by it, so none past
     sys.maxsize can run."""
     value = _natural(text)
@@ -117,7 +117,7 @@ def _order(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    value = _order(text)
+    value = _size(text)
     if value < 1:
         raise ValueError("must be >= 1")
     return value
@@ -131,7 +131,7 @@ def _resolve(pair: tuple[str, str]) -> Callable:
 
 def _sweep(help_text: str, default: int, function: str) -> tuple:
     """The table entry of an identity sweep: ``function`` in ``identities``."""
-    n_max = {"type": _order, "nargs": "?", "default": default}
+    n_max = {"type": _size, "nargs": "?", "default": default}
     defaults = {"handler": "cmd_check", "check": ("identities", function)}
     return help_text, {"n_max": n_max}, defaults
 
@@ -142,7 +142,7 @@ def _sweep(help_text: str, default: int, function: str) -> tuple:
 COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
     "qpoly": (
         "print the numerator polynomial family member q_n",
-        {"n": {"type": _order}},
+        {"n": {"type": _size}},
         {"handler": "cmd_qpoly"},
     ),
     "derive": (

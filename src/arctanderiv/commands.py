@@ -230,7 +230,7 @@ BENCH_HEADER = ("method", "n", "micros")
 
 
 def cmd_bench(args: Namespace) -> int:
-    from . import arctan  # noqa: F401  compiled before the clock starts
+    from . import arctan, combinatorics, composition  # noqa: F401  imported before the clock starts
     rows = []
     buckets = [n for n in BENCH_BUCKETS if n <= args.n_max]
     for name in ROUTES:

@@ -18,8 +18,8 @@ _DIRECT_BITS bits is printed by str() directly: 2048 bits is at most 617
 digits, under any limit.  A longer one is split in binary and joined as an
 exact ``Decimal``, so ``decimal`` is imported only when such an int is
 converted, and a process that prints only small numbers never loads it.
-``polynomial`` prints a wide numerator in the same exact context, each
-coefficient from the Decimal of the one before it.
+``_product_strs`` prints every wider int, and a numerator's products
+scale * c each from the Decimal of the one before it, in that exact context.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     from decimal import Context, Decimal
@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 __all__ = ["exact_str"]
 
 _DIRECT_BITS = 2048
+_RATIO_BITS = 64  # the widest reduced ratio of coefficients that _product_strs steps by
 
 
 def _pair(value: int | Fraction, what: str) -> tuple[int, int]:
@@ -102,7 +103,7 @@ def _decimal(n: int) -> Decimal:
 def exact_str(value: int | Fraction) -> str:
     """str(value) for an int or a Fraction of any size, with no int -> str
     digit limit and no call to sys.set_int_max_str_digits: by str() up to
-    _DIRECT_BITS bits, through _decimal above.
+    _DIRECT_BITS bits, through _product_strs above.
 
     >>> from fractions import Fraction
     >>> exact_str(Fraction(-3, 4)), exact_str(7)
@@ -116,5 +117,36 @@ def exact_str(value: int | Fraction) -> str:
 def _ratio_str(numerator: int, denominator: int = 1) -> str:
     """exact_str(Fraction(numerator, denominator)) for a lowest-terms pair
     with denominator > 0, without building the Fraction."""
-    text = str(numerator) if numerator.bit_length() <= _DIRECT_BITS else str(_decimal(numerator))
+    wide = numerator.bit_length() > _DIRECT_BITS
+    text = next(_product_strs(1, (numerator,))) if wide else str(numerator)
     return text if denominator == 1 else f"{text}/{_ratio_str(denominator)}"
+
+
+def _product_strs(scale: int, row: Sequence[int]) -> Iterator[str]:
+    """str(scale * c) for each nonzero int c of row, in its order.
+
+    When the widest product has at most _DIRECT_BITS bits, each is printed
+    by str().  Otherwise each is printed from an exact Decimal, never formed
+    as an int and never converted by the quadratic int -> str.  The first is
+    the product of the Decimals of the scale and c.  Each next one, for c',
+    comes from the one before: with g = gcd(c, c'), scale c' = (scale c)
+    (c'/g) / (c/g) exactly, one multiply and one exact division by ints,
+    each linear in the digits, when both reduced factors have at most
+    _RATIO_BITS bits; else the full product again.  Every arctan numerator
+    takes the short step: consecutive coefficients of q_(n-1) differ by
+    -(n-k-1)(n-k-2) / ((k+2)(k+3)).
+    """
+    if (scale * max(row, key=abs, default=0)).bit_length() <= _DIRECT_BITS:
+        for c in row:
+            yield str(scale * c)
+        return
+    exact, factor, before = _exact(), _decimal(scale), 0
+    for c in row:
+        g = math.gcd(c, before)
+        up, down = c // g, before // g
+        if before and max(up.bit_length(), down.bit_length()) <= _RATIO_BITS:
+            value = exact.divide_int(exact.multiply(value, up), down)
+        else:
+            value = exact.multiply(factor, _decimal(c))
+        before = c
+        yield str(value)

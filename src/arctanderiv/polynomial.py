@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .digits import _DIRECT_BITS, _decimal, _exact, _fraction, _pair, exact_str
+from .digits import _fraction, _pair, _product_strs, exact_str
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -86,8 +86,6 @@ def _ints(values: Iterable[int], what: str) -> list[int]:
         raise TypeError(f"{what} must be int, not {wrong.pop().__name__}")
     return values
 
-
-_RATIO_BITS = 64  # the widest reduced ratio of coefficients that _terms steps by
 
 _LEAF = 64  # the longest coefficient run that _homogeneous sums by Horner's scheme
 
@@ -237,41 +235,9 @@ class ArctanRational(_Value):
 
     def _terms(self, powers: Iterable[int]) -> Iterator[Term]:
         """(power, text) for each nonzero coefficient of the numerator
-        scale * P, in the order of powers.
-
-        When the widest product scale * c has at most _DIRECT_BITS bits,
-        each is printed by str().  Otherwise each is printed from an exact
-        Decimal, never formed as an int and never converted by the quadratic
-        int -> str.  The first is the product of the Decimals of the scale
-        and c.  Each next one, for c', comes from the one before: with
-        g = gcd(c, c'), scale c' = (scale c) (c'/g) / (c/g) exactly, one
-        multiply and one exact division by ints, each linear in the digits,
-        when both reduced factors have at most _RATIO_BITS bits; else the
-        full product again.  Every arctan numerator takes the short step:
-        consecutive coefficients of q_(n-1) differ by the factor
-        -(n-k-1)(n-k-2) / ((k+2)(k+3)).
-        """
-        coeffs, scale = self.primitive, self.scale
-        if (scale * max(coeffs, key=abs, default=0)).bit_length() <= _DIRECT_BITS:
-            for power in powers:
-                c = coeffs[power]
-                if c:
-                    yield power, str(scale * c)
-            return
-        exact, factor = _exact(), _decimal(scale)
-        before = 0
-        for power in powers:
-            c = coeffs[power]
-            if not c:
-                continue
-            g = math.gcd(c, before)
-            up, down = c // g, before // g
-            if before and max(up.bit_length(), down.bit_length()) <= _RATIO_BITS:
-                value = exact.divide_int(exact.multiply(value, up), down)
-            else:
-                value = exact.multiply(factor, _decimal(c))
-            before = c
-            yield power, str(value)
+        scale * P, in the order of powers, printed by ``digits._product_strs``."""
+        powers = [power for power in powers if self.primitive[power]]
+        yield from zip(powers, _product_strs(self.scale, [self.primitive[j] for j in powers]))
 
     def terms(self) -> Iterator[Term]:
         """(power, text) for each nonzero coefficient of the numerator

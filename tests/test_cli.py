@@ -724,24 +724,32 @@ def test_each_command_loads_only_the_modules_it_runs(command):
 
 def timed_span_imports(line):
     """The modules that enter sys.modules while the entry point runs
-    ``line`` in a fresh process, from the construction of its check's one
-    ``CheckReport`` to the check's return: the span its cost line times."""
-    module, name = COMMANDS[line.split()[0]][2]["check"]
+    ``line`` in a fresh process, in the spans that it times: from the
+    construction of a check's one ``CheckReport`` to the check's return,
+    or each of ``bench``'s calls of ``commands._run``."""
+    if line.startswith("bench "):
+        home, name = "commands", "_run"
+        opening = "    spans.append(set(sys.modules))\n"  # each call is a span of its own
+        joined = "assert spans\nspan = set().union(*spans)"
+    else:
+        home, name = COMMANDS[line.split()[0]][2]["check"]
+        opening, joined = "", "[span] = spans"  # the span opens as the report is built
     probe = (
         "import importlib, sys\n"
         "from arctanderiv import reports\n"
-        f"home = importlib.import_module('arctanderiv.{module}')\n"
-        f"check, init, spans = home.{name}, reports.CheckReport.__init__, []\n"
+        f"home = importlib.import_module('arctanderiv.{home}')\n"
+        f"run, init, spans = home.{name}, reports.CheckReport.__init__, []\n"
         "def noting(self, *args):\n"
         "    init(self, *args)\n"
         "    spans.append(set(sys.modules))\n"
         "def timed(*args):\n"
-        "    report = check(*args)\n"
+        + opening
+        + "    result = run(*args)\n"
         "    spans.append(set(sys.modules) - spans.pop())\n"
-        "    return report\n"
+        "    return result\n"
         f"reports.CheckReport.__init__, home.{name} = noting, timed\n"
         + RUN_AS_MAIN
-        + "\n[span] = spans\nprint(*sorted(span))"
+        + f"\n{joined}\nprint(*sorted(span))"
     )
     result = run_fresh(probe, *line.split())
     assert result.returncode == 0, result.stderr
@@ -751,10 +759,11 @@ def timed_span_imports(line):
 CHECKS = [line for line in MODULES_RUN if "check" in line]
 
 
-@pytest.mark.parametrize("line", CHECKS, ids=lambda line: line.split()[0])
+@pytest.mark.parametrize("line", [*CHECKS, "bench 2"], ids=lambda line: line.split()[0])
 def test_the_cost_line_times_no_import(line):
     # Each check imports what it runs before it builds its report, whose
-    # construction starts the clock of the cost line.
+    # construction starts the clock of the cost line, and bench imports
+    # every route's module before it times the first call.
     assert timed_span_imports(line) == set()
 
 

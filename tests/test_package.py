@@ -131,6 +131,43 @@ def test_only_digits_imports_fractions():
     assert importers == {"digits.py"}
 
 
+def named(tree):
+    """Every name that ``tree`` reads, binds, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+PRINTER = {"_decimal", "_exact", "_two_power", "_DIRECT_BITS", "_RATIO_BITS"}
+
+
+def test_only_digits_turns_an_int_into_decimal_digits():
+    # Every int wider than digits._DIRECT_BITS, and every row of numerator
+    # coefficients, is printed by digits._product_strs.
+    sources = Path(arctanderiv.__file__).parent.glob("*.py")
+    namers = {
+        source.name
+        for source in sources
+        if PRINTER & set(named(ast.parse(source.read_text())))
+    }
+    assert namers == {"digits.py"}
+
+
+def test_no_two_private_functions_share_a_name():
+    # A private name means one contract across the package.
+    homes = {}
+    for source in sorted(Path(arctanderiv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                if not node.name.endswith("__"):
+                    homes.setdefault(node.name, []).append(source.stem)
+    assert {name: stems for name, stems in homes.items() if len(stems) > 1} == {}
+
+
 def test_the_checks_build_no_fraction():
     # The checks compare and report int pairs: in the modules they run, a
     # Fraction is built only by a public function that returns one.

@@ -340,7 +340,7 @@ _factor = st.integers(-9, 9).filter(bool) | _wide_factor | _wide_factor.map(lamb
 
 @st.composite
 def _coefficient_runs(draw):
-    """A run of coefficients for the step of ``_terms`` that prints each one
+    """A run of coefficients for the step of ``digits._product_strs`` that prints each one
     from the one before: c_(k+1) / c_k = a_k / b_k, with each factor small
     or, for the full product, past 64 bits, as c_k = base a_0 ... a_(k-1)
     b_k ... b_(K-1).  Zeros may come between them, and a run of one is a lone
@@ -360,7 +360,7 @@ def _coefficient_runs(draw):
 @st.composite
 def _widest_at_the_switch(draw):
     """Coefficients whose widest product scale * c has exactly _DIRECT_BITS
-    or _DIRECT_BITS + 1 bits, where ``_terms`` switches from str() to
+    or _DIRECT_BITS + 1 bits, where ``digits._product_strs`` switches from str() to
     Decimal."""
     bits = draw(st.sampled_from((_DIRECT_BITS, _DIRECT_BITS + 1)))
     scale = draw(st.integers(1, 1 << 40))
