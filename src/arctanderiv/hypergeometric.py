@@ -20,12 +20,12 @@ __all__ = ["NonTerminatingSeriesError", "truncation_index", "terminating_2f1"]
 
 
 MAX_TERMS = 10**6
-"""A series whose truncation index reaches this bound is treated as not
-terminating."""
+"""A series whose truncation index reaches this bound is refused as too
+long, though it is finite."""
 
 
 class NonTerminatingSeriesError(ArithmeticError):
-    """No upper series parameter truncates the series within the term bound."""
+    """The series is infinite, or finite with a truncation index of MAX_TERMS or more."""
 
 
 def truncation_index(a: int | Fraction, b: int | Fraction) -> int | None:
@@ -50,8 +50,8 @@ def terminating_2f1(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> 
     The sum runs k = 0..K with K the truncation index.  Term k = 0 is 1 and
     needs no division, so c is never touched when K = 0.  Every factor c + k
     with k < K is checked before the sum starts; a vanishing one is a genuine
-    division by zero and raises.  If neither upper parameter truncates the
-    series within MAX_TERMS terms the series is not finite and no value exists.
+    division by zero and raises.  NonTerminatingSeriesError is raised when no
+    upper parameter truncates, and for K >= MAX_TERMS, finite but too long.
 
     The series is evaluated by backward Horner,
     1 + r_0 (1 + r_1 (... (1 + r_{K-1}))) with term ratio

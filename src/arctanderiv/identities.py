@@ -157,9 +157,9 @@ def weighted_binomial_sum(n: int) -> Fraction:
     return _fraction(numerator, lcm << 2 * n)
 
 
-def _weighted_moments(n_max: int) -> Iterator[tuple[int, int, int]]:
-    """(n, L, J_n^(0)) for n = 0..n_max: the weighted sum of n times 4^n L,
-    with L = lcm(1..n_max+1) computed once.
+def _weighted_moments(n_max: int) -> Iterator[tuple[int, int]]:
+    """(n, J_n^(0)) for n = 0..n_max: the weighted sum of n times 4^n L,
+    with L = lcm(1..n_max+1) computed once, here, for the seed row.
 
     Let B_n(t) = sum_i (-1)^i 4^(-i) C(2n+1-i, i) t^(n-i).  Since
     1/(n+1-i) = int_0^1 t^(n-i) dt, the weighted sum is int_0^1 B_n.  The
@@ -177,12 +177,12 @@ def _weighted_moments(n_max: int) -> Iterator[tuple[int, int, int]]:
     lcm = math.lcm(*range(1, n_max + 2))
     older = [0] * (n_max + 1)  # J_{-1}
     newer = [lcm // (k + 1) for k in range(n_max + 1)]  # J_0
-    yield 0, lcm, newer[0]
+    yield 0, newer[0]
     for n in range(1, n_max + 1):
         older, newer = newer, [
             (((up << 1) - same) << 1) - back for up, same, back in zip(newer[1:], newer, older)
         ]
-        yield n, lcm, newer[0]
+        yield n, newer[0]
 
 
 def _weighted_closed_numerator(n: int, lcm: int) -> int:
@@ -201,22 +201,22 @@ def check_weighted_identity(n_max: int) -> CheckReport:
     """The weighted sum vs its parity-split closed form for every n <= n_max,
     plus the first-difference recurrence behind it.
 
-    The weighted sums come from the moment table of ``_weighted_moments``:
-    scaled by 4^n lcm(1..n_max+1), the closed form is lcm / (n+1) for even n
-    and 0 for odd n.  With S_j = alternating_binomial_sum(2j, 0), the
-    derivation rests on S_{j+1} - S_j/4 = 2/4^(j+1); that recurrence is
-    swept for j <= n_max//2 so the two halves of the argument are checked
+    The weighted sums come from the moment table of ``_weighted_moments``,
+    scaled by 4^n L with L = lcm(1..n_max+1) computed here, not read from
+    the table: the closed form is L / (n+1) for even n and 0 for odd n.
+    With S_j = alternating_binomial_sum(2j, 0), the derivation rests on
+    S_{j+1} - S_j/4 = 2/4^(j+1); that recurrence is swept for j <= n_max//2,
+    after the weighted cases, so the two halves of the argument are checked
     together.  In integers it reads s_{j+1} - s_j = 2, where s_j = 4^j S_j is
-    the m = 0 entry of row 2j of ``_sweep_numerators``.  The weighted cases
-    come first, each passing only over a nonzero lcm, then the recurrence.
+    the m = 0 entry of row 2j of ``_sweep_numerators``.
     """
     if n_max < 0:
         raise ValueError("check_weighted_identity requires n_max >= 0")
     report = CheckReport("check-corollary", {"n_max": n_max}, n_max + 1 + n_max // 2 + 1)
-    n = -1
-    for n, lcm, moment in _weighted_moments(n_max):
+    lcm, n = math.lcm(*range(1, n_max + 2)), -1
+    for n, moment in _weighted_moments(n_max):
         closed = _weighted_closed_numerator(n, lcm)
-        if lcm and moment == closed:
+        if moment == closed:
             report.count_case(True)
         else:
             report.count_case(False, n=n, lhs=(moment, lcm << 2 * n), rhs=(closed, lcm << 2 * n))

@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -453,10 +453,11 @@ def test_corollary_weighted_mismatch_context(capsys, monkeypatch):
     # The weighted sum at n = 8, scaled by 4^8 lcm(1..61), is lcm(1..61)/2520
     # too large; every other n keeps its true value.
     moments_of = identities._weighted_moments
+    step = lcm(*range(1, 62)) // 2520
 
     def wrong_moments(n_max):
-        for n, lcm, moment in moments_of(n_max):
-            yield n, lcm, moment + lcm // 2520 if n == 8 else moment
+        for n, moment in moments_of(n_max):
+            yield n, moment + step if n == 8 else moment
 
     monkeypatch.setattr(identities, "_weighted_moments", wrong_moments)
     true = Fraction(1, 9 * 4**8)

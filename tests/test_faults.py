@@ -6,6 +6,7 @@ of them fail, the mismatches that each failing sweep reports and that the
 faulty kernel's output differs from the true one, so that no row is vacuous.
 """
 
+import itertools
 import json
 import math
 
@@ -147,9 +148,11 @@ def one_order_ahead(orders):
 
 
 def two_orders_short(orders):
+    # The true stream, cut after order n_max - 2: a kernel that builds its
+    # rows for n_max - 2 would also seed _weighted_moments with another lcm.
     # A row width, where the kernel takes one, is passed on.
     def wrong(n_max, *width):
-        return orders(n_max - 2, *width)
+        return itertools.takewhile(lambda row: row[0] <= n_max - 2, orders(n_max, *width))
 
     return wrong
 
@@ -192,18 +195,20 @@ def plus_one_at_20_2(closed_form_numerator):
 
 def moment_plus_one_at_10(weighted_moments):
     def wrong(n_max):
-        for n, lcm, moment in weighted_moments(n_max):
-            yield n, lcm, moment + 1 if n == 10 else moment
+        for n, moment in weighted_moments(n_max):
+            yield n, moment + 1 if n == 10 else moment
 
     return wrong
 
 
-def lcm_zero_at_10(weighted_moments):
-    # The moment and its common denominator both 0: 0/0, which agrees with
-    # the closed form 0/0 that the zero lcm gives when cross-multiplied.
+def lcm_one_order_too_wide(weighted_moments):
+    # The mutant range(1, n_max + 3) of the table's lcm.  The recurrence is
+    # linear, so it scales every moment by lcm(1..n_max+2) / lcm(1..n_max+1):
+    # 61 at n_max = 59, and 1 at n_max = 60, since 62 = 2 * 31.
     def wrong(n_max):
-        for n, lcm, moment in weighted_moments(n_max):
-            yield (n, 0, 0) if n == 10 else (n, lcm, moment)
+        scale = math.lcm(*range(1, n_max + 3)) // math.lcm(*range(1, n_max + 2))
+        for n, moment in weighted_moments(n_max):
+            yield n, moment * scale
 
     return wrong
 
@@ -315,11 +320,12 @@ PAIRS = (
 # cut rows as wrong expansions from order 3, whose row first has two entries.
 # A pair kernel that gives 0/0 once agrees with any value when cross-
 # multiplied, so each check requires nonzero denominators: the jet's and the
-# oracle's at order 10 and x = 1/2, the series' at (n, m) = (20, 5), whose
-# upper parameters are -5 and -9/2, and check-corollary's common denominator
-# at n = 10.  crosscheck is closed at the count that ROUTES declares, so a
-# row that its loop does not run leaves every order short of that row's
-# case: one coverage mismatch at n_max.
+# oracle's at order 10 and x = 1/2, and the series' at (n, m) = (20, 5),
+# whose upper parameters are -5 and -9/2.  check-corollary computes its
+# common denominator itself, so a moment table under a wider lcm fails at
+# every even n, where the closed form is not 0.  crosscheck is closed at the
+# count that ROUTES declares, so a row that its loop does not run leaves
+# every order short of that row's case: one coverage mismatch at n_max.
 FAULTS = {
     "_chain_weights": (
         composition,
@@ -544,12 +550,12 @@ FAULTS = {
         lambda weighted_moments: list(weighted_moments(10)),
         {"check-corollary": (1, [(10,)])},
     ),
-    "_weighted_moments 0/0": (
+    "_weighted_moments under a wider lcm": (
         identities,
         "_weighted_moments",
-        lcm_zero_at_10,
-        lambda weighted_moments: list(weighted_moments(10)),
-        {"check-corollary": (1, [(10,)])},
+        lcm_one_order_too_wide,
+        lambda weighted_moments: list(weighted_moments(59)),
+        {"check-corollary": (30, [(n,) for n in range(0, 40, 2)])},
     ),
     "_weighted_moments stopping short": (
         identities,
@@ -589,6 +595,12 @@ FAULTS = {
 }
 
 
+# Rows whose fault shows only at other sizes run these sweeps instead.
+SWEEPS_OF = {
+    "_weighted_moments under a wider lcm": (SWEEPS[0], "check-corollary 59", *SWEEPS[2:]),
+}
+
+
 def run(capsys, line):
     code = main(line.split())
     return code, capsys.readouterr().out
@@ -606,7 +618,7 @@ def test_each_fault_is_caught_by_the_checks_of_its_row(capsys, monkeypatch, row)
     *_, caught = FAULTS[row]
     patch(monkeypatch, row)
     reports = {}
-    for line in SWEEPS:
+    for line in SWEEPS_OF.get(row, SWEEPS):
         code, out = run(capsys, f"{line} --format=json")
         report = json.loads(out)
         assert code == (not report["passed"]), line
@@ -655,7 +667,7 @@ def test_each_text_mismatch_line_splits_into_its_json_fields(capsys, monkeypatch
     # Every value of a context is one token, so a text MISMATCH line reads
     # back, split on spaces, as exactly the key=value fields of json's context.
     patch(monkeypatch, row)
-    for line in SWEEPS:
+    for line in SWEEPS_OF.get(row, SWEEPS):
         code, out = run(capsys, line)
         json_code, document = run(capsys, f"{line} --format=json")
         assert code == json_code, line

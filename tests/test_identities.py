@@ -155,6 +155,13 @@ def test_non_terminating_series_raises():
         terminating_2f1(-(10**6), Fraction(1, 2), 5)
 
 
+def test_a_finite_series_at_the_term_bound_is_refused_as_too_long():
+    # The series truncates, so it is finite; its index reaches MAX_TERMS.
+    assert truncation_index(-(10**6), 1) == hypergeometric.MAX_TERMS == 10**6
+    with pytest.raises(NonTerminatingSeriesError, match="within 1000000 terms"):
+        terminating_2f1(-(10**6), 1, 1)
+
+
 def test_vanishing_lower_parameter_raises():
     with pytest.raises(ZeroDivisionError):
         terminating_2f1(-5, Fraction(1, 2), -3)
@@ -226,8 +233,8 @@ def test_sweep_values_match_single_calls_and_oracles():
             if m in (0, n // 4, n // 2):
                 assert value == alternating_sum_literal(n, m)
     assert n == 300
-    for n, lcm, moment in identities._weighted_moments(300):
-        assert lcm == math.lcm(*range(1, 302))
+    lcm = math.lcm(*range(1, 302))
+    for n, moment in identities._weighted_moments(300):
         value = Fraction(moment, lcm << 2 * n)
         assert value == weighted_binomial_sum(n) == weighted_sum_literal(n)
     assert n == 300
