@@ -100,11 +100,10 @@ def _emit(
     """Print one result as text, as a json document or as a csv table,
     streamed to stdout piece by piece, term by term or row by row.
 
-    Only the requested format's payload is rendered: the text pieces are
-    written, ``document`` is walked and ``rows`` is iterated only for their
-    own format.  A document's costly parts are lazy iterators, such as
-    ``_term_dicts(...)``, so a large value is converted once and never held
-    whole as one output string.
+    Every handler passes lazy payloads, rendered only for their own format:
+    text pieces, rows and a document's costly parts, such as
+    ``_term_dicts(...)``, are iterators, so a large value is converted once
+    and never held whole as one output string.
     """
     out = _stdout()
     write = out.write
@@ -180,35 +179,16 @@ def cmd_derive(args: Namespace) -> int:
 
 
 def cmd_check(args: Namespace) -> int:
-    """Run the sweep that the subcommand names in ``args.check``, a (module,
-    function) pair, with its cost on stderr so that stdout repeats exactly;
-    exit 1 on a mismatch.  Every format prints the kept contexts: a text
-    MISMATCH line, json's ``failures`` or, after csv's summary row, a row
-    ``failure,<i>,<key>,<value>`` per field of context i (from 1).  The
-    cost is timed from the report's construction, after the check's
-    imports, and written in the result's format: a text line, one json
-    object on one line (a rate over no elapsed time is null) or a csv
-    header and row.  It follows the written result, so a result that could
-    not be written leaves only its error on stderr."""
+    """Run the sweep that ``args.check`` names, a (module, function) pair,
+    print its report and exit 1 on a mismatch.  The cost, timed from the
+    report's construction (after the check's imports), follows on stderr in
+    the result's format, so stdout repeats exactly and a result that could
+    not be written leaves only its error there."""
     check = _resolve(args.check)
     points = () if getattr(args, "points", None) is None else (args.points,)
     report = check(args.n_max, *points)
     elapsed = time.perf_counter() - report.started
-    lines = [report.summary()]
-    rows = [(report.check, args.n_max, report.cases, report.mismatches, report.passed)]
-    for i, failure in enumerate(report.failures, 1):
-        lines.append("  MISMATCH " + " ".join(f"{k}={v}" for k, v in failure.items()))
-        rows += (("failure", i, *field) for field in failure.items())
-    hidden = report.mismatches - len(report.failures)
-    if hidden:
-        lines.append(f"  ... {hidden} more mismatches not shown")
-    _emit(
-        args.format,
-        ("\n".join(lines),),
-        report.to_dict(),
-        ("check", "n_max", "cases", "failures", "passed"),
-        rows,
-    )
+    _emit(args.format, report.text(), report.to_dict(), report.HEADER, report.rows())
     elapsed_s = f"{elapsed:.3f}"
     rate = f"{report.cases / elapsed:.0f}" if elapsed > 0 else None
     if args.format == "json":
@@ -240,7 +220,10 @@ def cmd_bench(args: Namespace) -> int:
             rows.append((name, n, int((time.perf_counter() - start) * 1_000_000)))
     _emit(
         args.format,
-        ("\n".join(f"{name} n={n} micros={micros}" for name, n, micros in rows),),
+        (
+            ("\n" if i else "") + f"{name} n={n} micros={micros}"
+            for i, (name, n, micros) in enumerate(rows)
+        ),
         {"n_max": args.n_max, "rows": (dict(zip(BENCH_HEADER, row)) for row in rows)},
         BENCH_HEADER,
         rows,

@@ -7,7 +7,7 @@ A module of its own, so that ``crosscheck`` compiles no sweep to report.
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, Iterator
 
 from .digits import _lowest, _ratio_str
 
@@ -33,7 +33,8 @@ FAILURES_KEPT = 20
 
 class CheckReport:
     """Outcome of one sweep: parameters, case and mismatch counts, and the
-    contexts of the first FAILURES_KEPT mismatches.
+    contexts of the first FAILURES_KEPT mismatches, rendered in the CLI's
+    formats by ``text()``, ``to_dict()`` (json) and ``rows()`` (csv).
 
     A context holds a rational as an int (numerator, denominator) pair.  A
     kept context is reduced and rendered JSON-safe ("p/q" by ``digits``, at
@@ -43,6 +44,8 @@ class CheckReport:
     each check reaches once it has imported what it runs: the CLI's cost
     line is timed from it.
     """
+
+    HEADER = ("check", "n_max", "cases", "failures", "passed")  # the csv header
 
     def __init__(self, check: str, parameters: dict[str, Any], expected: int) -> None:
         self.started = time.perf_counter()
@@ -78,6 +81,7 @@ class CheckReport:
         return self
 
     def to_dict(self) -> dict[str, Any]:
+        """The json document."""
         return {
             "check": self.check,
             **self.parameters,
@@ -87,11 +91,24 @@ class CheckReport:
             "passed": self.passed,
         }
 
-    def summary(self) -> str:
-        """One line; list parameters are comma-joined, as the CLI takes them."""
+    def text(self) -> Iterator[str]:
+        """The text form in pieces: a summary line (list parameters comma-joined,
+        as the CLI takes them), a MISMATCH line per kept context, a count of the rest."""
         params = " ".join(
             f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
             for k, v in self.parameters.items()
         )
         status = "PASS" if self.passed else f"FAIL ({self.mismatches} mismatches)"
-        return f"{self.check}: {params} cases={self.cases} {status}"
+        yield f"{self.check}: {params} cases={self.cases} {status}"
+        for failure in self.failures:
+            yield "\n  MISMATCH " + " ".join(f"{k}={v}" for k, v in failure.items())
+        hidden = self.mismatches - len(self.failures)
+        if hidden:
+            yield f"\n  ... {hidden} more mismatches not shown"
+
+    def rows(self) -> Iterator[tuple[Any, ...]]:
+        """The csv rows: the summary row, then failure,<i>,<key>,<value> per field."""
+        yield self.check, self.parameters["n_max"], self.cases, self.mismatches, self.passed
+        for i, failure in enumerate(self.failures, 1):
+            for field in failure.items():
+                yield ("failure", i, *field)

@@ -1,8 +1,12 @@
+import csv
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
-from arctanderiv import CheckReport
+from arctanderiv import CheckReport, identities
+from arctanderiv.cli import main
 from arctanderiv.reports import FAILURES_KEPT
 from oracles import DEFAULT_DIGIT_LIMIT, digit_limit
 
@@ -15,7 +19,7 @@ def test_failure_contexts_are_bounded():
     assert report.mismatches == 25
     assert [f["i"] for f in report.failures] == list(range(1, 2 * FAILURES_KEPT, 2))
     assert not report.passed
-    assert report.summary() == "sweep: n_max=3 cases=50 FAIL (25 mismatches)"
+    assert next(report.text()) == "sweep: n_max=3 cases=50 FAIL (25 mismatches)"
     assert report.to_dict()["mismatches"] == 25
 
 
@@ -51,6 +55,62 @@ def test_a_kept_int_pair_renders_in_lowest_terms_and_any_other_value_by_str():
         {"a": "(True, 2)", "b": "(1.5, 2)", "c": "[1, 2]"},
         {"a": "0/0", "b": "5/0"},
     ]
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out, _ = capsys.readouterr()
+    return code, out
+
+
+def test_a_report_renders_what_the_cli_prints(capsys, monkeypatch):
+    # FAILURES_KEPT + 5 mismatches, the first a pair of 4401 digits over 3:
+    # each format prints the report's own rendering, the text one with the
+    # count of the 5 contexts not kept.
+    report = CheckReport("check-identity", {"n_max": 4}, FAILURES_KEPT + 6)
+    report.count_case(True)
+    with digit_limit(DEFAULT_DIGIT_LIMIT):
+        report.count_case(False, n=0, m=0, lhs=(10**4400 + 1, 3), rhs=(1, 3))
+    for i in range(1, FAILURES_KEPT + 5):
+        report.count_case(False, n=i, m=0, lhs=(i, 1), rhs=(0, 1))
+    monkeypatch.setattr(identities, "check_binomial_identity", lambda n_max: report)
+    with digit_limit(DEFAULT_DIGIT_LIMIT):
+        text, document, table = (
+            run_cli(capsys, "check-identity", "4", f"--format={fmt}")
+            for fmt in ("text", "json", "csv")
+        )
+    assert text == (1, "".join(report.text()) + "\n")
+    assert text[1].endswith("\n  ... 5 more mismatches not shown\n")
+    assert document[0] == 1 and json.loads(document[1]) == report.to_dict()
+    rows = [[str(value) for value in row] for row in [CheckReport.HEADER, *report.rows()]]
+    assert table[0] == 1 and list(csv.reader(io.StringIO(table[1]))) == rows
+    assert len(rows) == 2 + 4 * FAILURES_KEPT
+
+
+@pytest.mark.parametrize("method, formats", [("text", ("json", "csv")), ("rows", ("text", "json"))])
+def test_only_the_requested_format_is_rendered(capsys, monkeypatch, method, formats):
+    # The stub raises once it is iterated: a format that renders another
+    # format's payload fails its command.
+    def refused(self):
+        raise AssertionError(f"CheckReport.{method} rendered")
+        yield
+
+    monkeypatch.setattr(CheckReport, method, refused)
+    document = {
+        "check": "check-identity",
+        "n_max": 20,
+        "cases": 121,
+        "mismatches": 0,
+        "failures": [],
+        "passed": True,
+    }
+    printed = {
+        "text": "check-identity: n_max=20 cases=121 PASS\n",
+        "json": json.dumps(document, indent=2) + "\n",
+        "csv": "check,n_max,cases,failures,passed\ncheck-identity,20,121,0,True\n",
+    }
+    for fmt in formats:
+        assert run_cli(capsys, "check-identity", "20", f"--format={fmt}") == (0, printed[fmt])
 
 
 def passed_cases(count):
