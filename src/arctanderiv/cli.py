@@ -43,7 +43,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ROUTES
-from .digits import _lowest
+from .digits import _integer, _lowest
 
 if TYPE_CHECKING:
     import argparse
@@ -60,19 +60,6 @@ _INTEGER = r"[+-]?[0-9]+"
 _INTEGER_RE = re.compile(_INTEGER + r"\Z")
 _RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?\Z")
 _MAX_DIGITS = 4300  # int()'s default digit limit; no order or size this long can run
-_DIGIT_RUN = 640  # the lowest int <- str digit limit Python allows
-
-
-def _integer(text: str) -> int:
-    """int(text) for an ASCII integer of any length, with no int <- str
-    digit limit: a text of more than _DIGIT_RUN digits is read as two
-    halves, hi 10^h + lo."""
-    digits = text.lstrip("+-")
-    if len(digits) <= _DIGIT_RUN:
-        return int(text)
-    half = len(digits) // 2
-    value = _integer(digits[:-half]) * 10**half + _integer(digits[-half:])
-    return -value if text[0] == "-" else value
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -94,9 +81,8 @@ def _rational_list(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(map(_ratio, pieces))
 
 
-def _natural(text: str) -> int:
-    """A nonnegative integer of at most 4300 digits: bench's n_max, which
-    only caps the table's sizes, takes any such value."""
+def _size(text: str) -> int:
+    """An order, sweep size or bench's n_max: 0 up to sys.maxsize, the largest index."""
     if not _INTEGER_RE.match(text):
         raise ValueError(f"not an integer: {text!r}")
     if len(text.lstrip("+-")) > _MAX_DIGITS:
@@ -104,13 +90,6 @@ def _natural(text: str) -> int:
     value = _integer(text)
     if value < 0:
         raise ValueError("must be >= 0")
-    return value
-
-
-def _size(text: str) -> int:
-    """An order or sweep size: the routes index lists by it, so none past
-    sys.maxsize can run."""
-    value = _natural(text)
     if value > sys.maxsize:
         raise ValueError(f"more than {sys.maxsize}: too large to compute")
     return value
@@ -174,7 +153,7 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], dict[str, object]]] = {
     ),
     "bench": (
         "wall-clock timing table per method and n",
-        {"n_max": {"type": _natural, "nargs": "?", "default": 100}},
+        {"n_max": {"type": _size, "nargs": "?", "default": 100}},
         {"handler": "cmd_bench"},
     ),
 }

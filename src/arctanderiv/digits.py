@@ -1,6 +1,6 @@
 """The package's one number boundary: the exact decimal text of an int, a
 ``Fraction`` or a lowest-terms (numerator, denominator) pair at any size,
-and the only place where a ``Fraction`` is read or built.
+an int read from its text, and the only place a ``Fraction`` is read or built.
 
 Every caller's rational, an int or a ``Fraction``, is read by ``_pair``
 into its lowest-terms (numerator, denominator) pair of ints, the form the
@@ -12,14 +12,15 @@ holds the package's only runtime ``from fractions import Fraction``: a
 command that reads and prints ints only never loads ``fractions``.
 
 str() and Decimal() of an int cost time quadratic in its length, and from
-Python 3.11 str() refuses more than sys.get_int_max_str_digits() digits
-(4300 by default, never below 640 when set).  An int of at most
+Python 3.11 str() and int() refuse more than sys.get_int_max_str_digits()
+digits (4300 by default, never below 640 when set).  An int of at most
 _DIRECT_BITS bits is printed by str() directly: 2048 bits is at most 617
 digits, under any limit.  A longer one is split in binary and joined as an
 exact ``Decimal``, so ``decimal`` is imported only when such an int is
 converted, and a process that prints only small numbers never loads it.
 ``_product_strs`` prints every wider int, and a numerator's products
 scale * c each from the Decimal of the one before it, in that exact context.
+``_integer`` reads an int back from text of any length by int() of halves.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = ["exact_str"]
 
 _DIRECT_BITS = 2048
 _RATIO_BITS = 64  # the widest reduced ratio of coefficients that _product_strs steps by
+_DIGIT_RUN = 640  # the lowest int <- str digit limit Python allows
 
 
 def _pair(value: int | Fraction, what: str) -> tuple[int, int]:
@@ -150,3 +152,15 @@ def _product_strs(scale: int, row: Sequence[int]) -> Iterator[str]:
             value = exact.multiply(factor, _decimal(c))
         before = c
         yield str(value)
+
+
+def _integer(text: str) -> int:
+    """int(text) for an ASCII integer of any length, with no int <- str
+    digit limit: a text of more than _DIGIT_RUN digits is read as two
+    halves, hi 10^h + lo."""
+    digits = text.lstrip("+-")
+    if len(digits) <= _DIGIT_RUN:
+        return int(text)
+    half = len(digits) // 2
+    value = _integer(digits[:-half]) * 10**half + _integer(digits[-half:])
+    return -value if text[0] == "-" else value

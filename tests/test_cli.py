@@ -1289,15 +1289,18 @@ def test_integer_arguments_past_the_digit_limit_exit_two(capsys, command):
     assert re.search(rf"error: argument n(_max)?: more than {sys.maxsize}: too large to compute\n\Z", err)
 
 
-def test_bench_takes_any_n_max_of_at_most_4300_digits():
-    # bench only caps its sizes by n_max, so it runs past sys.maxsize.
-    assert build_parser().parse_args(["bench", str(10**20)]).n_max == 10**20
+def test_bench_reads_its_n_max_as_every_size_is_read():
+    # bench's n_max is a size like any order: up to sys.maxsize, and refused
+    # past it by the plain reader and the parser alike.
+    assert build_parser().parse_args(["bench", str(sys.maxsize)]).n_max == sys.maxsize
+    assert _read(["bench", str(sys.maxsize)]).n_max == sys.maxsize
+    assert _read(["bench", str(sys.maxsize + 1)]) is None
 
 
-def test_integer_arguments_read_under_the_lowest_digit_limit(capsys, monkeypatch):
-    # 640 is the lowest int <-> str digit limit Python allows.  An order of
-    # 640 or 641 digits is read exactly (leading zeros included) and refused
-    # past sys.maxsize with the same message; bench takes 4300 digits.
+def test_integer_arguments_read_under_the_lowest_digit_limit(capsys):
+    # 640 is the lowest int <-> str digit limit Python allows.  An order, or
+    # bench's n_max, of 640 or 641 digits is read exactly (leading zeros
+    # included) and refused past sys.maxsize with the same message.
     expected = run_cli(capsys, "qpoly", "3")
     too_large = f"error: argument n: more than {sys.maxsize}: too large to compute\n"
     with digit_limit(640):
@@ -1314,10 +1317,9 @@ def test_integer_arguments_read_under_the_lowest_digit_limit(capsys, monkeypatch
         code, out, err = run_cli(capsys, "derive", "1", "--x=-1" + "0" * 700 + "/7", "--format=csv")
         with digit_limit(0):
             assert out == f"n,method,x,value\n1,closed,{p}/7,{Fraction(49, p * p + 49)}\n"
-        monkeypatch.setattr("arctanderiv.commands.BENCH_BUCKETS", (1, 2))
-        code, out, err = run_cli(capsys, "bench", "9" * 4300, "--format=json")
+        code, out, err = run_cli(capsys, "bench", "2".rjust(641, "0"), "--format=json")
         assert (code, err) == (0, "")
-        assert json.loads(out, parse_int=str)["n_max"] == "9" * 4300
+        assert json.loads(out)["n_max"] == 2
 
 
 # Usage errors and help that ``main`` must print exactly as the parser

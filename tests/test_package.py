@@ -142,12 +142,13 @@ def named(tree):
             yield node.name
 
 
-PRINTER = {"_decimal", "_exact", "_two_power", "_DIRECT_BITS", "_RATIO_BITS"}
+PRINTER = {"_decimal", "_exact", "_two_power", "_DIRECT_BITS", "_RATIO_BITS", "_DIGIT_RUN"}
 
 
 def test_only_digits_turns_an_int_into_decimal_digits():
     # Every int wider than digits._DIRECT_BITS, and every row of numerator
-    # coefficients, is printed by digits._product_strs.
+    # coefficients, is printed by digits._product_strs, and every integer
+    # text is read by digits._integer: no other module knows the digit limit.
     sources = Path(arctanderiv.__file__).parent.glob("*.py")
     namers = {
         source.name

@@ -17,7 +17,7 @@ from arctanderiv import (
     arctan_derivative_closed,
     exact_str,
 )
-from arctanderiv.digits import _DIRECT_BITS
+from arctanderiv.digits import _DIGIT_RUN, _DIRECT_BITS, _integer
 from oracles import (
     DEFAULT_DIGIT_LIMIT,
     difference_quotient_derivative,
@@ -153,6 +153,28 @@ def test_exact_str_at_split_widths():
                     assert signed.bit_length() == bits
                     _check_exact_str(signed, -3)
                     _check_exact_str(-7, signed)
+
+
+def test_printed_digits_read_back():
+    # digits._integer shares no code with the printer (test_witnesses), and
+    # reads back what it prints under the lowest digit limit: ints next to
+    # the printer's split widths, next to the reader's run of 640 digits
+    # (built without int() of a text) and past both.
+    widths = [(1 << bits) - 1 for bits in (2047, 2048, 2049, 4096, 70000)]
+    runs = [v for d in (639, 640, 641, 1281) for v in (10 ** (d - 1), 10**d - 1, 10**d // 7)]
+    assert _DIGIT_RUN == 640
+    with digit_limit(640):
+        read = [(v, _integer(exact_str(v))) for w in (*widths, *runs, 10**9000 + 1) for v in (w, -w)]
+    assert all(v == back for v, back in read)
+    # arctan^(400)'s coefficients are wider than _DIRECT_BITS, so each text
+    # after the first comes by a ratio step of _product_strs.
+    closed = arctan_derivative_closed(400)
+    coefficients = closed.coefficients
+    assert max(c.bit_length() for c in coefficients) > _DIRECT_BITS
+    with digit_limit(640):
+        read = [(coefficients[power], _integer(text)) for power, text in closed.terms()]
+    assert len(read) == sum(1 for c in coefficients if c)
+    assert all(c == back for c, back in read)
 
 
 def test_text_rendering():

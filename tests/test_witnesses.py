@@ -151,6 +151,12 @@ WITNESSES = {
         ("identities._weighted_moments",),
         ("identities._weighted_closed_numerator",),
     ),
+    # The reader of decimal text vs the printer, which
+    # test_polynomial.test_printed_digits_read_back holds against each other.
+    "printed digits read back": (
+        ("digits._integer",),
+        ("digits._product_strs", "digits._ratio_str", "digits.exact_str"),
+    ),
     "chain-rule weights vs the binomial rows that the sweeps check": ("composition", "identities"),
     "chain-rule weights vs the literal sums' row kernel": ("composition", "combinatorics"),
     "the terminating series vs the sweep that holds it (check-2f1)": (
