@@ -148,10 +148,10 @@ def _pointwise(n: int, points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     arctan^(n) is the (n-1)-st derivative of that composition: build the jet
     of y -> 1/y at 1 + x^2 and apply the specialized chain rule, a sum on
     the binomial weights C(n-1-k, k) with (n-1)! multiplied in once.
-    ``_reciprocal_square_jets`` builds the jets' numerators and ratios
-    itself, not by ``DerivativeJet.of_reciprocal``; only the chain rule runs
-    the int kernels of ``square_chain_rule``, ``_chain_weights`` and
-    ``_square_chain_rule``.  The numerators (-1)^k are the same at every
+    ``_reciprocal_square_jets`` builds the jets as int numerators and ratios,
+    not as ``DerivativeJet.of_reciprocal``'s ``Fraction``s, and the kernels
+    ``_chain_weights`` and ``_square_chain_rule`` sum the chain rule, not the
+    public ``square_chain_rule``.  The numerators (-1)^k are the same at every
     point, so one row of weights serves all the points: it streams for one
     point, and several points read one list of it.
     """

@@ -11,11 +11,10 @@ are indifferent to how the underlying functions are represented.  Contents:
 * the same specialization's coefficient family rebuilt by a differentiation
   recurrence, as an independent derivation of its factorial weights.
 
-The public jets and rules take and return ``Fraction`` values; the kernels
-under them, ``_reciprocal_square_jets``, ``_chain_weights`` and
-``_square_chain_rule``, run in ints.  ``arctan._pointwise``, the route that
-``derive --method=fdb`` prints and ``crosscheck`` checks, runs on those
-kernels alone, with one row of ``_chain_weights`` per call for all points.
+The public jets and rules state the sums as written, in ``Fraction``s, and
+share no code with the int kernels of ``arctan._pointwise``, the route that
+``derive --method=fdb`` prints and ``crosscheck`` checks:
+``_reciprocal_square_jets``, ``_chain_weights`` and ``_square_chain_rule``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .digits import _fraction, _pair
-from .polynomial import _ints, _Value
+from .polynomial import _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -72,77 +71,53 @@ def multiplicity_vectors(n: int) -> list[MultiplicityVector]:
 class DerivativeJet(_Value):
     """Derivative values (f(point), f'(point), ..., f^(order)(point)).
 
-    A jet is stored as integer Taylor numerators T_k and one rational ratio r,
-
-        f^(k)(point) / k! = T_k * r^(k+1),
-
-    so the chain rules work in ``int`` throughout; ``values`` multiplies k!
-    back in.  ``__init__`` takes this stored form as given, and ``of_values``
-    builds one from the values; points, ratios and values are ``int`` or
-    ``Fraction`` (TypeError otherwise).  The form is not unique (T_k t^(k+1)
-    with r/t stores the same values), so equality and hash compare the point
-    and the values, not the stored fields.
+    A jet is stored as its Taylor coefficients F_k = f^(k)(point)/k!, one
+    ``Fraction`` each; ``values`` multiplies k! back in.  ``__init__`` takes
+    the coefficients and ``of_values`` the values; points, coefficients and
+    values are ``int`` or ``Fraction`` (TypeError otherwise).  The form is
+    unique, so equal jets compare equal field by field.
 
     >>> from fractions import Fraction
-    >>> DerivativeJet.of_reciprocal(Fraction(-5, 4), 2)
-    DerivativeJet(point=Fraction(-5, 4), numerators=(1, -1, 1), ratio=Fraction(-4, 5))
-    >>> DerivativeJet.of_values(1, (Fraction(1, 2), Fraction(-1, 3), 1)).numerators
-    (3, -12, 108)
+    >>> DerivativeJet.of_reciprocal(Fraction(-5, 4), 1)
+    DerivativeJet(point=Fraction(-5, 4), taylor=(Fraction(-4, 5), Fraction(-16, 25)))
+    >>> DerivativeJet.of_values(1, (Fraction(1, 2), Fraction(-1, 3), 1)).taylor
+    (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 2))
     """
 
-    __slots__ = ("point", "numerators", "ratio")
+    __slots__ = ("point", "taylor")
     point: Fraction
-    numerators: tuple[int, ...]
-    ratio: Fraction
+    taylor: tuple[Fraction, ...]
 
-    def __init__(self, point: int | Fraction, numerators: Iterable[int], ratio: int | Fraction):
-        numerators = _ints(numerators, "a jet numerator")
-        if not numerators:
+    def __init__(self, point: int | Fraction, taylor: Iterable[int | Fraction]):
+        taylor = tuple([_fraction(*_pair(f, "a jet coefficient")) for f in taylor])
+        if not taylor:
             raise ValueError("a jet needs at least the order-0 value")
         object.__setattr__(self, "point", _fraction(*_pair(point, "a jet point")))
-        object.__setattr__(self, "numerators", tuple(numerators))
-        object.__setattr__(self, "ratio", _fraction(*_pair(ratio, "a jet ratio")))
+        object.__setattr__(self, "taylor", taylor)
 
     @classmethod
     def of_values(cls, point: int | Fraction, values: Iterable[int | Fraction]) -> DerivativeJet:
-        """The jet with these values, stored over L, the lcm of the
-        denominators of F_k = v_k/k!: r = 1/L and T_k = F_k L^(k+1)."""
+        """The jet with these values: F_k = v_k/k!."""
         pairs = [_pair(v, "a jet value") for v in values]
-        taylor = [_fraction(p, q * math.factorial(k)) for k, (p, q) in enumerate(pairs)]
-        common = math.lcm(*(f.denominator for f in taylor))
-        numerators = [int(f * common ** (k + 1)) for k, f in enumerate(taylor)]
-        return cls(point, numerators, _fraction(1, common))
-
-    def _taylor(self) -> list[Fraction]:
-        """The Taylor coefficients f^(k)(point)/k! = T_k r^(k+1)."""
-        c, d = self.ratio.numerator, self.ratio.denominator
-        return [_fraction(t * c ** (k + 1), d ** (k + 1)) for k, t in enumerate(self.numerators)]
+        return cls(point, [_fraction(p, q * math.factorial(k)) for k, (p, q) in enumerate(pairs)])
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        return tuple(math.factorial(k) * f for k, f in enumerate(self._taylor()))
+        return tuple(math.factorial(k) * f for k, f in enumerate(self.taylor))
 
     @property
     def order(self) -> int:
-        return len(self.numerators) - 1
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.point == other.point and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.point, self.values))
+        return len(self.taylor) - 1
 
     @classmethod
     def of_reciprocal(cls, point: int | Fraction, order: int) -> DerivativeJet:
-        """Jet of y -> 1/y: f^(k)(y0)/k! = (-1)^k / y0^(k+1), stored as
-        T_k = (-1)^k and r = 1/y0.  T_k depends on k only and r on y0 only,
-        so the order-k jet is the first k+1 values of any longer one."""
+        """Jet of y -> 1/y: f^(k)(y0)/k! = (-1)^k / y0^(k+1), so the order-k
+        jet is the first k+1 coefficients of any longer one."""
         p, q = _pair(point, "a jet point")
         if p == 0:
             raise ZeroDivisionError("reciprocal jet undefined at 0")
-        return cls(_fraction(p, q), [-1 if k & 1 else 1 for k in range(order + 1)], _fraction(q, p))
+        taylor = [_fraction((-1) ** k * q ** (k + 1), p ** (k + 1)) for k in range(order + 1)]
+        return cls(_fraction(p, q), taylor)
 
 
 def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction:
@@ -160,7 +135,7 @@ def faa_di_bruno(n: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> Fraction
         raise ValueError("derivative order must be >= 0")
     if f_jet.order < n or g_jet.order < n:
         raise ValueError(f"faa_di_bruno needs jets of order >= {n}")
-    f_taylor, g_taylor = f_jet._taylor(), g_jet._taylor()
+    f_taylor, g_taylor = f_jet.taylor, g_jet.taylor
     if f_jet.point != g_taylor[0]:
         raise ValueError("the f jet must be taken at the value of g")
     if n == 0:
@@ -182,40 +157,27 @@ def square_chain_rule(n: int, x: int | Fraction, f_jet: DerivativeJet) -> Fracti
     w_k = n!/(k!(n-2k)!).  The paper's step w_k (n-k)! = n! C(n-k, k) puts it
     on the Taylor coefficients F_j = f^(j)/j! that the jet stores:
 
-        h^(n)(x) = n! sum_{k=0}^{n//2} C(n-k, k) (2x)^(n-2k) F_(n-k)(a + x^2).
+        h^(n)(x) = n! sum_{k=0}^{n//2} C(n-k, k) (2x)^(n-2k) F_(n-k)(a + x^2),
 
-    With x = p/q, h = n//2, F_j = T_j (c/d)^(j+1) and n - 2k = (n&1) + 2(h-k),
-    h^(n)(x) times d^(n+1) q^n is
-
-        n! (2p)^(n&1) c^(n-h+1) sum_{k=0}^{h} C(n-k, k) T_(n-k) A^(h-k) B^k,
-
-    with A = 4p^2 c and B = q^2 d.  Each term has total degree h in A and B,
-    so with g = gcd(A, B) the sum is g^h times the same sum in A/g and B/g,
-    exactly; it is accumulated in ``int`` by Horner's scheme in A/g, and g^h
-    and n! are multiplied in once.  For the reciprocal jet of 1 + x^2
-    (c = q^2, d = p^2 + q^2), g is q^2 or 2q^2, which halves the width of
-    every power and of the running total; at x = 0, A = 0 and g = B.  The
-    weights, about n bits each, stream in from :func:`_chain_weights`, and
-    the only Fraction built is the result over d^(n+1) q^n.
-
-    The jet is trusted to be anchored at the intended inner value; only its
-    order is validated.
+    summed as written, in ``Fraction``s: the witness of the route's int
+    kernels, about 0.1 s at n = 599, so no route runs it.  The jet is trusted
+    to be anchored at the intended inner value; only its order is validated.
     """
     if n < 0:
         raise ValueError("derivative order must be >= 0")
     if f_jet.order < n:
         raise ValueError(f"square_chain_rule needs a jet of order >= {n}")
-    p, q = _pair(x, "a point")
-    ratio = f_jet.ratio.numerator, f_jet.ratio.denominator
-    weights = _chain_weights(n, f_jet.numerators)
-    return _fraction(*_square_chain_rule(n, p, q, ratio, weights))
+    two_x = 2 * _fraction(*_pair(x, "a point"))
+    taylor = f_jet.taylor
+    terms = (math.comb(n - k, k) * two_x ** (n - 2 * k) * taylor[n - k] for k in range(n // 2 + 1))
+    return math.factorial(n) * sum(terms)
 
 
 def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:
-    """C(n-k, k) T_(n-k) for k = 0..n//2, the point-free factors of the
-    order-n sum, by the exact update C(n-k-1, k+1) = C(n-k, k) (n-2k)(n-2k-1)
-    / ((k+1)(n-k)), which gives 0 after the last weight (n - k = 0 only at
-    n = 0).  The module imports nothing from ``identities`` or
+    """C(n-k, k) T_(n-k) for k = 0..n//2, the point-free factors of the sum
+    of ``_square_chain_rule``, by the exact update C(n-k-1, k+1) = C(n-k, k)
+    (n-2k)(n-2k-1) / ((k+1)(n-k)), which gives 0 after the last weight
+    (n - k = 0 only at n = 0).  The module imports nothing from ``identities`` or
     ``combinatorics``, which hold the binomial rows that the sweeps check:
     this route is checked against the quotient-rule oracle.
     ``arctan._pointwise`` lists one row for all its points; for one point it
@@ -229,9 +191,9 @@ def _chain_weights(n: int, numerators: tuple[int, ...]) -> Iterator[int]:
 def _reciprocal_square_jets(
     order: int, points: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """``DerivativeJet.of_reciprocal(1 + x^2, order)`` at each lowest-terms
-    x = p/q, q > 0, of ``points``: the numerators (-1)^k once, since they do
-    not depend on the point, and each ratio 1/(1 + x^2) as the pair
+    """The jets of y -> 1/y at 1 + x^2 for each lowest-terms x = p/q, q > 0,
+    of ``points``, as F_k = T_k r^(k+1): the T_k = (-1)^k once, since they do
+    not depend on the point, and each r = 1/(1 + x^2) as the pair
     (q^2, p^2 + q^2), in lowest terms since gcd(p, q) = 1."""
     numerators = ((1, -1) * (order // 2 + 1))[: order + 1]
     return numerators, [(q * q, p * p + q * q) for p, q in points]
@@ -240,11 +202,22 @@ def _reciprocal_square_jets(
 def _square_chain_rule(
     n: int, p: int, q: int, ratio: tuple[int, int], weights: Iterable[int]
 ) -> tuple[int, int]:
-    """square_chain_rule(n, p/q, f_jet) as an unreduced (numerator,
-    denominator) pair of ints, for q > 0, the jet's ratio as a (c, d) pair
-    with d > 0 and the weights ``_chain_weights(n, f_jet.numerators)``;
-    ``crosscheck`` holds it, through ``arctan._pointwise``, against the
-    oracle's own kernel, ``ArctanRational._evaluate``."""
+    """``square_chain_rule``'s sum at x = p/q, q > 0, in ints, as an
+    unreduced (numerator, denominator) pair, for a jet stored as int Taylor
+    numerators T_j over a ratio r = c/d, d > 0, F_j = T_j r^(j+1), and the
+    weights ``_chain_weights(n, T)``.  With h = n//2 and n - 2k = (n&1) +
+    2(h-k), h^(n)(x) times d^(n+1) q^n is
+
+        n! (2p)^(n&1) c^(n-h+1) sum_{k=0}^{h} C(n-k, k) T_(n-k) A^(h-k) B^k,
+
+    with A = 4p^2 c and B = q^2 d.  Each term has total degree h in A and B,
+    so with g = gcd(A, B) the sum is g^h times the same sum in A/g and B/g,
+    exactly; it is accumulated by Horner's scheme in A/g, and g^h and n! are
+    multiplied in once.  For the reciprocal jet of 1 + x^2 (c = q^2,
+    d = p^2 + q^2), g is q^2 or 2q^2, which halves the width of every power
+    and of the running total; at x = 0, A = 0 and g = B.  ``crosscheck``
+    holds it, through ``arctan._pointwise``, against the oracle's own kernel,
+    ``ArctanRational._evaluate``."""
     c, d = ratio
     half = n // 2
     p_step, q_step = 4 * p * p * c, q * q * d

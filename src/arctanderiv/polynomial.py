@@ -30,7 +30,7 @@ __all__ = ["ArctanRational"]
 
 
 def _repr(value: int | tuple | Fraction) -> str:
-    """repr(value) of a field, an int, a tuple of ints or a Fraction, with
+    """repr(value) of a field, an int, a Fraction or a tuple of them, with
     its ints by exact_str."""
     if type(value) is int:
         return exact_str(value)

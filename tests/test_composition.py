@@ -76,8 +76,9 @@ def test_jets_are_values():
     b = DerivativeJet.of_values(
         Fraction(10, 8), (Fraction(4, 5), Fraction(-16, 25), Fraction(128, 125))
     )
-    # The same values in another stored form: T_k = (-1)^k 4^(k+1), r = 1/5.
-    c = DerivativeJet(Fraction(10, 8), (4, -16, 64), Fraction(1, 5))
+    # One jet has one stored form, however it is built.
+    c = DerivativeJet(Fraction(10, 8), (Fraction(4, 5), Fraction(-16, 25), Fraction(64, 125)))
+    assert a.taylor == b.taylor == c.taylor
     assert a == b == c and hash(a) == hash(b) == hash(c)
     assert len({a, b, c, DerivativeJet.of_reciprocal(Fraction(5, 4), 2)}) == 1
     assert a != DerivativeJet.of_reciprocal(Fraction(5, 4), 3)
@@ -92,18 +93,19 @@ def test_jets_are_values():
     assert a.point == Fraction(5, 4) and a.order == 2
     assert pickle.loads(pickle.dumps(a)) == copy.copy(a) == copy.deepcopy(a) == a
     assert repr(a) == (
-        "DerivativeJet(point=Fraction(5, 4), numerators=(1, -1, 1), ratio=Fraction(4, 5))"
+        "DerivativeJet(point=Fraction(5, 4), "
+        "taylor=(Fraction(4, 5), Fraction(-16, 25), Fraction(64, 125)))"
     )
     assert repr(DerivativeJet.of_values(0, (1,))) == (
-        "DerivativeJet(point=Fraction(0, 1), numerators=(1,), ratio=Fraction(1, 1))"
+        "DerivativeJet(point=Fraction(0, 1), taylor=(Fraction(1, 1),))"
     )
 
 
 def test_reciprocal_jet_at_a_negative_point():
-    # r = 1/y0 is negative here: its sign sits in the ratio's numerator.
+    # 1/y0 is negative here, and so is every (-1)^k / y0^(k+1).
     y0 = Fraction(-5, 4)
     jet = DerivativeJet.of_reciprocal(y0, 8)
-    assert jet.ratio == Fraction(-4, 5)
+    assert jet.taylor[0] == Fraction(-4, 5) and max(jet.taylor) < 0
     values = [Fraction(math.factorial(k) * (-1) ** k) / y0 ** (k + 1) for k in range(9)]
     generic = DerivativeJet.of_values(y0, values)
     assert jet.values == generic.values == tuple(values)
@@ -116,10 +118,11 @@ def test_reciprocal_jet_at_a_negative_point():
             assert square_chain_rule(n, x0, generic) == expected
 
 
-def test_of_values_stores_over_the_taylor_denominators():
+def test_of_values_stores_the_taylor_coefficients():
     # v_2 = 1 has the Taylor coefficient 1/2, a denominator no value has.
     jet = DerivativeJet.of_values(0, (1, 1, 1))
-    assert (jet.numerators, jet.ratio) == ((2, 4, 4), Fraction(1, 2))
+    assert jet.taylor == (1, 1, Fraction(1, 2))
+    assert all(type(f) is Fraction for f in jet.taylor)
     assert jet.values == (1, 1, 1)
     rng = random.Random(47)
     for order in range(12):
@@ -131,7 +134,7 @@ def test_jet_copies_keep_the_stored_form():
     names = {"DerivativeJet": DerivativeJet, "Fraction": Fraction}
     for jet in (
         DerivativeJet.of_reciprocal(Fraction(-5, 4), 3),
-        DerivativeJet(Fraction(10, 8), (4, -16, 128), Fraction(1, 5)),
+        DerivativeJet(Fraction(10, 8), (4, Fraction(-16, 25), 0)),
     ):
         rebuilt = (
             eval(repr(jet), names),
@@ -141,11 +144,7 @@ def test_jet_copies_keep_the_stored_form():
         )
         for copied in rebuilt:
             assert type(copied) is DerivativeJet
-            assert (copied.point, copied.numerators, copied.ratio) == (
-                jet.point,
-                jet.numerators,
-                jet.ratio,
-            )
+            assert (copied.point, copied.taylor) == (jet.point, jet.taylor)
 
 
 def test_reciprocal_jet_rejects_zero():
@@ -157,7 +156,7 @@ def test_jet_needs_values():
     with pytest.raises(ValueError):
         DerivativeJet.of_values(0, ())
     with pytest.raises(ValueError):
-        DerivativeJet(0, (), 1)
+        DerivativeJet(0, ())
 
 
 def test_first_order_is_plain_chain_rule():
@@ -208,6 +207,11 @@ def test_jet_anchor_validation():
     g_jet = DerivativeJet.of_values(0, (2, 1))
     with pytest.raises(ValueError):
         faa_di_bruno(1, f_jet, g_jet)
+
+
+def _int_form_jet(point, numerators, ratio):
+    # The public jet of the kernels' int form: F_k = T_k r^(k+1).
+    return DerivativeJet(point, [t * ratio ** (k + 1) for k, t in enumerate(numerators)])
 
 
 def _random_jet(rng, order):
@@ -297,29 +301,39 @@ def test_square_chain_rule_reads_a_prefix_of_longer_jets():
     ],
 )
 def test_square_chain_rule_matches_the_unreduced_sum(x, ratio, common):
+    # The kernel on int forms built here, against the unreduced sum and the
+    # Fraction rule on the same jet.
     rng = random.Random(37)
     c, d = ratio.numerator, ratio.denominator
     p, q = x.numerator, x.denominator
     if p:
         assert math.gcd(4 * p * p * c, q * q * d) == common
-    jets = [
-        DerivativeJet.of_reciprocal(1 / ratio, 30),
-        DerivativeJet(x, [rng.randint(-99, 99) for _ in range(31)], ratio),
-    ]
-    for jet in jets:
+    reciprocal = [(-1) ** k for k in range(31)]
+    assert _int_form_jet(1 / ratio, reciprocal, ratio) == DerivativeJet.of_reciprocal(1 / ratio, 30)
+    for numerators in (reciprocal, [rng.randint(-99, 99) for _ in range(31)]):
+        jet = _int_form_jet(x, numerators, ratio)
         for n in range(31):
-            assert square_chain_rule(n, x, jet) == square_chain_rule_unreduced(n, x, jet), n
+            kernel = Fraction(*_square_chain_rule(n, p, q, (c, d), _chain_weights(n, numerators)))
+            assert kernel == square_chain_rule_unreduced(n, x, numerators, ratio), n
+            assert square_chain_rule(n, x, jet) == kernel, n
 
 
 def test_square_chain_rule_matches_the_derivative_form_oracle():
-    # The oracle reads the jet through its values and sums w_k N_(n-k) on
-    # derivative values; the library sums C(n-k, k) T_(n-k) on Taylor
-    # numerators and multiplies by n! once.
+    # The oracle sums w_k N_(n-k) on derivative numerators N_j = j! T_j; the
+    # kernel sums C(n-k, k) T_(n-k) on Taylor numerators and multiplies by n!
+    # once, and the Fraction rule sums the same on the jet's coefficients.
     rng = random.Random(53)
     for x in (Fraction(0), Fraction(3), Fraction(-22, 7), Fraction(355, 113)):
-        for jet in (DerivativeJet.of_reciprocal(1 + x * x, 60), _random_jet(rng, 60)):
+        p, q = x.numerator, x.denominator
+        reciprocal = ([(-1) ** k for k in range(61)], 1 / (1 + x * x))
+        random_form = ([rng.randint(-99, 99) for _ in range(61)], Fraction(rng.randint(1, 9), 7))
+        for numerators, ratio in (reciprocal, random_form):
+            jet = _int_form_jet(x, numerators, ratio)
             for n in range(61):
-                expected = square_chain_rule_unreduced(n, x, jet)
+                weights = _chain_weights(n, numerators)
+                pair = _square_chain_rule(n, p, q, (ratio.numerator, ratio.denominator), weights)
+                expected = square_chain_rule_unreduced(n, x, numerators, ratio)
+                assert Fraction(*pair) == expected, (x, n)
                 assert square_chain_rule(n, x, jet) == expected, (x, n)
 
 
@@ -338,19 +352,22 @@ def test_square_chain_rule_takes_a_weight_row_or_its_stream():
     # streams it for one.  Both give the unreduced sum's value.
     rng = random.Random(43)
     randoms = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
-    cases = [(x, _random_jet(rng, 30)) for x in randoms]
+    cases = []
+    for x in randoms:
+        ratio = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        cases.append((x, [rng.randint(-99, 99) for _ in range(31)], ratio))
     for x in (Fraction(0), Fraction(-3), Fraction(355, 113)):
-        cases.append((x, DerivativeJet.of_reciprocal(1 + x * x, 30)))
-    for x, jet in cases:
+        cases.append((x, [(-1) ** k for k in range(31)], 1 / (1 + x * x)))
+    for x, numerators, ratio in cases:
         p, q = x.numerator, x.denominator
-        ratio = jet.ratio.numerator, jet.ratio.denominator
+        ratio_pair = ratio.numerator, ratio.denominator
         for n in range(31):
-            row = list(_chain_weights(n, jet.numerators))
+            row = list(_chain_weights(n, numerators))
             assert len(row) == n // 2 + 1
-            pair = _square_chain_rule(n, p, q, ratio, row)
-            stream = _chain_weights(n, jet.numerators)
-            assert pair == _square_chain_rule(n, p, q, ratio, stream)
-            assert Fraction(*pair) == square_chain_rule_unreduced(n, x, jet), (x, n)
+            pair = _square_chain_rule(n, p, q, ratio_pair, row)
+            stream = _chain_weights(n, numerators)
+            assert pair == _square_chain_rule(n, p, q, ratio_pair, stream)
+            assert Fraction(*pair) == square_chain_rule_unreduced(n, x, numerators, ratio), (x, n)
 
 
 @given(
@@ -364,15 +381,15 @@ def test_square_chain_rule_takes_a_weight_row_or_its_stream():
     st.integers(0, 40),
 )
 def test_reciprocal_square_jets_are_the_reciprocal_jets_in_ints(xs, order):
-    # The int jets of y -> 1/y at 1 + x^2 store what the public jets store:
-    # the numerators (-1)^k, shared by every point, and each point's ratio
-    # in lowest terms.
+    # The int jets of y -> 1/y at 1 + x^2, T_k (c/d)^(k+1) with the
+    # numerators shared by every point and each ratio in lowest terms, are
+    # the public jets' coefficients.
     numerators, ratios = _reciprocal_square_jets(order, [(x.numerator, x.denominator) for x in xs])
     assert len(ratios) == len(xs)
-    for x, ratio in zip(xs, ratios):
+    for x, (c, d) in zip(xs, ratios):
+        assert d > 0 and math.gcd(c, d) == 1
         jet = DerivativeJet.of_reciprocal(1 + x * x, order)
-        assert numerators == jet.numerators
-        assert ratio == (jet.ratio.numerator, jet.ratio.denominator)
+        assert _int_form_jet(1 + x * x, numerators, Fraction(c, d)) == jet
 
 
 def test_coefficient_recurrence_small_cases():

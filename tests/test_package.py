@@ -59,12 +59,12 @@ def test_package_exports_every_module_name_once():
     assert "FAILURES_KEPT" in names
 
 
-# Every place where a caller's rational point, ratio, value or series
+# Every place where a caller's rational point, coefficient, value or series
 # parameter enters the library, as a function of that one number.
 ENTRY_POINTS = {
     "ArctanRational.evaluate": lambda x: arctan_derivative_closed(3).evaluate(x),
-    "DerivativeJet point": lambda x: DerivativeJet(x, (1, 2), Fraction(1, 3)),
-    "DerivativeJet ratio": lambda x: DerivativeJet(Fraction(1, 3), (1, 2), x),
+    "DerivativeJet point": lambda x: DerivativeJet(x, (1, Fraction(1, 3))),
+    "DerivativeJet coefficient": lambda x: DerivativeJet(Fraction(1, 3), (1, x)),
     "DerivativeJet.of_values point": lambda x: DerivativeJet.of_values(x, (1, Fraction(1, 2))),
     "DerivativeJet.of_values value": lambda x: DerivativeJet.of_values(1, (Fraction(1, 2), x)),
     "DerivativeJet.of_reciprocal": lambda x: DerivativeJet.of_reciprocal(x, 3),

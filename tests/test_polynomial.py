@@ -191,8 +191,8 @@ def test_repr_round_trips(p, k):
 
 
 def test_repr_has_no_digit_limit():
-    # Scales of 1999! and jet numerators up to 1700! pass 4300 digits.
-    values = (arctan_derivative_closed(2000), DerivativeJet.of_reciprocal(Fraction(5, 4), 1700))
+    # A scale of 1999! and the jet coefficient -10^4400 pass 4300 digits.
+    values = (arctan_derivative_closed(2000), DerivativeJet.of_reciprocal(Fraction(1, 10**2200), 1))
     with digit_limit(DEFAULT_DIGIT_LIMIT):
         texts = [repr(value) for value in values]
     with digit_limit(0):
@@ -220,7 +220,8 @@ def test_integral_coefficients_are_ints():
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(4, 2), 0.5, "1", True], ids=repr)
 def test_value_classes_take_ints_only(c):
     # No Fraction coefficient, scale or exponent, even an integral one, and
-    # no float, str or bool.
+    # no float, str or bool.  A jet stores Fractions, and test_package's
+    # entry points hold its coefficients to int or Fraction.
     with pytest.raises(TypeError):
         ArctanRational((c,))
     with pytest.raises(TypeError):
@@ -229,8 +230,6 @@ def test_value_classes_take_ints_only(c):
         ArctanRational(1, 1, c)
     with pytest.raises(TypeError):
         ArctanRational(1, c)
-    with pytest.raises(TypeError):
-        DerivativeJet(0, (c,), 1)
 
 
 @given(small_polys, st.integers(0, 3), rationals)

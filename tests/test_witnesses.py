@@ -151,6 +151,12 @@ WITNESSES = {
         ("identities._weighted_moments",),
         ("identities._weighted_closed_numerator",),
     ),
+    # The public Fraction sum as the paper writes it vs the kernels that the
+    # route runs, which test_composition holds against each other.
+    "the paper's specialised sum vs the jet route's int kernel": (
+        ("composition.square_chain_rule",),
+        ("composition._square_chain_rule", "composition._chain_weights"),
+    ),
     # The reader of decimal text vs the printer, which
     # test_polynomial.test_printed_digits_read_back holds against each other.
     "printed digits read back": (
